@@ -10,10 +10,15 @@ module closes both holes with the classic WAL-plus-snapshot recipe:
   appended to the current WAL segment *as it is applied*, framed as
   ``[length:4][crc32:4][payload]`` with a compact-JSON payload.  The
   fsync policy is configurable: ``always`` (fsync per append — nothing
-  acknowledged is ever lost), ``interval`` (fsync at most every
-  ``fsync_interval`` seconds — bounded loss window), or ``never``
-  (leave it to the OS — fastest, loses whatever the kernel had not
-  written back).
+  acknowledged is ever lost), ``interval`` (fsync once ``fsync_interval``
+  has passed since the last sync and something is unsynced — bounded
+  loss window), or ``never`` (leave it to the OS — fastest, loses
+  whatever the kernel had not written back).  Under ``interval`` an
+  unserved store syncs inside the append that finds the interval
+  elapsed; a served store hands that duty to the Journal Server's
+  watchdog thread (:attr:`JournalStore.background_sync`), which syncs
+  a dirty WAL even when no further write arrives — so the append path
+  never fsyncs and an idle server still honours the window.
 
 * **Atomic checkpoints** — a full journal snapshot is written to a
   temp file in the same directory, fsynced, and moved into place with
@@ -46,8 +51,9 @@ Checkpoint policy: :meth:`JournalStore.due` trips on any of three
 thresholds — WAL appends since the last checkpoint
 (``checkpoint_ops``), WAL bytes since (``checkpoint_bytes``), or
 wall-clock age of a dirty store (``checkpoint_age``).  The Journal
-Server checks it after every write op and from a background thread, so
-checkpoints are no longer stop-only.
+Server checks it after every write op that runs on its worker pool and
+from its watchdog thread, so checkpoints are no longer stop-only and
+never run on its event loop.
 """
 
 from __future__ import annotations
@@ -298,7 +304,8 @@ class JournalStore:
     hooks (called from inside Journal mutations), ``checkpoint`` and
     ``close`` assume the caller holds the journal's exclusive lock when
     shared between threads — the Journal Server's write lock provides
-    it.  ``due()`` only reads counters and may be called from anywhere.
+    it.  ``due()``, ``sync_wait()`` and ``fsyncs_on_append`` only read
+    counters and may be called from anywhere.
     """
 
     CHECKPOINT_NAME = "checkpoint.json"
@@ -335,6 +342,12 @@ class JournalStore:
         self._segment_seq = 0
         self._handle = None
         self._last_sync = time.monotonic()
+        #: interval policy: records were appended since the last sync
+        self._unsynced = False
+        #: set by the Journal Server while its watchdog thread runs
+        #: :meth:`sync_if_due`; the interval fsync then leaves the
+        #: append path entirely
+        self.background_sync = False
         self._ops_since_checkpoint = 0
         self._bytes_since_checkpoint = 0
         self._last_checkpoint_at = time.monotonic()
@@ -570,6 +583,15 @@ class JournalStore:
         if self._h_fsync is not None:
             self._h_fsync.observe(time.perf_counter() - started)
         self._last_sync = time.monotonic()
+        self._unsynced = False
+
+    @property
+    def fsyncs_on_append(self) -> bool:
+        """Can the next append fsync?  The Journal Server keeps writes
+        off its event loop while this holds."""
+        return self.fsync == "always" or (
+            self.fsync == "interval" and not self.background_sync
+        )
 
     def _append(self, entry: Dict[str, Any]) -> None:
         if self._handle is None:
@@ -585,8 +607,9 @@ class JournalStore:
         if self.fsync == "always":
             self._fsync_wal()
         elif self.fsync == "interval":
-            if time.monotonic() - self._last_sync >= self.fsync_interval:
-                self._fsync_wal()
+            self._unsynced = True
+            if not self.background_sync:
+                self.sync_if_due()
         self._ops_since_checkpoint += 1
         self._bytes_since_checkpoint += len(frame)
         if self.journal is not None:
@@ -616,6 +639,29 @@ class JournalStore:
         if self._handle is not None and self.fsync != "never":
             self._handle.flush()
             self._fsync_wal()
+
+    def sync_if_due(self) -> None:
+        """Interval policy: fsync if records are unsynced and
+        ``fsync_interval`` has passed since the last sync.  Same locking
+        rule as the logging hooks."""
+        if (
+            self._unsynced
+            and self._handle is not None
+            and time.monotonic() - self._last_sync >= self.fsync_interval
+        ):
+            self._fsync_wal()
+
+    def sync_wait(self) -> Optional[float]:
+        """How long a watchdog may sleep before :meth:`sync_if_due`
+        could owe an fsync: the time left when records wait unsynced,
+        else a full ``fsync_interval`` (a record appended meanwhile may
+        be due at once).  None unless the policy is ``interval``.
+        Lock-free counter reads, like :meth:`due`."""
+        if self.fsync != "interval":
+            return None
+        if not self._unsynced:
+            return self.fsync_interval
+        return max(0.0, self._last_sync + self.fsync_interval - time.monotonic())
 
     # -- checkpoints -----------------------------------------------------
 
@@ -684,6 +730,8 @@ class JournalStore:
         self._ops_since_checkpoint = 0
         self._bytes_since_checkpoint = 0
         self._last_checkpoint_at = time.monotonic()
+        # The fsynced snapshot covers every record the old segment held.
+        self._unsynced = False
         if self._h_checkpoint is not None:
             self._h_checkpoint.observe(time.perf_counter() - started)
         return self.checkpoint_path

@@ -13,10 +13,12 @@ Two transports share one op layer:
   they complete — out of order, but never torn, because one sender
   task per connection owns the socket.  Write ops still execute in
   per-connection submission order, so a pipelined BatchingSink cannot
-  reorder the observation stream.  Journal work that can block (lock
-  waits, fsync, big dumps) runs on a small bounded worker pool;
-  cheap ops take a non-blocking inline fast path on the loop thread
-  when the lock is free.  The streaming ``subscribe`` feed is a native
+  reorder the observation stream.  Ops are routed by what they cost:
+  cheap reads, point lookups and cheap writes (whose WAL append is a
+  buffered write plus a flush to the OS) take a non-blocking inline
+  fast path on the loop thread when the lock is free; work that can
+  block — lock waits, fsync, checkpoints, big dumps — runs on a small
+  bounded worker pool.  The streaming ``subscribe`` feed is a native
   async push — no thread per feed — and a subscriber that cannot keep
   up is cut over to the ``changes_since`` polling fallback (a
   ``feed_lagged`` frame) instead of stalling the loop.
@@ -28,15 +30,17 @@ Two transports share one op layer:
 Both dispatch through :class:`JournalDispatcher`, which owns the op
 vocabulary, the write-preferring RW lock (``lock_mode="exclusive"``
 restores the old single-mutex behaviour), per-op telemetry, and the
-checkpoint policy hooks: every completed write op checks the ops/bytes
-thresholds while still holding the write lock; a background thread
-covers the age threshold; ``stop()`` takes a final checkpoint
-("periodically and at termination").
+checkpoint policy hooks: every write op on the worker pool checks the
+ops/bytes thresholds while still holding the write lock; a background
+watchdog thread covers the age threshold and the ``interval`` fsync;
+``stop()`` takes a final checkpoint ("periodically and at
+termination").
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import socket
 import threading
 import time
@@ -46,9 +50,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from . import wire
 from .journal import Journal
 from .locks import ReadWriteLock
+from .sink import DEFAULT_MAX_BATCH
 from .telemetry import DEPTH_BUCKETS, SIZE_BUCKETS
 
 __all__ = ["JournalDispatcher", "JournalServer", "ThreadedJournalServer"]
+
+logger = logging.getLogger(__name__)
 
 #: ops that never mutate the Journal and therefore share the read
 #: lock.  The set moved to wire.py (clients stamp fencing epochs onto
@@ -56,23 +63,13 @@ __all__ = ["JournalDispatcher", "JournalServer", "ThreadedJournalServer"]
 #: sites readable.
 _READ_OPS = wire.READ_OPS
 
-#: ops cheap enough to run on the event loop thread when the lock is
-#: free: O(1)-ish handlers that never serialise the whole journal and
-#: never touch the durability layer's fsync path.  Everything else —
-#: dumps, saves, whole-table queries, batches — goes to the worker
-#: pool, as do all writes when a WAL is attached.
-_INLINE_OPS = frozenset(
+#: write ops cheap enough to run on the event loop thread: O(1)-ish
+#: handlers whose only I/O is a WAL append — a buffered write plus a
+#: flush to the OS.  They run inline only while the attached store
+#: cannot fsync on append (no ``fsync="always"``; under ``interval`` the
+#: server's watchdog owns the sync) and no checkpoint is due.
+_INLINE_WRITES = frozenset(
     {
-        "ping",
-        "counts",
-        "metrics",
-        "shard_info",
-        "negative_check",
-        "changes_since",
-        # Indexed predicate evaluation is O(result); a worst-case
-        # unindexable predicate still only reads — and the inline path
-        # only runs when the read lock is free anyway.
-        "query",
         "observe",
         "negative_put",
         "ensure_gateway",
@@ -85,6 +82,29 @@ _INLINE_OPS = frozenset(
     }
 )
 
+#: ops cheap enough to run on the event loop thread when the lock is
+#: free.  Everything else — dumps, saves, bulk selectors, path/impact —
+#: goes to the worker pool; so do ``get_interfaces`` outside
+#: :data:`_POINT_SELECTORS` and ``observe_batch`` beyond one default
+#: sink batch (see :meth:`JournalDispatcher.runs_inline`).
+_INLINE_OPS = _INLINE_WRITES | frozenset(
+    {
+        "ping",
+        "counts",
+        "metrics",
+        "shard_info",
+        "negative_check",
+        "changes_since",
+        # Indexed predicate evaluation is O(result); a worst-case
+        # unindexable predicate still only reads — and the inline path
+        # only runs when the read lock is free anyway.
+        "query",
+    }
+)
+
+#: ``get_interfaces`` selectors answered by one index probe
+_POINT_SELECTORS = frozenset({"ip", "mac", "name"})
+
 #: close sentinel for per-connection outbound queues
 _CLOSE = object()
 
@@ -92,6 +112,11 @@ _CLOSE = object()
 #: bounded outbox (and its drain-based backpressure) instead of being
 #: written directly
 _DIRECT_WRITE_LIMIT = 64 * 1024
+
+
+def _log_detached_failure(future) -> None:
+    if not future.cancelled() and future.exception() is not None:
+        logger.error("detached server task failed", exc_info=future.exception())
 
 
 class JournalDispatcher:
@@ -122,6 +147,10 @@ class JournalDispatcher:
         #: server coalesces a burst of pipelined writes into one feed
         #: flush per loop tick instead of one delivery per write.
         self.publish_soon: Optional[Callable[[], None]] = None
+        #: transport hook: runs :meth:`durability_tick` off the event
+        #: loop — how a checkpoint an inline write made due leaves it.
+        #: Unset, the watchdog takes it on its next tick.
+        self.checkpoint_soon: Optional[Callable[[], None]] = None
         #: failover coordinates.  Every server is a primary at epoch 0
         #: until a standby tails it (role stays "primary") or it is
         #: promoted/fenced.  Both fields are read and written only with
@@ -232,11 +261,13 @@ class JournalDispatcher:
             self._after_write(op)
             return response
 
-    def _after_write(self, op) -> None:
+    def _after_write(self, op, *, inline: bool = False) -> None:
         """Runs with the write lock held, after a completed write op:
         the change feed publishes while state is consistent, and the
-        ops/bytes checkpoint thresholds are checked — the background
-        thread only needs to cover the age threshold."""
+        ops/bytes checkpoint thresholds are checked.  The event loop
+        never checkpoints: after an *inline* write a due checkpoint is
+        handed to :attr:`checkpoint_soon` (and until it runs,
+        :meth:`dispatch_inline` sends writes to the pool)."""
         if op not in _READ_OPS:
             if self.publish_soon is not None:
                 self.publish_soon()
@@ -244,7 +275,10 @@ class JournalDispatcher:
                 self.journal.publish()
             store = self.journal.durability
             if store is not None and store.due():
-                store.checkpoint()
+                if not inline:
+                    store.checkpoint()
+                elif self.checkpoint_soon is not None:
+                    self.checkpoint_soon()
 
     def _fence_reject(self, op, request) -> Optional[Dict[str, Any]]:
         """Epoch-fencing gate, run with the write lock held before any
@@ -310,11 +344,45 @@ class JournalDispatcher:
         if self.on_fence is not None:
             self.on_fence(self.epoch, previous)
 
+    def runs_inline(self, op: Any, request: Dict[str, Any]) -> bool:
+        """Is *request* cheap enough for the event loop thread?  Decided
+        by the op's cost alone; :meth:`dispatch_inline` adds the lock and
+        durability conditions."""
+        if op in _INLINE_OPS:
+            return True
+        if op == "get_interfaces":
+            by = request.get("by")
+            return isinstance(by, str) and by in _POINT_SELECTORS
+        if op == "observe_batch":
+            requests = request.get("requests")
+            return (
+                isinstance(requests, list)
+                and len(requests) <= DEFAULT_MAX_BATCH
+                and all(
+                    isinstance(sub, dict) and sub.get("op") in _INLINE_WRITES
+                    for sub in requests
+                )
+            )
+        return False
+
+    def _write_inline_safe(self, request: Dict[str, Any]) -> bool:
+        """May a cheap write run on the loop thread right now?  Not
+        while its WAL append could fsync (``fsync="always"``, or an
+        ``interval`` store whose sync no watchdog owns), not while a
+        checkpoint is due (the pool runs it), and not when its epoch
+        stamp differs from ours (stepping down persists the new epoch
+        with an fsync)."""
+        store = self.journal.durability
+        if store is not None and (store.fsyncs_on_append or store.due()):
+            return False
+        stamp = request.get("epoch")
+        return stamp is None or stamp == self.epoch
+
     def dispatch_inline(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """Non-blocking fast path for the event loop thread: run the
-        request only if it is cheap (:data:`_INLINE_OPS`), does not hit
-        the WAL, and the lock is free *right now*.  Returns None when
-        the request must go to the worker pool instead.
+        request only if it is cheap (:meth:`runs_inline`), cannot fsync
+        or checkpoint, and the lock is free *right now*.  Returns None
+        when the request must go to the worker pool instead.
 
         Telemetry is deliberately lean here: the op-latency histogram
         and request counters are recorded, but no trace span is opened
@@ -323,12 +391,10 @@ class JournalDispatcher:
         span per sub-100µs op would cost more than the op.  Worker-pool
         dispatch keeps full tracing."""
         op = request.get("op")
-        if op not in _INLINE_OPS:
+        if not self.runs_inline(op, request):
             return None
         read = self.lock_mode == "rw" and op in _READ_OPS
-        if not read and self.journal.durability is not None:
-            # Write with a WAL attached: the append (and possibly an
-            # fsync) must not run on the loop thread.
+        if op not in _READ_OPS and not self._write_inline_safe(request):
             return None
         handler = self.handler_for(op)
         if handler is None:
@@ -350,7 +416,7 @@ class JournalDispatcher:
                     return rejection
             response = handler(request)
             if not read:
-                self._after_write(op)
+                self._after_write(op, inline=True)
             sample.observe(time.perf_counter() - started)
             return response
         finally:
@@ -409,13 +475,21 @@ class JournalDispatcher:
         self._changes_frame_cache = (changes.since, changes.revision, frame)
         return frame
 
-    def checkpoint_if_due(self) -> None:
-        """Age-threshold path, called by the background watchdog."""
+    def durability_tick(self) -> None:
+        """Off the event loop (the watchdog, or a worker handed a due
+        checkpoint by an inline write): take the write lock to
+        checkpoint once a threshold has tripped, or to run the
+        ``interval`` fsync once it is due."""
         store = self.journal.durability
-        if store is not None and store.due():
-            with self.rwlock.write_locked():
-                if self.journal.durability is store and store.due():
-                    store.checkpoint()
+        if store is None or not (store.due() or store.sync_wait() == 0.0):
+            return
+        with self.rwlock.write_locked():
+            if self.journal.durability is not store:
+                return
+            if store.due():
+                store.checkpoint()  # fsyncs everything it covers
+            else:
+                store.sync_if_due()
 
     # ------------------------------------------------------------------
     # Op handlers
@@ -791,8 +865,12 @@ class _JournalServerBase:
     # -- checkpoint watchdog ---------------------------------------------
 
     def _start_checkpoint_thread(self) -> None:
-        if self.journal.durability is None:
+        store = self.journal.durability
+        if store is None:
             return
+        # The watchdog owns the interval fsync from here on, so no
+        # write's WAL append syncs (and cheap writes may run inline).
+        store.background_sync = True
         self._checkpoint_stop.clear()
         self._checkpoint_thread = threading.Thread(
             target=self._checkpoint_loop,
@@ -806,15 +884,27 @@ class _JournalServerBase:
         if self._checkpoint_thread is not None:
             self._checkpoint_thread.join(timeout=5.0)
             self._checkpoint_thread = None
+        store = self.journal.durability
+        if store is not None:
+            store.background_sync = False
 
     def _checkpoint_loop(self) -> None:
-        """Age-threshold watchdog: a server receiving no writes would
-        otherwise never trip the per-op ops/bytes checks, leaving an
-        unbounded WAL replay window."""
-        while not self._checkpoint_stop.wait(self.checkpoint_poll):
-            if self.journal.durability is None:
+        """Durability watchdog.  A server receiving no writes would
+        otherwise never trip the per-op ops/bytes checks (an unbounded
+        WAL replay window) nor sync the tail of its WAL (an unbounded
+        power-loss window under ``interval``).  Sleeps at most until the
+        interval fsync could come due, so no acknowledged record stays
+        unsynced much past ``fsync_interval``."""
+        while True:
+            store = self.journal.durability
+            if store is None:
                 break
-            self.dispatcher.checkpoint_if_due()
+            wait = store.sync_wait()
+            if wait is None or wait > self.checkpoint_poll:
+                wait = self.checkpoint_poll
+            if self._checkpoint_stop.wait(wait):
+                break
+            self.dispatcher.durability_tick()
 
     def _finalize_stop(self) -> None:
         with self.dispatcher.rwlock.write_locked():
@@ -1205,7 +1295,12 @@ class JournalServer(_JournalServerBase):
         #: a feed flush is already queued on the loop (guarded by the
         #: write lock, which every mutator of this flag holds)
         self._publish_pending = False
+        #: thread ident of the event loop thread while it runs
+        self._loop_thread_id: Optional[int] = None
         self.dispatcher.publish_soon = self._schedule_publish
+        self.dispatcher.checkpoint_soon = lambda: self._run_blocking_detached(
+            self.dispatcher.durability_tick
+        )
 
     @property
     def live_connections(self) -> int:
@@ -1233,7 +1328,6 @@ class JournalServer(_JournalServerBase):
 
     def stop(self) -> None:
         self._running = False
-        self._stop_checkpoint_thread()
         loop, thread = self._loop, self._thread
         if loop is not None and thread is not None and thread.is_alive():
             try:
@@ -1249,6 +1343,9 @@ class JournalServer(_JournalServerBase):
             self._listener.close()
         except OSError:
             pass
+        # The watchdog keeps syncing while in-flight requests drain; it
+        # stops only once nothing can run inline any more.
+        self._stop_checkpoint_thread()
         self._finalize_stop()
 
     def _request_stop(self) -> None:
@@ -1272,7 +1369,12 @@ class JournalServer(_JournalServerBase):
             return
         self._publish_pending = True
         try:
-            loop.call_soon_threadsafe(self._publish_flush)
+            if threading.get_ident() == self._loop_thread_id:
+                # An inline write: already on the loop, so skip the
+                # self-pipe write and wakeup call_soon_threadsafe costs.
+                loop.call_soon(self._publish_flush)
+            else:
+                loop.call_soon_threadsafe(self._publish_flush)
         except RuntimeError:
             # Loop shutting down: deliver synchronously rather than
             # dropping the delta on the floor.
@@ -1297,6 +1399,7 @@ class JournalServer(_JournalServerBase):
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         self._loop = loop
+        self._loop_thread_id = threading.get_ident()
         try:
             loop.run_until_complete(self._serve_forever(started))
         finally:
@@ -1421,14 +1524,16 @@ class JournalServer(_JournalServerBase):
 
     def _run_blocking_detached(self, func: Callable, *args) -> None:
         """Fire-and-forget lock-holding work from the loop thread (e.g.
-        detaching a lagging subscriber)."""
+        detaching a lagging subscriber, a checkpoint an inline write
+        made due).  Nobody awaits the result, so a failure is logged."""
         executor = self._executor
         if executor is None:
             return
         try:
-            executor.submit(func, *args)
+            future = executor.submit(func, *args)
         except RuntimeError:  # pragma: no cover - shutdown race
-            pass
+            return
+        future.add_done_callback(_log_detached_failure)
 
 
 class ThreadedJournalServer(_JournalServerBase):

@@ -47,6 +47,10 @@ from .telemetry import SIZE_BUCKETS, telemetry_of
 
 __all__ = ["ObservationSink", "DirectSinkMixin", "BatchingSink", "FlushStats"]
 
+#: BatchingSink's default batch size (the Journal Server runs an
+#: ``observe_batch`` this small on its event loop thread)
+DEFAULT_MAX_BATCH = 64
+
 
 @dataclass
 class FlushStats:
@@ -153,7 +157,7 @@ class BatchingSink(ObservationSink):
         self,
         target,
         *,
-        max_batch: int = 64,
+        max_batch: int = DEFAULT_MAX_BATCH,
         max_age: Optional[float] = None,
         pipeline_depth: int = 1,
         clock: Optional[Callable[[], float]] = None,

@@ -1,15 +1,18 @@
 """The pipelined async transport: out-of-order completion, per-request
-deadlines, the slow-feed polling fallback, and graceful stop() drain."""
+deadlines, the slow-feed polling fallback, graceful stop() drain, and
+the cost-routed inline path on a durable server."""
 
+import os
 import socket
 import threading
 import time
 
 import pytest
 
-from repro.core import Journal, JournalServer, RemoteClient
+from repro.core import Journal, JournalServer, JournalStore, RemoteClient
 from repro.core import wire
 from repro.core.records import Observation
+from repro.core.server import JournalDispatcher
 
 
 def _wait_for(predicate, timeout=5.0):
@@ -383,3 +386,188 @@ class TestFeedLaggedResume:
         finally:
             feed.close()
             listener.close()
+
+
+class TestDurableInlinePath:
+    """A durable server routes ops by cost: cheap writes and point
+    lookups run on the loop thread, while fsyncs, checkpoints, bulk
+    reads and everything under ``fsync="always"`` stay off it."""
+
+    LOOP = "journal-server-loop"
+
+    @pytest.fixture
+    def handler_threads(self, monkeypatch):
+        """Record which thread ran each write handler (op -> names)."""
+        seen = {}
+        ops = (
+            "observe", "observe_batch", "negative_put", "ensure_gateway",
+            "ensure_subnet", "link_gateway_subnet", "delete_interface",
+            "absorb_interface", "absorb_gateway", "absorb_subnet",
+        )
+        for op in ops:
+            original = getattr(JournalDispatcher, f"_op_{op}")
+
+            def recording(self, request, _op=op, _original=original):
+                seen.setdefault(_op, []).append(threading.current_thread().name)
+                return _original(self, request)
+
+            monkeypatch.setattr(JournalDispatcher, f"_op_{op}", recording)
+        return seen
+
+    @staticmethod
+    def _durable_server(tmp_path, **settings):
+        store = JournalStore(str(tmp_path), **settings)
+        server = JournalServer(store.recover())
+        server.start()
+        return store, server
+
+    def test_no_fsync_or_checkpoint_on_the_loop_thread(
+        self, tmp_path, monkeypatch, handler_threads
+    ):
+        fsync_threads, checkpoint_threads = [], []
+        real_fsync = os.fsync
+        real_checkpoint = JournalStore.checkpoint
+
+        def recording_fsync(fd):
+            fsync_threads.append(threading.current_thread().name)
+            real_fsync(fd)
+
+        def recording_checkpoint(self):
+            checkpoint_threads.append(threading.current_thread().name)
+            return real_checkpoint(self)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(JournalStore, "checkpoint", recording_checkpoint)
+        # Donor records for the absorb_* (replication) ops.
+        donor = Journal()
+        donor_interface, _ = donor.observe_interface(
+            Observation(source="donor", ip="10.9.0.1")
+        )
+        donor_gateway, _ = donor.ensure_gateway(
+            source="donor", interface_ids=[donor_interface.record_id]
+        )
+        donor_subnet, _ = donor.ensure_subnet("10.9.0.0/24", source="donor")
+
+        store, server = self._durable_server(
+            tmp_path, fsync="interval", fsync_interval=0.01, checkpoint_ops=4,
+        )
+        try:
+            with RemoteClient(*server.address) as client:
+                for round_ in range(10):
+                    record, _ = client.observe_interface(
+                        Observation(source="t", ip=f"10.0.{round_}.1")
+                    )
+                    # Varying batch sizes move the point where a
+                    # checkpoint comes due (and the next write goes to
+                    # the pool) around the op sequence.
+                    client.observe_batch(
+                        [Observation(source="t", ip=f"10.1.{round_}.{i + 1}")
+                         for i in range(round_ % 4 + 1)]
+                    )
+                    client.negative_put("ip", f"10.2.{round_}.1", ttl=60.0)
+                    gateway, _ = client.ensure_gateway(
+                        source="t", interface_ids=[record.record_id]
+                    )
+                    client.ensure_subnet(f"10.0.{round_}.0/24", source="t")
+                    client.link_gateway_subnet(
+                        gateway.record_id, f"10.0.{round_}.0/24", source="t"
+                    )
+                    client.delete_interface(record.record_id)
+                    absorbed, _ = client.absorb_interface(donor_interface)
+                    client.absorb_gateway(
+                        donor_gateway,
+                        {donor_interface.record_id: absorbed.record_id},
+                    )
+                    client.absorb_subnet(donor_subnet)
+                    time.sleep(0.005)  # let the interval fsync come due
+                time.sleep(0.1)
+        finally:
+            server.stop()
+            store.close(checkpoint=False)
+        assert self.LOOP not in fsync_threads
+        assert self.LOOP not in checkpoint_threads
+        # ...and yet the writes were inline, and syncs and checkpoints ran.
+        for op, threads in handler_threads.items():
+            assert self.LOOP in threads, f"{op} never ran inline"
+        assert "journal-server-checkpoint" in fsync_threads
+        assert checkpoint_threads
+
+    def test_pool_batch_then_inline_write_apply_in_order(
+        self, tmp_path, handler_threads
+    ):
+        store, server = self._durable_server(tmp_path, fsync="interval")
+        try:
+            sock, frames = _raw_connection(server)
+            batch = [
+                {"op": "observe",
+                 "observation": {"source": "t", "ip": f"10.0.1.{i + 1}"}}
+                for i in range(64)
+            ] + [{"op": "observe",
+                  "observation": {"source": "t", "ip": "10.0.0.1", "vendor": "batch"}}]
+            try:
+                # One segment: the oversized batch goes to the pool, the
+                # observe behind it is inline-eligible but must wait.
+                sock.sendall(
+                    wire.encode_message({**wire.batch_request(batch), "id": 1})
+                    + wire.encode_message(
+                        {"op": "observe", "id": 2,
+                         "observation": {"source": "t", "ip": "10.0.0.1",
+                                         "vendor": "inline"}}
+                    )
+                )
+                replies = {frame["id"]: frame for frame in
+                           (frames.read(10.0), frames.read(10.0))}
+            finally:
+                sock.close()
+            assert replies[1]["ok"] and replies[2]["ok"]
+            (record,) = server.journal.interfaces_by_ip("10.0.0.1")
+            assert record.get("vendor") == "inline"
+            assert handler_threads["observe_batch"][0].startswith("journal-worker")
+        finally:
+            server.stop()
+            store.close(checkpoint=False)
+
+    def test_point_lookup_overtakes_bulk_selector(self, tmp_path):
+        store, server = self._durable_server(tmp_path, fsync="interval")
+        journal = server.journal
+        try:
+            for index in range(500):
+                journal.observe_interface(
+                    Observation(source="seed", ip=f"10.{index // 200}.{index % 200}.9")
+                )
+            sock, frames = _raw_connection(server)
+            try:
+                # by="all" serialises every record on the worker pool; the
+                # by="ip" point lookup is answered inline, so it lands first.
+                sock.sendall(
+                    wire.encode_message({"op": "get_interfaces", "by": "all", "id": 1})
+                    + wire.encode_message(
+                        {"op": "get_interfaces", "by": "ip", "key": "10.0.7.9", "id": 2}
+                    )
+                )
+                first = frames.read(10.0)
+                second = frames.read(10.0)
+            finally:
+                sock.close()
+            assert first["id"] == 2 and len(first["records"]) == 1
+            assert second["id"] == 1 and len(second["records"]) == 500
+        finally:
+            server.stop()
+            store.close(checkpoint=False)
+
+    def test_fsync_always_writes_stay_on_the_pool(self, tmp_path, handler_threads):
+        store, server = self._durable_server(tmp_path, fsync="always")
+        try:
+            with RemoteClient(*server.address) as client:
+                for index in range(5):
+                    client.observe_interface(
+                        Observation(source="t", ip=f"10.0.0.{index + 1}")
+                    )
+                client.negative_put("ip", "10.0.9.9", ttl=60.0)
+        finally:
+            server.stop()
+            store.close(checkpoint=False)
+        for op in ("observe", "negative_put"):
+            assert handler_threads[op]
+            assert all(name.startswith("journal-worker")
+                       for name in handler_threads[op])

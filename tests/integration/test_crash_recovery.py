@@ -14,12 +14,15 @@ Three attack surfaces, per the durability contract:
   of history (damaged segments are quarantined, not misapplied).
 
 Plus the server integration: a Journal Server over a durable store
-checkpoints by policy while running, and a restart rehydrates every
-record that was synced before the stop.
+checkpoints by policy while running, syncs an idle WAL's tail within
+``fsync_interval``, loses no acknowledged write to a SIGKILL of
+``serve --fsync interval``, and a restart rehydrates every record that
+was synced before the stop.
 """
 
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -140,6 +143,57 @@ class TestProcessKill:
         resumed = store2.recover()
         assert resumed.canonical_state() == state_after(prefix + 50)
         store2.close(checkpoint=False)
+
+
+class TestServedIntervalKill:
+    """Inline writes on a ``serve --durable --fsync interval`` server
+    never fsync on the append path, but every append still flushes to
+    the OS before its acknowledgement — so a process crash right after
+    the acks loses none of them."""
+
+    def test_sigkill_after_acked_inline_writes_loses_nothing(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in ("src", env.get("PYTHONPATH")) if p
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--durable", str(tmp_path), "--fsync", "interval"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+        )
+        stream = build_stream(60)
+        negatives = [f"10.99.0.{index}" for index in range(1, 21)]
+        try:
+            port = None
+            deadline = time.monotonic() + 30.0
+            while port is None and time.monotonic() < deadline:
+                match = re.search(
+                    rb"listening on [\d.]+:(\d+)", child.stdout.readline()
+                )
+                if match:
+                    port = int(match.group(1))
+            assert port is not None, "server never reported its port"
+            with RemoteClient("127.0.0.1", port) as client:
+                for observation, key in zip(stream, negatives * 3):
+                    client.observe_interface(observation)
+                    client.negative_put("ip", key, ttl=3600.0)
+                client.counts()  # every write above is acknowledged
+                child.kill()  # SIGKILL: no final checkpoint, no fsync
+                child.wait(timeout=30)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait(timeout=30)
+            child.stdout.close()
+        store = JournalStore(str(tmp_path))
+        recovered = store.recover(clock=time.time)
+        assert store.last_recovery.recovered_records == len(stream) * 2
+        assert recovered.canonical_state() == state_after(len(stream))
+        assert all(recovered.negative_check("ip", key) for key in negatives)
+        store.close(checkpoint=False)
 
 
 class TestPrefixTruncation:
@@ -264,6 +318,44 @@ class TestServerIntegration:
                     time.sleep(0.05)
                 else:
                     pytest.fail("age threshold never tripped a checkpoint")
+        store.close(checkpoint=False)
+
+    def test_idle_server_syncs_wal_tail_under_interval(self, tmp_path, monkeypatch):
+        """Regression: the interval fsync used to run only inside the
+        next append, so a server that went quiet never synced the end
+        of its WAL.  The watchdog must sync it within fsync_interval
+        with no further writes arriving."""
+        synced_at = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced_at.append(time.monotonic())
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        store = JournalStore(
+            str(tmp_path), fsync="interval", fsync_interval=0.2,
+            checkpoint_ops=None, checkpoint_bytes=None, checkpoint_age=None,
+        )
+        journal = store.recover()
+        with JournalServer(journal) as server:
+            host, port = server.address
+            with RemoteClient(host, port) as client:
+                for observation in build_stream(48):
+                    client.observe_interface(observation)
+                acked_at = time.monotonic()
+                time.sleep(1.0)  # idle, well past fsync_interval
+                metrics = client.metrics(spans=0)
+        fsyncs = [
+            sample["count"]
+            for family in metrics["metrics"]
+            if family["name"] == "fremont_wal_fsync_seconds"
+            for sample in family["samples"]
+        ]
+        assert fsyncs and fsyncs[0] >= 1
+        assert any(when > acked_at for when in synced_at), (
+            "no fsync after the last acknowledged write"
+        )
         store.close(checkpoint=False)
 
     def test_server_falls_back_on_corrupt_journal_file(self, tmp_path, caplog):
