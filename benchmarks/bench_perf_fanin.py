@@ -1,18 +1,15 @@
 """Perf benchmark: connection fan-in on the Journal Server.
 
 The paper's Journal Server fields every Explorer Module and every UI
-client in the site at once.  The threaded transport burns one OS
-thread per connection and one round trip per request; the async
-transport multiplexes every socket onto one event loop and lets
-clients pipeline requests (tagged ids, out-of-order completion).
+client in the site at once.  The server multiplexes every socket onto
+one event loop and lets clients pipeline requests (tagged ids,
+out-of-order completion).
 
-This harness opens *N* concurrent client connections against each
-transport and drives a mixed workload (~90% ``observe`` writes, ~10%
-``counts`` reads, plus a sprinkling of change-feed subscribers), then
-reports sustained ops/sec and the ``counts`` read p95 per fan-in
-level.  The async transport is measured up to thousands of
-connections; the threaded baseline stops at 1000 (a thread per socket
-is exactly the scaling wall this PR removes).
+This harness opens *N* concurrent client connections and drives a
+mixed workload (~90% ``observe`` writes, ~10% ``counts`` reads, plus a
+sprinkling of change-feed subscribers), then reports sustained ops/sec
+and the ``counts`` read p95 per fan-in level, up to thousands of
+connections.
 
 Results land in ``BENCH_fanin.json``.
 
@@ -34,7 +31,7 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from repro.core import Journal, JournalServer, RemoteClient, ThreadedJournalServer
+from repro.core import Journal, JournalServer, RemoteClient
 
 SOURCE = "fanin"
 DRIVERS = 8
@@ -84,7 +81,6 @@ def _close_clients(clients: List[RemoteClient]) -> None:
 
 
 def measure_level(
-    transport: str,
     n_clients: int,
     *,
     duration: float,
@@ -92,10 +88,7 @@ def measure_level(
     subscribers: Optional[int] = None,
 ) -> Dict[str, object]:
     journal = Journal()
-    if transport == "async":
-        server = JournalServer(journal)
-    else:
-        server = ThreadedJournalServer(journal)
+    server = JournalServer(journal)
     server.start()
     host, port = server.address
     feeds = []
@@ -124,9 +117,7 @@ def measure_level(
                 while time.monotonic() < deadline:
                     client = mine[serial % len(mine)]
                     serial += 1
-                    # Pipelined write burst, framed as one socket write
-                    # (depth 1 on the threaded transport: strict
-                    # request/response).
+                    # Pipelined write burst, framed as one socket write.
                     replies = client.begin_many(
                         [
                             {
@@ -178,7 +169,6 @@ def measure_level(
         latencies = sorted(value for chunk in read_latencies for value in chunk)
         p95 = latencies[int(len(latencies) * 0.95)] if latencies else None
         return {
-            "transport": transport,
             "clients": n_clients,
             "subscribers": len(feeds),
             "duration_s": round(elapsed, 3),
@@ -214,21 +204,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--async-levels", type=int, nargs="+", default=[100, 1000, 5000],
-        help="fan-in levels for the async transport",
-    )
-    parser.add_argument(
-        "--threaded-levels", type=int, nargs="+", default=[100, 1000],
-        help="fan-in levels for the thread-per-connection baseline",
+        help="concurrent client connections per level",
     )
     parser.add_argument("--duration", type=float, default=6.0,
                         help="seconds of sustained load per level")
     parser.add_argument("--depth", type=int, default=8,
-                        help="pipeline depth per async client burst")
+                        help="pipeline depth per client burst")
     parser.add_argument(
         "--check", action="store_true",
-        help="fail unless the async transport served >= 1000 concurrent "
-        "clients and beat the threaded baseline by >= 3x ops/sec at the "
-        "largest shared level",
+        help="fail unless the server sustained >= 1000 concurrent async "
+        "clients (full run only)",
     )
     parser.add_argument("--output", default="BENCH_fanin.json",
                         help="result file path (default: %(default)s)")
@@ -236,56 +221,23 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.quick:
         args.async_levels = [50, 150]
-        args.threaded_levels = [50, 150]
         args.duration = min(args.duration, 2.0)
 
     levels: List[Dict[str, object]] = []
-    for transport, fanins, depth in (
-        ("threaded", args.threaded_levels, 1),
-        ("async", args.async_levels, args.depth),
-    ):
-        for n_clients in fanins:
-            print(f"{transport:>8} x {n_clients} clients ...",
-                  end=" ", flush=True)
-            level = measure_level(
-                transport, n_clients, duration=args.duration, depth=depth
-            )
-            levels.append(level)
-            print(f"{level['ops_per_sec']:>9} ops/s, "
-                  f"counts p95 {level['counts_p95_ms']} ms")
-
-    shared = sorted(
-        set(args.async_levels) & set(args.threaded_levels), reverse=True
-    )
-    comparison: Dict[str, object] = {}
-    if shared:
-        pivot = shared[0]
-        by_transport = {
-            (entry["transport"], entry["clients"]): entry for entry in levels
-        }
-        async_rate = by_transport[("async", pivot)]["ops_per_sec"]
-        threaded_rate = by_transport[("threaded", pivot)]["ops_per_sec"]
-        comparison = {
-            "clients": pivot,
-            "async_ops_per_sec": async_rate,
-            "threaded_ops_per_sec": threaded_rate,
-            "speedup": round(async_rate / threaded_rate, 2)
-            if threaded_rate
-            else None,
-        }
-        print(f"async vs threaded at {pivot} clients: "
-              f"{comparison['speedup']}x")
+    for n_clients in args.async_levels:
+        print(f"async x {n_clients} clients ...", end=" ", flush=True)
+        level = measure_level(n_clients, duration=args.duration, depth=args.depth)
+        levels.append(level)
+        print(f"{level['ops_per_sec']:>9} ops/s, "
+              f"counts p95 {level['counts_p95_ms']} ms")
 
     result = {
         "benchmark": "connection fan-in",
         "quick": args.quick,
         "drivers": DRIVERS,
         "levels": levels,
-        "comparison": comparison,
         "max_async_clients": max(
-            (entry["clients"] for entry in levels
-             if entry["transport"] == "async"),
-            default=0,
+            (entry["clients"] for entry in levels), default=0
         ),
     }
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -296,14 +248,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.check:
         if not args.quick and result["max_async_clients"] < 1000:
             raise SystemExit(
-                f"FAIL: async transport only reached "
-                f"{result['max_async_clients']} concurrent clients"
-            )
-        speedup = comparison.get("speedup")
-        if speedup is None or speedup < 3.0:
-            raise SystemExit(
-                f"FAIL: async speedup {speedup}x below 3x at "
-                f"{comparison.get('clients')} clients"
+                f"FAIL: the server only reached "
+                f"{result['max_async_clients']} concurrent async clients"
             )
     return 0
 

@@ -1,8 +1,8 @@
 """Perf benchmark: the observation ingest pipeline.
 
 Explorer Modules used to push one observation per Journal Server round
-trip, and every request — read or write — queued behind one global
-mutex.  This harness measures both halves of the pipeline rework:
+trip.  This harness measures the batched pipeline and the server's
+read/write lock:
 
 * **Ingest throughput** — an identical observation stream (with the
   adjacent duplicate sightings a real watcher produces) is ingested
@@ -14,10 +14,8 @@ mutex.  This harness measures both halves of the pipeline rework:
 
 * **Read latency under load** — a fast reader samples ``counts`` while
   heavy readers (``save`` ops serialising the whole journal) and
-  writers hammer the same server, once with the old exclusive mutex
-  (``lock_mode="exclusive"``) and once with the read/write lock.  With
-  the RW lock a cheap read no longer queues behind every in-flight
-  heavy read.
+  writers hammer the same server.  Reads share the RW lock, so a cheap
+  read does not queue behind every in-flight heavy read.
 
 Results land in ``BENCH_ingest.json``.
 
@@ -174,100 +172,83 @@ def bench_read_latency(
     *, records: int, samples: int, dump_readers: int, writers: int
 ) -> Dict[str, object]:
     """Fast-read (counts) latency while heavy reads and writes are in
-    flight, exclusive mutex vs read/write lock.  The heavy read is the
-    ``save`` op: it serialises the whole journal while holding the lock
-    but sends back a one-line response, so the measuring thread is not
-    polluted by decoding megabytes of dump in the same process."""
+    flight.  The heavy read is the ``save`` op: it serialises the whole
+    journal while holding the read lock but sends back a one-line
+    response, so the measuring thread is not polluted by decoding
+    megabytes of dump in the same process."""
     print(f"read latency under load ({records} records, {samples} samples):")
-    out: Dict[str, object] = {}
-    for lock_mode in ("exclusive", "rw"):
-        journal = Journal()
-        for observation in build_stream(records, 1):
-            journal.submit(observation)
-        server = JournalServer(journal, lock_mode=lock_mode)
-        server.start()
-        stop = threading.Event()
-        dumps_done = [0]
-        threads: List[threading.Thread] = []
-        host, port = server.address
+    journal = Journal()
+    for observation in build_stream(records, 1):
+        journal.submit(observation)
+    server = JournalServer(journal)
+    server.start()
+    stop = threading.Event()
+    dumps_done = [0]
+    threads: List[threading.Thread] = []
+    host, port = server.address
 
-        def dump_loop(dump_path: str):
-            # Each reader saves to its own file: the save op's atomic
-            # temp-file + rename must never race another reader (and
-            # must never target a device node like /dev/null, which the
-            # rename would replace with a regular file).
-            with RemoteClient(host, port) as client:
-                while not stop.is_set():
-                    client._call({"op": "save", "path": dump_path})
-                    dumps_done[0] += 1
+    def dump_loop(dump_path: str):
+        # Each reader saves to its own file: the save op's atomic
+        # temp-file + rename must never race another reader (and
+        # must never target a device node like /dev/null, which the
+        # rename would replace with a regular file).
+        with RemoteClient(host, port) as client:
+            while not stop.is_set():
+                client._call({"op": "save", "path": dump_path})
+                dumps_done[0] += 1
 
-        def write_loop():
-            with RemoteClient(host, port) as client:
-                serial = 0
-                while not stop.is_set():
-                    serial += 1
-                    client.submit(
-                        Observation(source=SOURCE, ip=f"10.200.0.{serial % 250 + 1}")
-                    )
-                    # The RW lock is write-preferring: a writer arriving
-                    # every millisecond would keep parking new readers
-                    # behind it, measuring writer pressure rather than
-                    # reader concurrency.  Real explorers flush batches
-                    # at a far gentler cadence.
-                    time.sleep(0.01)
-
-        dump_dir = tempfile.mkdtemp(prefix="fremont-bench-dump-")
-        try:
-            for index in range(dump_readers):
-                threads.append(
-                    threading.Thread(
-                        target=dump_loop,
-                        args=(os.path.join(dump_dir, f"dump-{index}.json"),),
-                        daemon=True,
-                    )
+    def write_loop():
+        with RemoteClient(host, port) as client:
+            serial = 0
+            while not stop.is_set():
+                serial += 1
+                client.submit(
+                    Observation(source=SOURCE, ip=f"10.200.0.{serial % 250 + 1}")
                 )
-            for _ in range(writers):
-                threads.append(threading.Thread(target=write_loop, daemon=True))
-            for thread in threads:
-                thread.start()
-            time.sleep(0.1)  # let the load settle
-            latencies: List[float] = []
-            with RemoteClient(host, port) as client:
-                for _ in range(samples):
-                    started = time.perf_counter()
-                    client.counts()
-                    latencies.append(time.perf_counter() - started)
-                    time.sleep(0.002)
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=5.0)
-            server.stop()
-            shutil.rmtree(dump_dir, ignore_errors=True)
-        median_ms = statistics.median(latencies) * 1e3
-        p95_ms = sorted(latencies)[int(len(latencies) * 0.95)] * 1e3
-        out[lock_mode] = {
-            "counts_ms_median": round(median_ms, 3),
-            "counts_ms_p95": round(p95_ms, 3),
-            "dumps_completed": dumps_done[0],
-        }
-        print(f"  {lock_mode:<10} counts median={median_ms:7.3f} ms "
-              f"p95={p95_ms:7.3f} ms (dumps={dumps_done[0]})")
-    ratio = (
-        out["exclusive"]["counts_ms_median"] / out["rw"]["counts_ms_median"]
-        if out["rw"]["counts_ms_median"] > 0
-        else float("inf")
-    )
-    out["median_latency_ratio"] = round(ratio, 2)
-    p95_ratio = (
-        out["exclusive"]["counts_ms_p95"] / out["rw"]["counts_ms_p95"]
-        if out["rw"]["counts_ms_p95"] > 0
-        else float("inf")
-    )
-    out["p95_latency_ratio"] = round(p95_ratio, 2)
-    print(f"  exclusive/rw latency ratio: median {ratio:.2f}x, "
-          f"p95 {p95_ratio:.2f}x")
-    return out
+                # The RW lock is write-preferring: a writer arriving
+                # every millisecond would keep parking new readers
+                # behind it, measuring writer pressure rather than
+                # reader concurrency.  Real explorers flush batches
+                # at a far gentler cadence.
+                time.sleep(0.01)
+
+    dump_dir = tempfile.mkdtemp(prefix="fremont-bench-dump-")
+    try:
+        for index in range(dump_readers):
+            threads.append(
+                threading.Thread(
+                    target=dump_loop,
+                    args=(os.path.join(dump_dir, f"dump-{index}.json"),),
+                    daemon=True,
+                )
+            )
+        for _ in range(writers):
+            threads.append(threading.Thread(target=write_loop, daemon=True))
+        for thread in threads:
+            thread.start()
+        time.sleep(0.1)  # let the load settle
+        latencies: List[float] = []
+        with RemoteClient(host, port) as client:
+            for _ in range(samples):
+                started = time.perf_counter()
+                client.counts()
+                latencies.append(time.perf_counter() - started)
+                time.sleep(0.002)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=5.0)
+        server.stop()
+        shutil.rmtree(dump_dir, ignore_errors=True)
+    median_ms = statistics.median(latencies) * 1e3
+    p95_ms = sorted(latencies)[int(len(latencies) * 0.95)] * 1e3
+    print(f"  counts median={median_ms:7.3f} ms "
+          f"p95={p95_ms:7.3f} ms (dumps={dumps_done[0]})")
+    return {
+        "counts_ms_median": round(median_ms, 3),
+        "counts_ms_p95": round(p95_ms, 3),
+        "dumps_completed": dumps_done[0],
+    }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -289,7 +270,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--check", action="store_true",
         help="fail unless batched remote ingest is >= 5x per-observation "
-        "remote and the RW lock improves loaded read latency",
+        "remote",
     )
     parser.add_argument("--output", default="BENCH_ingest.json",
                         help="result file path (default: %(default)s)")
@@ -330,14 +311,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if speedup is None or speedup < 5.0:
             raise SystemExit(
                 f"FAIL: batched remote ingest speedup {speedup}x below 5x"
-            )
-        improved = (
-            result["read_latency"]["median_latency_ratio"] >= 1.0
-            or result["read_latency"]["p95_latency_ratio"] >= 1.0
-        )
-        if not improved:
-            raise SystemExit(
-                "FAIL: RW lock did not improve loaded read latency"
             )
     return 0
 

@@ -25,7 +25,7 @@ from repro.core.explorers import (
     TracerouteModule,
 )
 from repro.core.manager import DiscoveryManager
-from repro.core.presentation import dot_export, subnet_interfaces_report
+from repro.core.presentation import render_report
 from repro.netsim import TrafficGenerator, build_campus
 
 
@@ -83,11 +83,11 @@ def main() -> None:
     )
 
     print(f"\n--- the CS subnet ({campus.cs_subnet}) " + "-" * 20)
-    print(subnet_interfaces_report(journal, str(campus.cs_subnet)))
+    print(render_report(journal, "subnet", subnet=str(campus.cs_subnet)))
 
     out_path = os.path.join(os.path.dirname(__file__), "campus_topology.dot")
     with open(out_path, "w", encoding="utf-8") as handle:
-        handle.write(dot_export(journal) + "\n")
+        handle.write(render_report(journal, "dot") + "\n")
     print(f"\nFigure 2 map written to {out_path} (render with `neato -Tpng`)")
 
 

@@ -19,7 +19,7 @@ from repro.core import Journal, JournalServer, RemoteClient
 from repro.core.analysis import run_all_analyses
 from repro.core.correlate import Correlator
 from repro.core.explorers import EtherHostProbe, RipWatch, TracerouteModule
-from repro.core.presentation import interface_report
+from repro.core.presentation import render_report
 from repro.netsim import build_campus
 
 
@@ -60,7 +60,7 @@ def main() -> None:
     findings = run_all_analyses(snapshot, stale_horizon=0.0)
     print(f"analysis findings: { {k: len(v) for k, v in findings.items()} }")
     print("\nfirst lines of the interface report:")
-    for line in interface_report(snapshot).splitlines()[:12]:
+    for line in render_report(snapshot, "interfaces").splitlines()[:12]:
         print(f"  {line}")
 
     server.stop()

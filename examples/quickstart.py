@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 from repro.core import Journal, LocalClient
 from repro.core.correlate import Correlator
 from repro.core.explorers import ArpWatch, EtherHostProbe, TracerouteModule
-from repro.core.presentation import interface_report, journal_dump
+from repro.core.presentation import render_report
 from repro.netsim import Network, Subnet
 
 
@@ -69,9 +69,9 @@ def main() -> None:
         f"{report.subnet_links_added} subnet link(s) added"
     )
     print("\n--- interfaces discovered " + "-" * 34)
-    print(interface_report(journal))
+    print(render_report(journal, "interfaces"))
     print("\n--- journal dump " + "-" * 43)
-    print(journal_dump(journal))
+    print(render_report(journal, "dump"))
 
 
 if __name__ == "__main__":

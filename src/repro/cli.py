@@ -404,10 +404,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             server_options={"max_workers": args.workers},
         )
         server = replica.server
-    elif args.transport == "threaded":
-        from repro.core import ThreadedJournalServer
-
-        server = ThreadedJournalServer(journal, host=args.host, port=args.port)
     else:
         server = JournalServer(
             journal, host=args.host, port=args.port, max_workers=args.workers
@@ -432,7 +428,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else ""
     )
     print(
-        f"journal server ({args.transport}) listening on {host}:{port}"
+        f"journal server listening on {host}:{port}"
         f"{shard_note}{standby_note} (ctrl-c to stop)"
     )
     exporter = None
@@ -685,13 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also serve Prometheus text metrics on this port (0 = ephemeral)",
     )
     serve.add_argument(
-        "--transport", default="async", choices=["async", "threaded"],
-        help="async: one event loop multiplexing all connections (default); "
-        "threaded: one thread per connection (the pre-pipelining baseline)",
-    )
-    serve.add_argument(
         "--workers", type=int, default=4, metavar="N",
-        help="worker threads for Journal ops on the async transport "
+        help="worker threads for Journal ops that may block the event "
+        "loop: lock waits, fsyncs, checkpoints, bulk reads "
         "(default: %(default)s)",
     )
     serve.add_argument(

@@ -36,7 +36,7 @@ from .records import (
     SubnetRecord,
 )
 from .replicate import FederatedView, JournalReplicator
-from .server import JournalDispatcher, JournalServer, ThreadedJournalServer
+from .server import JournalDispatcher, JournalServer
 from .shard import (
     ShardFlushError,
     ShardMap,
@@ -101,7 +101,6 @@ __all__ = [
     "Span",
     "StandbyReplica",
     "SubnetRecord",
-    "ThreadedJournalServer",
     "TopologyImpact",
     "TopologyPath",
     "TopologyStore",

@@ -550,8 +550,7 @@ class RemoteClient:
             if (
                 stamp is not None
                 and "epoch" not in tagged
-                and tagged.get("op") not in wire.READ_OPS
-                and tagged.get("op") not in ("promote", "fence")
+                and tagged.get("op") in wire.WRITE_OPS
             ):
                 tagged["epoch"] = int(stamp)
             rids.append(rid)
@@ -742,8 +741,7 @@ class RemoteClient:
         will not stall trying to reach the dead server."""
         requests: List[Dict[str, Any]] = []
         for tagged in self._inflight.values():
-            op = tagged.get("op")
-            if op in wire.READ_OPS or op in ("promote", "fence"):
+            if tagged.get("op") not in wire.WRITE_OPS:
                 continue
             requests.append(
                 {k: v for k, v in tagged.items() if k not in ("id", "epoch")}

@@ -783,52 +783,11 @@ class FailoverClient:
         self.close()
 
 
-#: RemoteClient methods that never mutate — failures hedge to followers
-_READ_METHODS = (
-    "interfaces_by_ip",
-    "interfaces_by_mac",
-    "interfaces_by_name",
-    "interfaces_in_ip_range",
-    "all_interfaces",
-    "stale_interfaces",
-    "all_gateways",
-    "all_subnets",
-    "interfaces_modified_since",
-    "gateways_modified_since",
-    "subnets_modified_since",
-    "query",
-    "counts",
-    "metrics",
-    "revision",
-    "negative_check",
-    "changes_since",
-    "snapshot",
-    "shard_info",
-    "replica_info",
-)
-
-#: RemoteClient methods that mutate — failures promote, then retry once
-_WRITE_METHODS = (
-    "observe_interface",
-    "submit",
-    "resolve",
-    "observe_batch",
-    "ensure_gateway",
-    "ensure_subnet",
-    "link_gateway_subnet",
-    "rename_gateway",
-    "delete_interface",
-    "absorb_interface",
-    "absorb_gateway",
-    "absorb_subnet",
-    "negative_put",
-    "flush",
-    "promote",
-    "fence",
-)
-
-
 def _install_proxies() -> None:
+    """Give FailoverClient every RemoteClient method declared in
+    :data:`wire.OPS`, except those it defines itself: reads hedge to
+    followers, writes and control ops fail over and retry once."""
+
     def make(name: str, runner_name: str):
         def method(self, *args, **kwargs):
             runner = getattr(self, runner_name)
@@ -844,10 +803,12 @@ def _install_proxies() -> None:
         )
         return method
 
-    for name in _READ_METHODS:
-        setattr(FailoverClient, name, make(name, "_run_read"))
-    for name in _WRITE_METHODS:
-        setattr(FailoverClient, name, make(name, "_run_write"))
+    own = set(vars(FailoverClient))
+    for spec in wire.OPS.values():
+        runner_name = "_run_read" if spec.kind == "read" else "_run_write"
+        for name in spec.methods:
+            if name not in own:
+                setattr(FailoverClient, name, make(name, runner_name))
 
 
 _install_proxies()

@@ -22,9 +22,7 @@ Every viewer is registered as a named *report*:
 ``list_reports()`` is the catalogue.  The topology-store renderings
 (``topology``, ``path``, ``impact``) register exactly like the paper's
 three viewers — one extension surface instead of a growing pile of
-free functions.  The original free functions (``interface_report`` and
-friends) remain as one-release :class:`DeprecationWarning` shims, the
-same retirement policy ``connect()``'s aliases went through.
+free functions.
 
 Confidence badges: edge evidence renders as ``[+ method]`` for
 ``good``-quality attachments and ``[? method]`` for ``questionable``
@@ -40,7 +38,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -56,14 +53,6 @@ __all__ = [
     "render_path",
     "render_impact",
     "BADGE_LEGEND",
-    # one-release deprecated shims (use render_report instead)
-    "journal_dump",
-    "interface_report",
-    "subnet_interfaces_report",
-    "interface_detail",
-    "sunnet_export",
-    "dot_export",
-    "svg_export",
 ]
 
 #: confidence -> badge used in text renderings
@@ -141,15 +130,6 @@ def render_report(journal: Journal, name: str, **params: Any) -> str:
             f"(allowed parameters: {allowed})"
         )
     return report.render(journal, **params)
-
-
-def _deprecated_shim(old: str, name: str) -> None:
-    warnings.warn(
-        f"presentation.{old}() is deprecated and will be removed next "
-        f"release; use render_report(journal, {name!r}, ...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def _store(journal: Journal):
@@ -644,59 +624,6 @@ def _render_impact_report(journal: Journal, *, target: str) -> str:
         return render_impact(store.impact(target))
     finally:
         store.close()
-
-
-# ----------------------------------------------------------------------
-# One-release deprecated shims over the registry
-# ----------------------------------------------------------------------
-
-
-def journal_dump(journal: Journal) -> str:
-    """Deprecated: use ``render_report(journal, "dump")``."""
-    _deprecated_shim("journal_dump", "dump")
-    return _render_dump(journal)
-
-
-def interface_report(journal: Journal, *, network: Optional[str] = None) -> str:
-    """Deprecated: use ``render_report(journal, "interfaces", ...)``."""
-    _deprecated_shim("interface_report", "interfaces")
-    return _render_interfaces(journal, network=network)
-
-
-def subnet_interfaces_report(journal: Journal, subnet: str) -> str:
-    """Deprecated: use ``render_report(journal, "subnet", ...)``."""
-    _deprecated_shim("subnet_interfaces_report", "subnet")
-    return _render_subnet(journal, subnet=subnet)
-
-
-def interface_detail(journal: Journal, ip: str) -> str:
-    """Deprecated: use ``render_report(journal, "interface", ...)``."""
-    _deprecated_shim("interface_detail", "interface")
-    return _render_interface(journal, ip=ip)
-
-
-def sunnet_export(journal: Journal) -> str:
-    """Deprecated: use ``render_report(journal, "sunnet")``."""
-    _deprecated_shim("sunnet_export", "sunnet")
-    return _render_sunnet(journal)
-
-
-def dot_export(journal: Journal) -> str:
-    """Deprecated: use ``render_report(journal, "dot")``."""
-    _deprecated_shim("dot_export", "dot")
-    return _render_dot(journal)
-
-
-def svg_export(
-    journal: Journal,
-    *,
-    width: int = 1200,
-    height: int = 900,
-    seed: int = 7,
-) -> str:
-    """Deprecated: use ``render_report(journal, "svg", ...)``."""
-    _deprecated_shim("svg_export", "svg")
-    return _render_svg(journal, width=width, height=height, seed=seed)
 
 
 def _sort_ip(ip: Optional[str]):

@@ -4,32 +4,26 @@
 updates, time-stamps and records the data, and answers queries from
 programs that wish to interrogate the Journal."
 
-Two transports share one op layer:
+:class:`JournalServer` runs a single ``asyncio`` event loop
+multiplexing thousands of sockets.  Requests carrying an ``"id"`` are
+*pipelined*: several may be in flight per connection, handlers run
+concurrently (reads share the RW lock), and responses return as they
+complete — out of order, but never torn, because one sender task per
+connection owns the socket.  Write ops still execute in per-connection
+submission order, so a pipelined BatchingSink cannot reorder the
+observation stream.  Ops are routed by what they cost: cheap reads,
+point lookups and cheap writes (whose WAL append is a buffered write
+plus a flush to the OS) take a non-blocking inline fast path on the
+loop thread when the lock is free; work that can block — lock waits,
+fsync, checkpoints, big dumps — runs on a small bounded worker pool.
+The streaming ``subscribe`` feed is a native async push — no thread per
+feed — and a subscriber that cannot keep up is cut over to the
+``changes_since`` polling fallback (a ``feed_lagged`` frame) instead of
+stalling the loop.
 
-* :class:`JournalServer` — the default: a single ``asyncio`` event loop
-  multiplexing thousands of sockets.  Requests carrying an ``"id"``
-  are *pipelined*: several may be in flight per connection, handlers
-  run concurrently (reads share the RW lock), and responses return as
-  they complete — out of order, but never torn, because one sender
-  task per connection owns the socket.  Write ops still execute in
-  per-connection submission order, so a pipelined BatchingSink cannot
-  reorder the observation stream.  Ops are routed by what they cost:
-  cheap reads, point lookups and cheap writes (whose WAL append is a
-  buffered write plus a flush to the OS) take a non-blocking inline
-  fast path on the loop thread when the lock is free; work that can
-  block — lock waits, fsync, checkpoints, big dumps — runs on a small
-  bounded worker pool.  The streaming ``subscribe`` feed is a native
-  async push — no thread per feed — and a subscriber that cannot keep
-  up is cut over to the ``changes_since`` polling fallback (a
-  ``feed_lagged`` frame) instead of stalling the loop.
-
-* :class:`ThreadedJournalServer` — the pre-async thread-per-connection
-  transport, kept as the measured baseline for
-  ``benchmarks/bench_perf_fanin.py``.
-
-Both dispatch through :class:`JournalDispatcher`, which owns the op
-vocabulary, the write-preferring RW lock (``lock_mode="exclusive"``
-restores the old single-mutex behaviour), per-op telemetry, and the
+:class:`JournalDispatcher` is the op layer under the transport: the
+write-preferring RW lock, the ``_op_*`` handlers for the ops declared
+in :data:`wire.OPS`, per-op telemetry, epoch fencing, and the
 checkpoint policy hooks: every write op on the worker pool checks the
 ops/bytes thresholds while still holding the write lock; a background
 watchdog thread covers the age threshold and the ``interval`` fsync;
@@ -52,55 +46,11 @@ from .journal import Journal
 from .locks import ReadWriteLock
 from .sink import DEFAULT_MAX_BATCH
 from .telemetry import DEPTH_BUCKETS, SIZE_BUCKETS
+from .wire import CONTROL_OPS, INLINE_OPS, INLINE_WRITES, READ_OPS
 
-__all__ = ["JournalDispatcher", "JournalServer", "ThreadedJournalServer"]
+__all__ = ["JournalDispatcher", "JournalServer"]
 
 logger = logging.getLogger(__name__)
-
-#: ops that never mutate the Journal and therefore share the read
-#: lock.  The set moved to wire.py (clients stamp fencing epochs onto
-#: exactly the complement); this alias keeps the dispatcher's call
-#: sites readable.
-_READ_OPS = wire.READ_OPS
-
-#: write ops cheap enough to run on the event loop thread: O(1)-ish
-#: handlers whose only I/O is a WAL append — a buffered write plus a
-#: flush to the OS.  They run inline only while the attached store
-#: cannot fsync on append (no ``fsync="always"``; under ``interval`` the
-#: server's watchdog owns the sync) and no checkpoint is due.
-_INLINE_WRITES = frozenset(
-    {
-        "observe",
-        "negative_put",
-        "ensure_gateway",
-        "ensure_subnet",
-        "link_gateway_subnet",
-        "delete_interface",
-        "absorb_interface",
-        "absorb_gateway",
-        "absorb_subnet",
-    }
-)
-
-#: ops cheap enough to run on the event loop thread when the lock is
-#: free.  Everything else — dumps, saves, bulk selectors, path/impact —
-#: goes to the worker pool; so do ``get_interfaces`` outside
-#: :data:`_POINT_SELECTORS` and ``observe_batch`` beyond one default
-#: sink batch (see :meth:`JournalDispatcher.runs_inline`).
-_INLINE_OPS = _INLINE_WRITES | frozenset(
-    {
-        "ping",
-        "counts",
-        "metrics",
-        "shard_info",
-        "negative_check",
-        "changes_since",
-        # Indexed predicate evaluation is O(result); a worst-case
-        # unindexable predicate still only reads — and the inline path
-        # only runs when the read lock is free anyway.
-        "query",
-    }
-)
 
 #: ``get_interfaces`` selectors answered by one index probe
 _POINT_SELECTORS = frozenset({"ip", "mac", "name"})
@@ -120,24 +70,17 @@ def _log_detached_failure(future) -> None:
 
 
 class JournalDispatcher:
-    """The transport-independent op layer of the Journal Server.
+    """The op layer of the Journal Server.
 
     Owns the RW lock discipline, the ``_op_*`` handler table, per-op
-    telemetry, and the write-path checkpoint check.  Both server
-    transports call :meth:`dispatch` (blocking, from a worker or
-    connection thread); the async server additionally tries
-    :meth:`dispatch_inline` first for cheap ops.
+    telemetry, and the write-path checkpoint check.  The server tries
+    :meth:`dispatch_inline` on the event loop first and hands what it
+    declines to :meth:`dispatch` on a worker thread.
     """
 
-    def __init__(self, journal: Journal, *, lock_mode: str = "rw") -> None:
-        if lock_mode not in ("rw", "exclusive"):
-            raise ValueError(f"unknown lock_mode: {lock_mode!r}")
+    def __init__(self, journal: Journal) -> None:
         self.journal = journal
-        self.lock_mode = lock_mode
         self.rwlock = ReadWriteLock()
-        #: transport hook invoked by status ops (ping/counts) — the
-        #: threaded server reaps finished connection threads here.
-        self.on_status: Optional[Callable[[], None]] = None
         #: federation handshake body (``{"version", "shards", "prefix",
         #: "index"}``) when this server runs as one shard of a fleet
         #: (``serve --shard K/N``); None for single-tenant servers.
@@ -222,7 +165,7 @@ class JournalDispatcher:
         return None
 
     def is_write(self, op: Any) -> bool:
-        return op not in _READ_OPS
+        return op not in READ_OPS
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -230,7 +173,7 @@ class JournalDispatcher:
 
     def dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Resolve, lock, and run one request.  Blocks on the RW lock;
-        call from a worker/connection thread, never the event loop."""
+        call from a worker thread, never the event loop."""
         op = request.get("op")
         handler = self.handler_for(op)
         if handler is None:
@@ -240,7 +183,7 @@ class JournalDispatcher:
                 return self._dispatch_locked(op, handler, request)
 
     def _dispatch_locked(self, op, handler, request: Dict[str, Any]) -> Dict[str, Any]:
-        if self.lock_mode == "rw" and op in _READ_OPS:
+        if op in READ_OPS:
             waited_from = time.perf_counter()
             with self.rwlock.read_locked():
                 self._h_lock_wait.labels(mode="read").observe(
@@ -268,7 +211,7 @@ class JournalDispatcher:
         never checkpoints: after an *inline* write a due checkpoint is
         handed to :attr:`checkpoint_soon` (and until it runs,
         :meth:`dispatch_inline` sends writes to the pool)."""
-        if op not in _READ_OPS:
+        if op not in READ_OPS:
             if self.publish_soon is not None:
                 self.publish_soon()
             else:
@@ -293,7 +236,7 @@ class JournalDispatcher:
         than our epoch means the fleet moved on without us: step down
         before rejecting, so the very first post-partition write from a
         current client permanently fences this zombie."""
-        if op == "promote" or op == "fence":
+        if op in CONTROL_OPS:
             return None
         if self.role == "standby":
             self._c_fenced.inc()
@@ -348,7 +291,7 @@ class JournalDispatcher:
         """Is *request* cheap enough for the event loop thread?  Decided
         by the op's cost alone; :meth:`dispatch_inline` adds the lock and
         durability conditions."""
-        if op in _INLINE_OPS:
+        if op in INLINE_OPS:
             return True
         if op == "get_interfaces":
             by = request.get("by")
@@ -359,7 +302,7 @@ class JournalDispatcher:
                 isinstance(requests, list)
                 and len(requests) <= DEFAULT_MAX_BATCH
                 and all(
-                    isinstance(sub, dict) and sub.get("op") in _INLINE_WRITES
+                    isinstance(sub, dict) and sub.get("op") in INLINE_WRITES
                     for sub in requests
                 )
             )
@@ -393,8 +336,8 @@ class JournalDispatcher:
         op = request.get("op")
         if not self.runs_inline(op, request):
             return None
-        read = self.lock_mode == "rw" and op in _READ_OPS
-        if op not in _READ_OPS and not self._write_inline_safe(request):
+        read = op in READ_OPS
+        if not read and not self._write_inline_safe(request):
             return None
         handler = self.handler_for(op)
         if handler is None:
@@ -426,7 +369,7 @@ class JournalDispatcher:
                 self.rwlock.release_write()
 
     # ------------------------------------------------------------------
-    # Feed subscriptions (lock-holding helpers for the transports)
+    # Feed subscriptions (lock-holding helpers for the server)
     # ------------------------------------------------------------------
 
     def subscribe(
@@ -438,7 +381,7 @@ class JournalDispatcher:
     ):
         """Register a streaming feed subscriber under the write lock.
         *on_registered* (if given) runs with the lock still held, after
-        registration but before the backlog delivers — the async server
+        registration but before the backlog delivers — the server
         enqueues the acknowledgement frame there so no concurrent write
         can push a delta ahead of it."""
         with self.rwlock.write_locked():
@@ -529,8 +472,6 @@ class JournalDispatcher:
         return {"ok": True, "responses": responses}
 
     def _op_ping(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        if self.on_status is not None:
-            self.on_status()
         return {
             "ok": True,
             "counts": self.journal.counts(),
@@ -787,8 +728,6 @@ class JournalDispatcher:
     def _op_counts(self, request: Dict[str, Any]) -> Dict[str, Any]:
         # counts() carries the journal revision, so remote clients can
         # cheaply poll "did anything change since revision N?"
-        if self.on_status is not None:
-            self.on_status()
         return {"ok": True, "counts": self.journal.counts()}
 
     def _op_changes_since(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -814,118 +753,6 @@ class JournalDispatcher:
     def _op_save(self, request: Dict[str, Any]) -> Dict[str, Any]:
         self.journal.save(request["path"])
         return {"ok": True}
-
-
-class _JournalServerBase:
-    """Lifecycle plumbing shared by both transports: the listening
-    socket, the checkpoint watchdog thread, and final persistence."""
-
-    def __init__(
-        self,
-        journal: Journal,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        lock_mode: str = "rw",
-        checkpoint_poll: float = 1.0,
-    ) -> None:
-        if checkpoint_poll <= 0:
-            raise ValueError("checkpoint_poll must be positive")
-        self.journal = journal
-        self.lock_mode = lock_mode
-        self.dispatcher = JournalDispatcher(journal, lock_mode=lock_mode)
-        #: how often the background thread re-evaluates the age threshold
-        self.checkpoint_poll = checkpoint_poll
-        #: server metrics live in the Journal's registry, so one
-        #: snapshot covers storage and front-end alike.
-        self.telemetry = journal.telemetry
-        self._listener = socket.create_server((host, port))
-        self._checkpoint_thread: Optional[threading.Thread] = None
-        self._checkpoint_stop = threading.Event()
-        #: persist here on stop() when set
-        self.persist_path: Optional[str] = None
-
-    @property
-    def requests_served(self) -> int:
-        """Compatibility view of ``fremont_server_requests_total``."""
-        return self.dispatcher.requests_served
-
-    @requests_served.setter
-    def requests_served(self, value: int) -> None:
-        self.dispatcher._c_requests.reset_to(value)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._listener.getsockname()
-
-    def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Direct (in-process) dispatch — test and tooling hook."""
-        return self.dispatcher.dispatch(request)
-
-    # -- checkpoint watchdog ---------------------------------------------
-
-    def _start_checkpoint_thread(self) -> None:
-        store = self.journal.durability
-        if store is None:
-            return
-        # The watchdog owns the interval fsync from here on, so no
-        # write's WAL append syncs (and cheap writes may run inline).
-        store.background_sync = True
-        self._checkpoint_stop.clear()
-        self._checkpoint_thread = threading.Thread(
-            target=self._checkpoint_loop,
-            name="journal-server-checkpoint",
-            daemon=True,
-        )
-        self._checkpoint_thread.start()
-
-    def _stop_checkpoint_thread(self) -> None:
-        self._checkpoint_stop.set()
-        if self._checkpoint_thread is not None:
-            self._checkpoint_thread.join(timeout=5.0)
-            self._checkpoint_thread = None
-        store = self.journal.durability
-        if store is not None:
-            store.background_sync = False
-
-    def _checkpoint_loop(self) -> None:
-        """Durability watchdog.  A server receiving no writes would
-        otherwise never trip the per-op ops/bytes checks (an unbounded
-        WAL replay window) nor sync the tail of its WAL (an unbounded
-        power-loss window under ``interval``).  Sleeps at most until the
-        interval fsync could come due, so no acknowledged record stays
-        unsynced much past ``fsync_interval``."""
-        while True:
-            store = self.journal.durability
-            if store is None:
-                break
-            wait = store.sync_wait()
-            if wait is None or wait > self.checkpoint_poll:
-                wait = self.checkpoint_poll
-            if self._checkpoint_stop.wait(wait):
-                break
-            self.dispatcher.durability_tick()
-
-    def _finalize_stop(self) -> None:
-        with self.dispatcher.rwlock.write_locked():
-            if self.journal.durability is not None:
-                # Termination checkpoint: everything the WAL holds is
-                # folded into a snapshot before the process exits.
-                self.journal.durability.checkpoint()
-            if self.persist_path is not None:
-                self.journal.save(self.persist_path)
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def start(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def stop(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
 
 
 class _AsyncConnection:
@@ -1238,7 +1065,7 @@ class _AsyncConnection:
                 pass
 
 
-class JournalServer(_JournalServerBase):
+class JournalServer:
     """Asyncio front-end guarding concurrent access to a
     :class:`Journal` — one event loop, thousands of sockets, pipelined
     requests.  The loop runs on a dedicated thread so the public
@@ -1250,23 +1077,29 @@ class JournalServer(_JournalServerBase):
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        lock_mode: str = "rw",
         checkpoint_poll: float = 1.0,
         max_workers: int = 4,
         queue_limit: int = 256,
         drain_timeout: float = 5.0,
     ) -> None:
-        super().__init__(
-            journal,
-            host=host,
-            port=port,
-            lock_mode=lock_mode,
-            checkpoint_poll=checkpoint_poll,
-        )
+        if checkpoint_poll <= 0:
+            raise ValueError("checkpoint_poll must be positive")
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         if queue_limit < 2:
             raise ValueError("queue_limit must be at least 2")
+        self.journal = journal
+        self.dispatcher = JournalDispatcher(journal)
+        #: how often the background thread re-evaluates the age threshold
+        self.checkpoint_poll = checkpoint_poll
+        #: server metrics live in the Journal's registry, so one
+        #: snapshot covers storage and front-end alike.
+        self.telemetry = journal.telemetry
+        self._listener = socket.create_server((host, port))
+        self._checkpoint_thread: Optional[threading.Thread] = None
+        self._checkpoint_stop = threading.Event()
+        #: persist here on stop() when set
+        self.persist_path: Optional[str] = None
         #: bounded pool for lock-waiting/fsyncing/serialising work
         self.max_workers = max_workers
         #: per-connection outbound queue bound (frames)
@@ -1279,7 +1112,6 @@ class JournalServer(_JournalServerBase):
         self._stop_requested: Optional[asyncio.Event] = None
         #: open connections; loop-thread mutated, len() read anywhere
         self._connections: Dict[_AsyncConnection, asyncio.Task] = {}
-        self._running = False
         self._g_connections = self.telemetry.gauge(
             "fremont_server_connections", "Open Journal Server connections"
         )
@@ -1303,6 +1135,19 @@ class JournalServer(_JournalServerBase):
         )
 
     @property
+    def requests_served(self) -> int:
+        """Compatibility view of ``fremont_server_requests_total``."""
+        return self.dispatcher.requests_served
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        return self._listener.getsockname()
+
+    def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Direct (in-process) dispatch — test and tooling hook."""
+        return self.dispatcher.dispatch(request)
+
+    @property
     def live_connections(self) -> int:
         """Currently open client connections."""
         return len(self._connections)
@@ -1312,7 +1157,6 @@ class JournalServer(_JournalServerBase):
     # ------------------------------------------------------------------
 
     def start(self) -> "JournalServer":
-        self._running = True
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="journal-worker"
         )
@@ -1327,7 +1171,6 @@ class JournalServer(_JournalServerBase):
         return self
 
     def stop(self) -> None:
-        self._running = False
         loop, thread = self._loop, self._thread
         if loop is not None and thread is not None and thread.is_alive():
             try:
@@ -1351,6 +1194,65 @@ class JournalServer(_JournalServerBase):
     def _request_stop(self) -> None:
         if self._stop_requested is not None:
             self._stop_requested.set()
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    # -- checkpoint watchdog ---------------------------------------------
+
+    def _start_checkpoint_thread(self) -> None:
+        store = self.journal.durability
+        if store is None:
+            return
+        # The watchdog owns the interval fsync from here on, so no
+        # write's WAL append syncs (and cheap writes may run inline).
+        store.background_sync = True
+        self._checkpoint_stop.clear()
+        self._checkpoint_thread = threading.Thread(
+            target=self._checkpoint_loop,
+            name="journal-server-checkpoint",
+            daemon=True,
+        )
+        self._checkpoint_thread.start()
+
+    def _stop_checkpoint_thread(self) -> None:
+        self._checkpoint_stop.set()
+        if self._checkpoint_thread is not None:
+            self._checkpoint_thread.join(timeout=5.0)
+            self._checkpoint_thread = None
+        store = self.journal.durability
+        if store is not None:
+            store.background_sync = False
+
+    def _checkpoint_loop(self) -> None:
+        """Durability watchdog.  A server receiving no writes would
+        otherwise never trip the per-op ops/bytes checks (an unbounded
+        WAL replay window) nor sync the tail of its WAL (an unbounded
+        power-loss window under ``interval``).  Sleeps at most until the
+        interval fsync could come due, so no acknowledged record stays
+        unsynced much past ``fsync_interval``."""
+        while True:
+            store = self.journal.durability
+            if store is None:
+                break
+            wait = store.sync_wait()
+            if wait is None or wait > self.checkpoint_poll:
+                wait = self.checkpoint_poll
+            if self._checkpoint_stop.wait(wait):
+                break
+            self.dispatcher.durability_tick()
+
+    def _finalize_stop(self) -> None:
+        with self.dispatcher.rwlock.write_locked():
+            if self.journal.durability is not None:
+                # Termination checkpoint: everything the WAL holds is
+                # folded into a snapshot before the process exits.
+                self.journal.durability.checkpoint()
+            if self.persist_path is not None:
+                self.journal.save(self.persist_path)
 
     # -- coalesced feed publish ----------------------------------------
 
@@ -1534,204 +1436,3 @@ class JournalServer(_JournalServerBase):
         except RuntimeError:  # pragma: no cover - shutdown race
             return
         future.add_done_callback(_log_detached_failure)
-
-
-class ThreadedJournalServer(_JournalServerBase):
-    """The pre-async transport: one thread per connection, strict
-    request/response (ids are echoed but nothing runs concurrently on a
-    connection).  Kept as the measured baseline for the fan-in
-    benchmark and as a fallback for environments where an extra event
-    loop thread is unwelcome."""
-
-    def __init__(
-        self,
-        journal: Journal,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        lock_mode: str = "rw",
-        checkpoint_poll: float = 1.0,
-    ) -> None:
-        super().__init__(
-            journal,
-            host=host,
-            port=port,
-            lock_mode=lock_mode,
-            checkpoint_poll=checkpoint_poll,
-        )
-        self.dispatcher.on_status = self._reap_connections
-        self._listener.settimeout(0.2)
-        self._threads: List[threading.Thread] = []
-        #: open connection sockets, pruned alongside their threads
-        self._connections: List[socket.socket] = []
-        #: guards the connection/thread bookkeeping lists
-        self._conn_lock = threading.Lock()
-        self._running = False
-        self._accept_thread: Optional[threading.Thread] = None
-
-    @property
-    def live_connections(self) -> int:
-        """Connection-handler threads still running."""
-        with self._conn_lock:
-            return sum(1 for t in self._threads if t.is_alive())
-
-    def _reap_connections(self) -> None:
-        """Drop bookkeeping for finished connection threads.  Runs in
-        the accept loop, on stop(), and before status ops — an idle
-        server must not retain its last batch of dead threads/sockets
-        until the *next* client happens to connect."""
-        with self._conn_lock:
-            live = [
-                (t, c)
-                for t, c in zip(self._threads, self._connections)
-                if t.is_alive()
-            ]
-            self._threads = [t for t, _ in live]
-            self._connections = [c for _, c in live]
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def start(self) -> "ThreadedJournalServer":
-        self._running = True
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="journal-server-accept", daemon=True
-        )
-        self._accept_thread.start()
-        self._start_checkpoint_thread()
-        return self
-
-    def stop(self) -> None:
-        self._running = False
-        self._stop_checkpoint_thread()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-        self._listener.close()
-        # Sever live connections, or their handler threads would keep
-        # serving a "stopped" server indefinitely.
-        with self._conn_lock:
-            connections = list(self._connections)
-            threads = list(self._threads)
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                connection.close()
-            except OSError:
-                pass
-        for thread in threads:
-            thread.join(timeout=2.0)
-        self._reap_connections()
-        self._finalize_stop()
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                connection, _peer = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            try:
-                connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:
-                pass
-            # Reap finished connection threads; without this a week-long
-            # server leaks one Thread object (and socket) per connection
-            # ever made.
-            self._reap_connections()
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(connection,),
-                name="journal-server-conn",
-                daemon=True,
-            )
-            with self._conn_lock:
-                self._threads.append(thread)
-                self._connections.append(connection)
-            thread.start()
-
-    def _serve_connection(self, connection: socket.socket) -> None:
-        # Feed pushes arrive from *other* connections' writer threads,
-        # so every send on this socket shares one lock with them.
-        send_lock = threading.Lock()
-        subscription = None
-        try:
-            with connection:
-                reader = connection.makefile("rb")
-                for line in reader:
-                    if not line.strip():
-                        continue
-                    rid = None
-                    try:
-                        request = wire.decode_message(line)
-                        rid = request.get("id")
-                        if request.get("op") == "subscribe":
-                            response, subscription = self._handle_subscribe(
-                                request, connection, send_lock, subscription
-                            )
-                        else:
-                            response = self.dispatcher.dispatch(request)
-                    except wire.WireError as error:
-                        response = {"ok": False, "error": str(error)}
-                    except Exception as error:  # defensive: keep serving
-                        response = {
-                            "ok": False,
-                            "error": f"{type(error).__name__}: {error}",
-                        }
-                    if rid is not None:
-                        response["id"] = rid
-                    try:
-                        with send_lock:
-                            connection.sendall(wire.encode_message(response))
-                    except OSError:
-                        break
-                    if subscription is not None:
-                        # Ack sent; deliver the backlog before any new
-                        # write publishes, so the subscriber starts from
-                        # a delta it can actually apply.
-                        with self.dispatcher.rwlock.write_locked():
-                            subscription.deliver()
-        except (ConnectionError, OSError):
-            pass  # client hung up mid-request; nothing left to answer
-        finally:
-            if subscription is not None:
-                self.dispatcher.unsubscribe(subscription)
-
-    def _handle_subscribe(
-        self,
-        request: Dict[str, Any],
-        connection: socket.socket,
-        send_lock: threading.Lock,
-        existing,
-    ) -> Tuple[Dict[str, Any], Any]:
-        """Turn this connection into a change-feed stream.  The reply
-        acknowledges with the current revision; every subsequent write
-        op pushes a ``{"event": "changes", ...}`` frame."""
-        if existing is not None:
-            return {"ok": False, "error": "already subscribed"}, existing
-
-        def push(changes) -> None:
-            frame = self.dispatcher.encoded_changes_frame(changes)
-            try:
-                with send_lock:
-                    connection.sendall(frame)
-            except OSError:
-                # Dead subscriber: unhook so one lost connection cannot
-                # wedge every future publish.
-                subscription.close()
-
-        with self.dispatcher.rwlock.write_locked():
-            self.dispatcher._c_requests.inc()
-            subscription = self.journal.subscribe(
-                push, since=int(request.get("since", 0))
-            )
-            revision = self.journal.revision
-        return {"ok": True, "revision": revision}, subscription

@@ -23,7 +23,9 @@ import json
 import select
 import socket
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from .records import (
     Attribute,
@@ -35,10 +37,16 @@ from .records import (
 )
 
 __all__ = [
+    "CONTROL_OPS",
     "COUNTER_SCHEMA",
+    "INLINE_OPS",
+    "INLINE_WRITES",
+    "OPS",
+    "OpSpec",
     "READ_OPS",
     "RUN_OUTCOMES",
     "WIRE_OPS",
+    "WRITE_OPS",
     "FrameReader",
     "attribute_to_dict",
     "attribute_from_dict",
@@ -104,55 +112,95 @@ from .query import predicate_from_dict, predicate_to_dict  # noqa: E402
 # Protocol schema: ops and counters
 # ----------------------------------------------------------------------
 
-#: The canonical Journal Server op vocabulary.  Verb_object naming:
-#: ``observe`` ops mutate via the ingest pipeline, ``get_*`` ops read,
-#: the rest are control-plane.  (The pre-schema alias ``batch`` and the
-#: legacy counter spellings were dropped after their one-release
-#: deprecation window.)
-WIRE_OPS = frozenset(
-    {
-        # ingest & maintenance (write)
-        "observe", "observe_batch",
-        "absorb_interface", "absorb_gateway", "absorb_subnet",
-        "ensure_gateway", "ensure_subnet", "link_gateway_subnet",
-        "rename_gateway", "delete_interface", "negative_put",
-        # queries (read)
-        "ping", "counts", "metrics",
-        "get_interfaces", "get_gateways", "get_subnets",
-        "query", "path", "impact",
-        "negative_check", "changes_since", "dump", "save",
-        # federation handshake (read)
-        "shard_info",
-        # failover control plane (write: they move the fencing epoch)
-        "promote", "fence",
-        # streaming
-        "subscribe",
-    }
-)
+class OpSpec(NamedTuple):
+    """How the Journal Server and its clients treat one op."""
 
-#: ops that never mutate the Journal.  The dispatcher runs these under
-#: the shared read lock and exempts them from epoch fencing — a fenced
-#: ex-primary and a standby both keep serving reads.  (negative_check
-#: may lazily evict an expired entry, but that eviction is idempotent
-#: and race-free — see Journal.negative_check.)
-READ_OPS = frozenset(
-    {
-        "ping",
-        "counts",
-        "metrics",
-        "shard_info",
-        "get_interfaces",
-        "get_gateways",
-        "get_subnets",
-        "query",
-        "path",
-        "impact",
-        "negative_check",
-        "changes_since",
-        "dump",
-        "save",
-    }
-)
+    #: ``read`` (shared lock; never fenced, so a standby or a fenced
+    #: ex-primary keeps serving it), ``write`` (write lock; fenced and
+    #: epoch-stamped), ``control`` (write lock; moves the fencing epoch
+    #: itself, so it is neither fenced nor stamped) or ``stream`` (the
+    #: ``subscribe`` feed, which the transport serves itself)
+    kind: str
+    #: cheap enough for the event loop thread whatever its arguments.
+    #: ``get_interfaces`` and ``observe_batch`` also run there for some
+    #: arguments (see ``JournalDispatcher.runs_inline``).
+    inline: bool = False
+    #: the ``RemoteClient`` methods that send it
+    methods: Tuple[str, ...] = ()
+
+
+#: The Journal Server op vocabulary, each op declared once.  The
+#: dispatcher's lock, fencing and inline rules, the client's epoch stamp
+#: and write handoff, and ``FailoverClient``'s proxies are all derived
+#: from this table.  (negative_check may lazily evict an expired entry,
+#: but that eviction is idempotent and race-free, so it stays a read —
+#: see Journal.negative_check.)
+OPS: Dict[str, OpSpec] = {
+    # ingest & maintenance
+    "observe": OpSpec("write", True, ("observe_interface", "submit", "resolve")),
+    "observe_batch": OpSpec(
+        "write", False, ("observe_batch", "observe_batch_nowait", "flush")
+    ),
+    "absorb_interface": OpSpec("write", True, ("absorb_interface",)),
+    "absorb_gateway": OpSpec("write", True, ("absorb_gateway",)),
+    "absorb_subnet": OpSpec("write", True, ("absorb_subnet",)),
+    "ensure_gateway": OpSpec("write", True, ("ensure_gateway",)),
+    "ensure_subnet": OpSpec("write", True, ("ensure_subnet",)),
+    "link_gateway_subnet": OpSpec("write", True, ("link_gateway_subnet",)),
+    "rename_gateway": OpSpec("write", False, ("rename_gateway",)),
+    "delete_interface": OpSpec("write", True, ("delete_interface",)),
+    "negative_put": OpSpec("write", True, ("negative_put",)),
+    # queries
+    "ping": OpSpec("read", True),
+    "counts": OpSpec("read", True, ("counts", "revision")),
+    "metrics": OpSpec("read", True, ("metrics",)),
+    "get_interfaces": OpSpec(
+        "read",
+        False,
+        (
+            "interfaces_by_ip", "interfaces_by_mac", "interfaces_by_name",
+            "interfaces_in_ip_range", "all_interfaces", "stale_interfaces",
+            "interfaces_modified_since",
+        ),
+    ),
+    "get_gateways": OpSpec("read", False, ("all_gateways", "gateways_modified_since")),
+    "get_subnets": OpSpec("read", False, ("all_subnets", "subnets_modified_since")),
+    # Indexed predicate evaluation is O(result); a worst-case unindexable
+    # predicate still only reads, and inline runs only on a free lock.
+    "query": OpSpec("read", True, ("query",)),
+    "path": OpSpec("read", False, ("path",)),
+    "impact": OpSpec("read", False, ("impact",)),
+    "negative_check": OpSpec("read", True, ("negative_check",)),
+    "changes_since": OpSpec("read", True, ("changes_since",)),
+    "dump": OpSpec("read", False, ("snapshot",)),
+    "save": OpSpec("read"),
+    # federation and failover handshake
+    "shard_info": OpSpec("read", True, ("shard_info", "replica_info")),
+    # failover control plane
+    "promote": OpSpec("control", False, ("promote",)),
+    "fence": OpSpec("control", False, ("fence",)),
+    # streaming
+    "subscribe": OpSpec("stream", False, ("subscribe",)),
+}
+
+
+def _ops_where(keep: Callable[[OpSpec], bool]) -> FrozenSet[str]:
+    return frozenset(op for op, spec in OPS.items() if keep(spec))
+
+
+#: every op the server accepts
+WIRE_OPS = frozenset(OPS)
+#: ops that never mutate the Journal
+READ_OPS = _ops_where(lambda spec: spec.kind == "read")
+#: Journal mutations: fenced by the server, epoch-stamped and handed
+#: off across a failover by the client
+WRITE_OPS = _ops_where(lambda spec: spec.kind == "write")
+#: ops that move the fencing epoch (promote/fence)
+CONTROL_OPS = _ops_where(lambda spec: spec.kind == "control")
+#: ops that run on the event loop thread whatever their arguments
+INLINE_OPS = _ops_where(lambda spec: spec.inline)
+#: the write ops among them (and the only ones an inline batch may carry)
+INLINE_WRITES = INLINE_OPS & WRITE_OPS
 
 #: ``Journal.counts()`` key -> registry metric name.  This is the one
 #: documented mapping between the legacy dashboard-shaped dict and the

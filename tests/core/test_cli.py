@@ -334,6 +334,31 @@ class TestPathAndImpact:
         finally:
             server.stop()
 
+    def test_path_and_impact_against_replica_list(self, tmp_path, capsys):
+        """A replicated target (``primary|standby``) answers the topology
+        queries through FailoverClient; the standby need not be up."""
+        import socket
+
+        from repro.core import JournalServer
+
+        journal = Journal.load(_topology_journal(tmp_path))
+        server = JournalServer(journal).start()
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            dead_port = probe.getsockname()[1]
+        try:
+            host, port = server.address
+            spec = f"{host}:{port}|{host}:{dead_port}"
+            assert main(["path", spec, "10.0.1.0/24", "10.0.3.0/24"]) == 0
+            out = capsys.readouterr().out
+            assert "gw-a" in out and "gw-b" in out
+            assert main(["impact", spec, "gw-b"]) == 0
+            out = capsys.readouterr().out
+            assert "single point of failure" in out
+            assert "10.0.3.0/24" in out
+        finally:
+            server.stop()
+
     def test_path_and_impact_across_live_sharded_fleet(self, capsys):
         """The acceptance walk: each shard holds half the topology; the
         router merges per-shard subgraphs and answers from the whole."""

@@ -180,29 +180,3 @@ class TestBatchOp:
             assert response["responses"][3]["counts"]["interfaces"] == 1
         finally:
             server.stop()
-
-
-class TestThreadReaping:
-    def test_finished_connection_threads_are_reaped(self):
-        from repro.core import ThreadedJournalServer
-
-        journal = Journal()
-        server = ThreadedJournalServer(journal)
-        server.start()
-        host, port = server.address
-        try:
-            for index in range(8):
-                with RemoteClient(host, port, **FAST) as client:
-                    client.observe_interface(
-                        Observation(source="t", ip=f"10.0.1.{index + 1}")
-                    )
-            # Give handler threads a beat to wind down, then trigger one
-            # more accept so the loop reaps.
-            time.sleep(0.1)
-            with RemoteClient(host, port, **FAST) as client:
-                client.counts()
-            time.sleep(0.1)
-            assert len(server._threads) <= 2  # not one per historical connection
-            assert server.live_connections <= 1
-        finally:
-            server.stop()

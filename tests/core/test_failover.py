@@ -10,6 +10,7 @@ and partitions against real processes — lives in
 ``tests/integration/test_failover.py``.
 """
 
+import socket
 import time
 
 import pytest
@@ -40,6 +41,13 @@ def obs(index, source="failover-test"):
         ip=f"10.40.{index // 250}.{index % 250 + 1}",
         mac=f"08:00:2b:00:{(index >> 8) & 0xFF:02x}:{index & 0xFF:02x}",
     )
+
+
+def _closed_port():
+    """A localhost port nothing listens on."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 @pytest.fixture
@@ -142,6 +150,28 @@ class TestReplicaTargets:
         with connect(f"{host}:{port}|127.0.0.1:1") as client:
             assert isinstance(client, FailoverClient)
             assert client.active_address == (host, port)
+
+    def test_path_and_impact_through_replica_list(self, server):
+        """Every RemoteClient read is proxied by FailoverClient, the
+        topology queries included: a replicated target answers path and
+        impact exactly like a plain connection to its primary."""
+        journal = server.journal
+        a, _ = journal.ensure_gateway(source="RIPwatch", name="gw-a")
+        for key in ("10.0.1.0/24", "10.0.2.0/24"):
+            journal.link_gateway_subnet(a.record_id, key, source="RIPwatch")
+        b, _ = journal.ensure_gateway(source="Traceroute", name="gw-b")
+        for key in ("10.0.2.0/24", "10.0.3.0/24"):
+            journal.link_gateway_subnet(b.record_id, key, source="Traceroute")
+        host, port = server.address
+        spec = f"{host}:{port}|{host}:{_closed_port()}"
+        with RemoteClient(host, port) as plain, connect(spec) as replicated:
+            assert isinstance(replicated, FailoverClient)
+            path = replicated.path("10.0.1.0/24", "10.0.3.0/24")
+            assert path.found
+            assert path == plain.path("10.0.1.0/24", "10.0.3.0/24")
+            impact = replicated.impact("gw-b")
+            assert impact.articulation
+            assert impact == plain.impact("gw-b")
 
 
 class TestEpochPersistence:

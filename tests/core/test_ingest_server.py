@@ -96,22 +96,6 @@ class TestReadWriteLock:
 
 
 class TestServerLockModes:
-    def test_invalid_lock_mode_rejected(self):
-        with pytest.raises(ValueError):
-            JournalServer(Journal(), lock_mode="optimistic")
-
-    def test_exclusive_mode_still_serves(self):
-        journal = Journal()
-        server = JournalServer(journal, lock_mode="exclusive")
-        server.start()
-        try:
-            host, port = server.address
-            with RemoteClient(host, port) as client:
-                client.submit(_obs(ip="10.0.0.1"))
-                assert client.counts()["interfaces"] == 1
-        finally:
-            server.stop()
-
     def test_readers_overlap_while_rw(self, served):
         journal, server, client = served
         for index in range(20):
@@ -237,49 +221,6 @@ class TestSubscribeStream:
 
 
 class TestConnectionReaping:
-    def test_status_op_reaps_dead_connections(self):
-        from repro.core import ThreadedJournalServer
-
-        journal = Journal()
-        server = ThreadedJournalServer(journal)
-        server.start()
-        host, port = server.address
-        client = RemoteClient(host, port)
-        try:
-            for _ in range(3):
-                extra = RemoteClient(host, port)
-                extra.counts()
-                extra.close()
-            def reaped_down_to_one() -> bool:
-                # Each counts() runs the status-op reap; the dead
-                # connection's thread may only finish dying after an
-                # earlier reap already ran, so poll until a later reap
-                # collects it.
-                if client.counts() is None or server.live_connections != 1:
-                    return False
-                with server._conn_lock:
-                    return len(server._threads) == 1
-
-            assert _wait_for(reaped_down_to_one)
-        finally:
-            client.close()
-            server.stop()
-
-    def test_stop_reaps_everything_threaded(self):
-        from repro.core import ThreadedJournalServer
-
-        journal = Journal()
-        server = ThreadedJournalServer(journal)
-        server.start()
-        host, port = server.address
-        with RemoteClient(host, port) as client:
-            client.submit(_obs(ip="10.0.0.1"))
-        server.stop()
-        assert server.live_connections == 0
-        with server._conn_lock:
-            assert server._threads == []
-            assert server._connections == []
-
     def test_stop_reaps_everything_async(self):
         journal = Journal()
         server = JournalServer(journal)

@@ -2,7 +2,6 @@
 the one-release deprecation shims."""
 
 import pathlib
-import warnings
 
 import pytest
 
@@ -265,49 +264,3 @@ class TestTopologyReports:
 
         text = render_impact(TopologyImpact("x", False, reason="unknown node: x"))
         assert "unknown node" in text
-
-
-class TestDeprecatedShims:
-    """PR 5 policy: old entry points keep working for one release but
-    warn; CI runs this file with DeprecationWarning-as-error to prove
-    the new surface itself is warning-free."""
-
-    CASES = [
-        ("journal_dump", (), {}, "dump", {}),
-        ("interface_report", (), {"network": None}, "interfaces",
-         {"network": None}),
-        ("subnet_interfaces_report", ("10.0.1.0/24",), {}, "subnet",
-         {"subnet": "10.0.1.0/24"}),
-        ("interface_detail", ("10.0.1.10",), {}, "interface",
-         {"ip": "10.0.1.10"}),
-        ("sunnet_export", (), {}, "sunnet", {}),
-        ("dot_export", (), {}, "dot", {}),
-        ("svg_export", (), {}, "svg", {}),
-    ]
-
-    @pytest.mark.parametrize(
-        "old,args,kwargs,name,params",
-        CASES,
-        ids=[case[0] for case in CASES],
-    )
-    def test_shim_warns_and_matches_registry(
-        self, populated, old, args, kwargs, name, params
-    ):
-        from repro.core import presentation
-
-        journal, _state = populated
-        shim = getattr(presentation, old)
-        with pytest.deprecated_call(match=f"{old}.*deprecated"):
-            via_shim = shim(journal, *args, **kwargs)
-        assert via_shim == render_report(journal, name, **params)
-
-    def test_shims_raise_under_warnings_as_errors(self, populated):
-        from repro.core.presentation import journal_dump
-
-        journal, _state = populated
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(DeprecationWarning):
-                journal_dump(journal)
-            # The registry surface stays silent under the same filter.
-            render_report(journal, "dump")

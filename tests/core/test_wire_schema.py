@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Journal, JournalServer
+from repro.core import FailoverClient, Journal, JournalServer, RemoteClient
 from repro.core import wire
 from repro.core.records import Observation
 from repro.core.server import JournalDispatcher
@@ -20,9 +20,14 @@ def served_journal():
 
 class TestOpSchema:
     def test_every_wire_op_has_a_dispatcher_handler(self):
-        # subscribe is dispatched on its own streaming path, not _op_*
-        for op in sorted(wire.WIRE_OPS - {"subscribe"}):
-            assert hasattr(JournalDispatcher, f"_op_{op}"), op
+        # ... and every handler serves an op.  subscribe is served on
+        # its own streaming path, not by an _op_* handler.
+        handlers = {
+            name[len("_op_"):]
+            for name in vars(JournalDispatcher)
+            if name.startswith("_op_")
+        }
+        assert handlers == wire.WIRE_OPS - {"subscribe"}
 
     def test_batch_request_emits_canonical_name(self):
         request = wire.batch_request([])
@@ -32,6 +37,58 @@ class TestOpSchema:
         # The one-release "batch" -> "observe_batch" shim was dropped.
         assert not hasattr(wire, "OP_ALIASES")
         assert not hasattr(wire, "canonical_op")
+
+
+class TestOpTable:
+    """``wire.OPS`` declares each op once; the dispatcher's sets, the
+    client's stamping and handoff rules and FailoverClient's proxies
+    are all derived from it."""
+
+    def test_declared_methods_exist_on_both_clients(self):
+        for op, spec in wire.OPS.items():
+            for name in spec.methods:
+                assert callable(getattr(RemoteClient, name, None)), (op, name)
+                assert callable(getattr(FailoverClient, name, None)), (op, name)
+
+    def test_no_method_declared_under_two_ops(self):
+        names = [name for spec in wire.OPS.values() for name in spec.methods]
+        assert len(names) == len(set(names))
+
+    def test_kinds_are_known_and_only_reads_and_writes_run_inline(self):
+        for op, spec in wire.OPS.items():
+            assert spec.kind in ("read", "write", "control", "stream"), op
+            if spec.inline:
+                assert spec.kind in ("read", "write"), op
+
+    def test_failover_proxies_follow_the_kind(self):
+        for spec in wire.OPS.values():
+            for name in spec.methods:
+                doc = getattr(FailoverClient, name).__doc__ or ""
+                if not doc.startswith("``RemoteClient."):
+                    continue  # FailoverClient's own method
+                hedged = "follower hedging" in doc
+                assert hedged == (spec.kind == "read"), name
+
+    def test_derived_sets_equal_the_lists_they_replaced(self):
+        assert wire.READ_OPS == frozenset({
+            "ping", "counts", "metrics", "shard_info", "get_interfaces",
+            "get_gateways", "get_subnets", "query", "path", "impact",
+            "negative_check", "changes_since", "dump", "save",
+        })
+        inline_writes = frozenset({
+            "observe", "negative_put", "ensure_gateway", "ensure_subnet",
+            "link_gateway_subnet", "delete_interface", "absorb_interface",
+            "absorb_gateway", "absorb_subnet",
+        })
+        assert wire.INLINE_WRITES == inline_writes
+        assert wire.INLINE_OPS == inline_writes | frozenset({
+            "ping", "counts", "metrics", "shard_info", "negative_check",
+            "changes_since", "query",
+        })
+        assert wire.CONTROL_OPS == frozenset({"promote", "fence"})
+        assert wire.WIRE_OPS == (
+            wire.READ_OPS | wire.WRITE_OPS | wire.CONTROL_OPS | {"subscribe"}
+        )
 
 
 class TestOpCompatibility:
@@ -60,9 +117,7 @@ class TestOpCompatibility:
 
     def test_op_metrics_is_a_read_op(self, served_journal):
         _journal, server, _address = served_journal
-        from repro.core.server import _READ_OPS
-
-        assert "metrics" in _READ_OPS
+        assert "metrics" in wire.READ_OPS
         response = server._dispatch({"op": "metrics", "spans": 3})
         assert response["ok"] is True
         assert "metrics" in response["metrics"]
