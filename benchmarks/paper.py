@@ -82,17 +82,18 @@ TABLE8_PROBLEMS = (
 
 def report(
     title: str,
-    rows: Sequence[Tuple[str, object, object]],
+    rows: Sequence[Tuple[object, ...]],
     *,
-    columns: Tuple[str, str] = ("paper", "measured"),
+    columns: Tuple[str, ...] = ("paper", "measured"),
 ) -> str:
-    """Print (and return) a paper-vs-measured comparison table."""
-    width = max([len(str(name)) for name, _p, _m in rows] + [len("row")])
+    """Print (and return) a paper-vs-measured comparison table: each
+    row is a name followed by one value per column."""
+    width = max([len(str(row[0])) for row in rows] + [len("row")])
     lines = [f"\n=== {title} ===",
-             f"{'row':<{width}}  {columns[0]:>18}  {columns[1]:>18}"]
-    for name, paper_value, measured in rows:
+             f"{'row':<{width}}" + "".join(f"  {column:>18}" for column in columns)]
+    for name, *values in rows:
         lines.append(
-            f"{name:<{width}}  {str(paper_value):>18}  {str(measured):>18}"
+            f"{name:<{width}}" + "".join(f"  {str(value):>18}" for value in values)
         )
     text = "\n".join(lines)
     print(text)

@@ -7,6 +7,12 @@ to ranges of records."  This is that structure: a self-balancing binary
 search tree mapping orderable keys to lists of values (several records
 may share a key — that duplication is itself a finding), with ordered
 iteration and range scans.
+
+It is the paper's structure, kept for the index ablation
+(``benchmarks/bench_ablation_indexes.py``) and as the test oracle for
+:class:`~repro.core.journal.SortedIndex`, which the Journal uses
+instead: in Python a hash map plus a blocked sorted list serves the
+same lookups and ranges several times faster per write.
 """
 
 from __future__ import annotations

@@ -5,10 +5,15 @@ the Fremont system records discovered information in a central
 repository, which we call the Journal."
 
 Records are grouped into interfaces, gateways, and subnets.  Interface
-records are indexed by three AVL trees (Ethernet address, IP address,
-DNS name); subnet records by a fourth (subnet address).  Gateways are
-reached through their member interfaces.  Lists are ordered by time of
-last modification, most recently changed last, as in the paper.
+records are indexed by Ethernet address, IP address and DNS name;
+subnet records by subnet address.  The paper keeps these in AVL trees;
+here each is a :class:`SortedIndex` — a hash map for point lookups
+plus a blocked sorted key list for range scans — which serves the same
+lookups and ranges at a fraction of the per-write cost in Python
+(:mod:`repro.core.avl` keeps the paper's structure for the index
+ablation and as the test oracle).  Gateways are reached through their
+member interfaces or their name.  Lists are ordered by time of last
+modification, most recently changed last, as in the paper.
 
 Merge semantics implement the paper's conflict philosophy: an
 observation pairing a known IP with a *different* Ethernet address does
@@ -46,12 +51,23 @@ storage-agnostic — the hooks are two one-line calls.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Generic,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
-from .avl import AvlTree
 from .records import (
     Attribute,
     GatewayRecord,
@@ -65,12 +81,16 @@ from .telemetry import MetricsRegistry
 
 __all__ = [
     "Journal",
+    "SortedIndex",
     "JournalChanges",
     "JournalCorruptError",
     "FeedSubscription",
 ]
 
 logger = logging.getLogger(__name__)
+
+K = TypeVar("K")
+V = TypeVar("V")
 
 
 class JournalCorruptError(Exception):
@@ -207,15 +227,128 @@ class FeedSubscription:
         self.journal._subscriptions.discard(self)
 
 
+#: target keys per SortedIndex block; a block splits at twice this
+_BLOCK = 1000
+
+
+class SortedIndex(Generic[K, V]):
+    """A key-ordered multimap: several values may share a key (that
+    duplication is itself a finding, as in the paper's AVL trees).
+
+    Point lookups go through a dict.  Ordered access — ``range``,
+    ``items``, ``keys`` — walks a blocked sorted list of the distinct
+    keys: sorted blocks of at most ``2 * _BLOCK`` keys plus the last key
+    of each, so finding a key is two bisects and inserting or removing
+    one shifts at most one block's tail.  The method names are those of
+    :class:`~repro.core.avl.AvlTree`, the structure this replaces."""
+
+    __slots__ = ("_values", "_blocks", "_maxes", "_size")
+
+    def __init__(self) -> None:
+        self._values: Dict[K, List[V]] = {}
+        self._blocks: List[List[K]] = []
+        self._maxes: List[K] = []
+        self._size = 0
+
+    def insert(self, key: K, value: V) -> None:
+        """Add *value* under *key* (duplicate keys accumulate values)."""
+        self._size += 1
+        values = self._values.get(key)
+        if values is not None:
+            values.append(value)
+            return
+        self._values[key] = [value]
+        blocks, maxes = self._blocks, self._maxes
+        if not blocks:
+            blocks.append([key])
+            maxes.append(key)
+            return
+        if key > maxes[-1]:
+            # The common case for the by-last-modified index: a touched
+            # record moves to the newest end.
+            pos = len(blocks) - 1
+            block = blocks[pos]
+            block.append(key)
+            maxes[pos] = key
+        else:
+            pos = bisect.bisect_left(maxes, key)
+            block = blocks[pos]
+            bisect.insort(block, key)
+        if len(block) > 2 * _BLOCK:
+            blocks.insert(pos + 1, block[_BLOCK:])
+            del block[_BLOCK:]
+            maxes.insert(pos, block[-1])
+
+    def remove(self, key: K, value: V) -> bool:
+        """Remove one (key, value) pair.  Returns True if it was present."""
+        values = self._values.get(key)
+        if values is None:
+            return False
+        try:
+            values.remove(value)
+        except ValueError:
+            return False
+        self._size -= 1
+        if values:
+            return True
+        del self._values[key]
+        pos = bisect.bisect_left(self._maxes, key)
+        block = self._blocks[pos]
+        del block[bisect.bisect_left(block, key)]
+        if block:
+            self._maxes[pos] = block[-1]
+        else:
+            del self._blocks[pos]
+            del self._maxes[pos]
+        return True
+
+    def get(self, key: K) -> List[V]:
+        """All values stored under *key* (empty list if none)."""
+        values = self._values.get(key)
+        return list(values) if values else []
+
+    def range(self, low: K, high: K) -> Iterator[Tuple[K, V]]:
+        """(key, value) pairs with low <= key <= high, in key order."""
+        blocks, values = self._blocks, self._values
+        pos = bisect.bisect_left(self._maxes, low)
+        if pos == len(blocks):
+            return
+        start = bisect.bisect_left(blocks[pos], low)
+        for block in blocks[pos:]:
+            stop = bisect.bisect_right(block, high)
+            for key in block[start:stop]:
+                for value in values[key]:
+                    yield key, value
+            if stop < len(block):
+                return
+            start = 0
+
+    def items(self) -> Iterator[Tuple[K, V]]:
+        """All (key, value) pairs in key order."""
+        for key in self.keys():
+            for value in self._values[key]:
+                yield key, value
+
+    def keys(self) -> Iterator[K]:
+        """Distinct keys in ascending order."""
+        for block in self._blocks:
+            yield from block
+
+    def __len__(self) -> int:
+        """Number of stored values (not distinct keys)."""
+        return self._size
+
+
 #: identity fields: conflicting values here split records instead of
 #: overwriting (the conflict itself is a finding)
 _IDENTITY_FIELDS = ("ip", "mac")
 
 
+@functools.lru_cache(maxsize=4096)
 def ip_key(ip: str) -> str:
     """Zero-padded dotted quad, so lexicographic order equals numeric
-    order and the IP AVL tree supports meaningful range scans."""
-    return ".".join(f"{int(part):03d}" for part in ip.split("."))
+    order and the IP index supports meaningful range scans."""
+    return ".".join(["%03d" % int(part) for part in ip.split(".")])
 
 
 def _identity(value: str) -> str:
@@ -254,7 +387,7 @@ def _counter_alias(attr: str, metric_name: str) -> property:
 
 
 class Journal(DirectSinkMixin):
-    """In-memory journal with AVL indexes and timestamped records.
+    """In-memory journal with sorted indexes and timestamped records.
 
     Thread discipline: mutation entry points (``observe_interface``,
     ``ensure_*``, ``absorb_*``, ``delete_*``, ``publish``) assume the
@@ -275,10 +408,10 @@ class Journal(DirectSinkMixin):
         self.interfaces: Dict[int, InterfaceRecord] = {}
         self.gateways: Dict[int, GatewayRecord] = {}
         self.subnets: Dict[int, SubnetRecord] = {}
-        self.by_ip: AvlTree[str, int] = AvlTree()
-        self.by_mac: AvlTree[str, int] = AvlTree()
-        self.by_name: AvlTree[str, int] = AvlTree()
-        self.by_subnet: AvlTree[str, int] = AvlTree()
+        self.by_ip: SortedIndex[str, int] = SortedIndex()
+        self.by_mac: SortedIndex[str, int] = SortedIndex()
+        self.by_name: SortedIndex[str, int] = SortedIndex()
+        self.by_subnet: SortedIndex[str, int] = SortedIndex()
         #: registered change-feed consumers
         self._subscriptions: Set[FeedSubscription] = set()
         #: monotonically increasing mutation counter
@@ -303,8 +436,8 @@ class Journal(DirectSinkMixin):
         #: — backs ModifiedSince queries in O(log n + result).  Kept
         #: separate from the change log because verify-only refreshes
         #: advance last_modified *without* bumping the revision counter.
-        self._modified_index: Dict[str, AvlTree[Tuple[float, int], int]] = {
-            kind: AvlTree() for kind in _KINDS
+        self._modified_index: Dict[str, SortedIndex[Tuple[float, int], int]] = {
+            kind: SortedIndex() for kind in _KINDS
         }
         #: record id -> its current key in the modified index
         self._modified_key: Dict[str, Dict[int, Tuple[float, int]]] = {
@@ -314,6 +447,8 @@ class Journal(DirectSinkMixin):
         self._pruned_through: int = 0
         #: interface record id -> record id of its owning gateway
         self._gateway_of: Dict[int, int] = {}
+        #: gateway name -> ids of the gateway records carrying it
+        self._gateways_by_name: Dict[str, Set[int]] = {}
         #: negative cache (future-work feature): key -> expiry time
         self._negative: Dict[Tuple[str, str], float] = {}
         #: sweep the negative cache when it grows past this
@@ -535,7 +670,7 @@ class Journal(DirectSinkMixin):
 
     def _rebuild_modified_index(self) -> None:
         """Recompute the by-last-modified indexes (bulk loads)."""
-        self._modified_index = {kind: AvlTree() for kind in _KINDS}
+        self._modified_index = {kind: SortedIndex() for kind in _KINDS}
         self._modified_key = {kind: {} for kind in _KINDS}
         for kind, table in (
             ("interface", self.interfaces),
@@ -788,11 +923,13 @@ class Journal(DirectSinkMixin):
             return self._freshest(matches) if matches else None
         return None
 
-    def _records_for(self, index: AvlTree, key: str) -> List[InterfaceRecord]:
+    def _records_for(self, index: SortedIndex, key: str) -> List[InterfaceRecord]:
         return [self.interfaces[rid] for rid in index.get(key) if rid in self.interfaces]
 
     @staticmethod
     def _freshest(records: List[InterfaceRecord]) -> InterfaceRecord:
+        if len(records) == 1:
+            return records[0]
         return max(records, key=lambda r: (r.last_verified, r.record_id))
 
     def _reindex(
@@ -863,10 +1000,10 @@ class Journal(DirectSinkMixin):
                 self._pending_keys.append(
                     _KEY_PREFIXES[field_name] + _KEY_FUNCS[field_name](value)
                 )
-        for gateway in self.gateways.values():
-            if record_id in gateway.interface_ids:
-                gateway.interface_ids.remove(record_id)
-                self._touch("gateway", gateway)
+        gateway = self.gateway_for_interface(record_id)
+        if gateway is not None:
+            gateway.interface_ids.remove(record_id)
+            self._touch("gateway", gateway)
         self._gateway_of.pop(record_id, None)
         self._mark_deleted("interface", record_id)
         return True
@@ -896,12 +1033,52 @@ class Journal(DirectSinkMixin):
         return None
 
     def _rebuild_gateway_index(self) -> None:
-        """Recompute the interface -> gateway reverse map (bulk loads)."""
-        self._gateway_of = {
-            interface_id: gateway.record_id
-            for gateway in self.gateways.values()
-            for interface_id in gateway.interface_ids
-        }
+        """Recompute the interface -> gateway and name -> gateway maps
+        (bulk loads)."""
+        self._gateway_of = {}
+        self._gateways_by_name = {}
+        for gateway in self.gateways.values():
+            for interface_id in gateway.interface_ids:
+                self._gateway_of[interface_id] = gateway.record_id
+            if gateway.name is not None:
+                self._gateways_by_name.setdefault(gateway.name, set()).add(
+                    gateway.record_id
+                )
+
+    def _gateways_named(self, name: str) -> List[GatewayRecord]:
+        """The gateway records named *name*, in ``self.gateways`` order.
+
+        The checks skip map entries left stale by external surgery on
+        ``self.gateways`` (a record removed behind the Journal's back)."""
+        gateways = self.gateways
+        live = [
+            rid
+            for rid in self._gateways_by_name.get(name, ())
+            if rid in gateways and gateways[rid].name == name
+        ]
+        if len(live) > 1:
+            # Only a bulk load leaves several records under one name (the
+            # next ensure_gateway folds them); keep the table's order.
+            live = [rid for rid in gateways if rid in live]
+        return [gateways[rid] for rid in live]
+
+    def _name_gateway(
+        self, gateway: GatewayRecord, name: str, now: float, source: str
+    ) -> bool:
+        """``gateway.set("name", ...)`` that keeps the name map current."""
+        old = gateway.name
+        changed = gateway.set("name", name, now, source)
+        if gateway.name != old:
+            self._unname_gateway(gateway.record_id, old)
+            self._gateways_by_name.setdefault(name, set()).add(gateway.record_id)
+        return changed
+
+    def _unname_gateway(self, record_id: int, name: Optional[str]) -> None:
+        ids = self._gateways_by_name.get(name)
+        if ids is not None:
+            ids.discard(record_id)
+            if not ids:
+                del self._gateways_by_name[name]
 
     def ensure_gateway(
         self,
@@ -920,26 +1097,22 @@ class Journal(DirectSinkMixin):
             if gateway is not None:
                 break
         if gateway is None and name is not None:
-            gateway = next(
-                (g for g in self.gateways.values() if g.name == name), None
-            )
+            named = self._gateways_named(name)
+            gateway = named[0] if named else None
         created = gateway is None
         if gateway is None:
             gateway = GatewayRecord()
             self.gateways[gateway.record_id] = gateway
         changed = created
-        if name is not None and gateway.set("name", name, now, source):
-            changed = True
         if name is not None:
+            if self._name_gateway(gateway, name, now, source):
+                changed = True
             # Two records claiming one gateway name are fragments of one
             # device (the contract link_gateway_subnet relies on); fold
             # any same-named siblings into the record we just chose.
-            for sibling in [
-                g
-                for g in list(self.gateways.values())
-                if g.name == name and g is not gateway
-            ]:
-                changed = self._merge_gateways(gateway, sibling, now) or changed
+            for sibling in self._gateways_named(name):
+                if sibling is not gateway:
+                    changed = self._merge_gateways(gateway, sibling, now) or changed
         for interface_id in interface_ids:
             other = self.gateway_for_interface(interface_id)
             if other is not None and other is not gateway:
@@ -974,13 +1147,10 @@ class Journal(DirectSinkMixin):
         if gateway is None:
             return False
         now = self.now
-        changed = gateway.set("name", name, now, source)
-        for sibling in [
-            g
-            for g in list(self.gateways.values())
-            if g.name == name and g is not gateway
-        ]:
-            changed = self._merge_gateways(gateway, sibling, now) or changed
+        changed = self._name_gateway(gateway, name, now, source)
+        for sibling in self._gateways_named(name):
+            if sibling is not gateway:
+                changed = self._merge_gateways(gateway, sibling, now) or changed
         if changed:
             self._c_changes.inc()
             self._touch("gateway", gateway)
@@ -1004,7 +1174,7 @@ class Journal(DirectSinkMixin):
                 keeper.connected_subnets[subnet_key] = attribute
                 changed = True
         if other.name is not None and keeper.name is None:
-            keeper.set("name", other.name, now, "journal-merge")
+            self._name_gateway(keeper, other.name, now, "journal-merge")
         # Re-point subnet attachments at the keeper.
         for subnet in self.subnets.values():
             if other.record_id in subnet.gateway_ids:
@@ -1012,6 +1182,7 @@ class Journal(DirectSinkMixin):
                 subnet.attach_gateway(keeper.record_id, now)
                 self._touch("subnet", subnet)
         del self.gateways[other.record_id]
+        self._unname_gateway(other.record_id, other.name)
         self._mark_deleted("gateway", other.record_id)
         self._touch("gateway", keeper)
         return changed

@@ -11,9 +11,9 @@ confidence) composable with ``And``/``Or``/``Not``, with
   so the server's ``query`` op can evaluate predicates *server-side*
   and ship only matching records;
 * an index planner: each leaf may propose a candidate set from one of
-  the Journal's secondary indexes (the by-IP AVL tree for subnet
-  ranges, the by-MAC tree for vendor prefixes, the per-kind
-  by-last-modified tree for ``ModifiedSince``, the revision-ordered
+  the Journal's secondary indexes (the by-IP index for subnet
+  ranges, the by-MAC index for vendor prefixes, the per-kind
+  by-last-modified index for ``ModifiedSince``, the revision-ordered
   change log for ``SinceRevision``) — the full predicate then filters
   the candidates, so an indexable query costs O(result), not
   O(journal);
@@ -252,7 +252,7 @@ class Not(Predicate):
 class InSubnet(Predicate):
     """The record's IP address lies inside a subnet (``a.b.c.d/len``).
 
-    Planned as a range scan over the Journal's by-IP AVL tree (the
+    Planned as a range scan over the Journal's by-IP index (the
     zero-padded key order makes lexicographic = numeric).
     """
 
@@ -298,7 +298,7 @@ class InSubnet(Predicate):
 class MacPrefix(Predicate):
     """The record's Ethernet address starts with *prefix* (an OUI like
     ``08:00:20`` selects one vendor).  Planned as a prefix range over
-    the by-MAC AVL tree."""
+    the by-MAC index."""
 
     TAG = "mac_prefix"
 
@@ -350,7 +350,7 @@ class MacPrefix(Predicate):
 
 class ModifiedSince(Predicate):
     """``last_modified`` strictly after *when* — the replication
-    predicate, planned against the per-kind by-last-modified tree.
+    predicate, planned against the per-kind by-last-modified index.
 
     Not cacheable: verify-only observations advance ``last_modified``
     without bumping the revision counter, so a cached result could gain
@@ -473,7 +473,7 @@ class Confidence(Predicate):
 
 class FieldEquals(Predicate):
     """One attribute equals a value exactly.  Identity fields plan
-    through their AVL indexes (``ip``/``mac``/``dns_name`` on
+    through their exact-match indexes (``ip``/``mac``/``dns_name`` on
     interfaces, ``subnet`` on subnets)."""
 
     TAG = "field_equals"

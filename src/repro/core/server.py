@@ -443,15 +443,21 @@ class JournalDispatcher:
         flush path, and the replay path a reconnecting client uses to
         drain observations buffered during an outage.  Per-item failures
         are reported in place; the batch itself still succeeds, so one
-        malformed entry cannot wedge the client's buffer forever."""
+        malformed entry cannot wedge the client's buffer forever.
+
+        An ``observe`` item is acknowledged as ``{"ok", "changed"}``
+        only: batch callers use the changed flag, and shipping every
+        sighting's full record back would cost more than applying it.
+        Other items answer exactly as their standalone op would."""
         responses: List[Dict[str, Any]] = []
         requests = request.get("requests", [])
         self._h_batch_size.observe(len(requests))
         for sub_request in requests:
             op = sub_request.get("op") if isinstance(sub_request, dict) else None
-            handler = (
-                None if op == "observe_batch" else self.handler_for(op)
-            )
+            if op == "observe":
+                handler = self._apply_observe
+            else:
+                handler = None if op == "observe_batch" else self.handler_for(op)
             if handler is None:
                 responses.append({"ok": False, "error": f"unknown op: {op!r}"})
                 continue
@@ -486,6 +492,13 @@ class JournalDispatcher:
             "changed": changed,
             "record": wire.interface_to_dict(record),
         }
+
+    def _apply_observe(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """An ``observe`` item of a batch: applied like the standalone
+        op, acknowledged without the record."""
+        observation = wire.observation_from_dict(request.get("observation", {}))
+        _record, changed = self.journal.submit(observation)
+        return {"ok": True, "changed": changed}
 
     def _op_get_interfaces(self, request: Dict[str, Any]) -> Dict[str, Any]:
         by = request.get("by", "all")

@@ -9,7 +9,16 @@ import time
 
 import pytest
 
-from repro.core import Journal, JournalServer, JournalStore, RemoteClient
+from repro.core import (
+    FailoverClient,
+    Journal,
+    JournalServer,
+    JournalStore,
+    LocalClient,
+    RemoteClient,
+    ShardMap,
+    connect,
+)
 from repro.core import wire
 from repro.core.records import Observation
 from repro.core.server import JournalDispatcher
@@ -571,3 +580,139 @@ class TestDurableInlinePath:
             assert handler_threads[op]
             assert all(name.startswith("journal-worker")
                        for name in handler_threads[op])
+
+
+class TestBatchAckContract:
+    """``observe_batch`` acknowledges each ``observe`` item with
+    ``{"ok", "changed"}`` and no record (DESIGN.md §10); every other
+    item answers exactly as its standalone op."""
+
+    def test_observe_items_ack_changed_only(self, served):
+        _journal, server = served
+        sock, frames = _raw_connection(server)
+        sighting = {"source": "t", "ip": "10.0.0.1", "mac": "aa:00:00:00:00:01"}
+        try:
+            sock.sendall(
+                wire.encode_message(
+                    wire.batch_request(
+                        [
+                            {"op": "observe", "observation": sighting},
+                            {"op": "observe", "observation": sighting},
+                            {"op": "observe", "observation": {"ip": "10.0.0.2"}},
+                            {"op": "observe", "observation": "not-a-sighting"},
+                        ]
+                    )
+                )
+            )
+            response = frames.read(10.0)
+        finally:
+            sock.close()
+        assert response["ok"]
+        new, verified, no_source, garbage = response["responses"]
+        assert new == {"ok": True, "changed": True}
+        assert verified == {"ok": True, "changed": False}
+        for malformed in (no_source, garbage):
+            assert set(malformed) == {"ok", "error"}
+            assert malformed["ok"] is False
+        # Standalone observe still returns the record.
+        host, port = server.address
+        with RemoteClient(host, port) as client:
+            reply = client._call({"op": "observe", "observation": sighting})
+        assert reply["changed"] is False
+        assert reply["record"]["attributes"]["ip"]["value"] == "10.0.0.1"
+
+    def test_other_items_answer_as_standalone(self, served):
+        journal, server = served
+        host, port = server.address
+        negative = {"op": "negative_put", "kind": "dns", "key": "x", "ttl": 60.0}
+        with RemoteClient(host, port) as client:
+            batched = client._call(
+                wire.batch_request([{"op": "ping"}, dict(negative)])
+            )["responses"]
+            # Standalone replies also carry the request id; items do not.
+            standalone_ping = client._call({"op": "ping"})
+            standalone_ping.pop("id")
+            standalone_put = client._call(dict(negative))
+            standalone_put.pop("id")
+        assert batched[1] == standalone_put == {"ok": True}
+        assert set(batched[0]) == set(standalone_ping) == {"ok", "counts", "revision"}
+        assert batched[0]["revision"] == standalone_ping["revision"] == journal.revision
+        assert set(batched[0]["counts"]) == set(standalone_ping["counts"])
+
+
+def _ack_sightings():
+    """Batches whose changed flags differ: new hosts, verify-only
+    refreshes, an IP moving to a new MAC, and a name attached later."""
+    first = [
+        Observation(source="t", ip=f"10.{shard}.0.{host}", mac=f"aa:00:00:00:{shard:02x}:{host:02x}")
+        for shard in (1, 2)
+        for host in (1, 2, 3)
+    ]
+    second = [
+        first[0],
+        Observation(source="t", ip="10.1.0.1", mac="aa:00:00:00:ff:ff"),
+        first[4],
+        Observation(source="t", ip="10.2.0.2", dns_name="b.test"),
+        Observation(source="t", ip="10.2.0.9"),
+        first[1],
+    ]
+    return [first, second, second]
+
+
+def _flags(client, nowait: bool):
+    flags = []
+    for batch in _ack_sightings():
+        if nowait:
+            response = client.observe_batch_nowait(batch).wait()
+            flags.append([item["changed"] for item in response["responses"]])
+            assert all(set(item) == {"ok", "changed"} for item in response["responses"])
+        else:
+            flags.append(client.observe_batch(batch))
+    return flags
+
+
+class TestBatchAckClients:
+    """Every batch path reads the same changed flags from the
+    record-free acks as the in-process clients compute."""
+
+    @pytest.fixture
+    def expected(self):
+        return _flags(LocalClient(Journal()), nowait=False)
+
+    @pytest.mark.parametrize("nowait", [False, True])
+    def test_remote_client(self, served, expected, nowait):
+        _journal, server = served
+        with RemoteClient(*server.address) as client:
+            assert _flags(client, nowait) == expected
+
+    @pytest.mark.parametrize("nowait", [False, True])
+    def test_failover_client(self, served, expected, nowait):
+        _journal, server = served
+        client = FailoverClient([server.address])
+        try:
+            assert _flags(client, nowait) == expected
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("nowait", [False, True])
+    def test_sharded_client(self, expected, nowait):
+        local = connect([None, None])
+        assert _flags(local, nowait=False) == expected
+        servers = []
+        try:
+            for index in range(2):
+                server = JournalServer(Journal())
+                server.dispatcher.shard_identity = ShardMap(2).identity(index)
+                server.start()
+                servers.append(server)
+            router = connect([f"{h}:{p}" for h, p in (s.address for s in servers)])
+            try:
+                assert _flags(router, nowait) == expected
+                assert sum(len(s.journal.interfaces) for s in servers) == len(
+                    local.clients[0].journal.interfaces
+                ) + len(local.clients[1].journal.interfaces)
+            finally:
+                router.close()
+        finally:
+            for server in servers:
+                server.stop()
