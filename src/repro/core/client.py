@@ -47,6 +47,7 @@ __all__ = [
     "RemoteClient",
     "RemoteChangeFeed",
     "QueryCache",
+    "PendingPull",
     "PendingReply",
     "ReplyTimeout",
     "connect",
@@ -210,6 +211,11 @@ class LocalClient(DirectSinkMixin):
         """The journal's current change-tracking revision."""
         return self.journal.revision
 
+    def pull(self, since: int, where=None):
+        """One replication pass's reads (mirror of the ``pull`` wire
+        op); see :meth:`repro.core.journal.Journal.pull`."""
+        return self.journal.pull(since, where)
+
     # -- topology ---------------------------------------------------------
 
     def _topology(self):
@@ -337,6 +343,20 @@ class _SettledReply:
 
     def wait(self, timeout: Optional[float] = -1.0) -> Dict[str, Any]:
         return self._response
+
+
+class PendingPull:
+    """Handle for a ``pull`` sent with :meth:`RemoteClient.begin_pull`:
+    :meth:`wait` returns the decoded ``(revision, interfaces, gateways,
+    members, subnets)`` tuple and raises like :meth:`PendingReply.wait`."""
+
+    __slots__ = ("_reply",)
+
+    def __init__(self, reply: PendingReply) -> None:
+        self._reply = reply
+
+    def wait(self, timeout: Optional[float] = -1.0):
+        return wire.pull_from_dict(self._reply.wait(timeout))
 
 
 class RemoteClient:
@@ -1011,6 +1031,20 @@ class RemoteClient:
 
     def counts(self) -> Dict[str, int]:
         return self._call({"op": "counts"})["counts"]
+
+    def begin_pull(self, since: int, where=None) -> PendingPull:
+        """Send a ``pull`` without waiting for it: a router starts one
+        on every shard before it waits on any."""
+        request: Dict[str, Any] = {"op": "pull", "since": int(since)}
+        if where is not None:
+            request["where"] = wire.predicate_to_dict(where)
+        return PendingPull(self.begin(request))
+
+    def pull(self, since: int, where=None):
+        """One replication pass's reads, answered in one round trip
+        under the server's read lock; see
+        :meth:`repro.core.journal.Journal.pull`."""
+        return self.begin_pull(since, where).wait()
 
     def path(self, a: str, b: str):
         """Confidence-weighted topology route (the ``path`` wire op),

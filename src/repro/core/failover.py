@@ -10,7 +10,7 @@ shard survive them:
   JournalServer` that *tails* its primary: the existing change feed
   (``subscribe``) provides the wakeup signal and the existing
   revision-cursor replication (:class:`~repro.core.replicate.
-  JournalReplicator`, ``SinceRevision`` queries) moves the deltas into
+  JournalReplicator`, one ``pull`` per pass) moves the deltas into
   the standby's own journal — and, with ``--durable``, its own
   WAL/checkpoint directory.  The standby serves reads as a follower;
   its dispatcher rejects client writes (role ``"standby"``).
@@ -96,8 +96,8 @@ class StandbyReplica:
     dirs) and a :class:`~repro.core.server.JournalServer` in the
     ``"standby"`` role: reads are served as a follower, client writes
     are fenced.  A daemon thread tails the primary — change-feed frames
-    (or a periodic revision poll) wake it, ``SinceRevision`` queries
-    move the delta — and doubles as the heartbeat: :attr:`lag` and
+    (or a periodic revision poll) wake it, one ``pull`` per pass
+    moves the delta — and doubles as the heartbeat: :attr:`lag` and
     :attr:`last_heartbeat` are its health view.
 
     Promotion arrives over the wire (the ``promote`` op, sent by a

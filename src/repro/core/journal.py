@@ -1290,6 +1290,49 @@ class Journal(DirectSinkMixin):
         self._c_queries.inc()
         return records
 
+    def pull(self, since: int, where=None) -> Tuple[int, List, List, List, List]:
+        """One replication pass's reads, taken together: everything a
+        :class:`~repro.core.replicate.JournalReplicator` needs to bring
+        a replica from revision *since* (0 = everything) up to now.
+
+        Returns ``(revision, interfaces, gateways, members, subnets)``:
+        the revision the reads saw; interface, gateway and subnet
+        records changed after *since* (interfaces also filtered by the
+        scope predicate *where*); and ``members``, the in-scope member
+        interfaces of those gateways that the interface list does not
+        already carry.  Callers hold whatever lock makes the reads one
+        snapshot (the Journal Server's read lock), so the revision is
+        exact: a replica that pulls again from it misses nothing and
+        re-reads nothing."""
+        from . import query as query_module
+
+        cursor = query_module.SinceRevision(since) if since > 0 else None
+
+        def scoped(predicate):
+            if where is None:
+                return predicate
+            if predicate is None:
+                return where
+            return query_module.And(where, predicate)
+
+        evaluate = query_module.evaluate
+        interfaces = evaluate(self, "interfaces", scoped(cursor))
+        gateways = evaluate(self, "gateways", cursor)
+        sent = {record.record_id for record in interfaces}
+        unresolved = {
+            interface_id
+            for record in gateways
+            for interface_id in record.interface_ids
+            if interface_id not in sent
+        }
+        members = (
+            evaluate(self, "interfaces", scoped(query_module.RecordIds(unresolved)))
+            if unresolved
+            else []
+        )
+        subnets = evaluate(self, "subnets", cursor)
+        return self.revision, interfaces, gateways, members, subnets
+
     def absorb_interface(self, foreign: InterfaceRecord) -> Tuple[InterfaceRecord, bool]:
         """Merge a record from a replicated Journal, preserving its
         original timestamps (unlike observe_interface, which stamps the

@@ -18,16 +18,21 @@ Revision-cursor protocol
 ------------------------
 
 The sync cursor is the source Journal's **revision counter**, not a
-``last_modified`` high-water timestamp.  Each pass:
+``last_modified`` high-water timestamp.  Each pass is one ``pull``
+(:meth:`~repro.core.journal.Journal.pull`; one round trip to a Journal
+Server) followed by the target-side absorbs:
 
-1. snapshots ``new_cursor = source.revision()`` *before* reading — a
-   write landing mid-pass is re-sent next pass rather than lost, and
-   absorbs are idempotent so the overlap is harmless;
-2. pulls each table with one predicate query,
-   ``SinceRevision(last_revision)`` (a full-table query on the first
-   pass or with ``full=True``), evaluated source-side against the
-   revision-ordered change log — O(delta), not O(journal);
-3. advances ``last_revision`` to the snapshot.
+1. the source reads, under one read lock, every interface, gateway and
+   subnet record whose revision is after ``last_revision`` (everything
+   on the first pass or with ``full=True``), evaluated against the
+   revision-ordered change log — O(delta), not O(journal) — plus the
+   revision those reads saw;
+2. the target absorbs them (idempotent, timestamp-preserving merges);
+3. ``last_revision`` advances to the revision the pull was read at.
+
+Because the reads share one lock, that revision is exact: the next
+pass neither misses a write that landed during this one nor re-sends
+one it already carried.
 
 Timestamps cannot carry this cursor: with strict-``>`` filtering, a
 record modified at *exactly* the high-water timestamp after the pass
@@ -41,9 +46,10 @@ not ride along; the receiving side re-learns freshness from its own
 explorers, and actual value changes — the data that matters — are
 never missed.
 
-Gateway members are resolved in one **batched** ``RecordIds`` query
-per pass instead of a full interface scan per unresolved member (the
-old path was O(interfaces × members)).  A nameless gateway with no
+The same pull carries the gateways' member interfaces that the
+interface delta does not (``members``, one batched ``RecordIds``
+lookup on the source side), so membership translates without a scan
+per member or a second round trip.  A nameless gateway with no
 resolvable member cannot be anchored on the target side; it is counted
 in :attr:`SyncStats.gateways_skipped` and the
 ``fremont_replication_gateways_skipped_total`` counter rather than
@@ -53,12 +59,14 @@ dropped silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
-from .query import And, Predicate, RecordIds, SinceRevision
+from .query import Predicate
 from .telemetry import MetricsRegistry
 
-__all__ = ["JournalReplicator", "SyncStats", "FederatedView"]
+__all__ = [
+    "JournalReplicator", "SyncStats", "FederatedView", "begin_pull", "gather_pulls",
+]
 
 
 @dataclass
@@ -108,8 +116,8 @@ class JournalReplicator:
         #: lock's ``write_locked``) entered around every target absorb.
         #: A standby replica tails its primary into the very journal its
         #: own server is serving reads from; without the lock a follower
-        #: read could observe a half-applied sync pass.  Source-side
-        #: queries run outside the lock — network reads must not stall
+        #: read could observe a half-applied sync pass.  The source-side
+        #: pull runs outside the lock — network reads must not stall
         #: the target's readers.
         self.target_lock = target_lock
         #: optional interface-scoping predicate (e.g. ``InSubnet``):
@@ -142,68 +150,32 @@ class JournalReplicator:
         with self.target_lock():
             return method(*args)
 
-    def _source_revision(self) -> int:
-        """The source's current revision, client or bare Journal."""
-        revision = getattr(self.source, "revision")
-        return int(revision() if callable(revision) else revision)
-
-    def sync(self, *, full: bool = False) -> SyncStats:
-        """Push everything the source learned since the last sync.
-
-        With ``full=True`` the cursor is ignored and the whole journal
-        is pushed (initial seeding of a new replica).
-        """
-        # Snapshot before reading: anything committed after this point
-        # may or may not appear in the queries below, and will be
-        # re-sent next pass either way.  Idempotent absorbs make the
-        # overlap free; the gap a timestamp cursor had is gone.
-        new_cursor = self._source_revision()
-        where = (
-            None if full or self.last_revision <= 0
-            else SinceRevision(self.last_revision)
+    def begin_sync(self, *, full: bool = False):
+        """Send this pass's ``pull`` without waiting for the answer; its
+        handle's ``wait()`` gives what :meth:`absorb` takes."""
+        return begin_pull(
+            self.source, 0 if full else self.last_revision, self.where
         )
 
-        def scoped(predicate: Optional[Predicate]) -> Optional[Predicate]:
-            """Interface-table predicate: the cursor ANDed with the
-            replicator's scope filter."""
-            if self.where is None:
-                return predicate
-            if predicate is None:
-                return self.where
-            return And(self.where, predicate)
-
+    def absorb(self, pulled) -> SyncStats:
+        """Apply one pull's answer to the target and advance the cursor
+        to the revision it was read at."""
+        revision, interfaces, gateways, members, subnets = pulled
         stats = SyncStats()
 
         # Interfaces first: gateway membership translates through them.
         interface_map: Dict[int, int] = {}
-        for foreign in self.source.query("interfaces", scoped(where)):
+        for foreign in interfaces:
             local, changed = self._absorb(self.target.absorb_interface, foreign)
             interface_map[foreign.record_id] = local.record_id
             stats.interfaces_sent += 1
             stats.interfaces_changed += changed
-
-        # Gateways referencing unsent member interfaces need those ids
-        # resolvable.  Collect every unresolved member across the whole
-        # pass and fetch them in ONE batched id query — not a full
-        # interface scan per member.
-        gateways = self.source.query("gateways", where)
-        unresolved: Set[int] = {
-            interface_id
-            for foreign in gateways
-            for interface_id in foreign.interface_ids
-            if interface_id not in interface_map
-        }
-        if unresolved:
-            # Member resolution honours the scope filter too: an
-            # out-of-scope member simply stays unresolved and drops from
-            # the absorbed gateway's membership on this side.
-            for member in self.source.query(
-                "interfaces", scoped(RecordIds(unresolved))
-            ):
-                local, _changed = self._absorb(
-                    self.target.absorb_interface, member
-                )
-                interface_map[member.record_id] = local.record_id
+        # Members outside the delta (in scope only: an out-of-scope
+        # member stays unresolved and drops from the absorbed gateway's
+        # membership on this side).
+        for member in members:
+            local, _changed = self._absorb(self.target.absorb_interface, member)
+            interface_map[member.record_id] = local.record_id
         for foreign in gateways:
             if foreign.name is None and not any(
                 interface_id in interface_map
@@ -220,16 +192,77 @@ class JournalReplicator:
             stats.gateways_sent += 1
             stats.gateways_changed += changed
 
-        for foreign in self.source.query("subnets", where):
+        for foreign in subnets:
             if foreign.subnet is None:
                 continue
             local, changed = self._absorb(self.target.absorb_subnet, foreign)
             stats.subnets_sent += 1
             stats.subnets_changed += changed
 
-        self.last_revision = max(self.last_revision, new_cursor)
+        self.last_revision = max(self.last_revision, revision)
         self.syncs_completed += 1
         return stats
+
+    def sync(self, *, full: bool = False) -> SyncStats:
+        """Push everything the source learned since the last sync.
+
+        With ``full=True`` the cursor is ignored and the whole journal
+        is pushed (initial seeding of a new replica).
+        """
+        return self.absorb(self.begin_sync(full=full).wait())
+
+
+def begin_pull(source, since: int, where: Optional[Predicate] = None):
+    """Start ``source.pull(since, where)`` and return a handle whose
+    ``wait()`` gives its answer.  A client that pipelines
+    (``begin_pull``) only sends the request here; any other source
+    answers before this returns."""
+    begin = getattr(source, "begin_pull", None)
+    if begin is not None:
+        return begin(since, where)
+    return _Pulled(source.pull(since, where))
+
+
+def gather_pulls(starters: List[Callable[[], Any]]):
+    """Start every pull (each starter returns a :func:`begin_pull`
+    handle), then wait on every one that started — so a failure never
+    leaves an unread reply on a connection.
+
+    Returns ``(answers, lost, failure)``: the pulled tuples by starter
+    index (None where none arrived), the sorted indexes whose source was
+    unreachable, and the first other error (a server error reply or a
+    payload the codec rejected), for the caller to raise."""
+    started = []
+    lost: List[int] = []
+    failure: Optional[Exception] = None
+    for index, start in enumerate(starters):
+        try:
+            started.append((index, start()))
+        except (ConnectionError, TimeoutError):
+            lost.append(index)
+        except (RuntimeError, ValueError) as error:
+            failure = failure or error
+    answers: List[Any] = [None] * len(starters)
+    for index, pending in started:
+        try:
+            answers[index] = pending.wait()
+        except (ConnectionError, TimeoutError):
+            lost.append(index)
+        except (RuntimeError, ValueError) as error:
+            failure = failure or error
+    return answers, sorted(lost), failure
+
+
+class _Pulled:
+    """An answered pull behind the ``wait()`` of a pipelined one."""
+
+    __slots__ = ("_pulled",)
+
+    def __init__(self, pulled) -> None:
+        self._pulled = pulled
+
+    def wait(self):
+        return self._pulled
 
 
 class FederatedView:
@@ -289,27 +322,31 @@ class FederatedView:
         """Pull every shard's delta into the aggregate.  Returns the
         summed :class:`SyncStats`; sets :attr:`partial` when a shard was
         unreachable (its cursor stays put, so the next refresh catches
-        it back up from where it left off)."""
+        it back up from where it left off).
+
+        The pull is sent to every shard before any answer is awaited,
+        so a refresh costs one round trip, not one per shard.  Any other
+        error is raised once every started pull has been waited on, and
+        then nothing is absorbed: every cursor stays put."""
+        answers, stale, failure = gather_pulls([
+            lambda replicator=replicator: replicator.begin_sync(full=full)
+            for replicator in self.replicators
+        ])
         total = SyncStats()
-        stale: List[int] = []
-        for index, replicator in enumerate(self.replicators):
-            try:
-                stats = replicator.sync(full=full)
-            except (ConnectionError, TimeoutError):
-                stale.append(index)
-                continue
-            total.interfaces_sent += stats.interfaces_sent
-            total.interfaces_changed += stats.interfaces_changed
-            total.gateways_sent += stats.gateways_sent
-            total.gateways_changed += stats.gateways_changed
-            total.gateways_skipped += stats.gateways_skipped
-            total.subnets_sent += stats.subnets_sent
-            total.subnets_changed += stats.subnets_changed
+        if failure is None:
+            for replicator, pulled in zip(self.replicators, answers):
+                if pulled is None:
+                    continue
+                stats = replicator.absorb(pulled)
+                for name in vars(total):
+                    setattr(total, name, getattr(total, name) + getattr(stats, name))
         self.partial = bool(stale)
         self.stale_shards = stale
         if stale:
             self._c_stale.inc()
         self.refreshes += 1
+        if failure is not None:
+            raise failure
         return total
 
     # Analysis programs written against a journal client work on the

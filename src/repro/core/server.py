@@ -296,6 +296,11 @@ class JournalDispatcher:
         if op == "get_interfaces":
             by = request.get("by")
             return isinstance(by, str) and by in _POINT_SELECTORS
+        if op == "pull":
+            # A delta reads the change log, O(changes); a full pull
+            # reads every table.
+            since = request.get("since")
+            return isinstance(since, int) and since > 0
         if op == "observe_batch":
             requests = request.get("requests")
             return (
@@ -751,6 +756,17 @@ class JournalDispatcher:
             raise wire.WireError("changes_since requires 'since'")
         changes = self.journal.changes_since(int(request["since"]))
         return {"ok": True, "changes": wire.changes_to_dict(changes)}
+
+    def _op_pull(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """One replication pass's reads (``Journal.pull``), all taken
+        under the read lock this handler runs in."""
+        since = request.get("since", 0)
+        if isinstance(since, bool) or not isinstance(since, int):
+            raise wire.WireError("pull needs an integer 'since'")
+        where = request.get("where")
+        predicate = None if where is None else wire.predicate_from_dict(where)
+        pulled = self.journal.pull(since, predicate)
+        return {"ok": True, **wire.pull_to_dict(pulled)}
 
     def _op_negative_put(self, request: Dict[str, Any]) -> Dict[str, Any]:
         self.journal.negative_put(request["kind"], request["key"], ttl=request["ttl"])

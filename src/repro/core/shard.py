@@ -1151,23 +1151,25 @@ class ShardedClient:
     def _topology(self):
         """Router-side topology: scatter per-shard subgraphs, merge in
         the router.  The per-shard pulls ride a
-        :class:`~repro.core.replicate.FederatedView` (incremental
-        revision-cursor sync, shards visited in index order — the same
+        :class:`~repro.core.replicate.FederatedView` (one pipelined
+        ``pull`` per shard, absorbed in shard index order — the same
         gather order every scatter read uses), so gateway and subnet
         fragments split across shards re-merge by identity before the
         graph is computed.  Evidence in the merged answers names
         gateways and subnets (globally meaningful); numeric gateway ids
-        are aggregate-local."""
+        are aggregate-local.  A shard the refresh could not reach
+        makes the answer partial, like any scatter read."""
         if getattr(self, "_topology_store", None) is None:
             from .replicate import FederatedView
             from .topology import TopologyStore
 
             self._topology_view = FederatedView(self.clients)
             self._topology_store = TopologyStore(self._topology_view.journal)
-        self._topology_view.refresh()
-        if self._topology_view.partial:
-            self.partial = True
-            self.missing_shards = list(self._topology_view.stale_shards)
+        view = self._topology_view
+        view.refresh()
+        self._note_down(list(view.stale_shards))
+        if view.stale_shards:
+            self._c_partial.inc()
         return self._topology_store
 
     def path(self, a: str, b: str):
@@ -1179,6 +1181,48 @@ class ShardedClient:
         """Fleet-wide blast radius of *target*; see
         :meth:`repro.core.topology.TopologyStore.impact`."""
         return self._topology().impact(target)
+
+    def pull(self, since: int, where=None):
+        """A full replication pull of the whole fleet (``since`` must be
+        0): the pull is sent to every shard before any is waited on, and
+        record ids come back global.  The revision is the fleet's scalar
+        revision.  An incremental pull raises :class:`ValueError` —
+        per-shard revision counters cannot share one cursor — and an
+        unreachable shard raises :class:`ConnectionError`: a partial
+        full pull would look complete to the replica."""
+        if since:
+            raise ValueError(
+                "an incremental pull cannot be fanned out: per-shard "
+                "revision counters are independent — replicate each "
+                "shard directly"
+            )
+        from .replicate import begin_pull, gather_pulls
+
+        self._c_scatter.inc()
+        answers, lost, failure = gather_pulls([
+            lambda client=client, index=index: begin_pull(
+                client, 0, self._localize_predicate(where, index)
+            )
+            for index, client in enumerate(self.clients)
+        ])
+        if failure is not None:
+            raise failure
+        if lost:
+            raise ConnectionError(
+                f"shards {lost} unreachable: a full pull needs every shard"
+            )
+        globalizers = (
+            self._globalize_interface,
+            self._globalize_gateway,
+            self._globalize_interface,
+            self._globalize_subnet,
+        )
+        tables: Tuple[List[List[Any]], ...] = ([], [], [], [])
+        for index, pulled in enumerate(answers):
+            for table, records, globalize in zip(tables, pulled[1:], globalizers):
+                table.append([globalize(record, index) for record in records])
+        revision = sum(pulled[0] for pulled in answers)
+        return (revision, *(self._merge_records(table) for table in tables))
 
     def counts(self) -> Dict[str, int]:
         """Fleet totals: per-shard counts summed key-wise.  Raises when

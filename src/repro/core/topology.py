@@ -316,10 +316,21 @@ class TopologyStore:
             self.subscription = journal.subscribe()
         #: (gateway id, subnet key) -> edge (present and retired)
         self._edges: Dict[Tuple[int, str], TopologyEdge] = {}
+        #: gateway id -> subnet keys of all its edges (present and retired)
+        self._gateway_edges: Dict[int, Set[str]] = {}
+        #: how many of the edges are present
+        self._present_edges = 0
         #: gateway id -> display name, for every live gateway record
         self._gateway_names: Dict[int, str] = {}
+        #: display name -> ids of the live gateways showing it
+        self._gateway_ids: Dict[str, Set[int]] = {}
         #: gateway id -> present edge subnet keys
         self._gateway_subnets: Dict[int, Set[str]] = {}
+        #: node -> its sorted (neighbour, edge) list, built on first
+        #: use; an edge appearing or retiring drops both ends' entries
+        self._adjacency: Dict[
+            Tuple[str, Any], List[Tuple[Tuple[str, Any], TopologyEdge]]
+        ] = {}
         #: subnet key -> node bookkeeping
         self._subnet_nodes: Dict[str, _SubnetNode] = {}
         #: interface record id -> computed subnet key
@@ -396,9 +407,7 @@ class TopologyStore:
             if self.prune:
                 journal.prune_changes(journal.revision)
             self._c_refreshes.labels(mode=mode).inc()
-            self._g_edges.set(
-                sum(1 for edge in self._edges.values() if edge.present)
-            )
+            self._g_edges.set(self._present_edges)
             return mode
 
     def _rebuild(self) -> None:
@@ -520,7 +529,16 @@ class TopologyStore:
             self._drop_gateway(gid)
             return
         name = record.name or f"gateway-{gid}"
-        self._gateway_names[gid] = name
+        old_name = self._gateway_names.get(gid)
+        if old_name != name:
+            if old_name is not None:
+                self._forget_name(gid, old_name)
+            self._gateway_names[gid] = name
+            self._gateway_ids.setdefault(name, set()).add(gid)
+            # A rename must reach retired edges too: their history
+            # lines are rendered under the gateway's current name.
+            for key in self._gateway_edges.get(gid, ()):
+                self._edges[(gid, key)].gateway_name = name
         now = self.journal.now
         wanted: Dict[str, Tuple[str, str]] = {}
         for key in sorted(record.connected_subnets):
@@ -541,40 +559,50 @@ class TopologyStore:
                     subnet=key,
                     method=method,
                     confidence=confidence,
+                    present=False,
                 )
-                self._record_transition(edge, "appear", now)
                 self._edges[(gid, key)] = edge
-            else:
-                if not edge.present:
-                    edge.present = True
-                    self._record_transition(edge, "appear", now)
-                edge.method = method
-                edge.confidence = confidence
-                edge.gateway_name = name
+                self._gateway_edges.setdefault(gid, set()).add(key)
+            if not edge.present:
+                edge.present = True
+                self._present_edges += 1
+                self._record_transition(edge, "appear", now)
+                self._adjacency.pop(("gateway", gid), None)
+                self._adjacency.pop(("subnet", key), None)
+            edge.method = method
+            edge.confidence = confidence
             current.add(key)
             self._node(key).gateways.add(gid)
-        # A rename must reach retired edges too: their history lines
-        # are rendered under the gateway's current name.
-        for (edge_gid, _key), edge in self._edges.items():
-            if edge_gid == gid:
-                edge.gateway_name = name
+
+    def _forget_name(self, gid: int, name: str) -> None:
+        ids = self._gateway_ids.get(name)
+        if ids is not None:
+            ids.discard(gid)
+            if not ids:
+                del self._gateway_ids[name]
 
     def _drop_gateway(self, gid: int) -> None:
         now = self.journal.now
         for key in sorted(self._gateway_subnets.get(gid, ())):
             self._retire_edge(gid, key, now)
         self._gateway_subnets.pop(gid, None)
-        self._gateway_names.pop(gid, None)
+        name = self._gateway_names.pop(gid, None)
+        if name is not None:
+            self._forget_name(gid, name)
+        self._adjacency.pop(("gateway", gid), None)
         # The record is gone: retired edges would render under a dead
         # id forever, so forget them with it.
-        for edge_key in [k for k in self._edges if k[0] == gid]:
-            del self._edges[edge_key]
+        for key in self._gateway_edges.pop(gid, ()):
+            del self._edges[(gid, key)]
 
     def _retire_edge(self, gid: int, key: str, now: float) -> None:
         edge = self._edges.get((gid, key))
         if edge is not None and edge.present:
             edge.present = False
+            self._present_edges -= 1
             self._record_transition(edge, "disappear", now)
+        self._adjacency.pop(("gateway", gid), None)
+        self._adjacency.pop(("subnet", key), None)
         subnets = self._gateway_subnets.get(gid)
         if subnets is not None:
             subnets.discard(key)
@@ -658,13 +686,9 @@ class TopologyStore:
         an interface IP (which lands on its subnet)."""
         if target in self._subnet_nodes:
             return ("subnet", target)
-        matches = [
-            gid
-            for gid in sorted(self._gateway_names)
-            if self._gateway_names[gid] == target
-        ]
-        if matches:
-            return ("gateway", matches[0])
+        named = self._gateway_ids.get(target)
+        if named:
+            return ("gateway", min(named))
         if target.startswith("gateway-"):
             suffix = target[len("gateway-"):]
             if suffix.isdigit() and int(suffix) in self._gateway_names:
@@ -695,7 +719,16 @@ class TopologyStore:
     def _neighbours(
         self, node: Tuple[str, Any]
     ) -> List[Tuple[Tuple[str, Any], TopologyEdge]]:
-        """Adjacent nodes over present edges, deterministically ordered."""
+        """Adjacent nodes over present edges, deterministically ordered
+        (cached until an edge at *node* appears or retires)."""
+        result = self._adjacency.get(node)
+        if result is None:
+            result = self._adjacency[node] = self._adjacent(node)
+        return result
+
+    def _adjacent(
+        self, node: Tuple[str, Any]
+    ) -> List[Tuple[Tuple[str, Any], TopologyEdge]]:
         kind, value = node
         result: List[Tuple[Tuple[str, Any], TopologyEdge]] = []
         if kind == "subnet":

@@ -68,6 +68,8 @@ __all__ = [
     "path_from_dict",
     "impact_to_dict",
     "impact_from_dict",
+    "pull_to_dict",
+    "pull_from_dict",
     "journal_to_dict",
     "journal_from_dict",
     "encode_message",
@@ -122,8 +124,8 @@ class OpSpec(NamedTuple):
     #: ``subscribe`` feed, which the transport serves itself)
     kind: str
     #: cheap enough for the event loop thread whatever its arguments.
-    #: ``get_interfaces`` and ``observe_batch`` also run there for some
-    #: arguments (see ``JournalDispatcher.runs_inline``).
+    #: ``get_interfaces``, ``observe_batch`` and ``pull`` also run there
+    #: for some arguments (see ``JournalDispatcher.runs_inline``).
     inline: bool = False
     #: the ``RemoteClient`` methods that send it
     methods: Tuple[str, ...] = ()
@@ -172,6 +174,7 @@ OPS: Dict[str, OpSpec] = {
     "impact": OpSpec("read", False, ("impact",)),
     "negative_check": OpSpec("read", True, ("negative_check",)),
     "changes_since": OpSpec("read", True, ("changes_since",)),
+    "pull": OpSpec("read", False, ("pull",)),
     "dump": OpSpec("read", False, ("snapshot",)),
     "save": OpSpec("read"),
     # federation and failover handshake
@@ -515,6 +518,39 @@ def impact_from_dict(data: Any):
         return TopologyImpact.from_dict(data)
     except (TypeError, ValueError, KeyError) as reason:
         raise WireError(f"malformed impact payload: {reason}") from None
+
+
+# ----------------------------------------------------------------------
+# Replication pulls (pull op)
+# ----------------------------------------------------------------------
+
+
+def pull_to_dict(pulled) -> Dict[str, Any]:
+    """Wire form of a ``Journal.pull`` result: ``(revision, interfaces,
+    gateways, members, subnets)``."""
+    revision, interfaces, gateways, members, subnets = pulled
+    return {
+        "revision": revision,
+        "interfaces": [interface_to_dict(r) for r in interfaces],
+        "gateways": [gateway_to_dict(r) for r in gateways],
+        "members": [interface_to_dict(r) for r in members],
+        "subnets": [subnet_to_dict(r) for r in subnets],
+    }
+
+
+def pull_from_dict(data: Dict[str, Any]):
+    """The ``(revision, interfaces, gateways, members, subnets)`` tuple
+    from its wire form."""
+    try:
+        return (
+            int(data["revision"]),
+            [interface_from_dict(r) for r in data["interfaces"]],
+            [gateway_from_dict(r) for r in data["gateways"]],
+            [interface_from_dict(r) for r in data["members"]],
+            [subnet_from_dict(r) for r in data["subnets"]],
+        )
+    except (KeyError, TypeError, ValueError) as reason:
+        raise WireError(f"malformed pull payload: {reason}") from None
 
 
 # ----------------------------------------------------------------------

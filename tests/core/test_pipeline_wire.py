@@ -564,6 +564,41 @@ class TestDurableInlinePath:
             server.stop()
             store.close(checkpoint=False)
 
+    def test_delta_pull_overtakes_full_pull(self, tmp_path):
+        store, server = self._durable_server(tmp_path, fsync="interval")
+        journal = server.journal
+        try:
+            for index in range(500):
+                journal.observe_interface(
+                    Observation(source="seed", ip=f"10.{index // 200}.{index % 200}.9")
+                )
+            since = journal.revision - 1
+            sock, frames = _raw_connection(server)
+            try:
+                # A full pull reads every table on the worker pool; a
+                # delta pull reads the change log inline, so it lands first.
+                sock.sendall(
+                    wire.encode_message({"op": "pull", "since": 0, "id": 1})
+                    + wire.encode_message({"op": "pull", "since": since, "id": 2})
+                    + wire.encode_message({"op": "pull", "since": "x", "id": 3})
+                )
+                replies = {}
+                for _ in range(3):
+                    frame = frames.read(10.0)
+                    replies[frame["id"]] = frame
+                    if len(replies) == 1:
+                        first = frame["id"]
+            finally:
+                sock.close()
+            assert first == 2
+            assert len(replies[2]["interfaces"]) == 1
+            assert replies[2]["revision"] == journal.revision
+            assert len(replies[1]["interfaces"]) == 500
+            assert replies[3]["ok"] is False and "integer 'since'" in replies[3]["error"]
+        finally:
+            server.stop()
+            store.close(checkpoint=False)
+
     def test_fsync_always_writes_stay_on_the_pool(self, tmp_path, handler_threads):
         store, server = self._durable_server(tmp_path, fsync="always")
         try:

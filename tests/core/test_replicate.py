@@ -243,12 +243,13 @@ class TestRevisionCursor:
 
 class _CountingClient(LocalClient):
     """LocalClient that counts read calls, to pin the replicator's
-    access pattern (no per-member table scans)."""
+    access pattern: one pull per pass, no queries or table scans."""
 
     def __init__(self, journal):
         super().__init__(journal)
         self.all_interfaces_calls = 0
         self.query_calls = 0
+        self.pulls = []
 
     def all_interfaces(self):
         self.all_interfaces_calls += 1
@@ -258,12 +259,17 @@ class _CountingClient(LocalClient):
         self.query_calls += 1
         return super().query(kind, where)
 
+    def pull(self, since, where=None):
+        pulled = super().pull(since, where)
+        self.pulls.append(pulled)
+        return pulled
+
 
 class TestBatchedMemberResolution:
     def test_one_query_per_pass_not_one_scan_per_member(self, two_sites):
-        """Regression for the O(interfaces x members) rescan: resolving
-        a gateway's unsent members must cost ONE batched id query, not a
-        full interface scan each."""
+        """Regression for the O(interfaces x members) rescan: a pass is
+        ONE pull, whose members list resolves every unsent member of a
+        changed gateway — no query and no interface scan of its own."""
         (site_a, state_a), (site_b, state_b) = two_sites
         state_a["now"] = 10.0
         members = [
@@ -280,12 +286,15 @@ class TestBatchedMemberResolution:
         # incremental window and all need resolving.
         state_a["now"] = 20.0
         site_a.link_gateway_subnet(gateway.record_id, "10.0.1.0/24", source="x")
-        source.all_interfaces_calls = source.query_calls = 0
+        source.pulls.clear()
         stats = replicator.sync()
         assert stats.gateways_sent == 1
         assert source.all_interfaces_calls == 0
-        # interfaces-delta + gateways-delta + ONE RecordIds batch + subnets-delta
-        assert source.query_calls == 4
+        assert source.query_calls == 0
+        assert len(source.pulls) == 1
+        _revision, interfaces, _gateways, pulled_members, _subnets = source.pulls[0]
+        assert interfaces == []
+        assert len(pulled_members) == 5
         target_gateway = site_b.all_gateways()[0]
         assert len(target_gateway.interface_ids) == 5
 
@@ -297,7 +306,12 @@ class TestBatchedMemberResolution:
         source = _CountingClient(site_a)
         JournalReplicator(source, LocalClient(site_b)).sync()
         assert source.all_interfaces_calls == 0
-        assert source.query_calls == 3  # one per table, no resolution batch
+        assert source.query_calls == 0
+        assert len(source.pulls) == 1
+        assert source.pulls[0][3] == []  # the member rode the interface delta
+        assert site_b.all_gateways()[0].interface_ids == [
+            site_b.interfaces_by_ip("10.0.1.1")[0].record_id
+        ]
 
 
 class TestSkippedGateways:
@@ -496,3 +510,136 @@ class TestFederatedView:
         assert not view.partial
         assert stats.interfaces_sent == 1
         assert view.counts()["interfaces"] == 2
+
+
+class TestPipelinedRefresh:
+    """FederatedView.refresh over live shards: one pull per shard, all
+    sent before any is waited on."""
+
+    def test_one_request_per_shard_all_sent_before_any_wait(self):
+        from repro.core import FederatedView
+
+        journals = [Journal(), Journal()]
+        _observe(journals[0], ip="10.1.1.1")
+        _observe(journals[1], ip="10.2.2.1")
+        servers = [JournalServer(journal).start() for journal in journals]
+        clients = [RemoteClient(*server.address) for server in servers]
+        try:
+            events = []
+            for index, client in enumerate(clients):
+                def send(request, _send=client._send_tagged, _index=index):
+                    events.append(("send", _index, request["op"]))
+                    return _send(request)
+
+                def wait(rid, timeout, _wait=client._wait, _index=index):
+                    events.append(("wait", _index))
+                    return _wait(rid, timeout)
+
+                client._send_tagged = send
+                client._wait = wait
+            view = FederatedView(clients)
+            stats = view.refresh()
+            assert events == [
+                ("send", 0, "pull"), ("send", 1, "pull"),
+                ("wait", 0), ("wait", 1),
+            ]
+            assert stats.interfaces_sent == 2
+            # A no-change refresh costs the same single round trip.
+            events.clear()
+            assert view.refresh().records_sent == 0
+            assert [e[0] for e in events] == ["send", "send", "wait", "wait"]
+        finally:
+            for client in clients:
+                client.close()
+            for server in servers:
+                server.stop()
+
+    @pytest.mark.parametrize("error", [ConnectionError, RuntimeError])
+    def test_every_started_pull_is_consumed_after_a_failure(self, error):
+        """A lost shard goes stale; a server error is raised — but only
+        after the other shard's pull has been waited on."""
+        from repro.core import FederatedView
+
+        class _FailingWait:
+            def begin_pull(self, since, where=None):
+                class _Pending:
+                    def wait(self):
+                        raise error("shard 0 failed")
+
+                return _Pending()
+
+        journal = Journal()
+        _observe(journal, ip="10.1.1.1")
+        waited = []
+
+        class _Live(LocalClient):
+            def begin_pull(self, since, where=None):
+                pulled = self.pull(since, where)
+
+                class _Pending:
+                    def wait(self):
+                        waited.append(True)
+                        return pulled
+
+                return _Pending()
+
+        view = FederatedView([_FailingWait(), _Live(journal)])
+        if error is ConnectionError:
+            stats = view.refresh()
+            assert view.partial and view.stale_shards == [0]
+            assert stats.interfaces_sent == 1
+        else:
+            with pytest.raises(RuntimeError, match="shard 0 failed"):
+                view.refresh()
+            # Nothing absorbed: every cursor stays put for the retry.
+            assert view.counts()["interfaces"] == 0
+            assert [r.last_revision for r in view.replicators] == [0, 0]
+        assert waited == [True]
+
+
+class TestReplicateFromRouter:
+    """A sharded router as a replication source (``fremont replicate``
+    from a ``shard://`` fleet)."""
+
+    def _fleet(self):
+        from repro.core import connect
+
+        journals = [Journal() for _ in range(2)]
+        router = connect([connect(j) for j in journals])
+        left, _ = router.observe_interface(Observation(source="t", ip="10.1.1.1"))
+        right, _ = router.observe_interface(Observation(source="t", ip="10.2.2.1"))
+        router.observe_interface(Observation(source="t", ip="10.3.3.3"))
+        gateway, _ = router.ensure_gateway(
+            source="t", name="gw-span",
+            interface_ids=[left.record_id, right.record_id],
+        )
+        router.link_gateway_subnet(gateway.record_id, "10.1.1.0/24", source="t")
+        router.ensure_subnet("10.9.9.0/24", source="t")
+        return journals, router
+
+    def test_full_sync_equals_router_snapshot(self):
+        _journals, router = self._fleet()
+        target = Journal()
+        stats = JournalReplicator(router, LocalClient(target)).sync(full=True)
+        assert stats.interfaces_sent == 3
+        assert target.identity_state() == router.snapshot().identity_state()
+
+    def test_incremental_pull_is_refused(self):
+        _journals, router = self._fleet()
+        replicator = JournalReplicator(router, LocalClient(Journal()))
+        replicator.sync(full=True)
+        with pytest.raises(ValueError, match="incremental pull"):
+            replicator.sync()
+
+    def test_unreachable_shard_fails_the_full_pull(self):
+        from repro.core import ShardedClient
+
+        class _Dead:
+            def __getattr__(self, name):
+                def boom(*args, **kwargs):
+                    raise ConnectionError("down")
+                return boom
+
+        router = ShardedClient([LocalClient(Journal()), _Dead()], check=False)
+        with pytest.raises(ConnectionError):
+            router.pull(0)

@@ -305,6 +305,48 @@ class TestDegradation:
         assert not router.partial
         assert router.missing_shards == []
 
+    def test_topology_read_clears_and_reports_partial(self):
+        """A fully answered path/impact clears the partial flag a
+        previous scatter read set, and a topology read missing a shard
+        sets it, flips the shard-down gauge and counts as partial."""
+
+        class _Flaky(LocalClient):
+            down = False
+
+            def __getattribute__(self, name):
+                if name not in ("down", "journal") and object.__getattribute__(
+                    self, "down"
+                ):
+                    raise ConnectionError("shard down")
+                return object.__getattribute__(self, name)
+
+        journals = [Journal(), Journal()]
+        flaky = _Flaky(journals[1])
+        router = ShardedClient([LocalClient(journals[0]), flaky], check=False)
+        gateway, _ = router.ensure_gateway(source="t", name="gw")
+        router.link_gateway_subnet(gateway.record_id, "10.0.1.0/24", source="t")
+        router.link_gateway_subnet(gateway.record_id, "10.0.2.0/24", source="t")
+        partial_reads = router.telemetry.counter(
+            "fremont_router_partial_reads_total", ""
+        )
+        down = router.telemetry.gauge("fremont_shard_down", "", labels=("shard",))
+
+        flaky.down = True
+        router.query("interfaces")
+        assert router.partial and router.missing_shards == [1]
+        flaky.down = False
+        assert router.path("10.0.1.0/24", "10.0.2.0/24").found
+        assert not router.partial
+        assert router.missing_shards == []
+        assert down.labels(shard="1").value == 0
+        assert partial_reads.value == 1
+
+        flaky.down = True
+        router.impact("gw")
+        assert router.partial and router.missing_shards == [1]
+        assert down.labels(shard="1").value == 1
+        assert partial_reads.value == 2
+
     def test_counts_raise_on_unreachable_shard(self):
         router = ShardedClient(
             [LocalClient(Journal()), _DeadClient()], check=False

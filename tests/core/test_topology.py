@@ -10,6 +10,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Journal, JournalServer, RemoteClient
 from repro.core import wire
@@ -351,6 +353,77 @@ class TestRandomizedEquivalence:
             assert impact.found
             assert set(impact.cut_subnets) <= set(impact.component_subnets)
         store.close()
+
+
+_P_SUBNETS = [f"10.0.{index}.0/24" for index in range(1, 6)]
+_P_NAMES = [f"gw-{index}" for index in range(1, 5)]
+_P_STEPS = st.one_of(
+    st.tuples(
+        st.just("link"), st.sampled_from(_P_NAMES),
+        st.sampled_from(_P_SUBNETS), st.booleans(),
+    ),
+    st.tuples(st.just("unlink"), st.sampled_from(_P_NAMES), st.sampled_from(_P_SUBNETS)),
+    st.tuples(st.just("rename"), st.sampled_from(_P_NAMES), st.sampled_from(_P_NAMES)),
+    st.tuples(st.just("delete"), st.sampled_from(_P_NAMES)),
+    st.tuples(st.just("host"), st.sampled_from(_P_SUBNETS), st.integers(10, 12)),
+)
+#: endpoints the answers are compared on: subnets, gateway names, a
+#: host address, an id form and an unknown node
+_P_TARGETS = [_P_SUBNETS[0], _P_SUBNETS[2], _P_SUBNETS[4], "gw-1", "gw-3",
+              "10.0.2.11", "gateway-1", "99.9.9.0/24"]
+
+
+def _answers(store):
+    return (
+        [store.path(a, b).to_dict() for a in _P_TARGETS for b in _P_TARGETS],
+        [store.impact(target).to_dict() for target in _P_TARGETS],
+    )
+
+
+class TestCachedAnswersProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.lists(_P_STEPS, min_size=1, max_size=20))
+    def test_long_lived_store_answers_like_a_fresh_one(self, steps):
+        """Links that retire and reappear, renames, deletes and
+        questionable edges: after every step a store that has cached
+        adjacency and gateway names across the whole history answers
+        path/impact exactly like a store built over the same journal."""
+        clock = {"now": 0.0}
+        journal = Journal(clock=lambda: clock["now"])
+        push = TopologyStore(journal)
+        pull = TopologyStore(journal, use_feed=False)
+        for step in steps:
+            clock["now"] += 10.0
+            kind = step[0]
+            named = journal._gateways_named(step[1]) if kind != "host" else []
+            if kind == "link":
+                _kind, name, key, questionable = step
+                record = _gateway(journal, name, [key])
+                if questionable:
+                    record.connected_subnets[key].quality = Quality.QUESTIONABLE
+                    journal._touch("gateway", record)
+            elif kind == "unlink" and named:
+                record = named[0]
+                if record.connected_subnets.pop(step[2], None) is not None:
+                    journal._touch("gateway", record)
+            elif kind == "rename" and named:
+                journal.rename_gateway(named[0].record_id, step[2], source=SOURCE)
+            elif kind == "delete" and named:
+                record_id = named[0].record_id
+                del journal.gateways[record_id]
+                journal._mark_deleted("gateway", record_id)
+            elif kind == "host":
+                _kind, key, host = step
+                _observe(journal, ip=key.replace(".0/24", f".{host}"))
+            fresh = TopologyStore(journal, use_feed=False)
+            try:
+                expected = _answers(fresh)
+            finally:
+                fresh.close()
+            assert _answers(push) == expected
+            assert _answers(pull) == expected
+        push.close()
+        pull.close()
 
 
 class TestComponentsProperty:

@@ -73,7 +73,7 @@ class TestOpTable:
         assert wire.READ_OPS == frozenset({
             "ping", "counts", "metrics", "shard_info", "get_interfaces",
             "get_gateways", "get_subnets", "query", "path", "impact",
-            "negative_check", "changes_since", "dump", "save",
+            "negative_check", "changes_since", "pull", "dump", "save",
         })
         inline_writes = frozenset({
             "observe", "negative_put", "ensure_gateway", "ensure_subnet",
