@@ -81,7 +81,7 @@ def _raise_server_error(response: Dict[str, Any]) -> None:
     raise RuntimeError(message)
 
 
-class LocalClient(DirectSinkMixin):
+class LocalClient(query_module.NamedReads, DirectSinkMixin):
     """In-process client: delegates straight to a :class:`Journal`."""
 
     def __init__(self, journal: Journal) -> None:
@@ -174,30 +174,6 @@ class LocalClient(DirectSinkMixin):
 
     # -- queries ---------------------------------------------------------
 
-    def interfaces_by_ip(self, ip: str) -> List[InterfaceRecord]:
-        return self.journal.interfaces_by_ip(ip)
-
-    def interfaces_by_mac(self, mac: str) -> List[InterfaceRecord]:
-        return self.journal.interfaces_by_mac(mac)
-
-    def interfaces_by_name(self, name: str) -> List[InterfaceRecord]:
-        return self.journal.interfaces_by_name(name)
-
-    def interfaces_in_ip_range(self, low: str, high: str) -> List[InterfaceRecord]:
-        return self.journal.interfaces_in_ip_range(low, high)
-
-    def all_interfaces(self) -> List[InterfaceRecord]:
-        return self.journal.all_interfaces()
-
-    def stale_interfaces(self, *, older_than: float) -> List[InterfaceRecord]:
-        return self.journal.stale_interfaces(older_than=older_than)
-
-    def all_gateways(self) -> List[GatewayRecord]:
-        return self.journal.all_gateways()
-
-    def all_subnets(self) -> List[SubnetRecord]:
-        return self.journal.all_subnets()
-
     def query(self, kind: str, where=None) -> List:
         """Predicate query (see :mod:`repro.core.query`): records of
         *kind* matching *where*, in ``(last_modified, record_id)``
@@ -245,15 +221,6 @@ class LocalClient(DirectSinkMixin):
         return self.journal.negative_check(kind, key)
 
     # -- replication --------------------------------------------------------
-
-    def interfaces_modified_since(self, when: float) -> List[InterfaceRecord]:
-        return self.journal.interfaces_modified_since(when)
-
-    def gateways_modified_since(self, when: float) -> List[GatewayRecord]:
-        return self.journal.gateways_modified_since(when)
-
-    def subnets_modified_since(self, when: float) -> List[SubnetRecord]:
-        return self.journal.subnets_modified_since(when)
 
     def absorb_interface(self, record: InterfaceRecord) -> Tuple[InterfaceRecord, bool]:
         return self.journal.absorb_interface(record)
@@ -359,7 +326,7 @@ class PendingPull:
         return wire.pull_from_dict(self._reply.wait(timeout))
 
 
-class RemoteClient:
+class RemoteClient(query_module.NamedReads):
     """Socket client for a running :class:`JournalServer`.
 
     Query methods return record objects reconstructed from the wire
@@ -976,40 +943,6 @@ class RemoteClient:
 
     # -- queries --------------------------------------------------------------
 
-    def _interfaces(self, request: Dict[str, Any]) -> List[InterfaceRecord]:
-        response = self._call(request)
-        return [wire.interface_from_dict(data) for data in response["records"]]
-
-    def interfaces_by_ip(self, ip: str) -> List[InterfaceRecord]:
-        return self._interfaces({"op": "get_interfaces", "by": "ip", "key": ip})
-
-    def interfaces_by_mac(self, mac: str) -> List[InterfaceRecord]:
-        return self._interfaces({"op": "get_interfaces", "by": "mac", "key": mac})
-
-    def interfaces_by_name(self, name: str) -> List[InterfaceRecord]:
-        return self._interfaces({"op": "get_interfaces", "by": "name", "key": name})
-
-    def interfaces_in_ip_range(self, low: str, high: str) -> List[InterfaceRecord]:
-        return self._interfaces(
-            {"op": "get_interfaces", "by": "ip_range", "low": low, "high": high}
-        )
-
-    def all_interfaces(self) -> List[InterfaceRecord]:
-        return self._interfaces({"op": "get_interfaces", "by": "all"})
-
-    def stale_interfaces(self, *, older_than: float) -> List[InterfaceRecord]:
-        return self._interfaces(
-            {"op": "get_interfaces", "by": "stale", "older_than": older_than}
-        )
-
-    def all_gateways(self) -> List[GatewayRecord]:
-        response = self._call({"op": "get_gateways"})
-        return [wire.gateway_from_dict(data) for data in response["records"]]
-
-    def all_subnets(self) -> List[SubnetRecord]:
-        response = self._call({"op": "get_subnets"})
-        return [wire.subnet_from_dict(data) for data in response["records"]]
-
     # plain dict values are not descriptors, so these stay unbound
     _QUERY_DECODERS = {
         "interfaces": wire.interface_from_dict,
@@ -1108,19 +1041,6 @@ class RemoteClient:
         return int(self._call({"op": "fence", "epoch": int(epoch)})["epoch"])
 
     # -- replication -----------------------------------------------------------
-
-    def interfaces_modified_since(self, when: float) -> List[InterfaceRecord]:
-        return self._interfaces(
-            {"op": "get_interfaces", "by": "modified_since", "since": when}
-        )
-
-    def gateways_modified_since(self, when: float) -> List[GatewayRecord]:
-        response = self._call({"op": "get_gateways", "since": when})
-        return [wire.gateway_from_dict(data) for data in response["records"]]
-
-    def subnets_modified_since(self, when: float) -> List[SubnetRecord]:
-        response = self._call({"op": "get_subnets", "since": when})
-        return [wire.subnet_from_dict(data) for data in response["records"]]
 
     def absorb_interface(self, record: InterfaceRecord) -> Tuple[InterfaceRecord, bool]:
         response = self._call(

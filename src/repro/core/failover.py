@@ -70,6 +70,7 @@ from .client import (
     ReplyTimeout,
 )
 from .journal import Journal
+from .query import NamedReads
 from .replicate import JournalReplicator
 from .server import JournalServer
 from .sink import ObservationSink
@@ -358,7 +359,7 @@ class StandbyReplica:
             client.fence_epoch = None
 
 
-class FailoverClient:
+class FailoverClient(NamedReads):
     """Replica-set client for one shard: routes to the primary, hedges
     reads to followers, and promotes on failure.
 
@@ -366,6 +367,8 @@ class FailoverClient:
     (reads, writes, batches, subscribe, flush), so a
     :class:`~repro.core.shard.ShardedClient` can hold one per shard —
     ``connect("shard://h1:p1|r1:q1,h2:p2|r2:q2")`` builds exactly that.
+    The named reads (:class:`~repro.core.query.NamedReads`) are
+    queries, so they hedge through the ``query`` proxy like any read.
 
     Health signals: a :class:`ConnectionError` (the active client
     exhausted its own reconnect budget) or a

@@ -51,7 +51,6 @@ storage-agnostic — the hooks are two one-line calls.
 from __future__ import annotations
 
 import bisect
-import functools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -68,6 +67,8 @@ from typing import (
     TypeVar,
 )
 
+from . import query as query_module
+from .query import ip_key
 from .records import (
     Attribute,
     GatewayRecord,
@@ -342,13 +343,6 @@ class SortedIndex(Generic[K, V]):
 #: identity fields: conflicting values here split records instead of
 #: overwriting (the conflict itself is a finding)
 _IDENTITY_FIELDS = ("ip", "mac")
-
-
-@functools.lru_cache(maxsize=4096)
-def ip_key(ip: str) -> str:
-    """Zero-padded dotted quad, so lexicographic order equals numeric
-    order and the IP index supports meaningful range scans."""
-    return ".".join(["%03d" % int(part) for part in ip.split(".")])
 
 
 def _identity(value: str) -> str:
@@ -679,22 +673,6 @@ class Journal(DirectSinkMixin):
         ):
             for record in table.values():
                 self._note_modified(kind, record)
-
-    def _modified_after(self, kind: str, when: float) -> List:
-        """Records of *kind* with ``last_modified`` strictly after
-        *when*, via the modified index — O(log n + result), and already
-        in ``(last_modified, record_id)`` order."""
-        table = {
-            "interface": self.interfaces,
-            "gateway": self.gateways,
-            "subnet": self.subnets,
-        }[kind]
-        inf = float("inf")
-        return [
-            table[rid]
-            for _key, rid in self._modified_index[kind].range((when, inf), (inf, inf))
-            if rid in table
-        ]
 
     def changes_since(self, rev: int) -> JournalChanges:
         """Record ids touched or deleted after revision *rev*.
@@ -1255,23 +1233,6 @@ class Journal(DirectSinkMixin):
         return sorted(self.gateways.values(), key=lambda r: (r.last_modified, r.record_id))
 
     # ------------------------------------------------------------------
-    # Replication: absorbing records from another site's Journal
-    # ------------------------------------------------------------------
-
-    def interfaces_modified_since(self, when: float) -> List[InterfaceRecord]:
-        """Interface records touched after *when* (predicate query:
-        "limit exchanged data to the parts that are needed").  Served
-        from the by-last-modified index: O(log n + result), not a table
-        scan, and in the same (last_modified, record_id) order."""
-        return self._modified_after("interface", when)
-
-    def gateways_modified_since(self, when: float) -> List[GatewayRecord]:
-        return self._modified_after("gateway", when)
-
-    def subnets_modified_since(self, when: float) -> List[SubnetRecord]:
-        return self._modified_after("subnet", when)
-
-    # ------------------------------------------------------------------
     # Predicate queries
     # ------------------------------------------------------------------
 
@@ -1281,8 +1242,6 @@ class Journal(DirectSinkMixin):
         accepted) matching *where* (a Predicate, or None for all),
         sorted by ``(last_modified, record_id)``.  Indexable predicates
         cost O(result), not O(journal)."""
-        from . import query as query_module
-
         table = _QUERY_KINDS.get(kind)
         if table is None:
             raise ValueError(f"unknown query kind: {kind!r}")
@@ -1304,8 +1263,6 @@ class Journal(DirectSinkMixin):
         snapshot (the Journal Server's read lock), so the revision is
         exact: a replica that pulls again from it misses nothing and
         re-reads nothing."""
-        from . import query as query_module
-
         cursor = query_module.SinceRevision(since) if since > 0 else None
 
         def scoped(predicate):
@@ -1332,6 +1289,10 @@ class Journal(DirectSinkMixin):
         )
         subnets = evaluate(self, "subnets", cursor)
         return self.revision, interfaces, gateways, members, subnets
+
+    # ------------------------------------------------------------------
+    # Replication: absorbing records from another site's Journal
+    # ------------------------------------------------------------------
 
     def absorb_interface(self, foreign: InterfaceRecord) -> Tuple[InterfaceRecord, bool]:
         """Merge a record from a replicated Journal, preserving its

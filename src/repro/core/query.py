@@ -28,13 +28,19 @@ Evaluation semantics are defined by ``matches(record)`` alone: the
 planner may only ever *narrow* the scanned set to a superset of the
 matches (property-tested in ``tests/core/test_query.py`` against
 dump-then-filter).  Results always come back sorted by
-``(last_modified, record_id)`` — the same order as ``all_interfaces``.
+``(last_modified, record_id)``.
+
+The clients' named reads (``interfaces_by_ip``, ``all_gateways``, ...)
+are thin predicates over ``query``, defined once in
+:class:`NamedReads`: the ``query`` op is the only record read on the
+wire, and every client answers a named read in that same order.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..netsim.addresses import MacAddress, OUI_VENDORS, Subnet
 from .records import Quality
@@ -44,6 +50,7 @@ __all__ = [
     "And",
     "Or",
     "Not",
+    "IpRange",
     "InSubnet",
     "MacPrefix",
     "ModifiedSince",
@@ -54,6 +61,8 @@ __all__ = [
     "FieldEquals",
     "HasField",
     "RecordIds",
+    "NamedReads",
+    "ip_key",
     "predicate_to_dict",
     "predicate_from_dict",
     "cache_key",
@@ -79,6 +88,15 @@ def normalize_kind(kind: str) -> str:
     if plural in KIND_TABLES:
         return plural
     raise ValueError(f"unknown query kind: {kind!r}")
+
+
+@functools.lru_cache(maxsize=4096)
+def ip_key(ip: str) -> str:
+    """Zero-padded dotted quad, so lexicographic order equals numeric
+    order and the Journal's IP index supports meaningful range scans.
+    Every IP comparison goes through it, so ``010.000.000.001`` and
+    ``10.0.0.1`` name the same address."""
+    return ".".join(["%03d" % int(part) for part in ip.split(".")])
 
 
 #: change-feed key prefixes (see Journal._identity_keys)
@@ -122,10 +140,10 @@ class Predicate:
     def to_dict(self) -> Dict[str, Any]:
         raise NotImplementedError
 
-    def candidates(self, journal, kind: str) -> Optional[Iterable[int]]:
+    def candidates(self, journal, kind: str) -> Optional[Collection[int]]:
         """Record ids that *may* match, from a secondary index — always
-        a superset of the true matches — or None when no index applies
-        and the whole table must be scanned."""
+        a superset of the true matches, as a sized collection — or None
+        when no index applies and the whole table must be scanned."""
         return None
 
     def cacheable(self) -> bool:
@@ -174,15 +192,14 @@ class And(Predicate):
     def to_dict(self) -> Dict[str, Any]:
         return {"t": self.TAG, "of": [c.to_dict() for c in self.children]}
 
-    def candidates(self, journal, kind: str) -> Optional[Iterable[int]]:
+    def candidates(self, journal, kind: str) -> Optional[Collection[int]]:
         """The smallest plannable child's candidates: a superset of the
         conjunction (the other children filter in ``matches``)."""
-        best: Optional[List[int]] = None
+        best: Optional[Collection[int]] = None
         for child in self.children:
             ids = child.candidates(journal, kind)
             if ids is None:
                 continue
-            ids = list(ids)
             if best is None or len(ids) < len(best):
                 best = ids
         return best
@@ -212,7 +229,7 @@ class Or(Predicate):
     def to_dict(self) -> Dict[str, Any]:
         return {"t": self.TAG, "of": [c.to_dict() for c in self.children]}
 
-    def candidates(self, journal, kind: str) -> Optional[Iterable[int]]:
+    def candidates(self, journal, kind: str) -> Optional[Collection[int]]:
         """The union — but only when every child is plannable (one
         unplannable child forces the full scan anyway)."""
         union: Set[int] = set()
@@ -249,50 +266,58 @@ class Not(Predicate):
         return self.child.cacheable()
 
 
-class InSubnet(Predicate):
-    """The record's IP address lies inside a subnet (``a.b.c.d/len``).
+class IpRange(Predicate):
+    """The record's IP address lies in ``low..high`` (dotted quads,
+    both ends included).
 
     Planned as a range scan over the Journal's by-IP index (the
     zero-padded key order makes lexicographic = numeric).
     """
 
-    TAG = "in_subnet"
+    TAG = "ip_range"
 
-    def __init__(self, subnet: str) -> None:
-        self.subnet = Subnet.parse(str(subnet))
+    def __init__(self, low: str, high: str) -> None:
+        self.low = str(low)
+        self.high = str(high)
+        self._keys = (ip_key(self.low), ip_key(self.high))
 
     def matches(self, record) -> bool:
         ip = record.get("ip")
         if ip is None:
             return False
-        from ..netsim.addresses import Ipv4Address
-
         try:
-            return Ipv4Address.parse(ip) in self.subnet
+            key = ip_key(str(ip))
         except ValueError:
             return False
+        return self._keys[0] <= key <= self._keys[1]
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"t": self.TAG, "subnet": str(self.subnet)}
+        return {"t": self.TAG, "low": self.low, "high": self.high}
 
-    def _ip_key_range(self) -> Tuple[str, str]:
-        from .journal import ip_key
-
-        # network..broadcast covers the whole subnet (a superset of the
-        # assignable range), so membership semantics stay with matches().
-        return ip_key(str(self.subnet.network)), ip_key(str(self.subnet.broadcast))
-
-    def candidates(self, journal, kind: str) -> Optional[Iterable[int]]:
+    def candidates(self, journal, kind: str) -> Optional[Collection[int]]:
         if kind != "interfaces":
             return None
-        low, high = self._ip_key_range()
-        return [rid for _key, rid in journal.by_ip.range(low, high)]
+        return [rid for _key, rid in journal.by_ip.range(*self._keys)]
 
     def watch(self, kind: str) -> "_Watch":
         if kind != "interfaces":
             return _AnyChange()
-        low, high = self._ip_key_range()
+        low, high = self._keys
         return _KeyRange(KEY_IP + low, KEY_IP + high)
+
+
+class InSubnet(IpRange):
+    """The record's IP address lies inside a subnet (``a.b.c.d/len``):
+    the range from its network to its broadcast address."""
+
+    TAG = "in_subnet"
+
+    def __init__(self, subnet: str) -> None:
+        self.subnet = Subnet.parse(str(subnet))
+        super().__init__(str(self.subnet.network), str(self.subnet.broadcast))
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"t": self.TAG, "subnet": str(self.subnet)}
 
 
 class MacPrefix(Predicate):
@@ -334,7 +359,7 @@ class MacPrefix(Predicate):
     def to_dict(self) -> Dict[str, Any]:
         return {"t": self.TAG, "prefix": self.prefix}
 
-    def candidates(self, journal, kind: str) -> Optional[Iterable[int]]:
+    def candidates(self, journal, kind: str) -> Optional[Collection[int]]:
         if kind != "interfaces":
             return None
         return [
@@ -368,7 +393,7 @@ class ModifiedSince(Predicate):
     def to_dict(self) -> Dict[str, Any]:
         return {"t": self.TAG, "when": self.when}
 
-    def candidates(self, journal, kind: str) -> Optional[Iterable[int]]:
+    def candidates(self, journal, kind: str) -> Optional[Collection[int]]:
         dirty_kind = KIND_TABLES[kind][1]
         index = journal._modified_index[dirty_kind]
         inf = float("inf")
@@ -396,7 +421,7 @@ class SinceRevision(Predicate):
     def to_dict(self) -> Dict[str, Any]:
         return {"t": self.TAG, "rev": self.rev}
 
-    def candidates(self, journal, kind: str) -> Optional[Iterable[int]]:
+    def candidates(self, journal, kind: str) -> Optional[Collection[int]]:
         changes = journal.changes_since(self.rev)
         if not changes.complete:
             return None
@@ -474,35 +499,44 @@ class Confidence(Predicate):
 class FieldEquals(Predicate):
     """One attribute equals a value exactly.  Identity fields plan
     through their exact-match indexes (``ip``/``mac``/``dns_name`` on
-    interfaces, ``subnet`` on subnets)."""
+    interfaces, ``name`` on gateways, ``subnet`` on subnets).  An ``ip``
+    compares by :func:`ip_key`, as the by-IP index does."""
 
     TAG = "field_equals"
 
     def __init__(self, field: str, value: Any) -> None:
         self.field = str(field)
         self.value = value
+        #: the index key of an ``ip`` value (None for other fields, and
+        #: for a value that is no dotted quad)
+        self._ip: Optional[str] = None
+        if self.field == "ip" and value is not None:
+            try:
+                self._ip = ip_key(str(value))
+            except ValueError:
+                pass
 
     def matches(self, record) -> bool:
-        return record.get(self.field) == self.value
+        value = record.get(self.field)
+        if self._ip is None:
+            return value == self.value
+        return value is not None and ip_key(str(value)) == self._ip
 
     def to_dict(self) -> Dict[str, Any]:
         return {"t": self.TAG, "field": self.field, "value": self.value}
 
-    def candidates(self, journal, kind: str) -> Optional[Iterable[int]]:
+    def candidates(self, journal, kind: str) -> Optional[Collection[int]]:
         if self.value is None:
             return None
         if kind == "interfaces":
             if self.field == "ip":
-                from .journal import ip_key
-
-                try:
-                    return journal.by_ip.get(ip_key(str(self.value)))
-                except ValueError:
-                    return []
+                return journal.by_ip.get(self._ip) if self._ip is not None else []
             if self.field == "mac":
                 return journal.by_mac.get(str(self.value))
             if self.field == "dns_name":
                 return journal.by_name.get(str(self.value))
+        elif kind == "gateways" and self.field == "name":
+            return journal._gateways_by_name.get(str(self.value), ())
         elif kind == "subnets" and self.field == "subnet":
             return journal.by_subnet.get(str(self.value))
         return None
@@ -512,12 +546,9 @@ class FieldEquals(Predicate):
             return _AnyChange()
         if kind == "interfaces":
             if self.field == "ip":
-                from .journal import ip_key
-
-                try:
-                    return _KeyExact(KEY_IP + ip_key(str(self.value)))
-                except ValueError:
+                if self._ip is None:
                     return _AnyChange()
+                return _KeyExact(KEY_IP + self._ip)
             if self.field == "mac":
                 return _KeyExact(KEY_MAC + str(self.value))
             if self.field == "dns_name":
@@ -558,7 +589,7 @@ class RecordIds(Predicate):
     def to_dict(self) -> Dict[str, Any]:
         return {"t": self.TAG, "ids": sorted(self.ids)}
 
-    def candidates(self, journal, kind: str) -> Optional[Iterable[int]]:
+    def candidates(self, journal, kind: str) -> Optional[Collection[int]]:
         return self.ids
 
 
@@ -567,6 +598,7 @@ class RecordIds(Predicate):
 # ----------------------------------------------------------------------
 
 _LEAF_BUILDERS = {
+    IpRange.TAG: lambda d: IpRange(d["low"], d["high"]),
     InSubnet.TAG: lambda d: InSubnet(d["subnet"]),
     MacPrefix.TAG: lambda d: MacPrefix(d["prefix"]),
     ModifiedSince.TAG: lambda d: ModifiedSince(d["when"]),
@@ -595,6 +627,9 @@ def predicate_from_dict(data: Dict[str, Any], *, _depth: int = 0) -> Predicate:
         raise _wire_error(f"predicate must be an object, got {type(data).__name__}")
     tag = data.get("t")
     try:
+        builder = _LEAF_BUILDERS.get(tag)
+        if builder is not None:
+            return builder(data)
         if tag == And.TAG:
             return And(
                 *(predicate_from_dict(c, _depth=_depth + 1) for c in data["of"])
@@ -605,10 +640,7 @@ def predicate_from_dict(data: Dict[str, Any], *, _depth: int = 0) -> Predicate:
             )
         if tag == Not.TAG:
             return Not(predicate_from_dict(data["of"], _depth=_depth + 1))
-        builder = _LEAF_BUILDERS.get(tag)
-        if builder is None:
-            raise _wire_error(f"unknown predicate type: {tag!r}")
-        return builder(data)
+        raise _wire_error(f"unknown predicate type: {tag!r}")
     except (KeyError, TypeError, ValueError) as error:
         from .wire import WireError
 
@@ -697,11 +729,16 @@ def watch_for(predicate: Optional[Predicate], kind: str) -> _Watch:
 # ----------------------------------------------------------------------
 
 
+def _modified_order(record) -> Tuple[float, int]:
+    return record.last_modified, record.record_id
+
+
 def evaluate(journal, kind: str, predicate: Optional[Predicate]) -> List[Any]:
     """Run a query against a Journal: plan candidates from the
     secondary indexes, filter with the full predicate, and return
     records sorted by ``(last_modified, record_id)`` — byte-identical
-    to dump-then-filter."""
+    to dump-then-filter.  A point lookup skips the work it cannot need:
+    one candidate is not de-duplicated, one match is not sorted."""
     if kind not in KIND_TABLES:
         raise ValueError(f"unknown query kind: {kind!r}")
     table = getattr(journal, KIND_TABLES[kind][0])
@@ -710,15 +747,57 @@ def evaluate(journal, kind: str, predicate: Optional[Predicate]) -> List[Any]:
     else:
         ids = predicate.candidates(journal, kind)
         if ids is None:
-            pool: Iterable[Any] = table.values()
+            matched = [record for record in table.values() if predicate.matches(record)]
         else:
-            seen: Set[int] = set()
-            pool = []
+            if len(ids) > 1:
+                ids = dict.fromkeys(ids)
+            # A plain loop: no comprehension frame for a one-id probe.
+            matched = []
             for rid in ids:
-                if rid in seen or rid not in table:
-                    continue
-                seen.add(rid)
-                pool.append(table[rid])
-        matched = [record for record in pool if predicate.matches(record)]
-    matched.sort(key=lambda record: (record.last_modified, record.record_id))
+                record = table.get(rid)
+                if record is not None and predicate.matches(record):
+                    matched.append(record)
+    if len(matched) > 1:
+        matched.sort(key=_modified_order)
     return matched
+
+
+# ----------------------------------------------------------------------
+# Named reads
+# ----------------------------------------------------------------------
+
+
+class NamedReads:
+    """The clients' named record reads, each one predicate query.
+
+    Mixed into every class with a ``query(kind, where=None)`` method —
+    the in-process, remote, sharded, failover and federated clients —
+    so each read is defined once and answers in the query's
+    ``(last_modified, record_id)`` order whichever client serves it.
+    (:class:`~repro.core.journal.Journal` keeps its own index methods
+    of the same names as the engine API.)
+    """
+
+    def interfaces_by_ip(self, ip: str) -> List[Any]:
+        return self.query("interfaces", FieldEquals("ip", ip))
+
+    def interfaces_by_mac(self, mac: str) -> List[Any]:
+        return self.query("interfaces", FieldEquals("mac", mac))
+
+    def interfaces_by_name(self, name: str) -> List[Any]:
+        return self.query("interfaces", FieldEquals("dns_name", name))
+
+    def interfaces_in_ip_range(self, low: str, high: str) -> List[Any]:
+        return self.query("interfaces", IpRange(low, high))
+
+    def stale_interfaces(self, *, older_than: float) -> List[Any]:
+        return self.query("interfaces", VerifiedBefore(older_than))
+
+    def all_interfaces(self) -> List[Any]:
+        return self.query("interfaces")
+
+    def all_gateways(self) -> List[Any]:
+        return self.query("gateways")
+
+    def all_subnets(self) -> List[Any]:
+        return self.query("subnets")

@@ -61,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from .query import Predicate
+from .query import NamedReads, Predicate
 from .telemetry import MetricsRegistry
 
 __all__ = [
@@ -265,7 +265,7 @@ class _Pulled:
         return self._pulled
 
 
-class FederatedView:
+class FederatedView(NamedReads):
     """Read-only aggregate over a sharded fleet.
 
     One local aggregate :class:`~repro.core.journal.Journal` kept fresh
@@ -350,18 +350,10 @@ class FederatedView:
         return total
 
     # Analysis programs written against a journal client work on the
-    # view unmodified: delegate the read surface to the aggregate.
+    # view unmodified: queries (and so the named reads) go to the
+    # aggregate.
     def query(self, kind: str, where: Optional[Predicate] = None) -> List[Any]:
         return self.journal.query(kind, where)
-
-    def all_interfaces(self) -> List[Any]:
-        return self.journal.all_interfaces()
-
-    def all_gateways(self) -> List[Any]:
-        return self.journal.all_gateways()
-
-    def all_subnets(self) -> List[Any]:
-        return self.journal.all_subnets()
 
     def counts(self) -> Dict[str, int]:
         return self.journal.counts()

@@ -52,9 +52,6 @@ __all__ = ["JournalDispatcher", "JournalServer"]
 
 logger = logging.getLogger(__name__)
 
-#: ``get_interfaces`` selectors answered by one index probe
-_POINT_SELECTORS = frozenset({"ip", "mac", "name"})
-
 #: close sentinel for per-connection outbound queues
 _CLOSE = object()
 
@@ -293,9 +290,11 @@ class JournalDispatcher:
         durability conditions."""
         if op in INLINE_OPS:
             return True
-        if op == "get_interfaces":
-            by = request.get("by")
-            return isinstance(by, str) and by in _POINT_SELECTORS
+        if op == "query":
+            # A predicate is mostly an index probe (an unindexable one
+            # still only reads, on a free lock); a bare query encodes a
+            # whole table.
+            return request.get("where") is not None
         if op == "pull":
             # A delta reads the change log, O(changes); a full pull
             # reads every table.
@@ -505,27 +504,6 @@ class JournalDispatcher:
         _record, changed = self.journal.submit(observation)
         return {"ok": True, "changed": changed}
 
-    def _op_get_interfaces(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        by = request.get("by", "all")
-        journal = self.journal
-        if by == "ip":
-            records = journal.interfaces_by_ip(request["key"])
-        elif by == "mac":
-            records = journal.interfaces_by_mac(request["key"])
-        elif by == "name":
-            records = journal.interfaces_by_name(request["key"])
-        elif by == "ip_range":
-            records = journal.interfaces_in_ip_range(request["low"], request["high"])
-        elif by == "stale":
-            records = journal.stale_interfaces(older_than=request["older_than"])
-        elif by == "modified_since":
-            records = journal.interfaces_modified_since(request["since"])
-        elif by == "all":
-            records = journal.all_interfaces()
-        else:
-            raise wire.WireError(f"unknown selector: {by!r}")
-        return {"ok": True, "records": [wire.interface_to_dict(r) for r in records]}
-
     _QUERY_ENCODERS = {
         "interfaces": wire.interface_to_dict,
         "gateways": wire.gateway_to_dict,
@@ -588,20 +566,6 @@ class JournalDispatcher:
             "revision": self.journal.revision,
             "impact": wire.impact_to_dict(result),
         }
-
-    def _op_get_gateways(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        if "since" in request:
-            records = self.journal.gateways_modified_since(request["since"])
-        else:
-            records = self.journal.all_gateways()
-        return {"ok": True, "records": [wire.gateway_to_dict(r) for r in records]}
-
-    def _op_get_subnets(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        if "since" in request:
-            records = self.journal.subnets_modified_since(request["since"])
-        else:
-            records = self.journal.all_subnets()
-        return {"ok": True, "records": [wire.subnet_to_dict(r) for r in records]}
 
     # -- replication -----------------------------------------------------
 

@@ -441,7 +441,7 @@ class ShardedChangeFeed:
         self.close()
 
 
-class ShardedClient:
+class ShardedClient(query_module.NamedReads):
     """Scatter-gather router over *N* shard journal clients.
 
     Implements the full journal-client surface (``ObservationSink`` +
@@ -451,8 +451,8 @@ class ShardedClient:
     explorer, the correlator's feed, the CLI — can take the router
     instead.  Writes route to the owning shard per the
     :class:`ShardMap`; reads that cannot be routed (by-MAC lookups,
-    range scans, predicate queries, dumps) fan out to every shard and
-    merge in ``(last_modified, record_id)`` order.
+    range scans, predicate queries other than one IP, dumps) fan out to
+    every shard and merge in ``(last_modified, record_id)`` order.
 
     Record ids on this surface are *global* ids; id-taking operations
     decode them back to the owning shard.  Gateways whose members span
@@ -853,13 +853,14 @@ class ShardedClient:
                     old_names.add(fragment.name)
         if not old_names:
             return []
+        named = query_module.Or(
+            *(query_module.FieldEquals("name", old) for old in sorted(old_names))
+        )
         stale: List[Tuple[int, int]] = []
         for shard, client in enumerate(self.clients):
             member_rids = set(groups.get(shard, ()))
-            for fragment in client.all_gateways():
-                if fragment.name in old_names and not member_rids.intersection(
-                    fragment.interface_ids
-                ):
+            for fragment in client.query("gateways", named):
+                if not member_rids.intersection(fragment.interface_ids):
                     stale.append((shard, fragment.record_id))
         return stale
 
@@ -899,29 +900,23 @@ class ShardedClient:
         then — fragments of one device share a name — every same-named
         fragment on the other shards."""
         shard, rid = self._route_id(record_id)
-        old = next(
-            (
-                fragment.name
-                for fragment in self.clients[shard].all_gateways()
-                if fragment.record_id == rid
-            ),
-            None,
+        addressed = self.clients[shard].query(
+            "gateways", query_module.RecordIds([rid])
         )
+        old = addressed[0].name if addressed else None
         self._c_routed.inc()
         changed = self.clients[shard].rename_gateway(rid, name, source=source)
         if old is not None and old != name:
+            named = query_module.FieldEquals("name", old)
             for index, client in enumerate(self.clients):
                 if index == shard:
                     continue
-                for fragment in client.all_gateways():
-                    if fragment.name == old:
-                        self._c_routed.inc()
-                        changed = (
-                            client.rename_gateway(
-                                fragment.record_id, name, source=source
-                            )
-                            or changed
-                        )
+                for fragment in client.query("gateways", named):
+                    self._c_routed.inc()
+                    changed = (
+                        client.rename_gateway(fragment.record_id, name, source=source)
+                        or changed
+                    )
         return changed
 
     def link_gateway_subnet(self, gateway_id: int, subnet_key: str, *, source: str) -> bool:
@@ -1023,110 +1018,6 @@ class ShardedClient:
 
     # -- reads -------------------------------------------------------------
 
-    def interfaces_by_ip(self, ip: str) -> List[InterfaceRecord]:
-        shard = self.shard_map.shard_for_ip(ip)
-        if shard is None:
-            results = self._scatter(
-                lambda client, index: [
-                    self._globalize_interface(r, index)
-                    for r in client.interfaces_by_ip(ip)
-                ]
-            )
-            return self._merge_records(results)
-        self._c_routed.inc()
-        return [
-            self._globalize_interface(record, shard)
-            for record in self.clients[shard].interfaces_by_ip(ip)
-        ]
-
-    def interfaces_by_mac(self, mac: str) -> List[InterfaceRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_interface(r, index)
-                for r in client.interfaces_by_mac(mac)
-            ]
-        )
-        return self._merge_records(results)
-
-    def interfaces_by_name(self, name: str) -> List[InterfaceRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_interface(r, index)
-                for r in client.interfaces_by_name(name)
-            ]
-        )
-        return self._merge_records(results)
-
-    def interfaces_in_ip_range(self, low: str, high: str) -> List[InterfaceRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_interface(r, index)
-                for r in client.interfaces_in_ip_range(low, high)
-            ]
-        )
-        return self._merge_records(results)
-
-    def all_interfaces(self) -> List[InterfaceRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_interface(r, index)
-                for r in client.all_interfaces()
-            ]
-        )
-        return self._merge_records(results)
-
-    def stale_interfaces(self, *, older_than: float) -> List[InterfaceRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_interface(r, index)
-                for r in client.stale_interfaces(older_than=older_than)
-            ]
-        )
-        return self._merge_records(results)
-
-    def all_gateways(self) -> List[GatewayRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_gateway(r, index) for r in client.all_gateways()
-            ]
-        )
-        return self._merge_records(results)
-
-    def all_subnets(self) -> List[SubnetRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_subnet(r, index) for r in client.all_subnets()
-            ]
-        )
-        return self._merge_records(results)
-
-    def interfaces_modified_since(self, when: float) -> List[InterfaceRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_interface(r, index)
-                for r in client.interfaces_modified_since(when)
-            ]
-        )
-        return self._merge_records(results)
-
-    def gateways_modified_since(self, when: float) -> List[GatewayRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_gateway(r, index)
-                for r in client.gateways_modified_since(when)
-            ]
-        )
-        return self._merge_records(results)
-
-    def subnets_modified_since(self, when: float) -> List[SubnetRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_subnet(r, index)
-                for r in client.subnets_modified_since(when)
-            ]
-        )
-        return self._merge_records(results)
-
     _GLOBALIZERS = {
         "interfaces": "_globalize_interface",
         "gateways": "_globalize_gateway",
@@ -1134,11 +1025,25 @@ class ShardedClient:
     }
 
     def query(self, kind: str, where=None) -> List:
-        """Scatter-gather predicate query: each shard evaluates the
-        (shard-localized) predicate against its own indexes; results
-        merge in global ``(last_modified, record_id)`` order."""
+        """Predicate query.  An interface query for one IP
+        (``FieldEquals("ip", ...)``, what ``interfaces_by_ip`` sends)
+        goes to the IP's owning shard only; anything else scatters —
+        each shard evaluates the (shard-localized) predicate against its
+        own indexes — and merges in global ``(last_modified, record_id)``
+        order."""
         kind = query_module.normalize_kind(kind)
         globalize = getattr(self, self._GLOBALIZERS[kind])
+        if (
+            kind == "interfaces"
+            and isinstance(where, query_module.FieldEquals)
+            and where.field == "ip"
+            and where.value is not None
+        ):
+            shard = self.shard_map.shard_for_ip(str(where.value))
+            if shard is not None:
+                self._c_routed.inc()
+                records = self.clients[shard].query(kind, where)
+                return [globalize(record, shard) for record in records]
 
         def one_shard(client, index):
             localized = self._localize_predicate(where, index)

@@ -124,8 +124,8 @@ class OpSpec(NamedTuple):
     #: ``subscribe`` feed, which the transport serves itself)
     kind: str
     #: cheap enough for the event loop thread whatever its arguments.
-    #: ``get_interfaces``, ``observe_batch`` and ``pull`` also run there
-    #: for some arguments (see ``JournalDispatcher.runs_inline``).
+    #: ``query`` (with a ``where``), ``observe_batch`` and ``pull`` also
+    #: run there for some arguments (see ``JournalDispatcher.runs_inline``).
     inline: bool = False
     #: the ``RemoteClient`` methods that send it
     methods: Tuple[str, ...] = ()
@@ -156,20 +156,9 @@ OPS: Dict[str, OpSpec] = {
     "ping": OpSpec("read", True),
     "counts": OpSpec("read", True, ("counts", "revision")),
     "metrics": OpSpec("read", True, ("metrics",)),
-    "get_interfaces": OpSpec(
-        "read",
-        False,
-        (
-            "interfaces_by_ip", "interfaces_by_mac", "interfaces_by_name",
-            "interfaces_in_ip_range", "all_interfaces", "stale_interfaces",
-            "interfaces_modified_since",
-        ),
-    ),
-    "get_gateways": OpSpec("read", False, ("all_gateways", "gateways_modified_since")),
-    "get_subnets": OpSpec("read", False, ("all_subnets", "subnets_modified_since")),
-    # Indexed predicate evaluation is O(result); a worst-case unindexable
-    # predicate still only reads, and inline runs only on a free lock.
-    "query": OpSpec("read", True, ("query",)),
+    # The one record read: the clients' named reads (query.NamedReads)
+    # are predicates over it.
+    "query": OpSpec("read", False, ("query",)),
     "path": OpSpec("read", False, ("path",)),
     "impact": OpSpec("read", False, ("impact",)),
     "negative_check": OpSpec("read", True, ("negative_check",)),
@@ -659,6 +648,7 @@ def journal_to_dict(journal) -> Dict[str, Any]:
             "batches": journal.batches_flushed,
             "feed_deliveries": journal.feed_deliveries,
             "negative_evictions": journal.negative_evictions,
+            "queries": journal.queries_served,
         },
         # Durability counters ride along so a recovered journal's
         # lifetime accounting (WAL traffic, checkpoints taken) is not
@@ -713,6 +703,7 @@ def journal_from_dict(data: Dict[str, Any], clock: Optional[Callable[[], float]]
     journal.batches_flushed = int(ingest.get("batches", 0))
     journal.feed_deliveries = int(ingest.get("feed_deliveries", 0))
     journal.negative_evictions = int(ingest.get("negative_evictions", 0))
+    journal.queries_served = int(ingest.get("queries", 0))
     durability = data.get("durability", {})
     journal.wal_appends = int(durability.get("wal_appends", 0))
     journal.wal_bytes = int(durability.get("wal_bytes", 0))

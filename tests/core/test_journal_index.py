@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core import journal as journal_module
 from repro.core.avl import AvlTree
 from repro.core.journal import Journal, SortedIndex, ip_key
-from repro.core.query import InSubnet, MacPrefix
+from repro.core.query import FieldEquals, InSubnet, MacPrefix, ModifiedSince
 from repro.core.records import Observation
 
 # -- the index against the AVL oracle ---------------------------------------
@@ -268,20 +268,24 @@ class TestJournalIndexesMatchScans:
             )
         times = {r.last_modified for t in tables.values() for r in t.values()}
         for when in sorted(times | {-1.0, 1e9}):
-            for since, table in (
-                (journal.interfaces_modified_since, journal.interfaces),
-                (journal.gateways_modified_since, journal.gateways),
-                (journal.subnets_modified_since, journal.subnets),
+            for kind, table in (
+                ("interfaces", journal.interfaces),
+                ("gateways", journal.gateways),
+                ("subnets", journal.subnets),
             ):
-                assert ids(since(when)) == ids(
+                assert ids(journal.query(kind, ModifiedSince(when))) == ids(
                     by_modified(r for r in table.values() if r.last_modified > when)
                 )
 
-        # Name -> gateway resolution equals a scan, in table order.
+        # Name -> gateway resolution equals a scan, in table order; a
+        # name query (planned through the same map) equals a filter.
         for name in GATEWAY_NAMES:
             assert journal._gateways_named(name) == [
                 g for g in journal.gateways.values() if g.name == name
             ]
+            assert ids(journal.query("gateways", FieldEquals("name", name))) == ids(
+                by_modified(g for g in journal.gateways.values() if g.name == name)
+            )
         scanned_names = {}
         for gateway in journal.gateways.values():
             if gateway.name is not None:

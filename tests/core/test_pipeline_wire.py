@@ -20,6 +20,7 @@ from repro.core import (
     connect,
 )
 from repro.core import wire
+from repro.core.query import FieldEquals
 from repro.core.records import Observation
 from repro.core.server import JournalDispatcher
 
@@ -546,12 +547,14 @@ class TestDurableInlinePath:
                 )
             sock, frames = _raw_connection(server)
             try:
-                # by="all" serialises every record on the worker pool; the
-                # by="ip" point lookup is answered inline, so it lands first.
+                # A query without a where serialises every record on the
+                # worker pool; the point query is answered inline, so it
+                # lands first.
+                point = wire.predicate_to_dict(FieldEquals("ip", "10.0.7.9"))
                 sock.sendall(
-                    wire.encode_message({"op": "get_interfaces", "by": "all", "id": 1})
+                    wire.encode_message({"op": "query", "kind": "interfaces", "id": 1})
                     + wire.encode_message(
-                        {"op": "get_interfaces", "by": "ip", "key": "10.0.7.9", "id": 2}
+                        {"op": "query", "kind": "interfaces", "where": point, "id": 2}
                     )
                 )
                 first = frames.read(10.0)

@@ -253,11 +253,18 @@ _LEAVES = st.one_of(
         q.InSubnet,
         st.sampled_from(["10.0.0.0/24", "10.0.1.0/24", "10.0.0.0/16"]),
     ),
+    st.builds(q.IpRange, _IPS, _IPS),
     st.builds(q.MacPrefix, st.sampled_from(["08:00:20", "aa:00", "00"])),
     st.builds(q.ModifiedSince, st.integers(0, 15).map(float)),
     st.builds(q.SinceRevision, st.integers(0, 20)),
     st.builds(q.Stale, st.integers(0, 15).map(float)),
-    st.builds(q.FieldEquals, st.just("ip"), _IPS),
+    st.builds(q.VerifiedBefore, st.integers(0, 15).map(float)),
+    st.builds(
+        q.FieldEquals,
+        st.just("ip"),
+        # the zero-padded spelling names the same address
+        st.one_of(_IPS, _IPS.map(q.ip_key)),
+    ),
     st.builds(q.HasField, st.sampled_from(["mac", "dns_name"])),
 )
 _ASTS = st.recursive(

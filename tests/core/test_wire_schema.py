@@ -71,9 +71,8 @@ class TestOpTable:
 
     def test_derived_sets_equal_the_lists_they_replaced(self):
         assert wire.READ_OPS == frozenset({
-            "ping", "counts", "metrics", "shard_info", "get_interfaces",
-            "get_gateways", "get_subnets", "query", "path", "impact",
-            "negative_check", "changes_since", "pull", "dump", "save",
+            "ping", "counts", "metrics", "shard_info", "query", "path",
+            "impact", "negative_check", "changes_since", "pull", "dump", "save",
         })
         inline_writes = frozenset({
             "observe", "negative_put", "ensure_gateway", "ensure_subnet",
@@ -83,7 +82,7 @@ class TestOpTable:
         assert wire.INLINE_WRITES == inline_writes
         assert wire.INLINE_OPS == inline_writes | frozenset({
             "ping", "counts", "metrics", "shard_info", "negative_check",
-            "changes_since", "query",
+            "changes_since",
         })
         assert wire.CONTROL_OPS == frozenset({"promote", "fence"})
         assert wire.WIRE_OPS == (
@@ -94,20 +93,25 @@ class TestOpTable:
 class TestOpCompatibility:
     def test_legacy_batch_op_is_rejected(self, served_journal):
         journal, server, _address = served_journal
-        request = {
-            "op": "batch",  # pre-rename spelling, no longer accepted
-            "requests": [
-                {
-                    "op": "observe",
-                    "observation": wire.observation_to_dict(
-                        Observation(source="old", ip="10.0.0.1")
-                    ),
-                }
-            ],
-            "coalesced": 0,
-        }
-        with pytest.raises(wire.WireError, match="unknown op"):
-            server._dispatch(request)
+        retired = [
+            {
+                "op": "batch",  # pre-rename spelling, no longer accepted
+                "requests": [
+                    {
+                        "op": "observe",
+                        "observation": wire.observation_to_dict(
+                            Observation(source="old", ip="10.0.0.1")
+                        ),
+                    }
+                ],
+                "coalesced": 0,
+            },
+            # the selector read, folded into the query op
+            {"op": "get_interfaces", "by": "ip", "key": "10.0.0.1"},
+        ]
+        for request in retired:
+            with pytest.raises(wire.WireError, match="unknown op"):
+                server._dispatch(request)
         assert journal.counts()["interfaces"] == 0
 
     def test_unknown_op_is_still_rejected(self, served_journal):
