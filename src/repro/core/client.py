@@ -29,16 +29,17 @@ per-request read timeout.
 
 from __future__ import annotations
 
+import inspect
 import random
 import socket
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import query as query_module
 from . import wire
 from .journal import Journal, JournalChanges
-from .records import GatewayRecord, InterfaceRecord, Observation, SubnetRecord
+from .records import InterfaceRecord, Observation
 from .sink import BatchingSink, DirectSinkMixin, ObservationSink
 from .telemetry import DEPTH_BUCKETS, MetricsRegistry
 
@@ -145,33 +146,6 @@ class LocalClient(query_module.NamedReads, DirectSinkMixin):
     def subscribe(self, callback: Optional[Callable] = None, *, since: int = 0):
         return self.journal.subscribe(callback, since=since)
 
-    def ensure_gateway(
-        self,
-        *,
-        source: str,
-        name: Optional[str] = None,
-        interface_ids: Iterable[int] = (),
-    ) -> Tuple[GatewayRecord, bool]:
-        return self.journal.ensure_gateway(
-            source=source, name=name, interface_ids=interface_ids
-        )
-
-    def rename_gateway(self, record_id: int, name: str, *, source: str) -> bool:
-        return self.journal.rename_gateway(record_id, name, source=source)
-
-    def link_gateway_subnet(self, gateway_id: int, subnet_key: str, *, source: str) -> bool:
-        return self.journal.link_gateway_subnet(gateway_id, subnet_key, source=source)
-
-    def ensure_subnet(
-        self, subnet_key: str, *, source: str, quality: str = "good", **stats: object
-    ) -> Tuple[SubnetRecord, bool]:
-        return self.journal.ensure_subnet(
-            subnet_key, source=source, quality=quality, **stats
-        )
-
-    def delete_interface(self, record_id: int) -> bool:
-        return self.journal.delete_interface(record_id)
-
     # -- queries ---------------------------------------------------------
 
     def query(self, kind: str, where=None) -> List:
@@ -179,9 +153,6 @@ class LocalClient(query_module.NamedReads, DirectSinkMixin):
         *kind* matching *where*, in ``(last_modified, record_id)``
         order, served from the journal's secondary indexes."""
         return self.journal.query(kind, where)
-
-    def counts(self) -> Dict[str, int]:
-        return self.journal.counts()
 
     def revision(self) -> int:
         """The journal's current change-tracking revision."""
@@ -211,27 +182,6 @@ class LocalClient(query_module.NamedReads, DirectSinkMixin):
         """Blast radius of *target* (mirror of the ``impact`` wire op);
         see :meth:`repro.core.topology.TopologyStore.impact`."""
         return self._topology().impact(target)
-
-    # -- negative cache ---------------------------------------------------
-
-    def negative_put(self, kind: str, key: str, *, ttl: float) -> None:
-        self.journal.negative_put(kind, key, ttl=ttl)
-
-    def negative_check(self, kind: str, key: str) -> bool:
-        return self.journal.negative_check(kind, key)
-
-    # -- replication --------------------------------------------------------
-
-    def absorb_interface(self, record: InterfaceRecord) -> Tuple[InterfaceRecord, bool]:
-        return self.journal.absorb_interface(record)
-
-    def absorb_gateway(
-        self, record: GatewayRecord, interface_id_map: Dict[int, int]
-    ) -> Tuple[GatewayRecord, bool]:
-        return self.journal.absorb_gateway(record, interface_id_map)
-
-    def absorb_subnet(self, record: SubnetRecord) -> Tuple[SubnetRecord, bool]:
-        return self.journal.absorb_subnet(record)
 
     # -- bulk -------------------------------------------------------------
 
@@ -295,21 +245,46 @@ class PendingReply:
         return response
 
 
-class _SettledReply:
-    """A :class:`PendingReply` stand-in for work absorbed locally (the
-    server was unreachable and the batch was parked for replay)."""
+class _BatchReply:
+    """The reply handle of :meth:`RemoteClient.observe_batch_nowait`:
+    sends the batch, and parks its observe requests for replay when the
+    server is unreachable — whether the send or the wait finds it gone.
+    A parked batch answers with provisional flags (every observation
+    changed)."""
 
-    __slots__ = ("_response",)
+    __slots__ = ("_client", "_requests", "_coalesced", "_reply")
 
-    def __init__(self, response: Dict[str, Any]) -> None:
-        self._response = response
+    def __init__(
+        self, client: "RemoteClient", requests: List[Dict[str, Any]], coalesced: int
+    ) -> None:
+        self._client, self._requests, self._coalesced = client, requests, coalesced
+        #: the PendingReply, or the provisional response once parked
+        self._reply: Union[PendingReply, Dict[str, Any]]
+        try:
+            self._reply = client.begin(wire.batch_request(requests, coalesced=coalesced))
+        except ConnectionError:
+            self._reply = self._park()
 
-    @property
-    def done(self) -> bool:
-        return True
+    def _park(self) -> Dict[str, Any]:
+        # Batches must not nest, so the envelope is rebuilt at replay.
+        client = self._client
+        if len(client._pending) + len(self._requests) > client._buffer_limit:
+            raise client._unreachable()
+        client._pending.extend(self._requests)
+        client._coalesced_owed += self._coalesced
+        return {
+            "ok": True,
+            "responses": [{"ok": True, "changed": True} for _ in self._requests],
+        }
 
     def wait(self, timeout: Optional[float] = -1.0) -> Dict[str, Any]:
-        return self._response
+        if isinstance(self._reply, dict):
+            return self._reply
+        try:
+            return self._reply.wait(timeout)
+        except ConnectionError:
+            self._reply = self._park()
+            return self._reply
 
 
 class PendingPull:
@@ -823,52 +798,25 @@ class RemoteClient(query_module.NamedReads):
     ) -> List[bool]:
         """Apply a batch of observations in one round trip (the server
         ``observe_batch`` op) — the :class:`~repro.core.sink.BatchingSink`
-        flush path.  Returns per-observation changed flags.  If the server
-        is unreachable the individual observe requests are parked for
-        replay (batches must not nest, so the envelope is rebuilt at flush
-        time) and every flag reports True provisionally."""
-        sub_requests = [
-            {"op": "observe", "observation": wire.observation_to_dict(observation)}
-            for observation in observations
-        ]
-        try:
-            response = self._call(wire.batch_request(sub_requests, coalesced=coalesced))
-        except ConnectionError:
-            if len(self._pending) + len(sub_requests) > self._buffer_limit:
-                raise
-            self._pending.extend(sub_requests)
-            self._coalesced_owed += coalesced
-            return [True] * len(sub_requests)
+        flush path.  Returns per-observation changed flags; see
+        :meth:`observe_batch_nowait` for the outage behaviour."""
+        response = self.observe_batch_nowait(observations, coalesced=coalesced).wait()
         return [bool(item.get("changed")) for item in response["responses"]]
 
     def observe_batch_nowait(
         self, observations: Sequence[Observation], *, coalesced: int = 0
-    ):
+    ) -> "_BatchReply":
         """Pipelined :meth:`observe_batch`: put the batch on the wire and
-        return a :class:`PendingReply` instead of blocking — the sink's
-        pipelined flush path, which keeps several batches in flight to
-        hide the round trip.  An unreachable server parks the requests
-        exactly as :meth:`observe_batch` does and the reply settles
-        immediately with provisional flags."""
+        return a reply handle instead of blocking — the sink's pipelined
+        flush path, which keeps several batches in flight to hide the
+        round trip.  If the server is unreachable, before the send or
+        while the reply is awaited, the observe requests are parked for
+        replay and every flag reports True provisionally."""
         sub_requests = [
             {"op": "observe", "observation": wire.observation_to_dict(observation)}
             for observation in observations
         ]
-        try:
-            return self.begin(wire.batch_request(sub_requests, coalesced=coalesced))
-        except ConnectionError:
-            if len(self._pending) + len(sub_requests) > self._buffer_limit:
-                raise
-            self._pending.extend(sub_requests)
-            self._coalesced_owed += coalesced
-            return _SettledReply(
-                {
-                    "ok": True,
-                    "responses": [
-                        {"ok": True, "changed": True} for _ in sub_requests
-                    ],
-                }
-            )
+        return _BatchReply(self, sub_requests, coalesced)
 
     # -- change feed -----------------------------------------------------
 
@@ -884,62 +832,6 @@ class RemoteClient(query_module.NamedReads):
         return RemoteChangeFeed(
             self._host, self._port, since=since, timeout=self._timeout
         )
-
-    def ensure_gateway(
-        self,
-        *,
-        source: str,
-        name: Optional[str] = None,
-        interface_ids: Iterable[int] = (),
-    ) -> Tuple[GatewayRecord, bool]:
-        response = self._call(
-            {
-                "op": "ensure_gateway",
-                "source": source,
-                "name": name,
-                "interface_ids": list(interface_ids),
-            }
-        )
-        return wire.gateway_from_dict(response["record"]), response["changed"]
-
-    def rename_gateway(self, record_id: int, name: str, *, source: str) -> bool:
-        response = self._call(
-            {
-                "op": "rename_gateway",
-                "record_id": record_id,
-                "name": name,
-                "source": source,
-            }
-        )
-        return response["changed"]
-
-    def link_gateway_subnet(self, gateway_id: int, subnet_key: str, *, source: str) -> bool:
-        response = self._call(
-            {
-                "op": "link_gateway_subnet",
-                "gateway_id": gateway_id,
-                "subnet": subnet_key,
-                "source": source,
-            }
-        )
-        return response["changed"]
-
-    def ensure_subnet(
-        self, subnet_key: str, *, source: str, quality: str = "good", **stats: object
-    ) -> Tuple[SubnetRecord, bool]:
-        response = self._call(
-            {
-                "op": "ensure_subnet",
-                "subnet": subnet_key,
-                "source": source,
-                "quality": quality,
-                "stats": stats,
-            }
-        )
-        return wire.subnet_from_dict(response["record"]), response["changed"]
-
-    def delete_interface(self, record_id: int) -> bool:
-        return self._call({"op": "delete_interface", "record_id": record_id})["deleted"]
 
     # -- queries --------------------------------------------------------------
 
@@ -961,9 +853,6 @@ class RemoteClient(query_module.NamedReads):
         response = self._call(request)
         decoder = self._QUERY_DECODERS[kind]
         return [decoder(data) for data in response["records"]]
-
-    def counts(self) -> Dict[str, int]:
-        return self._call({"op": "counts"})["counts"]
 
     def begin_pull(self, since: int, where=None) -> PendingPull:
         """Send a ``pull`` without waiting for it: a router starts one
@@ -1040,43 +929,6 @@ class RemoteClient(query_module.NamedReads):
         (updated) epoch."""
         return int(self._call({"op": "fence", "epoch": int(epoch)})["epoch"])
 
-    # -- replication -----------------------------------------------------------
-
-    def absorb_interface(self, record: InterfaceRecord) -> Tuple[InterfaceRecord, bool]:
-        response = self._call(
-            {"op": "absorb_interface", "record": wire.interface_to_dict(record)}
-        )
-        return wire.interface_from_dict(response["record"]), response["changed"]
-
-    def absorb_gateway(
-        self, record: GatewayRecord, interface_id_map: Dict[int, int]
-    ) -> Tuple[GatewayRecord, bool]:
-        response = self._call(
-            {
-                "op": "absorb_gateway",
-                "record": wire.gateway_to_dict(record),
-                "interface_id_map": {
-                    str(key): value for key, value in interface_id_map.items()
-                },
-            }
-        )
-        return wire.gateway_from_dict(response["record"]), response["changed"]
-
-    def absorb_subnet(self, record: SubnetRecord) -> Tuple[SubnetRecord, bool]:
-        response = self._call(
-            {"op": "absorb_subnet", "record": wire.subnet_to_dict(record)}
-        )
-        return wire.subnet_from_dict(response["record"]), response["changed"]
-
-    # -- negative cache ----------------------------------------------------------
-
-    def negative_put(self, kind: str, key: str, *, ttl: float) -> None:
-        # Fire-and-forget: buffered for replay when the server is down.
-        self._call_or_buffer({"op": "negative_put", "kind": kind, "key": key, "ttl": ttl})
-
-    def negative_check(self, kind: str, key: str) -> bool:
-        return self._call({"op": "negative_check", "kind": kind, "key": key})["cached"]
-
     # -- bulk ----------------------------------------------------------------------
 
     def snapshot(self) -> Journal:
@@ -1089,6 +941,69 @@ class RemoteClient(query_module.NamedReads):
 # drains the replay buffer, not a local queue); registering it lets
 # isinstance-based plumbing (connect, tooling) treat it uniformly.
 ObservationSink.register(RemoteClient)
+
+
+# ---------------------------------------------------------------------------
+# methods derived from wire.OPS
+# ---------------------------------------------------------------------------
+
+
+def install_op_methods(cls, build: Callable[[str, str], Optional[Callable]]) -> None:
+    """Give *cls* a method for every client method name that
+    :data:`wire.OPS` declares and *cls* does not define itself:
+    ``build(op, name)`` makes it, or returns None to leave the name
+    alone.  The one mechanism behind every derived client method — the
+    plain Journal calls of :class:`LocalClient` and :class:`RemoteClient`
+    below, and :class:`~repro.core.failover.FailoverClient`'s proxies."""
+    own = set(vars(cls))
+    for op, spec in wire.OPS.items():
+        for name in spec.methods:
+            if name in own:
+                continue
+            method = build(op, name)
+            if method is not None:
+                method.__qualname__ = f"{cls.__name__}.{name}"
+                setattr(cls, name, method)
+
+
+def _plain_call(make: Callable[[str], Callable]):
+    """A ``build`` for :func:`install_op_methods`: the method named like
+    a plain-Journal-call op, made by ``make(op)`` and dressed as the
+    Journal method (name, signature and docstring)."""
+
+    def build(op: str, name: str) -> Optional[Callable]:
+        if name != op or wire.OPS[op].reply is None:
+            return None
+        method, journal_method = make(op), getattr(Journal, op)
+        method.__name__, method.__doc__ = op, journal_method.__doc__
+        method.__signature__ = inspect.signature(journal_method)
+        return method
+
+    return build
+
+
+def _local_method(op: str) -> Callable:
+    def method(self, *args, **kwargs):
+        return getattr(self.journal, op)(*args, **kwargs)
+
+    return method
+
+
+def _remote_method(op: str) -> Callable:
+    call = wire.JournalCall(op)
+    parks = call.spec.parks
+
+    def method(self, *args, **kwargs):
+        request = call.request(args, kwargs)
+        response = self._call_or_buffer(request) if parks else self._call(request)
+        # A parked request has no reply yet, and a parking op returns None.
+        return None if response is None else call.result(response)
+
+    return method
+
+
+install_op_methods(LocalClient, _plain_call(_local_method))
+install_op_methods(RemoteClient, _plain_call(_remote_method))
 
 
 class RemoteChangeFeed:

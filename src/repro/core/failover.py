@@ -68,6 +68,7 @@ from .client import (
     RemoteChangeFeed,
     RemoteClient,
     ReplyTimeout,
+    install_op_methods,
 )
 from .journal import Journal
 from .query import NamedReads
@@ -640,14 +641,19 @@ class FailoverClient(NamedReads):
             self._preflight()
             try:
                 return fn(self._client)
-            except wire.FencedError:
-                # Our epoch view (or the server's role) is stale:
-                # re-discover, then retry under the adopted epoch.
-                self._c_fenced.inc()
-                self._discover()
-                return fn(self._client)
-            except (ConnectionError, ReplyTimeout) as error:
-                return self._retry_op(fn, error)
+            except (wire.FencedError, ConnectionError, ReplyTimeout) as error:
+                return self._recover(fn, error)
+
+    def _recover(self, fn, error):
+        """Re-run the write *fn* after it failed with *error*.  Caller
+        holds the lock."""
+        if isinstance(error, wire.FencedError):
+            # Our epoch view (or the server's role) is stale:
+            # re-discover, then retry under the adopted epoch.
+            self._c_fenced.inc()
+            self._discover()
+            return fn(self._client)
+        return self._retry_op(fn, error)
 
     def _run_read(self, fn):
         with self._lock:
@@ -734,15 +740,15 @@ class FailoverClient(NamedReads):
         return RemoteChangeFeed(host, port, since=since)
 
     def observe_batch_nowait(self, observations, *, coalesced: int = 0):
-        """Pipelined batch via the active primary.  The returned
-        handle is bound to that connection: failover happens on the
-        *send*; a reply that later times out surfaces to the caller's
-        wait, exactly like a plain RemoteClient."""
-        return self._run_write(
-            lambda client: client.observe_batch_nowait(
-                observations, coalesced=coalesced
-            )
-        )
+        """Pipelined batch via the active primary.  Failover covers the
+        wait as well as the send: a reply that times out, is fenced or
+        loses its connection re-sends the batch through the write
+        runner, as the synchronous ``observe_batch`` would."""
+
+        def send(client):
+            return client.observe_batch_nowait(observations, coalesced=coalesced)
+
+        return _FailoverBatchReply(self, send, self._run_write(send))
 
     def settle(self, timeout: Optional[float] = -1.0) -> int:
         with self._lock:
@@ -786,35 +792,43 @@ class FailoverClient(NamedReads):
         self.close()
 
 
-def _install_proxies() -> None:
-    """Give FailoverClient every RemoteClient method declared in
-    :data:`wire.OPS`, except those it defines itself: reads hedge to
-    followers, writes and control ops fail over and retry once."""
+class _FailoverBatchReply:
+    """The reply handle of :meth:`FailoverClient.observe_batch_nowait`."""
 
-    def make(name: str, runner_name: str):
-        def method(self, *args, **kwargs):
-            runner = getattr(self, runner_name)
-            return runner(
-                lambda client: getattr(client, name)(*args, **kwargs)
-            )
+    __slots__ = ("_owner", "_send", "_reply")
 
-        method.__name__ = name
-        method.__qualname__ = f"FailoverClient.{name}"
-        method.__doc__ = (
-            f"``RemoteClient.{name}`` against the active primary, with "
-            f"{'follower hedging' if runner_name == '_run_read' else 'failover-and-retry'}."
-        )
-        return method
+    def __init__(self, owner: FailoverClient, send, reply) -> None:
+        self._owner, self._send, self._reply = owner, send, reply
 
-    own = set(vars(FailoverClient))
-    for spec in wire.OPS.values():
-        runner_name = "_run_read" if spec.kind == "read" else "_run_write"
-        for name in spec.methods:
-            if name not in own:
-                setattr(FailoverClient, name, make(name, runner_name))
+    def wait(self, timeout: Optional[float] = -1.0) -> Dict[str, Any]:
+        try:
+            return self._reply.wait(timeout)
+        except (wire.FencedError, ConnectionError, ReplyTimeout) as error:
+            with self._owner._lock:
+                return self._owner._recover(
+                    lambda client: self._send(client).wait(timeout), error
+                )
 
 
-_install_proxies()
+def _proxy(op: str, name: str):
+    """FailoverClient's method for a RemoteClient method declared in
+    :data:`wire.OPS`: reads hedge to followers, writes and control ops
+    fail over and retry once."""
+    runner_name = "_run_read" if wire.OPS[op].kind == "read" else "_run_write"
+
+    def method(self, *args, **kwargs):
+        runner = getattr(self, runner_name)
+        return runner(lambda client: getattr(client, name)(*args, **kwargs))
+
+    method.__name__ = name
+    method.__doc__ = (
+        f"``RemoteClient.{name}`` against the active primary, with "
+        f"{'follower hedging' if runner_name == '_run_read' else 'failover-and-retry'}."
+    )
+    return method
+
+
+install_op_methods(FailoverClient, _proxy)
 
 # Same duck-typed sink protocol as RemoteClient: submit/flush/close.
 ObservationSink.register(FailoverClient)

@@ -22,9 +22,9 @@ records [with] the same network layer address for different media
 access addresses" is precisely what the analysis programs look for.
 
 Change tracking: the Journal keeps a monotonically increasing
-``revision`` counter, bumped on every mutation, plus per-kind dirty
-sets (record ids touched since a given revision).  Consumers such as
-the incremental :class:`~repro.core.correlate.Correlator` call
+``revision`` counter, bumped on every mutation, plus a revision-ordered
+change log (record ids touched since a given revision).  Consumers such
+as the incremental :class:`~repro.core.correlate.Correlator` call
 :meth:`Journal.changes_since` to see only the delta and
 :meth:`Journal.prune_changes` once a delta is consumed, so correlation
 cost tracks the rate of change rather than the size of the Journal.
@@ -111,7 +111,7 @@ class JournalCorruptError(Exception):
         where = f" at byte {position}" if position is not None else ""
         super().__init__(f"corrupt journal file {path!r}{where}: {reason}")
 
-#: record kinds used by the dirty-set bookkeeping
+#: record kinds used by the change-tracking bookkeeping
 _KINDS = ("interface", "gateway", "subnet")
 
 
@@ -410,15 +410,9 @@ class Journal(DirectSinkMixin):
         self._subscriptions: Set[FeedSubscription] = set()
         #: monotonically increasing mutation counter
         self.revision: int = 0
-        #: per-kind dirty sets: record id -> revision of the last touch,
-        #: retained until a consumer prunes them
-        self._dirty: Dict[str, Dict[int, int]] = {kind: {} for kind in _KINDS}
-        #: per-kind deletions: record id -> revision of the delete
-        self._deleted: Dict[str, Dict[int, int]] = {kind: {} for kind in _KINDS}
         #: revision-ordered mutation log: (revision, kind, record id,
-        #: is_delete).  Lets changes_since() cost O(log n + delta)
-        #: instead of scanning every retained dirty entry; pruned in
-        #: lockstep with the dirty sets.
+        #: is_delete), retained until a consumer prunes it.  Lets
+        #: changes_since() cost O(log n + delta).
         self._change_log: List[Tuple[int, str, int, bool]] = []
         #: revision-ordered log of touched index keys, pruned with the
         #: change log; feeds JournalChanges.keys for cache invalidation
@@ -585,18 +579,15 @@ class Journal(DirectSinkMixin):
     # ------------------------------------------------------------------
 
     def _touch(self, kind: str, record) -> None:
-        """Mark *record* dirty at a fresh revision."""
+        """Log a touch of *record* at a fresh revision."""
         self.revision += 1
         record.revision = self.revision
-        self._dirty[kind][record.record_id] = self.revision
         self._log_change(kind, record.record_id, False)
         self._log_keys(kind, record)
         self._note_modified(kind, record)
 
     def _mark_deleted(self, kind: str, record_id: int) -> None:
         self.revision += 1
-        self._dirty[kind].pop(record_id, None)
-        self._deleted[kind][record_id] = self.revision
         self._log_change(kind, record_id, True)
         self._log_keys(kind, None)
         self._drop_modified(kind, record_id)
@@ -607,8 +598,8 @@ class Journal(DirectSinkMixin):
             tail = log[-1]
             if tail[1] == kind and tail[2] == record_id and tail[3] == is_delete:
                 # Back-to-back touches of one record (ARP refresh churn)
-                # coalesce to the newest revision, exactly as the dirty
-                # dict keeps only the latest touch.
+                # coalesce to the newest revision: only the latest
+                # touch matters to changes_since.
                 log[-1] = (self.revision, kind, record_id, is_delete)
                 return
         log.append((self.revision, kind, record_id, is_delete))
@@ -703,8 +694,8 @@ class Journal(DirectSinkMixin):
         start = bisect.bisect_right(log, rev, key=lambda entry: entry[0])
         for _revision, kind, record_id, is_delete in log[start:]:
             if is_delete:
-                # Mirrors _mark_deleted popping the dirty entry: a
-                # record deleted after its touch reports as deleted only.
+                # A record deleted after its touch reports as deleted
+                # only.
                 touched[kind].discard(record_id)
                 deleted[kind].add(record_id)
             else:
@@ -715,7 +706,7 @@ class Journal(DirectSinkMixin):
         return changes
 
     def prune_changes(self, rev: int) -> None:
-        """Forget dirty/deleted entries at or below revision *rev*.
+        """Forget change-log entries at or below revision *rev*.
 
         After pruning, ``changes_since(r)`` for any ``r < rev`` reports
         ``complete=False`` and the caller must fall back to a full scan.
@@ -727,12 +718,6 @@ class Journal(DirectSinkMixin):
             rev = min(rev, subscription.last_revision)
         if rev <= self._pruned_through:
             return
-        for table in (self._dirty, self._deleted):
-            for kind in _KINDS:
-                entries = table[kind]
-                stale = [rid for rid, touched in entries.items() if touched <= rev]
-                for rid in stale:
-                    del entries[rid]
         log = self._change_log
         del log[: bisect.bisect_right(log, rev, key=lambda entry: entry[0])]
         klog = self._key_log

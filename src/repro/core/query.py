@@ -61,6 +61,7 @@ __all__ = [
     "FieldEquals",
     "HasField",
     "RecordIds",
+    "Members",
     "NamedReads",
     "ip_key",
     "predicate_to_dict",
@@ -593,6 +594,30 @@ class RecordIds(Predicate):
         return self.ids
 
 
+class Members(Predicate):
+    """Gateways holding any of the interface *ids* as a member — the
+    sharded router's fragment lookup for a gateway write.  Plans
+    through the Journal's member -> gateway map, repairing stale
+    entries (:meth:`~repro.core.journal.Journal.gateway_for_interface`)."""
+
+    TAG = "members"
+
+    def __init__(self, ids: Sequence[int]) -> None:
+        self.ids = frozenset(int(i) for i in ids)
+
+    def matches(self, record) -> bool:
+        return not self.ids.isdisjoint(getattr(record, "interface_ids", ()))
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"t": self.TAG, "ids": sorted(self.ids)}
+
+    def candidates(self, journal, kind: str) -> Optional[Collection[int]]:
+        if kind != "gateways":
+            return ()
+        found = (journal.gateway_for_interface(i) for i in self.ids)
+        return {gateway.record_id for gateway in found if gateway is not None}
+
+
 # ----------------------------------------------------------------------
 # Wire codec
 # ----------------------------------------------------------------------
@@ -609,6 +634,7 @@ _LEAF_BUILDERS = {
     FieldEquals.TAG: lambda d: FieldEquals(d["field"], d.get("value")),
     HasField.TAG: lambda d: HasField(d["field"]),
     RecordIds.TAG: lambda d: RecordIds(d["ids"]),
+    Members.TAG: lambda d: Members(d["ids"]),
 }
 
 

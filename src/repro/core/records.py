@@ -279,9 +279,12 @@ class GatewayRecord(_Record):
     def attach_subnet(self, subnet_key: str, now: float, source: str) -> bool:
         existing = self.connected_subnets.get(subnet_key)
         if existing is not None:
+            questionable = existing.quality == Quality.QUESTIONABLE
             existing.verify(now, source)
             self.last_modified = max(self.last_modified, now)
-            return False
+            # A good confirmation upgrading a questionable link is a
+            # change: the topology's edge confidence moves with it.
+            return questionable and existing.quality == Quality.GOOD
         self.connected_subnets[subnet_key] = Attribute.new(subnet_key, now, source)
         self.last_modified = max(self.last_modified, now)
         return True

@@ -22,8 +22,9 @@ feed — and a subscriber that cannot keep up is cut over to the
 stalling the loop.
 
 :class:`JournalDispatcher` is the op layer under the transport: the
-write-preferring RW lock, the ``_op_*`` handlers for the ops declared
-in :data:`wire.OPS`, per-op telemetry, epoch fencing, and the
+write-preferring RW lock, one handler per op declared in
+:data:`wire.OPS` (a hand-written ``_op_*`` method, or the handler every
+plain Journal call shares), per-op telemetry, epoch fencing, and the
 checkpoint policy hooks: every write op on the worker pool checks the
 ops/bytes thresholds while still holding the write lock; a background
 watchdog thread covers the age threshold and the ``interval`` fsync;
@@ -34,6 +35,7 @@ termination").
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
 import socket
 import threading
@@ -69,10 +71,11 @@ def _log_detached_failure(future) -> None:
 class JournalDispatcher:
     """The op layer of the Journal Server.
 
-    Owns the RW lock discipline, the ``_op_*`` handler table, per-op
-    telemetry, and the write-path checkpoint check.  The server tries
-    :meth:`dispatch_inline` on the event loop first and hands what it
-    declines to :meth:`dispatch` on a worker thread.
+    Owns the RW lock discipline, the op handler table
+    (:meth:`handler_for`), per-op telemetry, and the write-path
+    checkpoint check.  The server tries :meth:`dispatch_inline` on the
+    event loop first and hands what it declines to :meth:`dispatch` on
+    a worker thread.
     """
 
     def __init__(self, journal: Journal) -> None:
@@ -156,6 +159,8 @@ class JournalDispatcher:
             pass
         if op in wire.WIRE_OPS:
             handler = getattr(self, f"_op_{op}", None)
+            if handler is None and wire.OPS[op].reply is not None:
+                handler = functools.partial(self._call_journal, wire.JournalCall(op))
             if handler is not None:
                 self._handlers[op] = handler
             return handler
@@ -442,6 +447,12 @@ class JournalDispatcher:
     # Op handlers
     # ------------------------------------------------------------------
 
+    def _call_journal(self, call: wire.JournalCall, request: Dict[str, Any]) -> Dict[str, Any]:
+        """The handler of every plain Journal call (an ``OPS`` row with
+        ``reply``): decode the arguments, call the Journal method named
+        like the op, encode what it returns."""
+        return call.reply(getattr(self.journal, call.op)(**call.arguments(request)))
+
     def _op_observe_batch(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Apply several requests in one round trip — the BatchingSink's
         flush path, and the replay path a reconnecting client uses to
@@ -567,77 +578,6 @@ class JournalDispatcher:
             "impact": wire.impact_to_dict(result),
         }
 
-    # -- replication -----------------------------------------------------
-
-    def _op_absorb_interface(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        foreign = wire.interface_from_dict(request["record"])
-        record, changed = self.journal.absorb_interface(foreign)
-        return {
-            "ok": True,
-            "changed": changed,
-            "record": wire.interface_to_dict(record),
-        }
-
-    def _op_absorb_gateway(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        foreign = wire.gateway_from_dict(request["record"])
-        id_map = {
-            int(key): value
-            for key, value in request.get("interface_id_map", {}).items()
-        }
-        record, changed = self.journal.absorb_gateway(foreign, id_map)
-        return {
-            "ok": True,
-            "changed": changed,
-            "record": wire.gateway_to_dict(record),
-        }
-
-    def _op_absorb_subnet(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        foreign = wire.subnet_from_dict(request["record"])
-        record, changed = self.journal.absorb_subnet(foreign)
-        return {
-            "ok": True,
-            "changed": changed,
-            "record": wire.subnet_to_dict(record),
-        }
-
-    def _op_ensure_gateway(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        record, changed = self.journal.ensure_gateway(
-            source=request.get("source", "remote"),
-            name=request.get("name"),
-            interface_ids=request.get("interface_ids", ()),
-        )
-        return {"ok": True, "changed": changed, "record": wire.gateway_to_dict(record)}
-
-    def _op_rename_gateway(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        changed = self.journal.rename_gateway(
-            request["record_id"],
-            request["name"],
-            source=request.get("source", "remote"),
-        )
-        return {"ok": True, "changed": changed}
-
-    def _op_link_gateway_subnet(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        changed = self.journal.link_gateway_subnet(
-            request["gateway_id"],
-            request["subnet"],
-            source=request.get("source", "remote"),
-        )
-        return {"ok": True, "changed": changed}
-
-    def _op_ensure_subnet(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        stats = request.get("stats", {})
-        record, changed = self.journal.ensure_subnet(
-            request["subnet"],
-            source=request.get("source", "remote"),
-            quality=request.get("quality", "good"),
-            **stats,
-        )
-        return {"ok": True, "changed": changed, "record": wire.subnet_to_dict(record)}
-
-    def _op_delete_interface(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        deleted = self.journal.delete_interface(request["record_id"])
-        return {"ok": True, "deleted": deleted}
-
     def _op_metrics(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Structured registry snapshot: every metric family plus the
         tail of the span ring.  Runs under the read lock; the registry's
@@ -707,11 +647,6 @@ class JournalDispatcher:
         return {"ok": True, "epoch": self.epoch, "role": "fenced",
                 "previous_role": previous}
 
-    def _op_counts(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        # counts() carries the journal revision, so remote clients can
-        # cheaply poll "did anything change since revision N?"
-        return {"ok": True, "counts": self.journal.counts()}
-
     def _op_changes_since(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Polling fallback for the change feed: the delta between a
         client-held revision and now (complete=False means the window
@@ -731,14 +666,6 @@ class JournalDispatcher:
         predicate = None if where is None else wire.predicate_from_dict(where)
         pulled = self.journal.pull(since, predicate)
         return {"ok": True, **wire.pull_to_dict(pulled)}
-
-    def _op_negative_put(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self.journal.negative_put(request["kind"], request["key"], ttl=request["ttl"])
-        return {"ok": True}
-
-    def _op_negative_check(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        cached = self.journal.negative_check(request["kind"], request["key"])
-        return {"ok": True, "cached": cached}
 
     def _op_dump(self, request: Dict[str, Any]) -> Dict[str, Any]:
         return {"ok": True, "journal": self.journal.to_dict()}

@@ -592,14 +592,14 @@ class ShardedClient(query_module.NamedReads):
         *shard*'s local id space (ids owned by other shards drop out)."""
         if predicate is None:
             return None
-        if isinstance(predicate, query_module.RecordIds):
+        if isinstance(predicate, (query_module.RecordIds, query_module.Members)):
             local = [
                 rid
                 for gid in predicate.ids
                 for owner, rid in (self._route_id(gid),)
                 if owner == shard
             ]
-            return query_module.RecordIds(local)
+            return type(predicate)(local)
         if isinstance(predicate, query_module.And):
             return query_module.And(
                 *(self._localize_predicate(c, shard) for c in predicate.children)
@@ -728,22 +728,11 @@ class ShardedClient(query_module.NamedReads):
         self, observations: Sequence[Observation], *, coalesced: int = 0
     ) -> List[bool]:
         """Partition a batch by owning shard and apply each sub-batch in
-        one round trip; flags come back in submission order.  The
-        coalesced count is accounted to the first participating shard
-        (it is fleet-level ingest accounting, not per-record state)."""
-        groups = self._partition(observations)
-        flags: List[bool] = [False] * len(observations)
-        first = True
-        for shard in sorted(groups):
-            positions = [p for p, _ in groups[shard]]
-            items = [o for _, o in groups[shard]]
-            shard_flags = self.clients[shard].observe_batch(
-                items, coalesced=coalesced if first else 0
-            )
-            first = False
-            for position, flag in zip(positions, shard_flags):
-                flags[position] = bool(flag)
-        return flags
+        one round trip, every shard's on the wire before any is waited
+        on; flags come back in submission order (see
+        :meth:`observe_batch_nowait`)."""
+        response = self.observe_batch_nowait(observations, coalesced=coalesced).wait()
+        return [bool(item.get("changed")) for item in response["responses"]]
 
     def observe_batch_nowait(
         self, observations: Sequence[Observation], *, coalesced: int = 0
@@ -752,7 +741,9 @@ class ShardedClient(query_module.NamedReads):
         on its wire without waiting; the returned reply reassembles the
         per-observation responses in submission order when waited on.
         Shards without a pipelined path (local clients) apply their
-        sub-batch synchronously."""
+        sub-batch synchronously.  The coalesced count is accounted to
+        the first participating shard (it is fleet-level ingest
+        accounting, not per-record state)."""
         groups = self._partition(observations)
         parts: List[Tuple[List[int], Any]] = []
         first = True
@@ -767,15 +758,12 @@ class ShardedClient(query_module.NamedReads):
                 shard_flags = client.observe_batch(
                     items, coalesced=coalesced if first else 0
                 )
-                reply = _SettledShardReply(
-                    {
-                        "ok": True,
-                        "responses": [
-                            {"ok": True, "changed": bool(flag)}
-                            for flag in shard_flags
-                        ],
-                    }
-                )
+                reply = {
+                    "ok": True,
+                    "responses": [
+                        {"ok": True, "changed": bool(flag)} for flag in shard_flags
+                    ],
+                }
             first = False
             parts.append((positions, reply))
         return _ShardedReply(len(observations), parts)
@@ -843,13 +831,9 @@ class ShardedClient(query_module.NamedReads):
             return []
         old_names = set()
         for shard, rids in groups.items():
-            rid_set = set(rids)
-            for fragment in self.clients[shard].all_gateways():
-                if (
-                    fragment.name
-                    and fragment.name != name
-                    and rid_set.intersection(fragment.interface_ids)
-                ):
+            members = query_module.Members(rids)
+            for fragment in self.clients[shard].query("gateways", members):
+                if fragment.name and fragment.name != name:
                     old_names.add(fragment.name)
         if not old_names:
             return []
@@ -1246,24 +1230,9 @@ class ShardedClient(query_module.NamedReads):
         return None
 
 
-class _SettledShardReply:
-    """Already-resolved stand-in for a shard without a pipelined path."""
-
-    __slots__ = ("_response",)
-
-    def __init__(self, response: Dict[str, Any]) -> None:
-        self._response = response
-
-    @property
-    def done(self) -> bool:
-        return True
-
-    def wait(self, timeout: Optional[float] = -1.0) -> Dict[str, Any]:
-        return self._response
-
-
 class _ShardedReply:
-    """Reassembles per-shard ``observe_batch`` replies into one response
+    """Reassembles per-shard ``observe_batch`` replies (or, from a shard
+    without a pipelined path, its settled response) into one response
     whose ``responses`` list is in original submission order."""
 
     __slots__ = ("_size", "_parts")
@@ -1272,16 +1241,12 @@ class _ShardedReply:
         self._size = size
         self._parts = parts
 
-    @property
-    def done(self) -> bool:
-        return all(reply.done for _, reply in self._parts)
-
     def wait(self, timeout: Optional[float] = -1.0) -> Dict[str, Any]:
         responses: List[Dict[str, Any]] = [
             {"ok": True, "changed": False} for _ in range(self._size)
         ]
         for positions, reply in self._parts:
-            response = reply.wait(timeout)
+            response = reply if isinstance(reply, dict) else reply.wait(timeout)
             for position, item in zip(positions, response.get("responses", [])):
                 responses[position] = item
         return {"ok": True, "responses": responses}

@@ -15,14 +15,22 @@ Requests without an id are answered strictly in order, one at a time —
 the pre-pipelining contract, kept for dumb clients.  Server-initiated
 frames (the ``subscribe`` stream) carry an ``"event"`` key instead of
 an ``id``.
+
+Every op is declared once, in :data:`OPS`.  An op that is one plain
+Journal method call is declared by its row alone: :class:`JournalCall`
+derives its request fields, reply keys and value codecs from the row
+and the method's signature, for the server and the clients alike.
 """
 
 from __future__ import annotations
 
+import collections.abc
+import inspect
 import json
 import select
 import socket
 import time
+import typing
 from typing import (
     Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -41,6 +49,7 @@ __all__ = [
     "COUNTER_SCHEMA",
     "INLINE_OPS",
     "INLINE_WRITES",
+    "JournalCall",
     "OPS",
     "OpSpec",
     "READ_OPS",
@@ -115,7 +124,16 @@ from .query import predicate_from_dict, predicate_to_dict  # noqa: E402
 # ----------------------------------------------------------------------
 
 class OpSpec(NamedTuple):
-    """How the Journal Server and its clients treat one op."""
+    """How the Journal Server and its clients treat one op.
+
+    An op whose row sets :attr:`reply` is a *plain Journal call*: it
+    runs the :class:`~repro.core.journal.Journal` method of the same
+    name and nothing else.  That row is its only declaration — its
+    request fields are the Journal method's parameter names, and the
+    server handler and the ``LocalClient``/``RemoteClient`` methods are
+    derived from the row and the Journal signature (see
+    :class:`JournalCall`).  Every other op keeps a hand-written ``_op_``
+    handler."""
 
     #: ``read`` (shared lock; never fenced, so a standby or a fenced
     #: ex-primary keeps serving it), ``write`` (write lock; fenced and
@@ -129,39 +147,50 @@ class OpSpec(NamedTuple):
     inline: bool = False
     #: the ``RemoteClient`` methods that send it
     methods: Tuple[str, ...] = ()
+    #: a plain call's reply keys, one per returned value (a tuple result
+    #: maps position by position); empty when the method returns None.
+    #: None for a hand-written op.
+    reply: Optional[Tuple[str, ...]] = None
+    #: a plain call a client may park for replay while the server is
+    #: unreachable (it replies nothing, so no caller waits on an answer)
+    parks: bool = False
 
 
 #: The Journal Server op vocabulary, each op declared once.  The
 #: dispatcher's lock, fencing and inline rules, the client's epoch stamp
-#: and write handoff, and ``FailoverClient``'s proxies are all derived
-#: from this table.  (negative_check may lazily evict an expired entry,
-#: but that eviction is idempotent and race-free, so it stays a read —
-#: see Journal.negative_check.)
+#: and write handoff, ``FailoverClient``'s proxies, and the whole of
+#: every plain Journal call are all derived from this table.
+#: (negative_check may lazily evict an expired entry, but that eviction
+#: is idempotent and race-free, so it stays a read — see
+#: Journal.negative_check.)
 OPS: Dict[str, OpSpec] = {
     # ingest & maintenance
     "observe": OpSpec("write", True, ("observe_interface", "submit", "resolve")),
     "observe_batch": OpSpec(
         "write", False, ("observe_batch", "observe_batch_nowait", "flush")
     ),
-    "absorb_interface": OpSpec("write", True, ("absorb_interface",)),
-    "absorb_gateway": OpSpec("write", True, ("absorb_gateway",)),
-    "absorb_subnet": OpSpec("write", True, ("absorb_subnet",)),
-    "ensure_gateway": OpSpec("write", True, ("ensure_gateway",)),
-    "ensure_subnet": OpSpec("write", True, ("ensure_subnet",)),
-    "link_gateway_subnet": OpSpec("write", True, ("link_gateway_subnet",)),
-    "rename_gateway": OpSpec("write", False, ("rename_gateway",)),
-    "delete_interface": OpSpec("write", True, ("delete_interface",)),
-    "negative_put": OpSpec("write", True, ("negative_put",)),
+    # plain Journal calls: OpSpec(kind, inline, methods, reply)
+    "absorb_interface": OpSpec(
+        "write", True, ("absorb_interface",), ("record", "changed")
+    ),
+    "absorb_gateway": OpSpec("write", True, ("absorb_gateway",), ("record", "changed")),
+    "absorb_subnet": OpSpec("write", True, ("absorb_subnet",), ("record", "changed")),
+    "ensure_gateway": OpSpec("write", True, ("ensure_gateway",), ("record", "changed")),
+    "ensure_subnet": OpSpec("write", True, ("ensure_subnet",), ("record", "changed")),
+    "link_gateway_subnet": OpSpec("write", True, ("link_gateway_subnet",), ("changed",)),
+    "rename_gateway": OpSpec("write", False, ("rename_gateway",), ("changed",)),
+    "delete_interface": OpSpec("write", True, ("delete_interface",), ("deleted",)),
+    "negative_put": OpSpec("write", True, ("negative_put",), (), parks=True),
+    "counts": OpSpec("read", True, ("counts", "revision"), ("counts",)),
+    "negative_check": OpSpec("read", True, ("negative_check",), ("cached",)),
     # queries
     "ping": OpSpec("read", True),
-    "counts": OpSpec("read", True, ("counts", "revision")),
     "metrics": OpSpec("read", True, ("metrics",)),
     # The one record read: the clients' named reads (query.NamedReads)
     # are predicates over it.
     "query": OpSpec("read", False, ("query",)),
     "path": OpSpec("read", False, ("path",)),
     "impact": OpSpec("read", False, ("impact",)),
-    "negative_check": OpSpec("read", True, ("negative_check",)),
     "changes_since": OpSpec("read", True, ("changes_since",)),
     "pull": OpSpec("read", False, ("pull",)),
     "dump": OpSpec("read", False, ("snapshot",)),
@@ -339,6 +368,7 @@ def subnet_from_dict(data: Dict[str, Any]) -> SubnetRecord:
     return record
 
 
+
 # ----------------------------------------------------------------------
 # Observations
 # ----------------------------------------------------------------------
@@ -364,6 +394,133 @@ def observation_from_dict(data: Dict[str, Any]) -> Observation:
         promiscuous_rip=data.get("promiscuous_rip"),
         quality=data.get("quality", "good"),
     )
+
+
+# ----------------------------------------------------------------------
+# Plain Journal calls
+# ----------------------------------------------------------------------
+
+#: request keys any op may carry besides its fields
+_ENVELOPE = frozenset({"op", "id", "epoch"})
+
+#: record class -> (wire ``kind``, encoder, decoder)
+_RECORDS = {
+    InterfaceRecord: ("interface", interface_to_dict, interface_from_dict),
+    GatewayRecord: ("gateway", gateway_to_dict, gateway_from_dict),
+    SubnetRecord: ("subnet", subnet_to_dict, subnet_from_dict),
+}
+
+
+def _codec(hint: Any) -> Tuple[Optional[Callable], Optional[Callable]]:
+    """``(encode, decode)`` for a value of the annotated type, None for
+    a value that travels as it is: a record travels in its wire form
+    and must come back as its own ``kind``, an int-keyed dict gets its
+    keys back (JSON object keys are strings), and any other iterable
+    travels as a list."""
+    if hint in _RECORDS:
+        kind, encode, decode = _RECORDS[hint]
+
+        def decode_record(data: Any):
+            if not isinstance(data, dict) or data.get("kind") != kind:
+                raise WireError(f"expected a {kind} record")
+            return decode(data)
+
+        return encode, decode_record
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is dict and args[:1] == (int,):
+        return None, lambda data: {int(key): value for key, value in data.items()}
+    if origin is collections.abc.Iterable:
+        return list, None
+    return None, None
+
+
+class JournalCall:
+    """The wire codec of one plain Journal call, derived from its
+    :data:`OPS` row and the Journal method's signature and type hints:
+    :meth:`request` and :meth:`result` for the client, :meth:`arguments`
+    and :meth:`reply` for the server."""
+
+    def __init__(self, op: str) -> None:
+        from .journal import Journal
+
+        spec, method = OPS[op], getattr(Journal, op)
+        params = list(inspect.signature(method).parameters.values())[1:]
+        hints = typing.get_type_hints(method)
+        codecs = {param.name: _codec(hints.get(param.name)) for param in params}
+        self.op, self.spec = op, spec
+        #: the Journal method's signature without ``self``
+        self.signature = inspect.Signature(params)
+        #: the request fields: the Journal method's parameter names (a
+        #: ``**`` parameter travels as one object under its own name)
+        self._names = frozenset(param.name for param in params)
+        self._encoders = {name: enc for name, (enc, _dec) in codecs.items() if enc}
+        self._decoders = {name: dec for name, (_enc, dec) in codecs.items() if dec}
+        self._positional = [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+        self._required = {
+            p.name for p in params if p.default is p.empty and p.kind is not p.VAR_KEYWORD
+        }
+        #: the ``**`` parameter, whose object spreads into keywords
+        self._spread = next((p.name for p in params if p.kind is p.VAR_KEYWORD), None)
+        returned = hints.get("return")
+        returned = typing.get_args(returned) if len(spec.reply) > 1 else (returned,)
+        self._reply = [(key, *_codec(hint)) for key, hint in zip(spec.reply, returned)]
+
+    def request(self, args: Sequence[Any], kwargs: Dict[str, Any]) -> Dict[str, Any]:
+        """The request for a call (a TypeError for arguments the Journal
+        method would refuse)."""
+        values = dict(zip(self._positional, args))
+        values.update(kwargs)
+        if (
+            len(values) != len(args) + len(kwargs)
+            or not self._required <= values.keys()
+            or not self._names >= kwargs.keys()
+        ):
+            # Anything but plain named arguments (a ``**`` argument, or
+            # a call the method would refuse): bind it the slow way.
+            values = self.signature.bind(*args, **kwargs).arguments
+        request = {"op": self.op, **values}
+        for name, encode in self._encoders.items():
+            if name in request:
+                request[name] = encode(request[name])
+        return request
+
+    def result(self, response: Dict[str, Any]) -> Any:
+        """The Journal method's return value, rebuilt from its reply."""
+        values = tuple(
+            decode(response[key]) if decode else response[key]
+            for key, _encode, decode in self._reply
+        )
+        if len(values) == 1:
+            return values[0]
+        return values or None
+
+    def arguments(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """The Journal method's keyword arguments, decoded from a request.
+        A missing field surfaces as the method's own TypeError."""
+        kwargs = {key: value for key, value in request.items() if key not in _ENVELOPE}
+        if not self._names >= kwargs.keys():
+            unknown = sorted(kwargs.keys() - self._names)
+            raise WireError(f"{self.op}: unknown field(s) {unknown}")
+        for name, decode in self._decoders.items():
+            if name in kwargs:
+                kwargs[name] = decode(kwargs[name])
+        if self._spread in kwargs:
+            spread = kwargs.pop(self._spread)
+            if not isinstance(spread, dict):
+                raise WireError(f"{self.op}: {self._spread!r} must be an object")
+            if not self._names.isdisjoint(spread):
+                shadowed = sorted(self._names.intersection(spread))
+                raise WireError(f"{self.op}: {self._spread!r} repeats field(s) {shadowed}")
+            kwargs.update(spread)
+        return kwargs
+
+    def reply(self, returned: Any) -> Dict[str, Any]:
+        """The reply carrying the Journal method's return value."""
+        values = returned if len(self._reply) > 1 else (returned,)
+        response: Dict[str, Any] = {"ok": True}
+        for (key, encode, _decode), value in zip(self._reply, values):
+            response[key] = encode(value) if encode else value
+        return response
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,217 @@
+"""Every plain Journal call, driven from its ``wire.OPS`` row.
+
+A plain Journal call is an op whose row declares ``reply``: its request
+fields are the Journal method's parameter names, and its server handler and its ``LocalClient``/``RemoteClient`` methods are derived
+from the row and the Journal method's signature.  One parametrized case
+per derived row checks that the in-process, remote and failover clients
+(and the op as an ``observe_batch`` item) return equal results on equal
+journals, and that a malformed request is refused with ``ok: false``
+while the server keeps serving.
+"""
+
+from __future__ import annotations
+
+import inspect
+import socket
+
+import pytest
+
+from repro.core import FailoverClient, Journal, JournalServer, LocalClient, RemoteClient
+from repro.core import wire
+from repro.core.records import GatewayRecord, InterfaceRecord, Observation, SubnetRecord
+
+DERIVED = sorted(op for op, spec in wire.OPS.items() if spec.reply is not None)
+
+NOW = 100.0
+
+
+def _clock() -> float:
+    return NOW
+
+
+def _seed():
+    """A journal with two gateway members, a loose interface, a linked
+    subnet and a live negative entry, plus records from another journal
+    to absorb.  Returns ``(journal, ids, foreign)``."""
+    journal = Journal(clock=_clock)
+    a, _ = journal.observe_interface(Observation(source="t", ip="10.0.1.1", mac="08:00:20:00:00:01"))
+    b, _ = journal.observe_interface(Observation(source="t", ip="10.0.1.2", mac="08:00:20:00:00:02"))
+    loose, _ = journal.observe_interface(Observation(source="t", ip="10.0.2.9"))
+    gateway, _ = journal.ensure_gateway(
+        source="t", name="gw-1", interface_ids=[a.record_id, b.record_id]
+    )
+    journal.link_gateway_subnet(gateway.record_id, "10.0.1.0", source="t")
+    journal.negative_put("dns", "cached.test", ttl=1000.0)
+    ids = {"a": a.record_id, "loose": loose.record_id, "gateway": gateway.record_id}
+
+    far = Journal(clock=lambda: NOW - 10.0)
+    member, _ = far.observe_interface(Observation(source="far", ip="10.0.1.1", mac="08:00:20:00:00:01"))
+    far_gateway, _ = far.ensure_gateway(
+        source="far", name="gw-far", interface_ids=[member.record_id]
+    )
+    far.link_gateway_subnet(far_gateway.record_id, "10.0.4.0", source="far")
+    far_subnet, _ = far.ensure_subnet("10.0.1.0", source="far", mask="255.255.255.0")
+    foreign = {
+        "interface": member,
+        "gateway": far_gateway,
+        "id_map": {member.record_id: a.record_id},
+        "subnet": far_subnet,
+    }
+    return journal, ids, foreign
+
+
+#: op -> (ids, foreign) -> (args, kwargs) of one call
+CALLS = {
+    "ensure_gateway": lambda ids, far: (
+        (), {"source": "t", "name": "gw-2", "interface_ids": (ids["loose"],)}
+    ),
+    "rename_gateway": lambda ids, far: ((ids["gateway"], "gw-renamed"), {"source": "t"}),
+    "link_gateway_subnet": lambda ids, far: ((ids["gateway"], "10.0.2.0"), {"source": "t"}),
+    "ensure_subnet": lambda ids, far: (
+        ("10.0.3.0",), {"source": "t", "quality": "good", "mask": "255.255.255.0"}
+    ),
+    "delete_interface": lambda ids, far: ((ids["a"],), {}),
+    "absorb_interface": lambda ids, far: ((far["interface"],), {}),
+    "absorb_gateway": lambda ids, far: ((far["gateway"], far["id_map"]), {}),
+    "absorb_subnet": lambda ids, far: ((far["subnet"],), {}),
+    "negative_put": lambda ids, far: (("dns", "new.test"), {"ttl": 60.0}),
+    "negative_check": lambda ids, far: (("dns", "cached.test"), {}),
+    "counts": lambda ids, far: ((), {}),
+}
+
+
+_TO_DICT = {
+    InterfaceRecord: wire.interface_to_dict,
+    GatewayRecord: wire.gateway_to_dict,
+    SubnetRecord: wire.subnet_to_dict,
+}
+
+
+def _comparable(value):
+    """A result with record ids dropped: equal journals mint equal
+    records under different process-wide ids."""
+    if isinstance(value, tuple):
+        return tuple(_comparable(item) for item in value)
+    if type(value) in _TO_DICT:
+        data = _TO_DICT[type(value)](value)
+        data.pop("record_id")
+        return data
+    return value
+
+
+def _copy(journal: Journal) -> Journal:
+    return Journal.from_dict(journal.to_dict(), clock=_clock)
+
+
+def _raw_reply(server: JournalServer, request):
+    """Send one frame over a bare socket and return the raw reply."""
+    with socket.create_connection(server.address, timeout=5.0) as sock:
+        sock.sendall(wire.encode_message(request))
+        return wire.FrameReader(sock).read(5.0)
+
+
+@pytest.fixture
+def servers():
+    started = []
+
+    def serve(journal: Journal) -> JournalServer:
+        server = JournalServer(journal)
+        server.start()
+        started.append(server)
+        return server
+
+    yield serve
+    for server in started:
+        server.stop()
+
+
+def test_every_derived_row_has_a_case():
+    assert sorted(CALLS) == DERIVED
+
+
+@pytest.mark.parametrize("op", DERIVED)
+def test_methods_carry_the_journal_signature(op):
+    seed, ids, foreign = _seed()
+    args, kwargs = CALLS[op](ids, foreign)
+    parameters = list(inspect.signature(getattr(Journal, op)).parameters)[1:]
+    request = wire.JournalCall(op).request(args, kwargs)
+    assert set(request) - {"op"} <= set(parameters)
+    for cls in (LocalClient, RemoteClient):
+        method = getattr(cls, op)
+        assert method.__name__ == op
+        assert method.__doc__ == getattr(Journal, op).__doc__
+        assert inspect.signature(method) == inspect.signature(getattr(Journal, op))
+
+
+@pytest.mark.parametrize("op", DERIVED)
+def test_every_client_returns_the_journal_result(op, servers):
+    seed, ids, foreign = _seed()
+    args, kwargs = CALLS[op](ids, foreign)
+    expected = _comparable(getattr(_copy(seed), op)(*args, **kwargs))
+
+    assert _comparable(getattr(LocalClient(_copy(seed)), op)(*args, **kwargs)) == expected
+
+    with RemoteClient(*servers(_copy(seed)).address) as client:
+        assert _comparable(getattr(client, op)(*args, **kwargs)) == expected
+
+    with FailoverClient([servers(_copy(seed)).address]) as client:
+        assert _comparable(getattr(client, op)(*args, **kwargs)) == expected
+
+    call = wire.JournalCall(op)
+    batched = _copy(seed)
+    with RemoteClient(*servers(batched).address) as client:
+        item = client._call(wire.batch_request([call.request(args, kwargs)]))[
+            "responses"
+        ][0]
+    assert item["ok"] is True
+    assert set(item) == {"ok", *wire.OPS[op].reply}
+    assert _comparable(call.result(item)) == expected
+
+
+def _malformed(op, request):
+    """Malformed variants of a good request: each required field
+    missing, an unknown field, every record swapped for another kind,
+    a ``**`` field that is no object, and one that repeats a field."""
+    for param in wire.JournalCall(op).signature.parameters.values():
+        if param.default is param.empty and param.kind is not param.VAR_KEYWORD:
+            yield {key: value for key, value in request.items() if key != param.name}
+    yield {**request, "bogus": 1}
+    for name, value in request.items():
+        if isinstance(value, dict) and "kind" in value:
+            swapped = (
+                wire.interface_to_dict(InterfaceRecord())
+                if value["kind"] == "subnet"
+                else wire.subnet_to_dict(SubnetRecord())
+            )
+            yield {**request, name: swapped}
+    if "stats" in request:
+        yield {**request, "stats": ["not an object"]}
+        for name in ("source", "quality", "subnet_key"):
+            yield {**request, "stats": {**request["stats"], name: "x"}}
+        missing = {key: value for key, value in request.items() if key != "source"}
+        yield {**missing, "stats": {**request["stats"], "source": "x"}}
+
+
+@pytest.mark.parametrize("op", DERIVED)
+def test_malformed_request_is_refused_and_the_server_keeps_serving(op, servers):
+    seed, ids, foreign = _seed()
+    args, kwargs = CALLS[op](ids, foreign)
+    journal = _copy(seed)
+    server = servers(journal)
+    request = wire.JournalCall(op).request(args, kwargs)
+    bad_requests = list(_malformed(op, request))
+    assert bad_requests
+    before = journal.to_dict()
+    for bad in bad_requests:
+        reply = _raw_reply(server, bad)
+        assert reply["ok"] is False, bad
+        assert reply["error"]
+        with RemoteClient(*server.address) as client:
+            (item,) = client._call(wire.batch_request([bad]))["responses"]
+        assert item["ok"] is False, bad
+    after = journal.to_dict()
+    # Refused requests changed nothing but the batch counter.
+    before.pop("ingest"), after.pop("ingest")
+    assert after == before
+    with RemoteClient(*server.address) as client:
+        assert client._call(request)["ok"] is True

@@ -10,6 +10,7 @@ and partitions against real processes — lives in
 ``tests/integration/test_failover.py``.
 """
 
+import contextlib
 import socket
 import time
 
@@ -390,6 +391,55 @@ class TestFailoverClient:
     def test_no_reachable_replica_raises_connection_error(self):
         with pytest.raises(ConnectionError):
             FailoverClient([("127.0.0.1", 1)], probe_timeout=0.2)
+
+
+class TestShardedFailoverBatch:
+    """A synchronous sharded ``observe_batch`` over replica groups
+    sends every shard's sub-batch before waiting on any, so failover
+    must cover the wait: a primary fenced after the send re-sends its
+    sub-batch to the promoted standby instead of dropping it."""
+
+    def test_fenced_primaries_during_sync_batch_lose_nothing(self):
+        observations = [
+            Observation(source="failover-test", ip=f"10.41.{index}.1",
+                        mac=f"08:00:2b:01:00:{index:02x}")
+            for index in range(16)
+        ]
+        with contextlib.ExitStack() as stack:
+            primaries = []
+            for _ in range(2):
+                primary = JournalServer(Journal(), port=0)
+                primary.start()
+                stack.callback(primary.stop)
+                primaries.append(primary)
+            standbys = [
+                stack.enter_context(
+                    StandbyReplica(primary.address, poll_interval=0.05)
+                )
+                for primary in primaries
+            ]
+            router = ShardedClient(
+                [
+                    FailoverClient([primary.address, standby.address])
+                    for primary, standby in zip(primaries, standbys)
+                ],
+                check=False,
+            )
+            stack.callback(router.close)
+            assert len(router._partition(observations)) == 2
+            # Fence behind the clients' backs: each send reaches its old
+            # primary and only the wait learns of the fence.
+            for primary in primaries:
+                with RemoteClient(*primary.address) as admin:
+                    admin.fence(1)
+            assert router.observe_batch(observations) == [True] * 16
+            stored = set()
+            for client, standby in zip(router.clients, standbys):
+                assert client.active_address == standby.address
+                assert standby.role == "primary"
+                with RemoteClient(*standby.address) as reader:
+                    stored.update(r.ip for r in reader.all_interfaces())
+            assert stored == {o.ip for o in observations}
 
 
 class TestFeedFlap:

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import journal as journal_module
 from repro.core.avl import AvlTree
 from repro.core.journal import Journal, SortedIndex, ip_key
-from repro.core.query import FieldEquals, InSubnet, MacPrefix, ModifiedSince
+from repro.core.query import FieldEquals, InSubnet, MacPrefix, Members, ModifiedSince
 from repro.core.records import Observation
 
 # -- the index against the AVL oracle ---------------------------------------
@@ -207,9 +207,20 @@ def ids(records):
     return [r.record_id for r in records]
 
 
+#: two gateways holding members, which the random sequences rarely build
+TWO_MEMBER_GATEWAYS = [
+    ("observe", IPS[0], MACS[0], None),
+    ("observe", IPS[1], MACS[1], None),
+    ("observe", IPS[2], MACS[2], None),
+    ("gateway", "gw-a", [0]),
+    ("gateway", "gw-b", [1, 2]),
+]
+
+
 class TestJournalIndexesMatchScans:
     @settings(max_examples=120, deadline=None)
     @given(JOURNAL_OPS)
+    @example(TWO_MEMBER_GATEWAYS)
     def test_indexed_reads_equal_linear_filters(self, ops):
         journal = apply_ops(ops)
         interfaces = list(journal.interfaces.values())
@@ -302,6 +313,19 @@ class TestJournalIndexesMatchScans:
                 owners[0] if owners else None
             )
 
+        # A member query (planned through the same reverse map) equals
+        # a filter, including ids no record holds any more.
+        member_ids = sorted(journal.interfaces)
+        for probe in (member_ids[:1], member_ids[::2], member_ids + [10**9], [10**9]):
+            predicate = Members(probe)
+            for kind, table in (
+                ("gateways", journal.gateways),
+                ("interfaces", journal.interfaces),
+            ):
+                assert ids(journal.query(kind, predicate)) == ids(
+                    by_modified(r for r in table.values() if predicate.matches(r))
+                )
+
     @settings(max_examples=40, deadline=None)
     @given(JOURNAL_OPS)
     def test_bulk_load_rebuilds_the_same_indexes(self, ops):
@@ -316,3 +340,20 @@ class TestJournalIndexesMatchScans:
                 journal._modified_index[kind].items()
             )
         assert loaded._gateways_by_name == journal._gateways_by_name
+
+    def test_member_query_sees_past_a_stale_reverse_map_entry(self):
+        journal = Journal()
+        member, _ = journal.observe_interface(
+            Observation(source="t", ip="10.0.1.1", mac="08:00:20:00:00:01")
+        )
+        old, _ = journal.ensure_gateway(
+            source="t", name="gw-old", interface_ids=[member.record_id]
+        )
+        new, _ = journal.ensure_gateway(source="t", name="gw-new")
+        # External surgery: the member moves without a Journal method,
+        # so the reverse map still names the old gateway.
+        old.interface_ids.remove(member.record_id)
+        new.interface_ids.append(member.record_id)
+        assert journal._gateway_of[member.record_id] == old.record_id
+        found = journal.query("gateways", Members([member.record_id]))
+        assert [gateway.record_id for gateway in found] == [new.record_id]

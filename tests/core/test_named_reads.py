@@ -5,7 +5,8 @@ predicate queries, defined once in :class:`repro.core.query.NamedReads`.
 These tests check that the in-process, remote, failover and sharded
 clients return the same records in the same ``(last_modified,
 record_id)`` order, and that the router sends a one-IP lookup to the
-IP's owning shard only.
+IP's owning shard only, and a gateway write's fragment lookups to
+the member shards as member queries.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.core import (
     ShardMap,
     ShardedClient,
 )
-from repro.core.query import FieldEquals, MacPrefix, ip_key
+from repro.core.query import FieldEquals, MacPrefix, Members, ip_key
 from repro.core.records import Observation
 
 SHARD_MAP = ShardMap(2)
@@ -214,3 +215,22 @@ class TestRouting:
             assert [len(shard.queries) for shard in self.shards] == [1, 1]
             for shard in self.shards:
                 shard.queries.clear()
+
+    def test_named_gateway_write_asks_members_not_a_dump(self):
+        members = [r.record_id for r in self.router.all_interfaces()]
+        self.router.ensure_gateway(source="t", name="gw-old", interface_ids=members)
+        for shard in self.shards:
+            shard.queries.clear()
+        # A new name for the same members: the router looks for the
+        # device's fragments under their old name on every member shard.
+        self.router.ensure_gateway(source="t", name="gw-new", interface_ids=members)
+        asked = [query for shard in self.shards for query in shard.queries]
+        assert ("gateways", None) not in asked
+        assert [
+            sorted(where.ids) for shard in self.shards
+            for kind, where in shard.queries if isinstance(where, Members)
+        ] == [
+            sorted(r.record_id for r in shard.all_interfaces())
+            for shard in self.shards
+        ]
+        assert {g.name for g in self.router.all_gateways()} == {"gw-new"}

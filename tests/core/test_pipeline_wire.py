@@ -407,21 +407,28 @@ class TestDurableInlinePath:
 
     @pytest.fixture
     def handler_threads(self, monkeypatch):
-        """Record which thread ran each write handler (op -> names)."""
+        """Record which thread ran each write handler (op -> names), at
+        the handler the dispatcher resolves for the op."""
         seen = {}
         ops = (
             "observe", "observe_batch", "negative_put", "ensure_gateway",
             "ensure_subnet", "link_gateway_subnet", "delete_interface",
             "absorb_interface", "absorb_gateway", "absorb_subnet",
         )
-        for op in ops:
-            original = getattr(JournalDispatcher, f"_op_{op}")
+        original = JournalDispatcher.handler_for
 
-            def recording(self, request, _op=op, _original=original):
-                seen.setdefault(_op, []).append(threading.current_thread().name)
-                return _original(self, request)
+        def handler_for(self, op):
+            handler = original(self, op)
+            if op not in ops or handler is None:
+                return handler
 
-            monkeypatch.setattr(JournalDispatcher, f"_op_{op}", recording)
+            def recording(request):
+                seen.setdefault(op, []).append(threading.current_thread().name)
+                return handler(request)
+
+            return recording
+
+        monkeypatch.setattr(JournalDispatcher, "handler_for", handler_for)
         return seen
 
     @staticmethod
