@@ -14,11 +14,15 @@ target subnet at a fixed ~100 interfaces, then times
 * ``all_interfaces()`` + predicate filter  (dump-and-filter),
 
 and measures the QueryCache hit path against a live Journal Server —
-including the number of wire round trips a hit costs (it must be 0).
+including the number of wire round trips a hit costs (it must be 0) —
+and a served miss: one ``RemoteClient`` query of the target subnet,
+with the reply's wire bytes per record.
 
 Results land in ``BENCH_query.json``.  ``--check`` enforces the PR
-gates: >= 5x speedup at the largest size, and query latency flat in
-journal size (largest/smallest ratio < 2.5) for the fixed result set.
+gates: >= 5x speedup at the largest size, query latency flat in
+journal size (largest/smallest ratio < 2.5) for the fixed result set,
+and a served record at most 60% of the bytes it took when attributes
+crossed the wire as objects with named keys.
 
 Usage::
 
@@ -38,10 +42,18 @@ from typing import Dict, List, Optional
 
 from repro.core import Journal, JournalServer, QueryCache, RemoteClient
 from repro.core import query as q
+from repro.core import wire
 from repro.core.records import Observation
 
 TARGET_SUBNET = "10.200.0.0/24"
 TARGET_HOSTS = 100
+#: wire bytes per served target record when every attribute was an
+#: object with named keys (``fremont-checkpoint-1`` era); the bench
+#: clock is fixed, so the byte count is deterministic (412.5 at both
+#: the --quick and the full size)
+OBJECT_FORM_BYTES_PER_RECORD = 412.5
+#: --check: a served record must cost at most this share of that
+WIRE_BYTES_GATE = 0.6
 
 
 def build_journal(total: int) -> Journal:
@@ -103,14 +115,44 @@ def measure_size(total: int, *, repeats: int) -> Dict[str, object]:
     }
 
 
+def measure_served_miss(client: RemoteClient, predicate, *, repeats: int) -> Dict[str, object]:
+    """One uncached ``query`` of the target: its latency and the wire
+    bytes of its reply per record (every frame read off a socket passes
+    through ``wire.decode_message``)."""
+    frames: List[int] = []
+    decode = wire.decode_message
+
+    def counting(line: bytes):
+        frames.append(len(line))
+        return decode(line)
+
+    wire.decode_message = counting
+    try:
+        records = client.query("interfaces", predicate)
+    finally:
+        wire.decode_message = decode
+    assert len(records) == TARGET_HOSTS
+    # The server runs in this process and decodes the request through
+    # the same function first; the reply is the last frame decoded.
+    reply_bytes = frames[-1]
+    miss_s = _time_per_call(lambda: client.query("interfaces", predicate), repeats)
+    return {
+        "served_miss_us": round(miss_s * 1e6, 2),
+        "reply_bytes": reply_bytes,
+        "bytes_per_record": round(reply_bytes / len(records), 2),
+    }
+
+
 def measure_cache(total: int, *, repeats: int) -> Dict[str, object]:
-    """QueryCache against a live server: hit latency and wire cost."""
+    """A served miss and the QueryCache against a live server: latency
+    and wire cost."""
     journal = build_journal(total)
     predicate = q.InSubnet(TARGET_SUBNET)
     server = JournalServer(journal)
     server.start()
     try:
         with RemoteClient(*server.address) as client:
+            served = measure_served_miss(client, predicate, repeats=repeats)
             with QueryCache(client) as cache:
                 miss_begun = time.perf_counter()
                 cache.query("interfaces", predicate)
@@ -126,6 +168,7 @@ def measure_cache(total: int, *, repeats: int) -> Dict[str, object]:
                     "remote_hit_us": round(hit_s * 1e6, 2),
                     "hit_round_trips": round_trips,
                     "hits": cache.hits,
+                    **served,
                 }
     finally:
         server.stop()
@@ -144,7 +187,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--check", action="store_true",
         help="fail unless indexed queries beat dump-and-filter >= 5x at "
         "the largest size, stay flat in journal size (ratio < 2.5 for "
-        "the fixed result set), and cache hits cost zero round trips",
+        "the fixed result set), cache hits cost zero round trips, and "
+        "a served record is at most 60%% of its object-form bytes",
     )
     parser.add_argument("--output", default="BENCH_query.json",
                         help="result file path (default: %(default)s)")
@@ -183,6 +227,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{cache['hit_round_trips']} wire round trips across "
         f"{cache['hits']} hits"
     )
+    wire_share = round(cache["bytes_per_record"] / OBJECT_FORM_BYTES_PER_RECORD, 3)
+    print(
+        f"served miss: {cache['served_miss_us']} us, "
+        f"{cache['bytes_per_record']} wire bytes per record "
+        f"({wire_share:.0%} of the object form's {OBJECT_FORM_BYTES_PER_RECORD})"
+    )
 
     result = {
         "benchmark": "predicate query engine",
@@ -193,6 +243,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "flatness_ratio": flatness,
         "largest_speedup": largest["speedup"],
         "cache": cache,
+        "wire_share_of_object_form": wire_share,
     }
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=1, sort_keys=True)
@@ -215,6 +266,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise SystemExit(
                 f"FAIL: cache hits cost {cache['hit_round_trips']} "
                 "wire round trips (expected 0)"
+            )
+        if wire_share > WIRE_BYTES_GATE:
+            raise SystemExit(
+                f"FAIL: a served record costs {cache['bytes_per_record']} wire "
+                f"bytes, {wire_share:.0%} of the object form "
+                f"(gate {WIRE_BYTES_GATE:.0%})"
             )
     return 0
 

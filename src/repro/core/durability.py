@@ -93,7 +93,10 @@ _FRAME_HEADER = struct.Struct(">II")
 #: as an instruction to allocate gigabytes for a garbage length field
 MAX_RECORD_BYTES = 16 * 2**20
 
-_CHECKPOINT_FORMAT = "fremont-checkpoint-1"
+#: the checkpoint format written; format 1 (object-form attributes in
+#: the body) is still recovered
+_CHECKPOINT_FORMAT = "fremont-checkpoint-2"
+_CHECKPOINT_FORMATS = frozenset({"fremont-checkpoint-1", _CHECKPOINT_FORMAT})
 _SEGMENT_RE = re.compile(r"^wal-(\d{8})\.log$")
 
 
@@ -482,7 +485,7 @@ class JournalStore:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ValueError(f"unreadable header: {error}") from None
-        if not isinstance(header, dict) or header.get("format") != _CHECKPOINT_FORMAT:
+        if not isinstance(header, dict) or header.get("format") not in _CHECKPOINT_FORMATS:
             raise ValueError(f"unknown checkpoint format: {header!r:.80}")
         if zlib.crc32(body) != int(header.get("crc32", -1)):
             raise ValueError("body CRC mismatch (torn or bit-rotted snapshot)")

@@ -43,6 +43,7 @@ returns what the live shards had and sets :attr:`ShardedClient.partial`
 
 from __future__ import annotations
 
+import copy
 import zlib
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -192,6 +193,15 @@ class ShardMap:
     def shard_for_ip(self, ip: Optional[str]) -> Optional[int]:
         token = self.subnet_token(ip) if ip else None
         if token is None:
+            return None
+        return self.shard_for_token("net:" + token)
+
+    def shard_for_range(self, low: str, high: str) -> Optional[int]:
+        """The one shard holding every IP-anchored interface in
+        ``low..high``, or None when the range spans more than one
+        /``prefix`` network (or an end is not a dotted quad)."""
+        token = self.subnet_token(low)
+        if token is None or token != self.subnet_token(high):
             return None
         return self.shard_for_token("net:" + token)
 
@@ -450,9 +460,11 @@ class ShardedClient(query_module.NamedReads):
     :class:`~repro.core.client.RemoteClient` — a BatchingSink, an
     explorer, the correlator's feed, the CLI — can take the router
     instead.  Writes route to the owning shard per the
-    :class:`ShardMap`; reads that cannot be routed (by-MAC lookups,
-    range scans, predicate queries other than one IP, dumps) fan out to
-    every shard and merge in ``(last_modified, record_id)`` order.
+    :class:`ShardMap`, and so do interface reads by one IP or by an IP
+    range inside one network; reads that cannot be routed (by-MAC
+    lookups, ranges that cross networks, other predicates, dumps) fan
+    out to every shard and merge in ``(last_modified, record_id)``
+    order.
 
     Record ids on this surface are *global* ids; id-taking operations
     decode them back to the owning shard.  Gateways whose members span
@@ -549,28 +561,39 @@ class ShardedClient(query_module.NamedReads):
     def _route_id(self, gid: int) -> Tuple[int, int]:
         return split_global_id(int(gid), self.shards)
 
+    def _private(self, record, shard: int):
+        """*record*, safe to rewrite: records decoded off a connection
+        are already private to the call, but a :class:`LocalClient`
+        shard hands back its live journal records, which are copied."""
+        if isinstance(self.clients[shard], LocalClient):
+            return copy.deepcopy(record)
+        return record
+
     def _globalize_interface(self, record: InterfaceRecord, shard: int) -> InterfaceRecord:
-        # Round-trip through the wire codec: shards backed by a
-        # LocalClient return live journal records, and globalizing ids
-        # in place would corrupt the shard.
-        copy = wire.interface_from_dict(wire.interface_to_dict(record))
-        copy.record_id = self._gid(record.record_id, shard)
-        gateway_attr = copy.attributes.get("gateway_id")
-        if gateway_attr is not None and gateway_attr.value is not None:
-            gateway_attr.value = self._gid(int(gateway_attr.value), shard)
-        return copy
+        record = self._private(record, shard)
+        record.record_id = self._gid(record.record_id, shard)
+        gateway_attr = record.attributes.get("gateway_id")
+        if gateway_attr is not None:
+            if gateway_attr.value is not None:
+                gateway_attr.value = self._gid(int(gateway_attr.value), shard)
+            # A gateway merge leaves the old shard-local ids here.
+            gateway_attr.history = [
+                (None if old is None else self._gid(int(old), shard), when)
+                for old, when in gateway_attr.history
+            ]
+        return record
 
     def _globalize_gateway(self, record: GatewayRecord, shard: int) -> GatewayRecord:
-        copy = wire.gateway_from_dict(wire.gateway_to_dict(record))
-        copy.record_id = self._gid(record.record_id, shard)
-        copy.interface_ids = [self._gid(i, shard) for i in copy.interface_ids]
-        return copy
+        record = self._private(record, shard)
+        record.record_id = self._gid(record.record_id, shard)
+        record.interface_ids = [self._gid(i, shard) for i in record.interface_ids]
+        return record
 
     def _globalize_subnet(self, record: SubnetRecord, shard: int) -> SubnetRecord:
-        copy = wire.subnet_from_dict(wire.subnet_to_dict(record))
-        copy.record_id = self._gid(record.record_id, shard)
-        copy.gateway_ids = [self._gid(i, shard) for i in copy.gateway_ids]
-        return copy
+        record = self._private(record, shard)
+        record.record_id = self._gid(record.record_id, shard)
+        record.gateway_ids = [self._gid(i, shard) for i in record.gateway_ids]
+        return record
 
     def _globalize_changes(self, changes: JournalChanges, shard: int) -> JournalChanges:
         g = lambda ids: {self._gid(i, shard) for i in ids}  # noqa: E731
@@ -1010,30 +1033,47 @@ class ShardedClient(query_module.NamedReads):
 
     def query(self, kind: str, where=None) -> List:
         """Predicate query.  An interface query for one IP
-        (``FieldEquals("ip", ...)``, what ``interfaces_by_ip`` sends)
-        goes to the IP's owning shard only; anything else scatters —
-        each shard evaluates the (shard-localized) predicate against its
-        own indexes — and merges in global ``(last_modified, record_id)``
-        order."""
+        (``FieldEquals("ip", ...)``, what ``interfaces_by_ip`` sends) or
+        for an ``IpRange``/``InSubnet`` inside one /``prefix`` network
+        goes to that network's owning shard only, and raises
+        :class:`ConnectionError` if the owner is down; anything else
+        scatters — each shard evaluates the (shard-localized) predicate
+        against its own indexes — and merges in global
+        ``(last_modified, record_id)`` order."""
         kind = query_module.normalize_kind(kind)
         globalize = getattr(self, self._GLOBALIZERS[kind])
-        if (
-            kind == "interfaces"
-            and isinstance(where, query_module.FieldEquals)
-            and where.field == "ip"
-            and where.value is not None
-        ):
-            shard = self.shard_map.shard_for_ip(str(where.value))
-            if shard is not None:
-                self._c_routed.inc()
+        shard = self._owner(kind, where)
+        if shard is not None:
+            self._c_routed.inc()
+            down = self._g_down.labels(shard=str(shard))
+            try:
                 records = self.clients[shard].query(kind, where)
-                return [globalize(record, shard) for record in records]
+            except ConnectionError:
+                down.set(1)
+                raise
+            down.set(0)
+            return [globalize(record, shard) for record in records]
 
         def one_shard(client, index):
             localized = self._localize_predicate(where, index)
             return [globalize(r, index) for r in client.query(kind, localized)]
 
         return self._merge_records(self._scatter(one_shard))
+
+    def _owner(self, kind: str, where) -> Optional[int]:
+        """The one shard that holds every answer to an interface query
+        by IP (one address, or a range inside one network), else None."""
+        if kind != "interfaces":
+            return None
+        if isinstance(where, query_module.IpRange):
+            return self.shard_map.shard_for_range(where.low, where.high)
+        if (
+            isinstance(where, query_module.FieldEquals)
+            and where.field == "ip"
+            and where.value is not None
+        ):
+            return self.shard_map.shard_for_ip(str(where.value))
+        return None
 
     # -- topology ----------------------------------------------------------
 

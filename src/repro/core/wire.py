@@ -253,24 +253,70 @@ COUNTER_SCHEMA: Dict[str, str] = {
 # ----------------------------------------------------------------------
 
 
-def attribute_to_dict(attribute: Attribute) -> Dict[str, Any]:
-    data: Dict[str, Any] = {
-        "value": attribute.value,
-        "first": attribute.first_discovered,
-        "changed": attribute.last_changed,
-        "verified": attribute.last_verified,
-        "source": attribute.source,
-        "quality": attribute.quality,
-        "verified_by": attribute.verified_by,
-    }
-    if attribute.last_verified_live is not None:
-        data["verified_live"] = attribute.last_verified_live
+def attribute_to_dict(attribute: Attribute) -> List[Any]:
+    """An attribute's wire form: the positional row ``[value, first,
+    changed, verified, source, quality, verified_by, verified_live]``,
+    plus its history, ``[[old value, when], ...]``, as a ninth item
+    when it has one."""
+    row = [
+        attribute.value,
+        attribute.first_discovered,
+        attribute.last_changed,
+        attribute.last_verified,
+        attribute.source,
+        attribute.quality,
+        attribute.verified_by,
+        attribute.last_verified_live,
+    ]
     if attribute.history:
-        data["history"] = [[value, when] for value, when in attribute.history]
-    return data
+        row.append([[value, when] for value, when in attribute.history])
+    return row
 
 
-def attribute_from_dict(data: Dict[str, Any]) -> Attribute:
+#: the JSON types a timestamp decodes to (``type(True)`` is not one)
+_TIME = (float, int)
+
+
+def attribute_from_dict(data: Any) -> Attribute:
+    """An attribute from its row.  An object with named keys (the form
+    ``fremont-checkpoint-1`` files and ``fremont-journal-1`` saves
+    carry) is still read, so those files recover."""
+    if type(data) is not list:
+        if isinstance(data, dict):
+            return _attribute_from_object(data)
+        raise WireError(f"attribute must be a row, not {type(data).__name__}")
+    if len(data) == 8:
+        value, first, changed, verified, source, quality, verified_by, live = data
+        history = None
+    elif len(data) == 9:
+        value, first, changed, verified, source, quality, verified_by, live, history = data
+    else:
+        raise WireError(f"attribute row has {len(data)} items, not 8 or 9")
+    if (
+        type(first) not in _TIME or type(changed) not in _TIME
+        or type(verified) not in _TIME or type(source) is not str
+        or type(quality) is not str or type(verified_by) is not str
+        or (live is not None and type(live) not in _TIME)
+    ):
+        raise WireError(f"malformed attribute row: {data!r:.120}")
+    attribute = Attribute(
+        value, first, changed, verified, source, quality, verified_by, live
+    )
+    if history is not None:
+        attribute.history = _history_from_wire(history)
+    return attribute
+
+
+def _history_from_wire(history: Any) -> List[Tuple[Any, float]]:
+    if type(history) is not list or not all(
+        type(entry) is list and len(entry) == 2 and type(entry[1]) in _TIME
+        for entry in history
+    ):
+        raise WireError(f"malformed attribute history: {history!r:.120}")
+    return [(value, when) for value, when in history]
+
+
+def _attribute_from_object(data: Dict[str, Any]) -> Attribute:
     try:
         attribute = Attribute(
             value=data["value"],
@@ -284,7 +330,7 @@ def attribute_from_dict(data: Dict[str, Any]) -> Attribute:
         )
     except KeyError as missing:
         raise WireError(f"attribute missing field {missing}") from None
-    attribute.history = [(value, when) for value, when in data.get("history", [])]
+    attribute.history = _history_from_wire(data.get("history", []))
     return attribute
 
 
@@ -310,13 +356,18 @@ def _base_to_dict(record) -> Dict[str, Any]:
 
 
 def _base_from_dict(record, data: Dict[str, Any]) -> None:
+    if not isinstance(data, dict) or type(data.get("record_id")) is not int:
+        raise WireError(f"malformed record: {data!r:.120}")
+    attributes = data.get("attributes", {})
+    if not isinstance(attributes, dict):
+        raise WireError("record attributes must be an object")
     record.record_id = data["record_id"]
     record.created_at = data.get("created_at")
     record.last_modified = data.get("last_modified", 0.0)
     record.revision = int(data.get("revision", 0))
     record.attributes = {
         name: attribute_from_dict(attribute_data)
-        for name, attribute_data in data.get("attributes", {}).items()
+        for name, attribute_data in attributes.items()
     }
 
 
@@ -347,9 +398,12 @@ def gateway_from_dict(data: Dict[str, Any]) -> GatewayRecord:
     record = GatewayRecord()
     _base_from_dict(record, data)
     record.interface_ids = list(data.get("interface_ids", []))
+    connected = data.get("connected_subnets", {})
+    if not isinstance(connected, dict):
+        raise WireError("gateway connected_subnets must be an object")
     record.connected_subnets = {
         key: attribute_from_dict(attribute_data)
-        for key, attribute_data in data.get("connected_subnets", {}).items()
+        for key, attribute_data in connected.items()
     }
     return record
 
@@ -792,9 +846,16 @@ def replica_info_from_dict(data: Any) -> Optional[Dict[str, Any]]:
 # ----------------------------------------------------------------------
 
 
+#: the whole-journal document format this codec writes
+JOURNAL_FORMAT = "fremont-journal-2"
+#: the formats it reads: format 1 is format 2 with object-form
+#: attributes, which :func:`attribute_from_dict` still decodes
+JOURNAL_FORMATS = frozenset({"fremont-journal-1", JOURNAL_FORMAT})
+
+
 def journal_to_dict(journal) -> Dict[str, Any]:
     return {
-        "format": "fremont-journal-1",
+        "format": JOURNAL_FORMAT,
         "revision": journal.revision,
         # Pipeline counters survive restarts (and ride along in dumps,
         # so a snapshot's counts() matches the server's).
@@ -832,7 +893,7 @@ def journal_to_dict(journal) -> Dict[str, Any]:
 def journal_from_dict(data: Dict[str, Any], clock: Optional[Callable[[], float]] = None):
     from .journal import Journal, ip_key
 
-    if data.get("format") != "fremont-journal-1":
+    if data.get("format") not in JOURNAL_FORMATS:
         raise WireError(f"unknown journal format: {data.get('format')!r}")
     journal = Journal(clock=clock)
     for interface_data in data.get("interfaces", []):
@@ -936,12 +997,16 @@ class FrameReader:
     def __init__(self, sock: socket.socket) -> None:
         self._socket = sock
         self._buffer = bytearray()
+        #: bytes at the head of the buffer already known to hold no
+        #: newline, so a large frame arriving in many chunks is scanned
+        #: once, not from byte 0 after every recv
+        self._scanned = 0
         self._poller = select.poll()
         self._poller.register(sock.fileno(), select.POLLIN)
 
     def pending(self) -> bool:
         """A complete frame is already buffered (no recv needed)."""
-        return self._buffer.find(b"\n") >= 0
+        return self._buffer.find(b"\n", self._scanned) >= 0
 
     def read(self, timeout: Optional[float]) -> Optional[Dict[str, Any]]:
         """The next decoded frame, or None once *timeout* seconds pass
@@ -950,13 +1015,15 @@ class FrameReader:
         malformed frame."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            newline = self._buffer.find(b"\n")
+            newline = self._buffer.find(b"\n", self._scanned)
             if newline >= 0:
                 line = bytes(self._buffer[: newline + 1])
                 del self._buffer[: newline + 1]
+                self._scanned = 0
                 if line.strip():
                     return decode_message(line)
                 continue
+            self._scanned = len(self._buffer)
             if deadline is not None:
                 # A zero/expired deadline still polls once with no
                 # wait: a non-blocking read drains frames the kernel

@@ -170,8 +170,9 @@ def test_every_client_returns_the_journal_result(op, servers):
 
 def _malformed(op, request):
     """Malformed variants of a good request: each required field
-    missing, an unknown field, every record swapped for another kind,
-    a ``**`` field that is no object, and one that repeats a field."""
+    missing, an unknown field, every record swapped for another kind
+    or carrying a malformed attribute row, a ``**`` field that is no
+    object, and one that repeats a field."""
     for param in wire.JournalCall(op).signature.parameters.values():
         if param.default is param.empty and param.kind is not param.VAR_KEYWORD:
             yield {key: value for key, value in request.items() if key != param.name}
@@ -184,6 +185,10 @@ def _malformed(op, request):
                 else wire.subnet_to_dict(SubnetRecord())
             )
             yield {**request, name: swapped}
+            rows = value["attributes"]
+            attribute = next(iter(rows))
+            for row in (rows[attribute][:7], rows[attribute] + [[], 0], "not a row"):
+                yield {**request, name: {**value, "attributes": {**rows, attribute: row}}}
     if "stats" in request:
         yield {**request, "stats": ["not an object"]}
         for name in ("source", "quality", "subnet_key"):

@@ -4,13 +4,15 @@ The named reads (``interfaces_by_ip``, ``all_gateways``, ...) are
 predicate queries, defined once in :class:`repro.core.query.NamedReads`.
 These tests check that the in-process, remote, failover and sharded
 clients return the same records in the same ``(last_modified,
-record_id)`` order, and that the router sends a one-IP lookup to the
-IP's owning shard only, and a gateway write's fragment lookups to
-the member shards as member queries.
+record_id)`` order, and that the router sends a one-IP lookup or a
+one-network range read to the network's owning shard only, and a
+gateway write's fragment lookups to the member shards as member
+queries.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +25,9 @@ from repro.core import (
     ShardMap,
     ShardedClient,
 )
-from repro.core.query import FieldEquals, MacPrefix, Members, ip_key
+from repro.core.query import FieldEquals, InSubnet, IpRange, MacPrefix, Members, ip_key
 from repro.core.records import Observation
+from repro.core.shard import global_id
 
 SHARD_MAP = ShardMap(2)
 
@@ -112,6 +115,12 @@ def named_reads(client):
         reads["name", name] = interface_view(client.interfaces_by_name(name))
     # from the lower /24 to the higher one: spans both shards
     reads["range"] = interface_view(client.interfaces_in_ip_range(IPS[0], IPS[-1]))
+    # one network each: the fleet asks its owning shard only
+    for third in THIRDS:
+        reads["subnet", third] = interface_view(
+            client.query("interfaces", InSubnet(f"10.0.{third}.0/24"))
+        )
+    reads["subnet", "/16"] = interface_view(client.query("interfaces", InSubnet("10.0.0.0/16")))
     for older_than in (2.5, 6.5, 1e9):
         reads["stale", older_than] = interface_view(
             client.stale_interfaces(older_than=older_than)
@@ -184,14 +193,36 @@ class _CountingClient(LocalClient):
         return super().query(kind, where)
 
 
+class _DeadClient:
+    """A shard client whose every call fails like a lost connection."""
+
+    def __getattr__(self, name):
+        def boom(*args, **kwargs):
+            raise ConnectionError("shard down")
+
+        return boom
+
+
 class TestRouting:
     def setup_method(self):
-        self.shards = [_CountingClient(Journal()) for _ in range(2)]
+        state = {"now": 0.0}
+        clock = lambda: state["now"]  # noqa: E731
+        self.shards = [_CountingClient(Journal(clock=clock)) for _ in range(2)]
         self.router = ShardedClient(self.shards, shard_map=SHARD_MAP)
-        for ip, mac in zip(IPS, MACS + MACS):
+        #: one journal fed the same sightings at the same times
+        self.single = Journal(clock=clock)
+        for step, (ip, mac) in enumerate(zip(IPS, MACS + MACS), start=1):
+            state["now"] = float(step)
             self.router.observe_interface(Observation(source="t", ip=ip, mac=mac))
+            self.single.observe_interface(Observation(source="t", ip=ip, mac=mac))
         for shard in self.shards:
             shard.queries.clear()
+
+    def _asked(self):
+        asked = [len(shard.queries) for shard in self.shards]
+        for shard in self.shards:
+            shard.queries.clear()
+        return asked
 
     def test_one_ip_lookup_asks_only_the_owning_shard(self):
         for ip in (IPS[0], IPS[-1]):
@@ -215,6 +246,125 @@ class TestRouting:
             assert [len(shard.queries) for shard in self.shards] == [1, 1]
             for shard in self.shards:
                 shard.queries.clear()
+
+    def test_one_network_range_asks_only_the_owning_shard(self):
+        for third in THIRDS:
+            owner = SHARD_MAP.shard_for_ip(f"10.0.{third}.1")
+            for where in (
+                InSubnet(f"10.0.{third}.0/24"),
+                InSubnet(f"10.0.{third}.0/25"),
+                IpRange(f"10.0.{third}.2", f"10.0.{third}.200"),
+            ):
+                records = self.router.query("interfaces", where)
+                assert interface_view(records) == interface_view(
+                    self.single.query("interfaces", where)
+                )
+                assert records
+                assert self._asked() == [int(owner == 0), int(owner == 1)]
+            self.router.interfaces_in_ip_range(f"10.0.{third}.0", f"10.0.{third}.255")
+            assert self._asked() == [int(owner == 0), int(owner == 1)]
+
+    def test_range_across_networks_scatters(self):
+        low, high = sorted(THIRDS)
+        for where in (
+            InSubnet(f"10.0.{low - low % 2}.0/23"),
+            InSubnet("10.0.0.0/16"),
+            IpRange(f"10.0.{low}.1", f"10.0.{high}.9"),
+            IpRange(f"10.0.{low}.255", f"10.0.{low + 1}.0"),
+        ):
+            records = self.router.query("interfaces", where)
+            assert interface_view(records) == interface_view(
+                self.single.query("interfaces", where)
+            )
+            assert self._asked() == [1, 1]
+        # a range inside one network, but a gateway or subnet read
+        assert self.router.query("subnets", InSubnet(f"10.0.{low}.0/24")) == []
+        assert self._asked() == [1, 1]
+
+    def test_routed_range_raises_when_its_owner_is_down(self):
+        journal = Journal()
+        for index in range(2):
+            router = ShardedClient(
+                [_DeadClient(), LocalClient(journal)][::1 if index == 0 else -1],
+                shard_map=SHARD_MAP,
+                check=False,
+            )
+            for third in THIRDS:
+                where = InSubnet(f"10.0.{third}.0/24")
+                if SHARD_MAP.shard_for_ip(f"10.0.{third}.1") == index:
+                    with pytest.raises(ConnectionError):
+                        router.query("interfaces", where)
+                else:
+                    assert router.query("interfaces", where) == []
+            # the failed routed read marks its owner down
+            down = router.telemetry.get("fremont_shard_down").samples()
+            assert {labels["shard"]: int(sample.value) for labels, sample in down} == {
+                str(index): 1, str(1 - index): 0,
+            }
+            # a scatter read degrades instead
+            assert router.query("interfaces", InSubnet("10.0.0.0/16")) == []
+            assert router.partial and router.missing_shards == [index]
+
+    def _merged_gateway(self):
+        """On one shard, merge gateway gw-a into gw-b by renaming gw-b
+        to gw-a: the first member's gateway_id then holds gw-b's
+        shard-local id, with gw-a's in its history.  Returns ``(owner,
+        gw-a, gw-b, first member)``."""
+        third = THIRDS[0]
+        owner = SHARD_MAP.shard_for_ip(f"10.0.{third}.1")
+        shard = self.shards[owner]
+        first_member, second_member = shard.query(
+            "interfaces", InSubnet(f"10.0.{third}.0/24")
+        )[:2]
+        first, _ = shard.ensure_gateway(
+            source="t", name="gw-a", interface_ids=[first_member.record_id]
+        )
+        second, _ = shard.ensure_gateway(
+            source="t", name="gw-b", interface_ids=[second_member.record_id]
+        )
+        shard.rename_gateway(second.record_id, "gw-a", source="t")
+        shard.link_gateway_subnet(second.record_id, f"10.0.{third}.0/24", source="t")
+        return owner, first, second, first_member
+
+    def test_gateway_id_history_comes_back_global(self):
+        owner, first, second, member = self._merged_gateway()
+        (merged,) = self.router.interfaces_by_ip(member.ip)
+        gateway_attr = merged.attribute("gateway_id")
+        assert gateway_attr.value == global_id(second.record_id, owner, 2)
+        assert [old for old, _when in gateway_attr.history] == [
+            global_id(first.record_id, owner, 2)
+        ]
+
+    def test_fleet_reads_leave_the_shard_journals_untouched(self):
+        """The router rewrites ids in the records it returns; over
+        ``LocalClient`` shards those are copies, never the journals'
+        own records."""
+        _owner, _first, _second, member = self._merged_gateway()
+
+        def ids(journal):
+            return (
+                {
+                    rid: (
+                        record.record_id,
+                        record.get("gateway_id"),
+                        list(record.attribute("gateway_id").history)
+                        if record.attribute("gateway_id") else None,
+                    )
+                    for rid, record in journal.interfaces.items()
+                },
+                {rid: (g.record_id, list(g.interface_ids)) for rid, g in journal.gateways.items()},
+                {rid: (s.record_id, list(s.gateway_ids)) for rid, s in journal.subnets.items()},
+            )
+
+        before = [ids(client.journal) for client in self.shards]
+        for _ in range(2):
+            self.router.all_interfaces()
+            self.router.all_gateways()
+            self.router.all_subnets()
+            self.router.query("interfaces", InSubnet(f"10.0.{THIRDS[0]}.0/24"))
+            self.router.interfaces_by_ip(member.ip)
+            self.router.pull(0)
+        assert [ids(client.journal) for client in self.shards] == before
 
     def test_named_gateway_write_asks_members_not_a_dump(self):
         members = [r.record_id for r in self.router.all_interfaces()]

@@ -664,7 +664,7 @@ class TestBatchAckContract:
         with RemoteClient(host, port) as client:
             reply = client._call({"op": "observe", "observation": sighting})
         assert reply["changed"] is False
-        assert reply["record"]["attributes"]["ip"]["value"] == "10.0.0.1"
+        assert reply["record"]["attributes"]["ip"][0] == "10.0.0.1"
 
     def test_other_items_answer_as_standalone(self, served):
         journal, server = served

@@ -387,7 +387,7 @@ def test_checkpoint_file_has_versioned_checksummed_header(tmp_path):
     with open(tmp_path / "checkpoint.json", "rb") as handle:
         header = json.loads(handle.readline())
         body = handle.read()
-    assert header["format"] == "fremont-checkpoint-1"
+    assert header["format"] == "fremont-checkpoint-2"
     assert header["revision"] == journal.revision
     import zlib
 
