@@ -16,12 +16,19 @@ on :meth:`~repro.core.topology.TopologyStore.canonical_text` after
 every batch — the equivalence contract the property tests pin down —
 so the comparison is between two ways of computing the *same* answer.
 It also times the operator queries (``path``/``impact``) against the
-warm store.
+warm store, and one warm ``find_cut_gateways`` pass.
 
-``--check`` enforces the equivalence always, and gates the largest
-size's incremental speedup: >= 5x in full runs (>= 3x under
-``--quick``, where the small Journal shrinks the rebuild cost the
-incremental path is beating).
+The store answers ``impact`` from a graph index built once per
+structure change.  :func:`naive_impact` keeps the search it replaced
+(one BFS per piece over cached adjacency, every query), the way
+ablation B keeps the paper's AVL tree: every sampled ``impact`` answer
+must equal the reference's, and the two are timed on the same targets.
+
+``--check`` enforces both equivalences always, and gates the largest
+size's speedups: incremental refresh >= 5x a rebuild, and warm
+``impact`` >= 5x the naive reference, in full runs (>= 3x each under
+``--quick``, where the small Journal shrinks the work both are
+beating).
 
 Results land in ``BENCH_topology.json``.
 
@@ -40,7 +47,7 @@ import json
 import random
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import os
 
@@ -50,7 +57,8 @@ if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
 from repro.core import Journal, Observation  # noqa: E402
-from repro.core.topology import TopologyStore  # noqa: E402
+from repro.core.analysis import find_cut_gateways  # noqa: E402
+from repro.core.topology import TopologyImpact, TopologyStore  # noqa: E402
 
 SOURCE = "bench-topo"
 
@@ -120,6 +128,79 @@ def _discovery_batch(journal: Journal, rng: random.Random, subnets: int) -> None
             )
 
 
+Node = Tuple[str, Any]
+
+
+def naive_adjacency(store: TopologyStore) -> Dict[Node, List[Node]]:
+    """Each node's neighbours over present edges, in the store's order
+    (the per-node cache the naive search kept warm)."""
+    adjacency: Dict[Node, List[Node]] = {}
+    for edge in store.edges():
+        gateway = ("gateway", edge.gateway_id)
+        subnet = ("subnet", edge.subnet)
+        adjacency.setdefault(gateway, []).append(subnet)
+        adjacency.setdefault(subnet, []).append(gateway)
+    for neighbours in adjacency.values():
+        neighbours.sort(key=lambda node: node[1])
+    return adjacency
+
+
+def _naive_component(
+    adjacency: Dict[Node, List[Node]], start: Node, without: Optional[Node]
+) -> Set[Node]:
+    component = {start}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        for neighbour in adjacency.get(node, ()):
+            if neighbour != without and neighbour not in component:
+                component.add(neighbour)
+                frontier.append(neighbour)
+    return component
+
+
+def naive_impact(
+    store: TopologyStore, adjacency: Dict[Node, List[Node]], target: str
+) -> TopologyImpact:
+    """The reference ``impact``: the whole-component BFS, then one BFS
+    per piece with the target removed, on every query."""
+    with store._lock:
+        store.refresh()
+        resolved = store._resolve(target)
+        if resolved is None:
+            return TopologyImpact(target, False, reason=f"unknown node: {target}")
+        component = _naive_component(adjacency, resolved, None)
+        pieces: List[Set[Node]] = []
+        seen = {resolved}
+        for node in sorted(component, key=store._order):
+            if node not in seen:
+                piece = _naive_component(adjacency, node, resolved)
+                seen |= piece
+                pieces.append(piece)
+        pieces.sort(key=lambda piece: (
+            -sum(1 for kind, _value in piece if kind == "subnet"),
+            min(store._order(node) for node in piece),
+        ))
+        cut: Set[Node] = set().union(*pieces[1:])
+        cut_subnets = sorted(value for kind, value in cut if kind == "subnet")
+        return TopologyImpact(
+            target,
+            True,
+            kind=resolved[0],
+            articulation=bool(cut),
+            component_subnets=sorted(
+                value for kind, value in component if kind == "subnet"
+            ),
+            cut_subnets=cut_subnets,
+            cut_gateways=sorted(
+                store._label(node) for node in cut if node[0] == "gateway"
+            ),
+            isolated_hosts=sum(
+                len(store._subnet_nodes[key].interfaces) for key in cut_subnets
+            ),
+        )
+
+
 def measure_size(
     interfaces: int, *, rounds: int, seed: int, check_every: int = 5
 ) -> Dict[str, object]:
@@ -163,15 +244,37 @@ def measure_size(
         result = store.path(a, b)
         assert result.found
     path_s = time.perf_counter() - path_started
+    # Subnets and gateways alike; the reference answers the same ones.
+    targets = [
+        query_rng.choice(keys) if index % 2 else f"gw-{query_rng.randrange(subnets - 1)}"
+        for index in range(50)
+    ]
     impact_started = time.perf_counter()
-    impact_queries = 50
-    for _ in range(impact_queries):
-        result = store.impact(query_rng.choice(keys))
-        assert result.found
+    answers = [store.impact(target) for target in targets]
     impact_s = time.perf_counter() - impact_started
+    assert all(answer.found for answer in answers)
+    adjacency = naive_adjacency(store)
+    naive_started = time.perf_counter()
+    expected = [naive_impact(store, adjacency, target) for target in targets]
+    naive_impact_s = time.perf_counter() - naive_started
+    impact_mismatches = sum(
+        answer.to_dict() != reference.to_dict()
+        for answer, reference in zip(answers, expected)
+    )
+
+    store._index = None
+    index_started = time.perf_counter()
+    store._graph_index()
+    index_build_s = time.perf_counter() - index_started
     store.close()
 
+    find_cut_gateways(journal)  # warm the Journal's lazy state
+    cut_started = time.perf_counter()
+    cut_findings = find_cut_gateways(journal)
+    cut_gateways_s = time.perf_counter() - cut_started
+
     speedup = rebuild_s / incremental_s if incremental_s else None
+    impact_speedup = naive_impact_s / impact_s if impact_s else None
     return {
         "interfaces": interfaces,
         "subnets": subnets,
@@ -182,7 +285,13 @@ def measure_size(
         "incremental_speedup": round(speedup, 2) if speedup else None,
         "equivalence_mismatches": mismatches,
         "path_ms": round(path_s / path_queries * 1000, 3),
-        "impact_ms": round(impact_s / impact_queries * 1000, 3),
+        "impact_ms": round(impact_s / len(targets) * 1000, 3),
+        "naive_impact_ms": round(naive_impact_s / len(targets) * 1000, 3),
+        "impact_speedup": round(impact_speedup, 2) if impact_speedup else None,
+        "impact_mismatches": impact_mismatches,
+        "index_build_ms": round(index_build_s * 1000, 3),
+        "cut_gateways_ms": round(cut_gateways_s * 1000, 2),
+        "cut_gateway_findings": len(cut_findings),
     }
 
 
@@ -197,9 +306,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=1993)
     parser.add_argument(
         "--check", action="store_true",
-        help="fail on any incremental/rebuild divergence (always) or if "
-        "the largest size's incremental speedup falls below the gate "
-        "(5x full, 3x --quick)",
+        help="fail on any incremental/rebuild or impact/reference "
+        "divergence (always) or if the largest size's incremental or "
+        "warm-impact speedup falls below the gate (5x full, 3x --quick)",
     )
     parser.add_argument("--output", default="BENCH_topology.json",
                         help="result file path (default: %(default)s)")
@@ -219,7 +328,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"incremental {level['incremental_ms_per_batch']}ms vs rebuild "
             f"{level['rebuild_ms_per_batch']}ms per batch "
             f"({level['incremental_speedup']}x), path "
-            f"{level['path_ms']}ms, impact {level['impact_ms']}ms"
+            f"{level['path_ms']}ms, impact {level['impact_ms']}ms vs naive "
+            f"{level['naive_impact_ms']}ms ({level['impact_speedup']}x), "
+            f"find_cut_gateways {level['cut_gateways_ms']}ms"
         )
 
     largest = max(levels, key=lambda level: level["interfaces"])
@@ -231,6 +342,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "gate": {
             "largest_interfaces": largest["interfaces"],
             "speedup": largest["incremental_speedup"],
+            "impact_speedup": largest["impact_speedup"],
             "required": gate,
         },
     }
@@ -246,12 +358,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"FAIL: incremental store diverged from rebuild "
                 f"{diverged} time(s)"
             )
-        speedup = largest["incremental_speedup"]
-        if speedup is None or speedup < gate:
+        wrong = sum(level["impact_mismatches"] for level in levels)
+        if wrong:
             raise SystemExit(
-                f"FAIL: incremental speedup {speedup}x at "
-                f"{largest['interfaces']} interfaces below {gate}x"
+                f"FAIL: {wrong} impact answer(s) differ from the naive reference"
             )
+        for key, what in (
+            ("incremental_speedup", "incremental"),
+            ("impact_speedup", "warm impact"),
+        ):
+            speedup = largest[key]
+            if speedup is None or speedup < gate:
+                raise SystemExit(
+                    f"FAIL: {what} speedup {speedup}x at "
+                    f"{largest['interfaces']} interfaces below {gate}x"
+                )
     return 0
 
 

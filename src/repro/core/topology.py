@@ -29,6 +29,10 @@ On top of the graph sit the two operator queries:
 * :meth:`~TopologyStore.impact` — blast radius: the subnets and hosts
   cut off if the target fails (articulation analysis).
 
+Both read a :class:`_GraphIndex` (ranked adjacency plus one DFS) that
+the store builds at most once per structure change, so a query costs
+its own answer, not a search of the whole graph.
+
 Consistency contract (mirrors the PR 1 incremental-correlation
 contract): after any refresh, the store's :meth:`state` is
 byte-identical to a freshly built store's over the same Journal —
@@ -326,11 +330,9 @@ class TopologyStore:
         self._gateway_ids: Dict[str, Set[int]] = {}
         #: gateway id -> present edge subnet keys
         self._gateway_subnets: Dict[int, Set[str]] = {}
-        #: node -> its sorted (neighbour, edge) list, built on first
-        #: use; an edge appearing or retiring drops both ends' entries
-        self._adjacency: Dict[
-            Tuple[str, Any], List[Tuple[Tuple[str, Any], TopologyEdge]]
-        ] = {}
+        #: the search index over the present edges, built on first
+        #: use; None once the structure changes (see _graph_index)
+        self._index: Optional[_GraphIndex] = None
         #: subnet key -> node bookkeeping
         self._subnet_nodes: Dict[str, _SubnetNode] = {}
         #: interface record id -> computed subnet key
@@ -567,8 +569,9 @@ class TopologyStore:
                 edge.present = True
                 self._present_edges += 1
                 self._record_transition(edge, "appear", now)
-                self._adjacency.pop(("gateway", gid), None)
-                self._adjacency.pop(("subnet", key), None)
+                self._index = None
+            elif edge.confidence != confidence:
+                self._index = None  # the edge's path weight changed
             edge.method = method
             edge.confidence = confidence
             current.add(key)
@@ -589,7 +592,7 @@ class TopologyStore:
         name = self._gateway_names.pop(gid, None)
         if name is not None:
             self._forget_name(gid, name)
-        self._adjacency.pop(("gateway", gid), None)
+        self._index = None
         # The record is gone: retired edges would render under a dead
         # id forever, so forget them with it.
         for key in self._gateway_edges.pop(gid, ()):
@@ -601,8 +604,7 @@ class TopologyStore:
             edge.present = False
             self._present_edges -= 1
             self._record_transition(edge, "disappear", now)
-        self._adjacency.pop(("gateway", gid), None)
-        self._adjacency.pop(("subnet", key), None)
+            self._index = None
         subnets = self._gateway_subnets.get(gid)
         if subnets is not None:
             subnets.discard(key)
@@ -716,38 +718,21 @@ class TopologyStore:
             return value
         return self._gateway_names.get(value, f"gateway-{value}")
 
-    def _neighbours(
-        self, node: Tuple[str, Any]
-    ) -> List[Tuple[Tuple[str, Any], TopologyEdge]]:
-        """Adjacent nodes over present edges, deterministically ordered
-        (cached until an edge at *node* appears or retires)."""
-        result = self._adjacency.get(node)
-        if result is None:
-            result = self._adjacency[node] = self._adjacent(node)
-        return result
-
-    def _adjacent(
-        self, node: Tuple[str, Any]
-    ) -> List[Tuple[Tuple[str, Any], TopologyEdge]]:
-        kind, value = node
-        result: List[Tuple[Tuple[str, Any], TopologyEdge]] = []
-        if kind == "subnet":
-            bucket = self._subnet_nodes.get(value)
-            for gid in sorted(bucket.gateways if bucket else ()):
-                edge = self._edges.get((gid, value))
-                if edge is not None and edge.present:
-                    result.append((("gateway", gid), edge))
-        else:
-            for key in sorted(self._gateway_subnets.get(value, ())):
-                edge = self._edges.get((value, key))
-                if edge is not None and edge.present:
-                    result.append((("subnet", key), edge))
-        return result
-
     @staticmethod
     def _order(node: Tuple[str, Any]) -> Tuple[str, str]:
         kind, value = node
         return (kind, value if kind == "subnet" else f"{value:012d}")
+
+    def _graph_index(self) -> "_GraphIndex":
+        """The search index over the present edges, built at most once
+        per structure change: an edge appearing or retiring, a present
+        edge's confidence changing, or a gateway being dropped.
+        Labels, methods and host counts are read when a query runs, so
+        renames and sightings keep the index."""
+        index = self._index
+        if index is None:
+            index = self._index = _GraphIndex(self)
+        return index
 
     # ------------------------------------------------------------------
     # path: confidence-weighted shortest route
@@ -760,7 +745,8 @@ class TopologyStore:
         Endpoints may be subnet keys (``10.0.1.0/24``), gateway names,
         or interface IPs.  Questionable edges cost
         ``CONFIDENCE_WEIGHTS["questionable"]`` per hop, so the route
-        prefers confident evidence where one exists.
+        prefers confident evidence where one exists.  Equal-cost routes
+        break ties on :meth:`_order` (by rank in the index).
         """
         with self._lock:
             self.refresh()
@@ -773,33 +759,14 @@ class TopologyStore:
             if source == destination:
                 label = self._label(source)
                 return TopologyPath(a, b, True, nodes=[label])
-            distances: Dict[Tuple[str, Any], float] = {source: 0.0}
-            previous: Dict[
-                Tuple[str, Any], Tuple[Tuple[str, Any], TopologyEdge]
-            ] = {}
-            queue: List[Tuple[float, Tuple[str, str], Tuple[str, Any]]] = [
-                (0.0, self._order(source), source)
-            ]
-            visited: Set[Tuple[str, Any]] = set()
-            while queue:
-                cost, _order, node = heapq.heappop(queue)
-                if node in visited:
-                    continue
-                visited.add(node)
-                if node == destination:
-                    break
-                for neighbour, edge in self._neighbours(node):
-                    weight = CONFIDENCE_WEIGHTS.get(edge.confidence, 3.0)
-                    candidate = cost + weight
-                    known = distances.get(neighbour)
-                    if known is None or candidate < known:
-                        distances[neighbour] = candidate
-                        previous[neighbour] = (node, edge)
-                        heapq.heappush(
-                            queue,
-                            (candidate, self._order(neighbour), neighbour),
-                        )
-            if destination not in visited:
+            index = self._graph_index()
+            start = index.rank.get(source)
+            goal = index.rank.get(destination)
+            if (
+                start is None
+                or goal is None
+                or index.component[start] != index.component[goal]
+            ):
                 return TopologyPath(
                     a, b, False,
                     reason=(
@@ -807,12 +774,31 @@ class TopologyStore:
                         f"and {self._label(destination)}"
                     ),
                 )
+            links = index.links
+            distances: Dict[int, float] = {start: 0.0}
+            previous: Dict[int, Tuple[int, TopologyEdge]] = {}
+            queue: List[Tuple[float, int]] = [(0.0, start)]
+            visited: Set[int] = set()
+            while queue:
+                cost, node = heapq.heappop(queue)
+                if node in visited:
+                    continue
+                visited.add(node)
+                if node == goal:
+                    break
+                for neighbour, weight, edge in links[node]:
+                    candidate = cost + weight
+                    known = distances.get(neighbour)
+                    if known is None or candidate < known:
+                        distances[neighbour] = candidate
+                        previous[neighbour] = (node, edge)
+                        heapq.heappush(queue, (candidate, neighbour))
             nodes: List[str] = []
             hops: List[Dict[str, Any]] = []
-            node = destination
-            while node != source:
+            node = goal
+            while node != start:
                 parent, edge = previous[node]
-                nodes.append(self._label(node))
+                nodes.append(self._label(index.nodes[node]))
                 hops.append(edge.evidence())
                 node = parent
             nodes.append(self._label(source))
@@ -820,7 +806,7 @@ class TopologyStore:
             hops.reverse()
             return TopologyPath(
                 a, b, True,
-                cost=distances[destination],
+                cost=distances[goal],
                 nodes=nodes,
                 hops=hops,
             )
@@ -832,7 +818,8 @@ class TopologyStore:
     def impact(self, target: str) -> TopologyImpact:
         """What fails with *target*: remove the node from its
         component; whatever is disconnected from the surviving core
-        (the largest remaining piece) is the blast radius."""
+        (the remaining piece with the most subnets, ties going to the
+        piece holding the lowest-ordered node) is the blast radius."""
         with self._lock:
             self.refresh()
             resolved = self._resolve(target)
@@ -840,63 +827,195 @@ class TopologyStore:
                 return TopologyImpact(
                     target, False, reason=f"unknown node: {target}"
                 )
-            component = self._component(resolved, without=None)
-            component_subnets = sorted(
-                value for kind, value in component if kind == "subnet"
-            )
-            pieces: List[Set[Tuple[str, Any]]] = []
-            seen: Set[Tuple[str, Any]] = {resolved}
-            for node in sorted(component, key=self._order):
-                if node in seen:
-                    continue
-                piece = self._component(node, without=resolved)
-                seen |= piece
-                pieces.append(piece)
-            pieces.sort(
-                key=lambda piece: (
-                    -sum(1 for kind, _v in piece if kind == "subnet"),
-                    min(self._order(node) for node in piece),
+            kind, value = resolved
+            index = self._graph_index()
+            rank = index.rank.get(resolved)
+            if rank is None:
+                # No present edge: the node is a component of its own.
+                return TopologyImpact(
+                    target,
+                    True,
+                    kind=kind,
+                    component_subnets=[value] if kind == "subnet" else [],
                 )
-            )
-            cut: Set[Tuple[str, Any]] = set()
-            for piece in pieces[1:]:
-                cut |= piece
-            cut_subnets = sorted(
-                value for kind, value in cut if kind == "subnet"
-            )
+            cut = index.cut(rank)
+            nodes = index.nodes
+            cut_subnets = [nodes[r][1] for r in cut if index.is_subnet[r]]
             cut_gateways = sorted(
-                self._label(node) for node in cut if node[0] == "gateway"
+                self._label(nodes[r]) for r in cut if not index.is_subnet[r]
             )
             isolated = sum(
-                len(self._subnet_nodes[key].interfaces)
-                for key in cut_subnets
-                if key in self._subnet_nodes
+                len(self._subnet_nodes[key].interfaces) for key in cut_subnets
             )
             return TopologyImpact(
                 target,
                 True,
-                kind=resolved[0],
+                kind=kind,
                 articulation=bool(cut),
-                component_subnets=component_subnets,
+                component_subnets=list(
+                    index.component_subnets[index.component[rank]]
+                ),
                 cut_subnets=cut_subnets,
                 cut_gateways=cut_gateways,
                 isolated_hosts=isolated,
             )
 
-    def _component(
-        self,
-        start: Tuple[str, Any],
-        *,
-        without: Optional[Tuple[str, Any]],
-    ) -> Set[Tuple[str, Any]]:
-        """BFS component of *start*, optionally with one node removed."""
-        component: Set[Tuple[str, Any]] = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for neighbour, _edge in self._neighbours(node):
-                if neighbour == without or neighbour in component:
-                    continue
-                component.add(neighbour)
-                frontier.append(neighbour)
-        return component
+
+class _GraphIndex:
+    """The present edges of one :class:`TopologyStore` as a search
+    structure, built in one pass and never mutated.
+
+    Every node with a present edge gets a *rank*, its position in
+    :meth:`TopologyStore._order`, so comparing ranks breaks ties
+    exactly as comparing order keys does.  ``links[rank]`` lists
+    ``(neighbour rank, path weight, edge)`` in the neighbour's order.
+    One iterative DFS, started from each undiscovered rank in turn,
+    roots every component at its minimum rank and records per rank:
+    component id, preorder position (``disc``), low-link, the end of
+    the subtree's preorder range, and the subtree's subnet count and
+    minimum rank.  :meth:`cut` reads a node's blast radius off these.
+    """
+
+    __slots__ = (
+        "nodes", "rank", "links", "is_subnet", "component", "roots",
+        "component_subnets", "preorder", "disc", "low", "end", "parent",
+        "subnets_below", "least_below",
+    )
+
+    def __init__(self, store: TopologyStore) -> None:
+        nodes: List[Tuple[str, Any]] = [
+            ("gateway", gid) for gid, keys in store._gateway_subnets.items()
+            if keys
+        ]
+        nodes.extend(
+            ("subnet", key) for key, node in store._subnet_nodes.items()
+            if node.gateways
+        )
+        nodes.sort(key=store._order)
+        rank = {node: position for position, node in enumerate(nodes)}
+        edges = store._edges
+        links: List[List[Tuple[int, float, TopologyEdge]]] = []
+        for kind, value in nodes:
+            if kind == "subnet":
+                pairs = [
+                    (("gateway", gid), edges[(gid, value)])
+                    for gid in sorted(store._subnet_nodes[value].gateways)
+                ]
+            else:
+                pairs = [
+                    (("subnet", key), edges[(value, key)])
+                    for key in sorted(store._gateway_subnets[value])
+                ]
+            links.append([
+                (rank[other], CONFIDENCE_WEIGHTS.get(edge.confidence, 3.0), edge)
+                for other, edge in pairs
+            ])
+        is_subnet = [kind == "subnet" for kind, _value in nodes]
+        count = len(nodes)
+        component = [-1] * count
+        disc = [0] * count
+        low = [0] * count
+        end = [0] * count
+        parent = [-1] * count
+        subnets_below = [int(flag) for flag in is_subnet]
+        least_below = list(range(count))
+        preorder: List[int] = []
+        roots: List[int] = []
+        for root in range(count):
+            if component[root] >= 0:
+                continue
+            cid = len(roots)
+            roots.append(root)
+            component[root] = cid
+            disc[root] = low[root] = len(preorder)
+            preorder.append(root)
+            stack = [(root, iter(links[root]))]
+            while stack:
+                node, pending = stack[-1]
+                for other, _weight, _edge in pending:
+                    if component[other] < 0:
+                        component[other] = cid
+                        parent[other] = node
+                        disc[other] = low[other] = len(preorder)
+                        preorder.append(other)
+                        stack.append((other, iter(links[other])))
+                        break
+                    if other != parent[node] and disc[other] < low[node]:
+                        low[node] = disc[other]
+                else:
+                    stack.pop()
+                    end[node] = len(preorder)
+                    up = parent[node]
+                    if up >= 0:
+                        low[up] = min(low[up], low[node])
+                        subnets_below[up] += subnets_below[node]
+                        least_below[up] = min(least_below[up], least_below[node])
+        component_subnets: List[List[str]] = [[] for _root in roots]
+        for position, (kind, value) in enumerate(nodes):
+            if kind == "subnet":  # ranks follow key order: lists come sorted
+                component_subnets[component[position]].append(value)
+        self.nodes = nodes
+        self.rank = rank
+        self.links = links
+        self.is_subnet = is_subnet
+        self.component = component
+        self.roots = roots
+        self.component_subnets = component_subnets
+        self.preorder = preorder
+        self.disc = disc
+        self.low = low
+        self.end = end
+        self.parent = parent
+        self.subnets_below = subnets_below
+        self.least_below = least_below
+
+    def cut(self, target: int) -> List[int]:
+        """Ranks cut off from the surviving core if *target* fails,
+        ascending.
+
+        Removing the target splits its component into pieces: the DFS
+        subtree under each child the target separates (every child, at
+        a root), plus — unless the target is the root — the rest of the
+        component, whose minimum rank is the root.  The core is the
+        piece with the most subnets, ties to the lowest minimum rank;
+        every other piece is cut."""
+        root = self.roots[self.component[target]]
+        parent = self.parent
+        at = self.disc[target]
+        separated = [
+            other
+            for other, _weight, _edge in self.links[target]
+            if parent[other] == target
+            and (target == root or self.low[other] >= at)
+        ]
+        pieces = [
+            (-self.subnets_below[child], self.least_below[child], child)
+            for child in separated
+        ]
+        if target != root:
+            rest = (
+                self.subnets_below[root]
+                - self.is_subnet[target]
+                - sum(self.subnets_below[child] for child in separated)
+            )
+            pieces.append((-rest, root, -1))
+        pieces.sort()
+        preorder = self.preorder
+        cut: List[int] = []
+        for _count, _least, child in pieces[1:]:
+            if child >= 0:
+                cut.extend(preorder[self.disc[child]:self.end[child]])
+                continue
+            # The root's side lost: it is the component less the target
+            # and the subtrees it separates (disjoint preorder ranges).
+            position = self.disc[root]
+            spans = sorted(
+                [(at, at + 1)]
+                + [(self.disc[other], self.end[other]) for other in separated]
+            )
+            for start, stop in spans:
+                cut.extend(preorder[position:start])
+                position = stop
+            cut.extend(preorder[position:self.end[root]])
+        cut.sort()
+        return cut

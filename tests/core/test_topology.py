@@ -6,6 +6,7 @@ is byte-identical to a freshly built store's over the same Journal.
 Randomized campaigns drive both and compare after every batch.
 """
 
+import heapq
 import json
 import random
 
@@ -360,9 +361,14 @@ _P_NAMES = [f"gw-{index}" for index in range(1, 5)]
 _P_STEPS = st.one_of(
     st.tuples(
         st.just("link"), st.sampled_from(_P_NAMES),
-        st.sampled_from(_P_SUBNETS), st.booleans(),
+        st.lists(st.sampled_from(_P_SUBNETS), min_size=1, max_size=2, unique=True),
+        st.booleans(),
     ),
     st.tuples(st.just("unlink"), st.sampled_from(_P_NAMES), st.sampled_from(_P_SUBNETS)),
+    st.tuples(
+        st.just("requalify"), st.sampled_from(_P_NAMES),
+        st.sampled_from(_P_SUBNETS),
+    ),
     st.tuples(st.just("rename"), st.sampled_from(_P_NAMES), st.sampled_from(_P_NAMES)),
     st.tuples(st.just("delete"), st.sampled_from(_P_NAMES)),
     st.tuples(st.just("host"), st.sampled_from(_P_SUBNETS), st.integers(10, 12)),
@@ -373,11 +379,60 @@ _P_TARGETS = [_P_SUBNETS[0], _P_SUBNETS[2], _P_SUBNETS[4], "gw-1", "gw-3",
               "10.0.2.11", "gateway-1", "99.9.9.0/24"]
 
 
-def _answers(store):
+def _answers(store, targets=_P_TARGETS):
     return (
-        [store.path(a, b).to_dict() for a in _P_TARGETS for b in _P_TARGETS],
-        [store.impact(target).to_dict() for target in _P_TARGETS],
+        [store.path(a, b).to_dict() for a in targets for b in targets],
+        [store.impact(target).to_dict() for target in targets],
     )
+
+
+def _requalify(journal, record, key):
+    """Flip one present link between good and questionable in place:
+    the edge neither appears nor retires, only its weight changes."""
+    attribute = record.connected_subnets.get(key)
+    if attribute is None:
+        return False
+    attribute.quality = (
+        Quality.GOOD if attribute.quality == Quality.QUESTIONABLE
+        else Quality.QUESTIONABLE
+    )
+    journal._touch("gateway", record)
+    return True
+
+
+def _apply_step(journal, step):
+    """One hypothesis step against *journal* (see ``_P_STEPS`` and
+    ``_O_STEPS``); steps naming a missing gateway do nothing."""
+    kind = step[0]
+    named = (
+        journal._gateways_named(step[1])
+        if kind in ("link", "unlink", "requalify", "rename", "delete")
+        else []
+    )
+    if kind == "link":
+        # The first subnet's link is marked questionable on request.
+        _kind, name, keys, questionable = step
+        record = _gateway(journal, name, keys)
+        if questionable:
+            record.connected_subnets[keys[0]].quality = Quality.QUESTIONABLE
+            journal._touch("gateway", record)
+    elif kind == "unlink" and named:
+        record = named[0]
+        if record.connected_subnets.pop(step[2], None) is not None:
+            journal._touch("gateway", record)
+    elif kind == "requalify" and named:
+        _requalify(journal, named[0], step[2])
+    elif kind == "rename" and named:
+        journal.rename_gateway(named[0].record_id, step[2], source=SOURCE)
+    elif kind == "delete" and named:
+        record_id = named[0].record_id
+        del journal.gateways[record_id]
+        journal._mark_deleted("gateway", record_id)
+    elif kind == "subnet":
+        journal.ensure_subnet(step[1], source=SOURCE)
+    elif kind == "host":
+        _kind, key, host = step
+        _observe(journal, ip=key.replace(".0/24", f".{host}"))
 
 
 class TestCachedAnswersProperty:
@@ -385,8 +440,9 @@ class TestCachedAnswersProperty:
     @given(steps=st.lists(_P_STEPS, min_size=1, max_size=20))
     def test_long_lived_store_answers_like_a_fresh_one(self, steps):
         """Links that retire and reappear, renames, deletes and
-        questionable edges: after every step a store that has cached
-        adjacency and gateway names across the whole history answers
+        questionable edges and requalified links: after every step a
+        store that has kept its graph index and gateway names across
+        the whole history answers
         path/impact exactly like a store built over the same journal."""
         clock = {"now": 0.0}
         journal = Journal(clock=lambda: clock["now"])
@@ -394,27 +450,7 @@ class TestCachedAnswersProperty:
         pull = TopologyStore(journal, use_feed=False)
         for step in steps:
             clock["now"] += 10.0
-            kind = step[0]
-            named = journal._gateways_named(step[1]) if kind != "host" else []
-            if kind == "link":
-                _kind, name, key, questionable = step
-                record = _gateway(journal, name, [key])
-                if questionable:
-                    record.connected_subnets[key].quality = Quality.QUESTIONABLE
-                    journal._touch("gateway", record)
-            elif kind == "unlink" and named:
-                record = named[0]
-                if record.connected_subnets.pop(step[2], None) is not None:
-                    journal._touch("gateway", record)
-            elif kind == "rename" and named:
-                journal.rename_gateway(named[0].record_id, step[2], source=SOURCE)
-            elif kind == "delete" and named:
-                record_id = named[0].record_id
-                del journal.gateways[record_id]
-                journal._mark_deleted("gateway", record_id)
-            elif kind == "host":
-                _kind, key, host = step
-                _observe(journal, ip=key.replace(".0/24", f".{host}"))
+            _apply_step(journal, step)
             fresh = TopologyStore(journal, use_feed=False)
             try:
                 expected = _answers(fresh)
@@ -424,6 +460,320 @@ class TestCachedAnswersProperty:
             assert _answers(pull) == expected
         push.close()
         pull.close()
+
+
+class TestIndexInvalidation:
+    def test_requalified_link_reprices_path(self, journal):
+        """A present edge flipping between good and questionable, with
+        no edge appearing or retiring, must reprice ``path`` in
+        long-lived stores; a fresh store is the reference."""
+        a, _b = _line(journal)
+        push = TopologyStore(journal)
+        pull = TopologyStore(journal, use_feed=False)
+        for store in (push, pull):
+            assert store.path("10.0.1.0/24", "10.0.2.0/24").cost == 2.0
+        assert _requalify(journal, a, "10.0.1.0/24")
+        for store in (push, pull):
+            assert store.path("10.0.1.0/24", "10.0.2.0/24").cost == 4.0
+        assert _requalify(journal, a, "10.0.1.0/24")
+        for store in (push, pull):
+            assert store.path("10.0.1.0/24", "10.0.2.0/24").cost == 2.0
+        assert _requalify(journal, a, "10.0.2.0/24")
+        fresh = TopologyStore(journal, use_feed=False)
+        expected = fresh.path("10.0.1.0/24", "10.0.3.0/24").to_dict()
+        assert expected["cost"] == 6.0
+        for store in (push, pull, fresh):
+            assert store.path("10.0.1.0/24", "10.0.3.0/24").to_dict() == expected
+            store.close()
+
+    def test_renames_and_sightings_keep_the_index(self, journal):
+        a, _b = _line(journal)
+        store = TopologyStore(journal)
+        assert store.impact("gw-b").articulation
+        index = store._index
+        assert index is not None
+        journal.rename_gateway(a.record_id, "gw-renamed", source=SOURCE)
+        _observe(journal, ip="10.0.3.9", mac="aa:00:00:00:00:19")
+        impact = store.impact("gw-b")
+        assert store._index is index
+        assert impact.isolated_hosts == 2
+        assert store.path("10.0.1.0/24", "gw-b").nodes[1] == "gw-renamed"
+        journal.link_gateway_subnet(a.record_id, "10.0.3.0/24", source=SOURCE)
+        assert not store.impact("gw-b").articulation
+        assert store._index is not index
+        store.close()
+
+
+def _order(node):
+    kind, value = node
+    return (kind, value if kind == "subnet" else f"{value:012d}")
+
+
+class _Reference:
+    """The search as it was before the graph index, kept as a
+    brute-force oracle: per-query Dijkstra keyed on order tuples, and
+    one BFS per piece for ``impact``, over adjacency read from a
+    freshly built store's present edges."""
+
+    def __init__(self, journal):
+        self.store = TopologyStore(journal, use_feed=False)
+        self.adjacency = {}
+        for edge in self.store.edges():
+            gateway = ("gateway", edge.gateway_id)
+            subnet = ("subnet", edge.subnet)
+            self.adjacency.setdefault(gateway, []).append((subnet, edge))
+            self.adjacency.setdefault(subnet, []).append((gateway, edge))
+        for links in self.adjacency.values():
+            links.sort(key=lambda link: link[0][1])
+
+    def close(self):
+        self.store.close()
+
+    def _label(self, node):
+        return self.store._label(node)
+
+    def _component(self, start, without):
+        component = {start}
+        frontier = [start]
+        while frontier:
+            node = frontier.pop()
+            for neighbour, _edge in self.adjacency.get(node, ()):
+                if neighbour == without or neighbour in component:
+                    continue
+                component.add(neighbour)
+                frontier.append(neighbour)
+        return component
+
+    def path(self, a, b):
+        source = self.store._resolve(a)
+        if source is None:
+            return TopologyPath(a, b, False, reason=f"unknown node: {a}")
+        destination = self.store._resolve(b)
+        if destination is None:
+            return TopologyPath(a, b, False, reason=f"unknown node: {b}")
+        if source == destination:
+            return TopologyPath(a, b, True, nodes=[self._label(source)])
+        distances = {source: 0.0}
+        previous = {}
+        queue = [(0.0, _order(source), source)]
+        visited = set()
+        while queue:
+            cost, _key, node = heapq.heappop(queue)
+            if node in visited:
+                continue
+            visited.add(node)
+            if node == destination:
+                break
+            for neighbour, edge in self.adjacency.get(node, ()):
+                candidate = cost + CONFIDENCE_WEIGHTS.get(edge.confidence, 3.0)
+                known = distances.get(neighbour)
+                if known is None or candidate < known:
+                    distances[neighbour] = candidate
+                    previous[neighbour] = (node, edge)
+                    heapq.heappush(
+                        queue, (candidate, _order(neighbour), neighbour)
+                    )
+        if destination not in visited:
+            return TopologyPath(
+                a, b, False,
+                reason=(
+                    f"no discovered route between {self._label(source)} "
+                    f"and {self._label(destination)}"
+                ),
+            )
+        nodes, hops = [], []
+        node = destination
+        while node != source:
+            parent, edge = previous[node]
+            nodes.append(self._label(node))
+            hops.append(edge.evidence())
+            node = parent
+        nodes.append(self._label(source))
+        return TopologyPath(
+            a, b, True, cost=distances[destination],
+            nodes=nodes[::-1], hops=hops[::-1],
+        )
+
+    def impact(self, target):
+        resolved = self.store._resolve(target)
+        if resolved is None:
+            return TopologyImpact(target, False, reason=f"unknown node: {target}")
+        component = self._component(resolved, None)
+        pieces = []
+        seen = {resolved}
+        for node in sorted(component, key=_order):
+            if node not in seen:
+                piece = self._component(node, resolved)
+                seen |= piece
+                pieces.append(piece)
+        pieces.sort(key=lambda piece: (
+            -sum(1 for kind, _v in piece if kind == "subnet"),
+            min(_order(node) for node in piece),
+        ))
+        cut = set().union(*pieces[1:])
+        cut_subnets = sorted(value for kind, value in cut if kind == "subnet")
+        return TopologyImpact(
+            target, True,
+            kind=resolved[0],
+            articulation=bool(cut),
+            component_subnets=sorted(
+                value for kind, value in component if kind == "subnet"
+            ),
+            cut_subnets=cut_subnets,
+            cut_gateways=sorted(
+                self._label(node) for node in cut if node[0] == "gateway"
+            ),
+            isolated_hosts=sum(
+                len(self.store._subnet_nodes[key].interfaces)
+                for key in cut_subnets
+            ),
+        )
+
+
+_O_SUBNETS = [f"10.0.{index}.0/24" for index in range(1, 7)]
+_O_NAMES = [f"gw-{index}" for index in range(1, 5)]
+_O_LINK = st.tuples(
+    st.just("link"), st.sampled_from(_O_NAMES),
+    st.lists(st.sampled_from(_O_SUBNETS), min_size=1, max_size=3, unique=True),
+    st.booleans(),
+)
+_O_STEPS = st.one_of(
+    # Links are drawn three times as often so that cycles, bridges and
+    # side components form within a short step list.
+    _O_LINK, _O_LINK, _O_LINK,
+    st.tuples(st.just("unlink"), st.sampled_from(_O_NAMES), st.sampled_from(_O_SUBNETS)),
+    st.tuples(
+        st.just("requalify"), st.sampled_from(_O_NAMES),
+        st.sampled_from(_O_SUBNETS),
+    ),
+    st.tuples(st.just("rename"), st.sampled_from(_O_NAMES), st.sampled_from(_O_NAMES)),
+    st.tuples(st.just("delete"), st.sampled_from(_O_NAMES)),
+    st.tuples(st.just("subnet"), st.sampled_from(_O_SUBNETS)),
+    st.tuples(st.just("host"), st.sampled_from(_O_SUBNETS), st.integers(10, 12)),
+)
+
+
+def _oracle_targets(journal):
+    """Every endpoint form: subnet keys, names, ``gateway-N`` and bare
+    ids of the live gateways, member IPs, and unknown targets."""
+    targets = list(_O_SUBNETS) + list(_O_NAMES)
+    for gid in sorted(journal.gateways):
+        targets += [f"gateway-{gid}", str(gid)]
+    return targets + ["10.0.2.10", "10.0.6.11", "99.9.9.0/24", "nothing-here"]
+
+
+def _oracle_answers(store, targets):
+    """``impact`` of every target; ``path`` between every pair of the
+    subnets, two names, one id form, one member IP and one unknown."""
+    ends = list(_O_SUBNETS) + ["gw-1", "gw-2", "10.0.2.10", "nothing-here"]
+    ends += [target for target in targets if target.startswith("gateway-")][:1]
+    return (
+        [store.impact(target).to_dict() for target in targets],
+        [store.path(a, b).to_dict() for a in ends for b in ends],
+    )
+
+
+def _assert_matches_reference(journal, stores, targets=None):
+    targets = targets or _oracle_targets(journal)
+    reference = _Reference(journal)
+    try:
+        expected = _oracle_answers(reference, targets)
+    finally:
+        reference.close()
+    for store in stores:
+        assert _oracle_answers(store, targets) == expected
+
+
+class TestIndexOracle:
+    """The graph index against the brute-force reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(steps=st.lists(_O_STEPS, min_size=3, max_size=24))
+    def test_answers_equal_the_reference(self, steps):
+        clock = {"now": 0.0}
+        journal = Journal(clock=lambda: clock["now"])
+        push = TopologyStore(journal)
+        pull = TopologyStore(journal, use_feed=False)
+        for step in steps:
+            clock["now"] += 10.0
+            _apply_step(journal, step)
+            _assert_matches_reference(journal, (push, pull))
+        push.close()
+        pull.close()
+
+    def test_isolated_subnet_and_edgeless_gateway(self, journal):
+        _line(journal)
+        journal.ensure_subnet("10.0.6.0/24", source=SOURCE)
+        _observe(journal, ip="10.0.5.11", mac="aa:00:00:00:00:11")
+        lone = _gateway(journal, "gw-lone", ["10.0.4.0/24"])
+        lone.connected_subnets.pop("10.0.4.0/24")
+        journal._touch("gateway", lone)
+        store = TopologyStore(journal)
+        impact = store.impact("10.0.6.0/24")
+        assert impact.found and impact.component_subnets == ["10.0.6.0/24"]
+        edgeless = store.impact("gw-lone")
+        assert edgeless.found and edgeless.component_subnets == []
+        assert not store.path("gw-lone", "10.0.1.0/24").found
+        _assert_matches_reference(
+            journal, (store,),
+            _oracle_targets(journal) + ["gw-lone", "10.0.5.11", "10.0.4.0/24"],
+        )
+        store.close()
+
+    def test_pieces_tied_on_subnet_count(self, journal):
+        """A hub over three leaf subnets: every piece holds one subnet,
+        so the core is the piece with the lowest-ordered node."""
+        _gateway(journal, "gw-hub", ["10.0.3.0/24", "10.0.1.0/24", "10.0.2.0/24"])
+        store = TopologyStore(journal)
+        impact = store.impact("gw-hub")
+        assert impact.cut_subnets == ["10.0.2.0/24", "10.0.3.0/24"]
+        _assert_matches_reference(journal, (store,))
+        # A second subnet behind .2 breaks the tie: .2's piece survives.
+        _gateway(journal, "gw-tail", ["10.0.2.0/24", "10.0.4.0/24"])
+        impact = store.impact("gw-hub")
+        assert impact.cut_subnets == ["10.0.1.0/24", "10.0.3.0/24"]
+        _assert_matches_reference(journal, (store,))
+        store.close()
+
+    def test_target_at_the_dfs_root(self, journal):
+        """Gateways order before subnets, so the lowest gateway id roots
+        its component's DFS; its pieces are its children's subtrees."""
+        first = _gateway(journal, "gw-first", ["10.0.1.0/24", "10.0.2.0/24"])
+        _gateway(journal, "gw-second", ["10.0.2.0/24", "10.0.3.0/24"])
+        _gateway(journal, "gw-third", ["10.0.1.0/24", "10.0.4.0/24"])
+        store = TopologyStore(journal)
+        impact = store.impact("gw-first")
+        index = store._index
+        assert index.rank[("gateway", first.record_id)] in index.roots
+        assert impact.articulation
+        assert impact.cut_subnets == ["10.0.1.0/24", "10.0.4.0/24"]
+        _assert_matches_reference(journal, (store,))
+        store.close()
+
+    def test_cycle_back_to_a_non_root_target(self, journal):
+        """A redundant pair hanging off one subnet: the DFS below it
+        returns only to that subnet (low-link equal to its discovery
+        index), so the pair is still cut off when the subnet fails."""
+        _gateway(journal, "gw-root", ["10.0.1.0/24", "10.0.2.0/24"])
+        _gateway(journal, "gw-x", ["10.0.2.0/24", "10.0.3.0/24"])
+        _gateway(journal, "gw-y", ["10.0.2.0/24", "10.0.3.0/24"])
+        store = TopologyStore(journal)
+        impact = store.impact("10.0.2.0/24")
+        assert impact.cut_gateways == ["gw-x", "gw-y"]
+        assert impact.cut_subnets == ["10.0.3.0/24"]
+        _assert_matches_reference(journal, (store,))
+        store.close()
+
+    def test_side_component(self, journal):
+        _line(journal)
+        _gateway(journal, "gw-side", ["10.0.5.0/24", "10.0.6.0/24"])
+        store = TopologyStore(journal)
+        side = store.impact("gw-side")
+        assert side.component_subnets == ["10.0.5.0/24", "10.0.6.0/24"]
+        assert side.cut_subnets == ["10.0.6.0/24"]
+        assert len(store._index.roots) == 2
+        _assert_matches_reference(journal, (store,))
+        store.close()
 
 
 class TestComponentsProperty:
