@@ -74,7 +74,7 @@ class TestFigure2:
     def test_discovered_map_matches_ground_truth_shape(self, mapped_campus, benchmark):
         campus, journal = mapped_campus
         graph = benchmark.pedantic(
-            lambda: Correlator(journal).topology(), rounds=1, iterations=1
+            lambda: journal.topology().graph(), rounds=1, iterations=1
         )
 
         truth = _ground_truth_edges(campus)
@@ -118,7 +118,7 @@ class TestFigure2:
             return render_report(journal, "sunnet"), render_report(journal, "dot")
 
         sunnet_text, dot_text = benchmark(export_both)
-        graph = Correlator(journal).topology()
+        graph = journal.topology().graph()
         # One component record per subnet and gateway, one connection
         # line per edge — the SunNet Manager feed of Figure 2.
         assert sunnet_text.count("component.subnet") == len(graph.subnets)

@@ -3,20 +3,23 @@
 Every topology question — an operator's ``path``/``impact``, the dot
 and SVG maps, the partitioned-subnet analysis — needs the discovered
 graph, and before the :class:`~repro.core.topology.TopologyStore` each
-consumer rebuilt it from the whole Journal.  The store subscribes to
-the change feed instead and folds deltas into a persistent graph, so
-a refresh after a discovery batch costs the *batch*, not the site.
+consumer rebuilt it from the whole Journal.  The store follows the
+Journal's change log instead and folds deltas into a persistent graph,
+so a refresh after a discovery batch costs the *batch*, not the site.
 
 This harness builds campus-scale Journals (2k and 10k interfaces, a
 gateway backbone chaining the subnets), then drives discovery batches
-through two consumers: a feed-maintained store refreshed after every
-batch, and a from-scratch store built fresh each time (what every
-pre-store consumer effectively did).  Both must agree byte-for-byte
+through two consumers: the Journal's store (``journal.topology()``)
+refreshed after every batch, and a from-scratch store built fresh each
+time (what every pre-store consumer effectively did).  Both must agree byte-for-byte
 on :meth:`~repro.core.topology.TopologyStore.canonical_text` after
 every batch — the equivalence contract the property tests pin down —
 so the comparison is between two ways of computing the *same* answer.
 It also times the operator queries (``path``/``impact``) against the
-warm store, and one warm ``find_cut_gateways`` pass.
+warm store, and one warm ``find_cut_gateways`` pass on the Journal's
+store against a pass on a store built for it alone (what the finder
+did before it shared the Journal's store); the two must find the
+same cut gateways.
 
 The store answers ``impact`` from a graph index built once per
 structure change.  :func:`naive_impact` keeps the search it replaced
@@ -24,7 +27,7 @@ structure change.  :func:`naive_impact` keeps the search it replaced
 ablation B keeps the paper's AVL tree: every sampled ``impact`` answer
 must equal the reference's, and the two are timed on the same targets.
 
-``--check`` enforces both equivalences always, and gates the largest
+``--check`` enforces all three equivalences always, and gates the largest
 size's speedups: incremental refresh >= 5x a rebuild, and warm
 ``impact`` >= 5x the naive reference, in full runs (>= 3x each under
 ``--quick``, where the small Journal shrinks the work both are
@@ -201,6 +204,16 @@ def naive_impact(
         )
 
 
+def fresh_cut_gateways(journal: Journal) -> list:
+    """The reference ``find_cut_gateways``: the same finder, reading a
+    store built from scratch for this one pass."""
+    shared, journal._topology = journal._topology, TopologyStore(journal)
+    try:
+        return find_cut_gateways(journal)
+    finally:
+        journal._topology = shared
+
+
 def measure_size(
     interfaces: int, *, rounds: int, seed: int, check_every: int = 5
 ) -> Dict[str, object]:
@@ -208,7 +221,7 @@ def measure_size(
     subnets = max(2, interfaces // 50)
     rng = random.Random(seed + 1)
 
-    store = TopologyStore(journal, use_feed=True)
+    store = journal.topology()
     build_started = time.perf_counter()
     store.refresh()  # first refresh: the one full build the store pays
     first_build_s = time.perf_counter() - build_started
@@ -225,14 +238,13 @@ def measure_size(
         assert mode == "incremental", f"round {round_index} fell back to full"
 
         started = time.perf_counter()
-        fresh = TopologyStore(journal, use_feed=False)
+        fresh = TopologyStore(journal)
         fresh.refresh()
         rebuild_s += time.perf_counter() - started
 
         if round_index % check_every == 0:
             if store.canonical_text() != fresh.canonical_text():
                 mismatches += 1
-        fresh.close()
 
     # Operator queries against the warm store.
     keys = sorted(store.graph().subnets)
@@ -266,12 +278,14 @@ def measure_size(
     index_started = time.perf_counter()
     store._graph_index()
     index_build_s = time.perf_counter() - index_started
-    store.close()
 
     find_cut_gateways(journal)  # warm the Journal's lazy state
     cut_started = time.perf_counter()
     cut_findings = find_cut_gateways(journal)
     cut_gateways_s = time.perf_counter() - cut_started
+    fresh_started = time.perf_counter()
+    fresh_findings = fresh_cut_gateways(journal)
+    fresh_cut_gateways_s = time.perf_counter() - fresh_started
 
     speedup = rebuild_s / incremental_s if incremental_s else None
     impact_speedup = naive_impact_s / impact_s if impact_s else None
@@ -291,7 +305,9 @@ def measure_size(
         "impact_mismatches": impact_mismatches,
         "index_build_ms": round(index_build_s * 1000, 3),
         "cut_gateways_ms": round(cut_gateways_s * 1000, 2),
+        "fresh_cut_gateways_ms": round(fresh_cut_gateways_s * 1000, 2),
         "cut_gateway_findings": len(cut_findings),
+        "cut_gateway_mismatch": cut_findings != fresh_findings,
     }
 
 
@@ -306,8 +322,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=1993)
     parser.add_argument(
         "--check", action="store_true",
-        help="fail on any incremental/rebuild or impact/reference "
-        "divergence (always) or if the largest size's incremental or "
+        help="fail on any incremental/rebuild, impact/reference or "
+        "find_cut_gateways shared/fresh divergence (always) or if the largest size's incremental or "
         "warm-impact speedup falls below the gate (5x full, 3x --quick)",
     )
     parser.add_argument("--output", default="BENCH_topology.json",
@@ -330,7 +346,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"({level['incremental_speedup']}x), path "
             f"{level['path_ms']}ms, impact {level['impact_ms']}ms vs naive "
             f"{level['naive_impact_ms']}ms ({level['impact_speedup']}x), "
-            f"find_cut_gateways {level['cut_gateways_ms']}ms"
+            f"find_cut_gateways {level['cut_gateways_ms']}ms vs fresh "
+            f"{level['fresh_cut_gateways_ms']}ms"
         )
 
     largest = max(levels, key=lambda level: level["interfaces"])
@@ -362,6 +379,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if wrong:
             raise SystemExit(
                 f"FAIL: {wrong} impact answer(s) differ from the naive reference"
+            )
+        if any(level["cut_gateway_mismatch"] for level in levels):
+            raise SystemExit(
+                "FAIL: find_cut_gateways on the Journal's store differs "
+                "from a fresh store's"
             )
         for key, what in (
             ("incremental_speedup", "incremental"),

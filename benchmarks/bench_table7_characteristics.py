@@ -109,7 +109,7 @@ class TestTable7:
     def test_topology_assembly_speed(self, discovered_campus, benchmark):
         campus, journal = discovered_campus
         Correlator(journal).correlate()
-        graph = benchmark(lambda: Correlator(journal).topology())
+        graph = benchmark(lambda: journal.topology().graph())
         # The map covers the campus: at least the traceroute-visible
         # subnets are present and connected.
         assert len(graph.subnets) >= len(campus.traceroute_visible_subnets())

@@ -75,7 +75,7 @@ def main() -> None:
         f"{report.subnet_links_added} subnet links added"
     )
 
-    graph = Correlator(journal).topology()
+    graph = journal.topology().graph()
     components = graph.connected_components()
     print(
         f"topology: {len(graph.subnets)} subnets on the map, largest "

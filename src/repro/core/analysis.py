@@ -334,22 +334,14 @@ def find_address_conflicts(journal: Journal) -> List[Finding]:
 # ----------------------------------------------------------------------
 
 
-def find_partitioned_subnets(
-    journal: Journal, *, default_prefix: int = 24
-) -> List[Finding]:
+def find_partitioned_subnets(journal: Journal) -> List[Finding]:
     """Subnets disconnected from the main discovered component.
 
     A campus network is expected to be one connected graph; a subnet in
     a side component either lost its gateway or the explorers have not
     found the link yet — both worth an operator's attention.
     """
-    from .topology import TopologyStore
-
-    store = TopologyStore(journal, default_prefix=default_prefix, use_feed=False)
-    try:
-        components = store.graph().connected_components()
-    finally:
-        store.close()
+    components = journal.topology().graph().connected_components()
     findings: List[Finding] = []
     if len(components) <= 1:
         return findings
@@ -370,37 +362,30 @@ def find_partitioned_subnets(
     return findings
 
 
-def find_cut_gateways(
-    journal: Journal, *, default_prefix: int = 24
-) -> List[Finding]:
+def find_cut_gateways(journal: Journal) -> List[Finding]:
     """Gateways whose failure would partition the discovered topology
     (articulation points): single points of failure."""
-    from .topology import TopologyStore
-
-    store = TopologyStore(journal, default_prefix=default_prefix, use_feed=False)
-    try:
-        findings: List[Finding] = []
-        for gid, (name, subnet_keys) in sorted(store.graph().gateways.items()):
-            if len(subnet_keys) < 2:
-                continue
-            impact = store.impact(f"gateway-{gid}")
-            if not impact.found or not impact.articulation:
-                continue
-            findings.append(
-                Finding(
-                    kind=KIND_CUT_GATEWAY,
-                    subject=name,
-                    details=(
-                        f"failure cuts off {len(impact.cut_subnets)} "
-                        f"subnet(s) ({', '.join(impact.cut_subnets)}) and "
-                        f"{impact.isolated_hosts} host interface(s)"
-                    ),
-                    record_ids=[gid],
-                )
+    store = journal.topology()
+    findings: List[Finding] = []
+    for gid, (name, subnet_keys) in sorted(store.graph().gateways.items()):
+        if len(subnet_keys) < 2:
+            continue
+        impact = store.impact(f"gateway-{gid}")
+        if not impact.found or not impact.articulation:
+            continue
+        findings.append(
+            Finding(
+                kind=KIND_CUT_GATEWAY,
+                subject=name,
+                details=(
+                    f"failure cuts off {len(impact.cut_subnets)} "
+                    f"subnet(s) ({', '.join(impact.cut_subnets)}) and "
+                    f"{impact.isolated_hosts} host interface(s)"
+                ),
+                record_ids=[gid],
             )
-        return findings
-    finally:
-        store.close()
+        )
+    return findings
 
 
 # ----------------------------------------------------------------------
@@ -443,14 +428,12 @@ def _run_address_conflict(
 
 @analysis_program(KIND_PARTITIONED)
 def _run_partitioned(journal: Journal, options: AnalysisOptions) -> List[Finding]:
-    return find_partitioned_subnets(
-        journal, default_prefix=options.default_prefix
-    )
+    return find_partitioned_subnets(journal)
 
 
 @analysis_program(KIND_CUT_GATEWAY)
 def _run_cut_gateways(journal: Journal, options: AnalysisOptions) -> List[Finding]:
-    return find_cut_gateways(journal, default_prefix=options.default_prefix)
+    return find_cut_gateways(journal)
 
 
 def run_all_analyses(

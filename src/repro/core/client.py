@@ -165,23 +165,15 @@ class LocalClient(query_module.NamedReads, DirectSinkMixin):
 
     # -- topology ---------------------------------------------------------
 
-    def _topology(self):
-        store = getattr(self, "_topology_store", None)
-        if store is None:
-            from .topology import TopologyStore
-
-            store = self._topology_store = TopologyStore(self.journal)
-        return store
-
     def path(self, a: str, b: str):
         """Confidence-weighted topology route (mirror of the ``path``
         wire op); see :meth:`repro.core.topology.TopologyStore.path`."""
-        return self._topology().path(a, b)
+        return self.journal.topology().path(a, b)
 
     def impact(self, target: str):
         """Blast radius of *target* (mirror of the ``impact`` wire op);
         see :meth:`repro.core.topology.TopologyStore.impact`."""
-        return self._topology().impact(target)
+        return self.journal.topology().impact(target)
 
     # -- bulk -------------------------------------------------------------
 
@@ -190,12 +182,8 @@ class LocalClient(query_module.NamedReads, DirectSinkMixin):
         return Journal.from_dict(self.journal.to_dict())
 
     def close(self) -> None:
-        """Release the lazy topology store's feed subscription, if one
-        was ever built; the in-process client owns nothing else."""
-        store = getattr(self, "_topology_store", None)
-        if store is not None:
-            store.close()
-            self._topology_store = None
+        """Nothing to release: the in-process client owns no resource
+        (the topology store belongs to the journal)."""
 
 
 def _provisional_record(observation: Observation) -> InterfaceRecord:

@@ -16,9 +16,11 @@ The :class:`Correlator` performs the Discovery-Manager-side inference:
 * proxy-ARP recognition when one Ethernet address answers for several
   addresses on the *same* subnet ("recognise the device type when
   multiple IP addresses are reported for a single Ethernet address");
-* gateway-to-subnet linking from recorded interface masks;
-* assembly of the overall topology graph used by the presentation
-  programs and by Figure 2.
+* gateway-to-subnet linking from recorded interface masks.
+
+The graph those records describe is derived in one place,
+:class:`~repro.core.topology.TopologyStore` (``journal.topology()``);
+:class:`TopologyGraph` is the plain form it hands to the exporters.
 
 Incremental operation: the Discovery Manager correlates after every
 Explorer Module run, so a naive implementation rescans the whole
@@ -536,23 +538,6 @@ class Correlator:
         journal.prune_changes(self.last_revision)
         return report
 
-    def topology(self) -> TopologyGraph:
-        """Assemble the discovered subnet/gateway graph."""
-        graph = TopologyGraph()
-        for subnet in self.journal.all_subnets():
-            if subnet.subnet is None:
-                continue
-            graph.subnets[subnet.subnet] = sorted(subnet.gateway_ids)
-        for gateway in self.journal.all_gateways():
-            name = gateway.name or f"gateway-{gateway.record_id}"
-            subnet_keys = sorted(gateway.connected_subnets)
-            graph.gateways[gateway.record_id] = (name, subnet_keys)
-            for key in subnet_keys:
-                graph.subnets.setdefault(key, [])
-                if gateway.record_id not in graph.subnets[key]:
-                    graph.subnets[key].append(gateway.record_id)
-        return graph
-
 
 class FederatedCorrelator:
     """Cross-shard correlation over a sharded Journal fleet.
@@ -609,6 +594,3 @@ class FederatedCorrelator:
         if self._writeback is not None:
             self._writeback.sync()
         return report
-
-    def topology(self) -> TopologyGraph:
-        return self.correlator.topology()

@@ -15,9 +15,8 @@ data, no live probes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..netsim.addresses import Ipv4Address, Subnet
 from .correlate import Correlator
@@ -25,6 +24,14 @@ from .journal import Journal
 from .records import GatewayRecord, InterfaceRecord
 
 __all__ = ["NetworkPicture", "RouteHop", "RouteExplanation"]
+
+
+def _is_subnet_key(text: str) -> bool:
+    try:
+        Subnet.parse(text)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass
@@ -144,50 +151,28 @@ class NetworkPicture:
         return self.journal.now - max(times)
 
     def route_between(self, source: str, destination: str) -> RouteExplanation:
-        """The designed route between two subnets (BFS over the
-        discovered gateway-subnet incidence graph)."""
+        """The designed route between two subnets: the Journal topology
+        store's confidence-weighted path (see
+        :meth:`~repro.core.topology.TopologyStore.path`), one hop per
+        gateway crossed."""
         explanation = RouteExplanation(source=source, destination=destination)
-        graph = self._correlator.topology()
-        if source not in graph.subnets or destination not in graph.subnets:
+        if not (_is_subnet_key(source) and _is_subnet_key(destination)):
             return explanation
-        # BFS over subnets; edges are gateways.
-        parent: Dict[str, Tuple[str, int]] = {}
-        visited = {source}
-        queue = deque([source])
-        while queue:
-            current = queue.popleft()
-            if current == destination:
-                break
-            for gateway_id in graph.subnets.get(current, []):
-                _name, subnet_keys = graph.gateways.get(gateway_id, ("", []))
-                for neighbour in subnet_keys:
-                    if neighbour in visited:
-                        continue
-                    visited.add(neighbour)
-                    parent[neighbour] = (current, gateway_id)
-                    queue.append(neighbour)
-        if destination not in visited:
+        path = self.journal.topology().path(source, destination)
+        if not path.found:
             return explanation
-        # Walk back from the destination.
-        chain: List[Tuple[str, int, str]] = []
-        node = destination
-        while node != source:
-            previous, gateway_id = parent[node]
-            chain.append((previous, gateway_id, node))
-            node = previous
-        chain.reverse()
         explanation.reachable = True
-        for from_subnet, gateway_id, to_subnet in chain:
+        # Between subnets the hops pair up around each gateway crossed:
+        # (from subnet, gateway), (gateway, to subnet).
+        for index in range(0, len(path.hops), 2):
+            gateway_id = path.hops[index]["gateway"]
             gateway = self.journal.gateways.get(gateway_id)
             explanation.hops.append(
                 RouteHop(
                     gateway_id=gateway_id,
-                    gateway_name=(
-                        gateway.name if gateway and gateway.name
-                        else f"gateway-{gateway_id}"
-                    ),
-                    from_subnet=from_subnet,
-                    to_subnet=to_subnet,
+                    gateway_name=path.hops[index]["gateway_name"],
+                    from_subnet=path.nodes[index],
+                    to_subnet=path.nodes[index + 2],
                     silent_for=(
                         self._gateway_silence(gateway) if gateway else None
                     ),

@@ -46,6 +46,10 @@ Durability: attaching a :class:`~repro.core.durability.JournalStore`
 negative-cache put append to a write-ahead log as part of the mutation,
 and ``flush`` becomes a WAL sync point.  The Journal itself stays
 storage-agnostic — the hooks are two one-line calls.
+
+Topology: :meth:`Journal.topology` is the Journal's one
+:class:`~repro.core.topology.TopologyStore`, built on first use and
+shared by every reader of the discovered map.
 """
 
 from __future__ import annotations
@@ -53,8 +57,10 @@ from __future__ import annotations
 import bisect
 import json
 import logging
+import threading
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Generic,
@@ -79,6 +85,9 @@ from .records import (
 )
 from .sink import DirectSinkMixin, FlushStats
 from .telemetry import MetricsRegistry
+
+if TYPE_CHECKING:
+    from .topology import TopologyStore
 
 __all__ = [
     "Journal",
@@ -449,6 +458,9 @@ class Journal(DirectSinkMixin):
         #: wal_appends, ...) are compatibility properties over it.
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self._register_metrics(self.telemetry)
+        #: the topology store, built by the first topology() call
+        self._topology: Optional[TopologyStore] = None
+        self._topology_init_lock = threading.Lock()
 
     def _register_metrics(self, registry: MetricsRegistry) -> None:
         """Register (or adopt) this Journal's metric families.  Counters
@@ -711,11 +723,15 @@ class Journal(DirectSinkMixin):
         After pruning, ``changes_since(r)`` for any ``r < rev`` reports
         ``complete=False`` and the caller must fall back to a full scan.
         The requested revision is clamped to the slowest open feed
-        subscription, so one consumer draining its delta can never force
-        another into a full resync.
+        subscription and to the topology store's last refresh, so one
+        consumer draining its delta can never force another into a full
+        resync.
         """
         for subscription in self._subscriptions:
             rev = min(rev, subscription.last_revision)
+        store = self._topology
+        if store is not None and store.last_revision is not None:
+            rev = min(rev, store.last_revision)
         if rev <= self._pruned_through:
             return
         log = self._change_log
@@ -760,6 +776,24 @@ class Journal(DirectSinkMixin):
     @property
     def feed_subscribers(self) -> int:
         return len(self._subscriptions)
+
+    def topology(self) -> TopologyStore:
+        """This Journal's topology store, built on first use.
+
+        Every reader of the discovered map shares it, so there is one
+        graph and one edge history per Journal.  The store refreshes
+        by pure reads, so the Journal Server's worker threads may call
+        this under the shared read lock; the init lock makes
+        concurrent first calls build one store."""
+        store = self._topology
+        if store is None:
+            with self._topology_init_lock:
+                store = self._topology
+                if store is None:
+                    from .topology import TopologyStore
+
+                    store = self._topology = TopologyStore(self)
+        return store
 
     # ------------------------------------------------------------------
     # Ingest sink protocol (terminal ObservationSink of the pipeline)

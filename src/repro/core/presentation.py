@@ -132,13 +132,6 @@ def render_report(journal: Journal, name: str, **params: Any) -> str:
     return report.render(journal, **params)
 
 
-def _store(journal: Journal):
-    """A throwaway pull-mode topology store for one rendering."""
-    from .topology import TopologyStore
-
-    return TopologyStore(journal, use_feed=False)
-
-
 def _age(journal: Journal, when: Optional[float]) -> str:
     if when is None:
         return "never"
@@ -292,11 +285,7 @@ def _render_sunnet(journal: Journal) -> str:
     SunNet Manager, the user must enter and maintain network
     relationship information manually.  Fremont supports this function
     automatically.")."""
-    store = _store(journal)
-    try:
-        graph = store.graph()
-    finally:
-        store.close()
+    graph = journal.topology().graph()
     lines = ["! Fremont topology export (SunNet Manager element format)"]
     for subnet_key in sorted(graph.subnets):
         name = subnet_key.replace("/", "_")
@@ -317,12 +306,9 @@ def _render_sunnet(journal: Journal) -> str:
 
 @_report("dot", "Graphviz DOT rendering (questionable edges dashed)")
 def _render_dot(journal: Journal) -> str:
-    store = _store(journal)
-    try:
-        graph = store.graph()
-        edges = store.edges()
-    finally:
-        store.close()
+    store = journal.topology()
+    graph = store.graph()
+    edges = store.edges()
     lines = [
         "graph fremont {",
         "  layout=neato;",
@@ -441,12 +427,9 @@ def _render_svg(
     """The discovered map rendered as a standalone SVG document — the
     self-contained replacement for the SunNet Manager window of
     Figure 2."""
-    store = _store(journal)
-    try:
-        graph = store.graph()
-        topo_edges = store.edges()
-    finally:
-        store.close()
+    store = journal.topology()
+    graph = store.graph()
+    topo_edges = store.edges()
     # Layout keys use journal-local ordinals (see _gateway_ordinals):
     # the embedding must depend on the journal's content, not on the
     # process-global record-id counter.
@@ -527,12 +510,9 @@ def _render_svg(
     "current topology edges with confidence badges and flap history",
 )
 def _render_topology(journal: Journal) -> str:
-    store = _store(journal)
-    try:
-        edges = store.edges()
-        graph = store.graph()
-    finally:
-        store.close()
+    store = journal.topology()
+    edges = store.edges()
+    graph = store.graph()
     components = graph.connected_components()
     lines = [
         f"# topology: {len(graph.subnets)} subnet(s), "
@@ -606,11 +586,7 @@ def render_impact(impact) -> str:
     params=("a", "b"),
 )
 def _render_path_report(journal: Journal, *, a: str, b: str) -> str:
-    store = _store(journal)
-    try:
-        return render_path(store.path(a, b))
-    finally:
-        store.close()
+    return render_path(journal.topology().path(a, b))
 
 
 @_report(
@@ -619,11 +595,7 @@ def _render_path_report(journal: Journal, *, a: str, b: str) -> str:
     params=("target",),
 )
 def _render_impact_report(journal: Journal, *, target: str) -> str:
-    store = _store(journal)
-    try:
-        return render_impact(store.impact(target))
-    finally:
-        store.close()
+    return render_impact(journal.topology().impact(target))
 
 
 def _sort_ip(ip: Optional[str]):

@@ -142,11 +142,6 @@ class JournalDispatcher:
         self._op_samples: Dict[str, Any] = {}
         #: resolved op -> bound handler, filled on first use
         self._handlers: Dict[str, Callable] = {}
-        #: lazily-built topology store serving the path/impact read ops
-        #: (pull mode: refreshes via pure changes_since reads, so it is
-        #: safe under the shared read lock; see topology module docs)
-        self._topology_store = None
-        self._topology_init_lock = threading.Lock()
 
     @property
     def requests_served(self) -> int:
@@ -541,26 +536,11 @@ class JournalDispatcher:
 
     # -- topology queries ------------------------------------------------
 
-    def _topology(self):
-        """The per-server topology store, built on first path/impact
-        request.  Pull mode + no pruning keeps its refreshes pure reads
-        over Journal structures (the store serialises itself), so the
-        ops run under the shared read lock like any other query."""
-        if self._topology_store is None:
-            with self._topology_init_lock:
-                if self._topology_store is None:
-                    from .topology import TopologyStore
-
-                    self._topology_store = TopologyStore(
-                        self.journal, use_feed=False, prune=False
-                    )
-        return self._topology_store
-
     def _op_path(self, request: Dict[str, Any]) -> Dict[str, Any]:
         a, b = request.get("a"), request.get("b")
         if not isinstance(a, str) or not isinstance(b, str):
             raise wire.WireError("path needs string endpoints 'a' and 'b'")
-        result = self._topology().path(a, b)
+        result = self.journal.topology().path(a, b)
         return {
             "ok": True,
             "revision": self.journal.revision,
@@ -571,7 +551,7 @@ class JournalDispatcher:
         target = request.get("target")
         if not isinstance(target, str):
             raise wire.WireError("impact needs a string 'target'")
-        result = self._topology().impact(target)
+        result = self.journal.topology().impact(target)
         return {
             "ok": True,
             "revision": self.journal.revision,

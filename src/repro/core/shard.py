@@ -1088,18 +1088,16 @@ class ShardedClient(query_module.NamedReads):
         gateways and subnets (globally meaningful); numeric gateway ids
         are aggregate-local.  A shard the refresh could not reach
         makes the answer partial, like any scatter read."""
-        if getattr(self, "_topology_store", None) is None:
+        view = getattr(self, "_topology_view", None)
+        if view is None:
             from .replicate import FederatedView
-            from .topology import TopologyStore
 
-            self._topology_view = FederatedView(self.clients)
-            self._topology_store = TopologyStore(self._topology_view.journal)
-        view = self._topology_view
+            view = self._topology_view = FederatedView(self.clients)
         view.refresh()
         self._note_down(list(view.stale_shards))
         if view.stale_shards:
             self._c_partial.inc()
-        return self._topology_store
+        return view.journal.topology()
 
     def path(self, a: str, b: str):
         """Confidence-weighted route across the whole fleet's merged

@@ -2,15 +2,14 @@
 
 The Correlator leaves the discovered structure implicit in Journal
 records — gateway ``connected_subnets`` attributes, subnet records,
-interface masks — and :class:`~repro.core.correlate.TopologyGraph` is
-rebuilt transiently for each rendering.  The paper's promise, though,
-is an operator-facing picture: "the network and gateway entries" as a
-*queryable* map a troubleshooter can ask questions of.
+interface masks.  The paper's promise, though, is an operator-facing
+picture: "the network and gateway entries" as a *queryable* map a
+troubleshooter can ask questions of.
 
-:class:`TopologyStore` is that layer.  It tails the Journal change
-feed (the same subscription machinery the Correlator and
-``AnalysisMonitor`` use) and maintains a persistent graph of devices,
-interfaces, and subnets whose edges carry *provenance*:
+:class:`TopologyStore` is that layer, and the only derivation of the
+graph.  It follows the Journal's change log and maintains a persistent
+graph of devices, interfaces, and subnets whose edges carry
+*provenance*:
 
 * ``method`` — which explorer or correlation rule produced the
   attachment (the ``source`` of the gateway's ``connected_subnets``
@@ -37,16 +36,18 @@ Consistency contract (mirrors the PR 1 incremental-correlation
 contract): after any refresh, the store's :meth:`state` is
 byte-identical to a freshly built store's over the same Journal —
 incremental maintenance is an optimisation, never a divergence.
-Property-tested under randomized feed interleavings in
+Property-tested under randomized churn in
 ``tests/core/test_topology.py``.
 
-Server integration: ``path``/``impact`` are wire ops served
-*read-locked* by the Journal Server, so the store must not mutate
-Journal structures while answering.  ``use_feed=False`` puts the store
-in pull mode: deltas come from :meth:`Journal.changes_since` (a pure
-read), the pin subscription's cursor advance is a single benign field
-write, and the store never prunes the change log (``prune=False``) —
-other consumers' prune calls clamp to our advancing cursor.
+One store per Journal: :meth:`Journal.topology` builds it on first use
+and every reader — the Journal Server's ``path``/``impact`` ops, the
+clients, the presentation reports, the analysis finders and the
+inquiry agent — shares it, so edge history accumulates in one place.
+The store pulls: deltas come from :meth:`Journal.changes_since` (a pure
+read, safe under the server's shared read lock), and it never prunes
+the change log.  :meth:`Journal.prune_changes` clamps to the Journal
+store's last refresh, so other consumers' prune calls keep its next
+delta complete.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ __all__ = [
     "TopologyPath",
     "TopologyImpact",
     "CONFIDENCE_WEIGHTS",
+    "DEFAULT_PREFIX",
     "HISTORY_LIMIT",
 ]
 
@@ -76,6 +78,9 @@ CONFIDENCE_WEIGHTS: Dict[str, float] = {"good": 1.0, "questionable": 3.0}
 
 #: appear/disappear transitions retained per edge (oldest dropped)
 HISTORY_LIMIT = 16
+
+#: prefix length placing an interface recorded without a usable mask
+DEFAULT_PREFIX = 24
 
 
 @dataclass
@@ -278,46 +283,27 @@ class _SubnetNode:
 
 
 class TopologyStore:
-    """Feed-maintained topology graph with path and impact queries.
+    """Incrementally maintained topology graph with path and impact
+    queries.
 
-    One store is meant to live as long as its Journal.  Every public
-    query refreshes first, so answers always reflect the Journal as of
-    the call.  Thread-safe: one internal lock serialises refreshes and
-    queries (the Journal Server answers ``path``/``impact`` from worker
-    threads under the read lock).
-
-    ``use_feed=True`` (the default) registers a change-feed callback:
-    publishes push deltas here and :meth:`refresh` consumes the merged
-    pending set, exactly like the feed-driven Correlator.
-    ``use_feed=False`` is pull mode for read-locked serving: deltas
-    come from ``changes_since`` and the subscription exists only to pin
-    the change history against pruning.
+    One store lives as long as its Journal: obtain it through
+    :meth:`Journal.topology` rather than constructing another.  Every
+    public query refreshes first, so answers always reflect the Journal
+    as of the call.  Thread-safe: one internal lock serialises
+    refreshes and queries (the Journal Server answers ``path``/
+    ``impact`` from worker threads under the read lock).
     """
 
     def __init__(
-        self,
-        journal: Journal,
-        *,
-        default_prefix: int = 24,
-        history_limit: int = HISTORY_LIMIT,
-        use_feed: bool = True,
-        prune: bool = False,
+        self, journal: Journal, *, history_limit: int = HISTORY_LIMIT
     ) -> None:
         self.journal = journal
-        self.default_prefix = default_prefix
         self.history_limit = history_limit
-        self.use_feed = use_feed
-        self.prune = prune
         #: Journal revision covered by the last refresh; None = never
         self.last_revision: Optional[int] = None
         self.full_refreshes = 0
         self.incremental_refreshes = 0
-        self._pending: Optional[JournalChanges] = None
         self._lock = threading.RLock()
-        if use_feed:
-            self.subscription = journal.subscribe(self._absorb_changes)
-        else:
-            self.subscription = journal.subscribe()
         #: (gateway id, subnet key) -> edge (present and retired)
         self._edges: Dict[Tuple[int, str], TopologyEdge] = {}
         #: gateway id -> subnet keys of all its edges (present and retired)
@@ -350,23 +336,6 @@ class TopologyStore:
         )
 
     # ------------------------------------------------------------------
-    # Feed consumption
-    # ------------------------------------------------------------------
-
-    def _absorb_changes(self, changes: JournalChanges) -> None:
-        """Feed callback: fold the pushed delta into the pending set."""
-        if self._pending is None:
-            self._pending = changes
-        else:
-            self._pending.merge(changes)
-
-    def close(self) -> None:
-        """Detach from the change feed."""
-        if self.subscription is not None:
-            self.subscription.close()
-            self.subscription = None
-
-    # ------------------------------------------------------------------
     # Refresh: incremental by default, rebuild when history is gone
     # ------------------------------------------------------------------
 
@@ -378,22 +347,11 @@ class TopologyStore:
         with self._lock:
             journal = self.journal
             changes: Optional[JournalChanges] = None
-            if self.use_feed:
-                # Pull through unpublished writes so the pending delta
-                # covers everything up to this instant.
-                journal.publish()
-                if not full and self.last_revision is not None:
-                    changes = self._pending
-                    if changes is None:
-                        changes = JournalChanges(
-                            since=self.last_revision, revision=journal.revision
-                        )
-            elif not full and self.last_revision is not None:
+            if not full and self.last_revision is not None:
                 changes = journal.changes_since(self.last_revision)
-            self._pending = None
-            if changes is not None and not changes.complete:
-                changes = None  # history pruned out from under us
-            if self.last_revision is None or full or changes is None:
+                if not changes.complete:
+                    changes = None  # history pruned out from under us
+            if changes is None:
                 mode = "full"
                 self.full_refreshes += 1
                 self._rebuild()
@@ -402,12 +360,6 @@ class TopologyStore:
                 self.incremental_refreshes += 1
                 self._apply(changes)
             self.last_revision = journal.revision
-            if self.subscription is not None:
-                # Advance the pin cursor: skip redelivery of what we
-                # just consumed, and let other consumers prune past it.
-                self.subscription.last_revision = journal.revision
-            if self.prune:
-                journal.prune_changes(journal.revision)
             self._c_refreshes.labels(mode=mode).inc()
             self._g_edges.set(self._present_edges)
             return mode
@@ -431,7 +383,7 @@ class TopologyStore:
             self._sync_gateway(gid)
 
     def _apply(self, changes: JournalChanges) -> None:
-        """Fold one (merged) feed delta into the graph."""
+        """Fold one change-log delta into the graph."""
         for rid in sorted(changes.deleted_interfaces):
             self._drop_interface(rid)
         for rid in sorted(changes.interfaces):
@@ -474,7 +426,7 @@ class TopologyStore:
             except ValueError:
                 pass
         return str(
-            Subnet.containing(ip, Netmask.from_prefix(self.default_prefix))
+            Subnet.containing(ip, Netmask.from_prefix(DEFAULT_PREFIX))
         )
 
     def _sync_interface(self, rid: int) -> None:
@@ -706,7 +658,7 @@ class TopologyStore:
             if key is not None:
                 return ("subnet", key)
         key = str(
-            Subnet.containing(ip, Netmask.from_prefix(self.default_prefix))
+            Subnet.containing(ip, Netmask.from_prefix(DEFAULT_PREFIX))
         )
         if key in self._subnet_nodes:
             return ("subnet", key)

@@ -121,7 +121,7 @@ class TestTopology:
 
     def test_topology_graph_structure(self, journal):
         self._build_simple(journal)
-        graph = Correlator(journal).topology()
+        graph = journal.topology().graph()
         assert set(graph.subnets) == {"10.0.1.0/24", "10.0.2.0/24"}
         assert len(graph.gateways) == 1
         assert len(graph.edges()) == 2
@@ -130,7 +130,7 @@ class TestTopology:
         self._build_simple(journal)
         # An isolated subnet with no gateway.
         journal.ensure_subnet("10.0.9.0/24", source="RIPwatch")
-        graph = Correlator(journal).topology()
+        graph = journal.topology().graph()
         components = graph.connected_components()
         assert len(components) == 2
         assert {"10.0.1.0/24", "10.0.2.0/24"} in components

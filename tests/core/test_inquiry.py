@@ -1,11 +1,17 @@
 """Inquiry agent tests: the paper's opening scenario, answerable."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Journal
 from repro.core.correlate import Correlator
 from repro.core.inquiry import NetworkPicture
 from repro.core.records import Observation
+
+from .test_topology import _record_graph
 
 
 def _clock():
@@ -123,6 +129,64 @@ class TestRouteBetween:
         text = route.describe()
         assert "core-gw" in text
         assert "athletics-ws" in text
+
+
+def _bfs_hops(journal, source, destination):
+    """Gateways crossed on a fewest-hop route, or None when there is
+    none: the BFS ``route_between`` ran before it read the topology
+    store, kept as the reference."""
+    graph = _record_graph(journal)
+    if source not in graph.subnets or destination not in graph.subnets:
+        return None
+    hops = {source: 0}
+    queue = deque([source])
+    while queue:
+        current = queue.popleft()
+        for gateway_id in graph.subnets.get(current, []):
+            _name, subnet_keys = graph.gateways.get(gateway_id, ("", []))
+            for neighbour in subnet_keys:
+                if neighbour not in hops:
+                    hops[neighbour] = hops[current] + 1
+                    queue.append(neighbour)
+    return hops.get(destination)
+
+
+_MESH_SUBNETS = [f"10.7.{index}.0/24" for index in range(8)]
+_MESH_GATEWAYS = st.lists(
+    st.lists(st.sampled_from(_MESH_SUBNETS), min_size=1, max_size=3, unique=True),
+    max_size=8,
+)
+
+
+class TestRouteMatchesBfs:
+    @settings(max_examples=60, deadline=None)
+    @given(gateways=_MESH_GATEWAYS)
+    def test_reachability_and_hop_count(self, gateways):
+        """Over good-confidence links the store's path is a fewest-hop
+        route, so reachability and hop count equal the BFS's (the
+        gateways chosen may differ between equal-length routes)."""
+        journal = Journal()
+        journal.ensure_subnet(_MESH_SUBNETS[-1], source="RIPwatch")
+        for index, keys in enumerate(gateways):
+            record, _ = journal.ensure_gateway(source="probe", name=f"gw-{index}")
+            for key in keys:
+                journal.link_gateway_subnet(record.record_id, key, source="probe")
+        picture = NetworkPicture(journal)
+        for source in _MESH_SUBNETS:
+            for destination in _MESH_SUBNETS:
+                route = picture.route_between(source, destination)
+                expected = _bfs_hops(journal, source, destination)
+                assert route.reachable == (expected is not None)
+                if not route.reachable:
+                    continue
+                assert len(route.hops) == expected
+                at = source
+                for hop in route.hops:
+                    assert hop.from_subnet == at
+                    links = journal.gateways[hop.gateway_id].connected_subnets
+                    assert {hop.from_subnet, hop.to_subnet} <= set(links)
+                    at = hop.to_subnet
+                assert at == destination
 
 
 class TestGatewaysFor:

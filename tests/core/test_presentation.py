@@ -16,6 +16,8 @@ from repro.core.presentation import (
 )
 from repro.core.records import Observation
 
+from .test_topology import _apply_step
+
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
@@ -185,7 +187,7 @@ class TestExporters:
 
     def test_exports_cover_all_topology_edges(self, populated):
         journal, state = populated
-        graph = Correlator(journal).topology()
+        graph = journal.topology().graph()
         text = render_report(journal, "sunnet")
         assert text.count("connection") == len(graph.edges())
 
@@ -196,7 +198,7 @@ class TestExporters:
         text = render_report(journal, "svg")
         root = ElementTree.fromstring(text)
         assert root.tag.endswith("svg")
-        graph = Correlator(journal).topology()
+        graph = journal.topology().graph()
         assert text.count("<ellipse") == len(graph.subnets)
         assert text.count("<rect") == len(graph.gateways)
         assert text.count("<line") == len(graph.edges())
@@ -252,6 +254,18 @@ class TestTopologyReports:
         text = render_report(golden_journal(), "impact", target="gw-b")
         assert "single point of failure" in text
         assert "10.0.3.0/24" in text
+
+    def test_flap_history_reaches_the_report(self):
+        """Reports share the Journal's topology store, so a link that
+        went away and came back between renders shows its flap."""
+        journal = golden_journal()
+        first = render_report(journal, "topology")
+        _apply_step(journal, ("unlink", "gw-a", "10.0.2.0/24"))
+        second = render_report(journal, "topology")
+        _apply_step(journal, ("link", "gw-a", ["10.0.2.0/24"], False))
+        third = render_report(journal, "topology")
+        assert "flaps" not in first and "flaps" not in second
+        assert "gw-a --[+ test]-- 10.0.2.0/24  (flaps: 1)" in third
 
     def test_render_path_not_found(self):
         from repro.core.topology import TopologyPath

@@ -9,14 +9,23 @@ Randomized campaigns drive both and compare after every batch.
 import heapq
 import json
 import random
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Journal, JournalServer, RemoteClient
+from repro.core import Journal, JournalServer, LocalClient, RemoteClient
 from repro.core import wire
+from repro.core.analysis import (
+    find_cut_gateways,
+    find_partitioned_subnets,
+    run_all_analyses,
+)
 from repro.core.correlate import Correlator, TopologyGraph
+from repro.core.inquiry import NetworkPicture
+from repro.core.presentation import render_report
 from repro.core.records import Observation, Quality
 from repro.core.topology import (
     CONFIDENCE_WEIGHTS,
@@ -60,6 +69,25 @@ def _line(journal):
     return a, b
 
 
+def _record_graph(journal):
+    """The graph read straight off the gateway and subnet records (the
+    derivation the Correlator used to keep), as the store's reference."""
+    graph = TopologyGraph()
+    for subnet in journal.all_subnets():
+        if subnet.subnet is None:
+            continue
+        graph.subnets[subnet.subnet] = sorted(subnet.gateway_ids)
+    for gateway in journal.all_gateways():
+        name = gateway.name or f"gateway-{gateway.record_id}"
+        subnet_keys = sorted(gateway.connected_subnets)
+        graph.gateways[gateway.record_id] = (name, subnet_keys)
+        for key in subnet_keys:
+            graph.subnets.setdefault(key, [])
+            if gateway.record_id not in graph.subnets[key]:
+                graph.subnets[key].append(gateway.record_id)
+    return graph
+
+
 class TestEdges:
     def test_edges_carry_provenance(self, journal):
         _line(journal)
@@ -77,7 +105,7 @@ class TestEdges:
         Correlator(journal).correlate()
         store = TopologyStore(journal)
         graph = store.graph()
-        reference = Correlator(journal).topology()
+        reference = _record_graph(journal)
         assert graph.subnets.keys() == reference.subnets.keys()
         assert graph.gateways == reference.gateways
 
@@ -299,26 +327,16 @@ class TestRandomizedEquivalence:
     def test_incremental_equals_rebuilt_after_every_batch(
         self, seed, journal, clock_state
     ):
-        """Push-mode and pull-mode stores, maintained incrementally,
-        must stay byte-identical to a from-scratch store."""
-        push = TopologyStore(journal, use_feed=True)
-        pull = TopologyStore(journal, use_feed=False)
+        """A store maintained incrementally must stay byte-identical
+        to a from-scratch store."""
+        store = journal.topology()
         campaign = _Campaign(seed, journal, clock_state)
         for _round in range(25):
             campaign.batch()
-            push.refresh()
-            pull.refresh()
-            fresh = TopologyStore(journal, use_feed=False)
-            try:
-                expected = fresh.canonical_text()
-            finally:
-                fresh.close()
-            assert push.canonical_text() == expected
-            assert pull.canonical_text() == expected
-        assert push.incremental_refreshes >= 20
-        assert pull.incremental_refreshes >= 20
-        push.close()
-        pull.close()
+            store.refresh()
+            expected = TopologyStore(journal).canonical_text()
+            assert store.canonical_text() == expected
+        assert store.incremental_refreshes >= 20
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_forced_rebuild_changes_nothing(self, seed, journal, clock_state):
@@ -330,7 +348,6 @@ class TestRandomizedEquivalence:
         before = store.canonical_text()
         store.refresh(full=True)
         assert store.canonical_text() == before
-        store.close()
 
     @pytest.mark.parametrize("seed", [5])
     def test_path_symmetric_and_impact_contained_under_churn(
@@ -353,7 +370,6 @@ class TestRandomizedEquivalence:
             impact = store.impact(a)
             assert impact.found
             assert set(impact.cut_subnets) <= set(impact.component_subnets)
-        store.close()
 
 
 _P_SUBNETS = [f"10.0.{index}.0/24" for index in range(1, 6)]
@@ -435,56 +451,56 @@ def _apply_step(journal, step):
         _observe(journal, ip=key.replace(".0/24", f".{host}"))
 
 
+def _findings(journal, store):
+    """The two topology finders' findings, read through *store* in
+    place of the Journal's own."""
+    saved, journal._topology = journal._topology, store
+    try:
+        return find_cut_gateways(journal), find_partitioned_subnets(journal)
+    finally:
+        journal._topology = saved
+
+
 class TestCachedAnswersProperty:
     @settings(max_examples=40, deadline=None)
     @given(steps=st.lists(_P_STEPS, min_size=1, max_size=20))
     def test_long_lived_store_answers_like_a_fresh_one(self, steps):
         """Links that retire and reappear, renames, deletes and
-        questionable edges and requalified links: after every step a
-        store that has kept its graph index and gateway names across
-        the whole history answers
-        path/impact exactly like a store built over the same journal."""
+        questionable edges and requalified links: after every step the
+        Journal's store, which has kept its graph index and gateway
+        names across the whole history, answers path/impact and yields
+        the topology findings exactly like a store built over the same
+        journal."""
         clock = {"now": 0.0}
         journal = Journal(clock=lambda: clock["now"])
-        push = TopologyStore(journal)
-        pull = TopologyStore(journal, use_feed=False)
+        store = journal.topology()
         for step in steps:
             clock["now"] += 10.0
             _apply_step(journal, step)
-            fresh = TopologyStore(journal, use_feed=False)
-            try:
-                expected = _answers(fresh)
-            finally:
-                fresh.close()
-            assert _answers(push) == expected
-            assert _answers(pull) == expected
-        push.close()
-        pull.close()
+            fresh = TopologyStore(journal)
+            expected = _answers(fresh)
+            expected_findings = _findings(journal, fresh)
+            assert _answers(store) == expected
+            assert _findings(journal, store) == expected_findings
 
 
 class TestIndexInvalidation:
     def test_requalified_link_reprices_path(self, journal):
         """A present edge flipping between good and questionable, with
         no edge appearing or retiring, must reprice ``path`` in
-        long-lived stores; a fresh store is the reference."""
+        a long-lived store; a fresh store is the reference."""
         a, _b = _line(journal)
-        push = TopologyStore(journal)
-        pull = TopologyStore(journal, use_feed=False)
-        for store in (push, pull):
-            assert store.path("10.0.1.0/24", "10.0.2.0/24").cost == 2.0
+        store = journal.topology()
+        assert store.path("10.0.1.0/24", "10.0.2.0/24").cost == 2.0
         assert _requalify(journal, a, "10.0.1.0/24")
-        for store in (push, pull):
-            assert store.path("10.0.1.0/24", "10.0.2.0/24").cost == 4.0
+        assert store.path("10.0.1.0/24", "10.0.2.0/24").cost == 4.0
         assert _requalify(journal, a, "10.0.1.0/24")
-        for store in (push, pull):
-            assert store.path("10.0.1.0/24", "10.0.2.0/24").cost == 2.0
+        assert store.path("10.0.1.0/24", "10.0.2.0/24").cost == 2.0
         assert _requalify(journal, a, "10.0.2.0/24")
-        fresh = TopologyStore(journal, use_feed=False)
+        fresh = TopologyStore(journal)
         expected = fresh.path("10.0.1.0/24", "10.0.3.0/24").to_dict()
         assert expected["cost"] == 6.0
-        for store in (push, pull, fresh):
-            assert store.path("10.0.1.0/24", "10.0.3.0/24").to_dict() == expected
-            store.close()
+        assert store.path("10.0.1.0/24", "10.0.3.0/24").to_dict() == expected
 
     def test_renames_and_sightings_keep_the_index(self, journal):
         a, _b = _line(journal)
@@ -501,7 +517,6 @@ class TestIndexInvalidation:
         journal.link_gateway_subnet(a.record_id, "10.0.3.0/24", source=SOURCE)
         assert not store.impact("gw-b").articulation
         assert store._index is not index
-        store.close()
 
 
 def _order(node):
@@ -516,7 +531,7 @@ class _Reference:
     freshly built store's present edges."""
 
     def __init__(self, journal):
-        self.store = TopologyStore(journal, use_feed=False)
+        self.store = TopologyStore(journal)
         self.adjacency = {}
         for edge in self.store.edges():
             gateway = ("gateway", edge.gateway_id)
@@ -525,9 +540,6 @@ class _Reference:
             self.adjacency.setdefault(subnet, []).append((gateway, edge))
         for links in self.adjacency.values():
             links.sort(key=lambda link: link[0][1])
-
-    def close(self):
-        self.store.close()
 
     def _label(self, node):
         return self.store._label(node)
@@ -675,11 +687,7 @@ def _oracle_answers(store, targets):
 
 def _assert_matches_reference(journal, stores, targets=None):
     targets = targets or _oracle_targets(journal)
-    reference = _Reference(journal)
-    try:
-        expected = _oracle_answers(reference, targets)
-    finally:
-        reference.close()
+    expected = _oracle_answers(_Reference(journal), targets)
     for store in stores:
         assert _oracle_answers(store, targets) == expected
 
@@ -692,14 +700,11 @@ class TestIndexOracle:
     def test_answers_equal_the_reference(self, steps):
         clock = {"now": 0.0}
         journal = Journal(clock=lambda: clock["now"])
-        push = TopologyStore(journal)
-        pull = TopologyStore(journal, use_feed=False)
+        store = journal.topology()
         for step in steps:
             clock["now"] += 10.0
             _apply_step(journal, step)
-            _assert_matches_reference(journal, (push, pull))
-        push.close()
-        pull.close()
+            _assert_matches_reference(journal, (store,))
 
     def test_isolated_subnet_and_edgeless_gateway(self, journal):
         _line(journal)
@@ -718,7 +723,6 @@ class TestIndexOracle:
             journal, (store,),
             _oracle_targets(journal) + ["gw-lone", "10.0.5.11", "10.0.4.0/24"],
         )
-        store.close()
 
     def test_pieces_tied_on_subnet_count(self, journal):
         """A hub over three leaf subnets: every piece holds one subnet,
@@ -733,7 +737,6 @@ class TestIndexOracle:
         impact = store.impact("gw-hub")
         assert impact.cut_subnets == ["10.0.1.0/24", "10.0.3.0/24"]
         _assert_matches_reference(journal, (store,))
-        store.close()
 
     def test_target_at_the_dfs_root(self, journal):
         """Gateways order before subnets, so the lowest gateway id roots
@@ -748,7 +751,6 @@ class TestIndexOracle:
         assert impact.articulation
         assert impact.cut_subnets == ["10.0.1.0/24", "10.0.4.0/24"]
         _assert_matches_reference(journal, (store,))
-        store.close()
 
     def test_cycle_back_to_a_non_root_target(self, journal):
         """A redundant pair hanging off one subnet: the DFS below it
@@ -762,7 +764,6 @@ class TestIndexOracle:
         assert impact.cut_gateways == ["gw-x", "gw-y"]
         assert impact.cut_subnets == ["10.0.3.0/24"]
         _assert_matches_reference(journal, (store,))
-        store.close()
 
     def test_side_component(self, journal):
         _line(journal)
@@ -773,7 +774,6 @@ class TestIndexOracle:
         assert side.cut_subnets == ["10.0.6.0/24"]
         assert len(store._index.roots) == 2
         _assert_matches_reference(journal, (store,))
-        store.close()
 
 
 class TestComponentsProperty:
@@ -856,6 +856,65 @@ class TestWireSafety:
         assert {"path", "impact"} <= wire.READ_OPS
 
 
+@pytest.fixture
+def constructions(monkeypatch):
+    """Every TopologyStore built while the test runs; ``delay`` seconds
+    are spent inside each construction."""
+    built = []
+    original = TopologyStore.__init__
+
+    def counting_init(store, *args, **kwargs):
+        built.append(store)
+        time.sleep(counting_init.delay)
+        original(store, *args, **kwargs)
+
+    counting_init.delay = 0.0
+    monkeypatch.setattr(TopologyStore, "__init__", counting_init)
+    return counting_init, built
+
+
+class TestOneStorePerJournal:
+    def test_every_reader_shares_the_journal_store(self, journal, constructions):
+        _init, built = constructions
+        _line(journal)
+        Correlator(journal).correlate()
+        subscribers = journal.feed_subscribers
+        store = journal.topology()
+        assert journal.topology() is store
+        client = LocalClient(journal)
+        assert client.path("10.0.1.0/24", "10.0.3.0/24").found
+        assert client.impact("gw-b").articulation
+        client.close()
+        for name, params in [
+            ("dot", {}), ("svg", {}), ("sunnet", {}), ("topology", {}),
+            ("path", {"a": "10.0.1.0/24", "b": "gw-b"}),
+            ("impact", {"target": "gw-a"}),
+        ]:
+            assert render_report(journal, name, **params)
+        findings = run_all_analyses(journal)
+        assert [f.subject for f in findings["single-point-of-failure"]] == [
+            "gw-a", "gw-b"
+        ]
+        route = NetworkPicture(journal).route_between("10.0.1.0/24", "10.0.3.0/24")
+        assert [hop.gateway_name for hop in route.hops] == ["gw-a", "gw-b"]
+        assert journal.topology() is store
+        assert built == [store]
+        assert journal.feed_subscribers == subscribers
+        assert store.full_refreshes == 1
+
+    def test_store_history_pins_the_change_log(self, journal):
+        """The store's subscription clamps a Correlator's prune to the
+        store's last refresh, so its next refresh stays incremental."""
+        _line(journal)
+        store = journal.topology()
+        store.refresh()
+        pinned = journal.revision
+        _observe(journal, ip="10.0.2.9", mac="aa:00:00:00:00:29")
+        Correlator(journal).correlate()
+        assert journal.changes_since(pinned).complete
+        assert store.refresh() == "incremental"
+
+
 class TestServer:
     @pytest.fixture
     def served(self, journal):
@@ -889,3 +948,35 @@ class TestServer:
         with pytest.raises(RuntimeError, match="string 'target'"):
             client._call({"op": "impact", "target": ["x"]})
         assert client.path("10.0.1.0/24", "10.0.3.0/24").found
+
+    def test_concurrent_first_requests_build_one_store(
+        self, journal, constructions
+    ):
+        """Two first ``path`` requests racing on the worker pool build
+        one store: the construction is slowed so that the second
+        request arrives while the first is still building."""
+        init, built = constructions
+        init.delay = 0.2
+        _line(journal)
+        server = JournalServer(journal).start()
+        clients = [RemoteClient(*server.address) for _ in range(2)]
+        barrier = threading.Barrier(len(clients))
+        found = []
+
+        def ask(client):
+            barrier.wait(timeout=10.0)
+            found.append(client.path("10.0.1.0/24", "10.0.3.0/24").found)
+
+        threads = [threading.Thread(target=ask, args=(c,)) for c in clients]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            for client in clients:
+                client.close()
+            server.stop()
+        assert found == [True, True]
+        assert built == [journal.topology()]

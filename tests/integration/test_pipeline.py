@@ -90,7 +90,7 @@ class TestLocalPipeline:
         assert results["dns"].discovered["gateways"] == len(campus.dns_gateways)
 
         report = Correlator(journal).correlate()
-        graph = Correlator(journal).topology()
+        graph = journal.topology().graph()
         # The discovered picture is connected around the backbone.
         components = graph.connected_components()
         assert len(components[0]) >= len(campus.traceroute_visible_subnets())
