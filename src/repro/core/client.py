@@ -391,23 +391,14 @@ class RemoteClient(query_module.NamedReads):
         self._connect()
 
     # successful reconnects (the Discovery Manager ledgers these) and
-    # buffered requests replayed so far — compatibility views over the
-    # client registry's counters
+    # buffered requests replayed so far, read from the client registry
     @property
     def reconnects(self) -> int:
         return int(self._c_reconnects.value)
 
-    @reconnects.setter
-    def reconnects(self, value: float) -> None:
-        self._c_reconnects.reset_to(value)
-
     @property
     def replayed(self) -> int:
         return int(self._c_replayed.value)
-
-    @replayed.setter
-    def replayed(self, value: float) -> None:
-        self._c_replayed.reset_to(value)
 
     # -- plumbing ----------------------------------------------------------
 

@@ -458,8 +458,9 @@ class JournalStore:
         self._open_segment(self._segment_seq)
         self.journal = journal
         journal.durability = self
-        journal.note_durability(
-            recovered=report.recovered_records, torn=report.torn_tail_dropped
+        journal.count(
+            wal_recovered_records=report.recovered_records,
+            wal_torn_tails=report.torn_tail_dropped,
         )
         self._h_fsync = journal.telemetry.histogram(
             "fremont_wal_fsync_seconds", "WAL fsync latency"
@@ -554,7 +555,7 @@ class JournalStore:
             observation = wire.observation_from_dict(entry.get("observation", {}))
             # Replay counts as a submission so the pipeline accounting
             # identity (submitted == applied + coalesced) survives.
-            journal.observations_submitted += 1
+            journal.count(observations_submitted=1)
             journal.observe_interface(observation, at=entry.get("at"))
             report.recovered_records += 1
         elif kind == "negative":
@@ -616,7 +617,7 @@ class JournalStore:
         self._ops_since_checkpoint += 1
         self._bytes_since_checkpoint += len(frame)
         if self.journal is not None:
-            self.journal.note_durability(appends=1, wal_bytes=len(frame))
+            self.journal.count(wal_appends=1, wal_bytes=len(frame))
 
     def log_observation(self, observation, *, at: float) -> None:
         """WAL one applied observation (called by the Journal's ingest
@@ -700,7 +701,7 @@ class JournalStore:
         with journal.telemetry.trace("checkpoint", revision=journal.revision):
             # Count the checkpoint before serialising so the snapshot's
             # own counters include it.
-            journal.note_durability(checkpoints=1)
+            journal.count(wal_checkpoints=1)
             body = json.dumps(
                 journal.to_dict(), separators=(",", ":"), sort_keys=True
             ).encode("utf-8")

@@ -85,6 +85,7 @@ from .records import (
 )
 from .sink import DirectSinkMixin, FlushStats
 from .telemetry import MetricsRegistry
+from .wire import COUNTER_SCHEMA, JOURNAL_COUNTERS
 
 if TYPE_CHECKING:
     from .topology import TopologyStore
@@ -218,7 +219,7 @@ class FeedSubscription:
         self.last_revision = changes.revision
         if not changes.empty():
             self.deliveries += 1
-            self.journal._c_feed_deliveries.inc()
+            self.journal.count(feed_deliveries=1)
         return changes
 
     def deliver(self) -> bool:
@@ -375,20 +376,6 @@ _QUERY_KINDS = {
 }
 
 
-def _counter_alias(attr: str, metric_name: str) -> property:
-    """A read/write attribute view over a registry counter, keeping the
-    pre-registry accounting API (``journal.wal_appends``) alive while
-    the value itself lives in ``journal.telemetry``."""
-
-    def fget(self) -> int:
-        return int(getattr(self, attr).value)
-
-    def fset(self, value: float) -> None:
-        getattr(self, attr).reset_to(value)
-
-    return property(fget, fset, doc=f"compatibility view of {metric_name}")
-
-
 class Journal(DirectSinkMixin):
     """In-memory journal with sorted indexes and timestamped records.
 
@@ -454,8 +441,7 @@ class Journal(DirectSinkMixin):
         #: purely in-memory Journal
         self.durability = None
         #: the deployment-wide metrics registry.  All Journal accounting
-        #: lives here; the historical attribute names (observations_applied,
-        #: wal_appends, ...) are compatibility properties over it.
+        #: lives here; counts() and count() reach it by counts() key.
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self._register_metrics(self.telemetry)
         #: the topology store, built by the first topology() call
@@ -467,81 +453,30 @@ class Journal(DirectSinkMixin):
         are atomic — they may be bumped from the server's write path,
         its checkpoint poll thread, and sink flushes concurrently —
         and the structural gauges read live Journal state via callback."""
-        counter = registry.counter
-        self._c_submitted = counter(
-            "fremont_observations_submitted_total",
-            "Observations entering the ingest pipeline (including coalesced)",
+        #: counter key -> registry counter, one per JOURNAL_COUNTERS row
+        self._counters = {
+            key: registry.counter(f"fremont_{key}_total", spec.help)
+            for key, spec in JOURNAL_COUNTERS.items()
+        }
+        #: the ones counts() shows: those a saved journal keeps
+        self._counted = [
+            (key, self._counters[key])
+            for key, spec in JOURNAL_COUNTERS.items()
+            if spec.section is not None
+        ]
+        gauges = (
+            ("interfaces", "Interface records in the Journal", lambda: len(self.interfaces)),
+            ("gateways", "Gateway records in the Journal", lambda: len(self.gateways)),
+            ("subnets", "Subnet records in the Journal", lambda: len(self.subnets)),
+            ("revision", "Journal mutation counter", lambda: self.revision),
+            ("negative_cache_size", "Live negative-cache entries", lambda: len(self._negative)),
+            ("feed_subscribers", "Registered change-feed consumers",
+             lambda: len(self._subscriptions)),
         )
-        self._c_applied = counter(
-            "fremont_observations_applied_total",
-            "Observations individually applied to the Journal",
-        )
-        self._c_coalesced = counter(
-            "fremont_observations_coalesced_total",
-            "Submissions merged away by batching sinks, never individually applied",
-        )
-        self._c_batches = counter(
-            "fremont_batches_flushed_total",
-            "Batch applications performed (one per BatchingSink flush)",
-        )
-        self._c_changes = counter(
-            "fremont_changes_recorded_total",
-            "Mutations that changed a Journal record",
-        )
-        self._c_feed_deliveries = counter(
-            "fremont_feed_deliveries_total",
-            "Non-empty deltas handed to change-feed subscribers",
-        )
-        self._c_queries = counter(
-            "fremont_queries_served_total",
-            "Predicate queries evaluated (locally or via the query op)",
-        )
-        self._c_negative_evictions = counter(
-            "fremont_negative_evictions_total",
-            "Expired negative-cache entries swept",
-        )
-        self._c_wal_appends = counter(
-            "fremont_wal_appends_total", "Frames appended to the write-ahead log"
-        )
-        self._c_wal_bytes = counter(
-            "fremont_wal_bytes_total", "Bytes appended to the write-ahead log"
-        )
-        self._c_checkpoints = counter(
-            "fremont_wal_checkpoints_total", "Atomic checkpoints written"
-        )
-        self._c_recovered = counter(
-            "fremont_wal_recovered_records_total",
-            "WAL records replayed during recovery",
-        )
-        self._c_torn = counter(
-            "fremont_wal_torn_tails_total",
-            "Torn/corrupt WAL tail frames dropped during recovery",
-        )
-        gauge = registry.gauge
-        gauge(
-            "fremont_interface_records", "Interface records in the Journal",
-            callback=lambda: len(self.interfaces),
-        )
-        gauge(
-            "fremont_gateway_records", "Gateway records in the Journal",
-            callback=lambda: len(self.gateways),
-        )
-        gauge(
-            "fremont_subnet_records", "Subnet records in the Journal",
-            callback=lambda: len(self.subnets),
-        )
-        gauge(
-            "fremont_journal_revision", "Journal mutation counter",
-            callback=lambda: self.revision,
-        )
-        gauge(
-            "fremont_negative_cache_size", "Live negative-cache entries",
-            callback=lambda: len(self._negative),
-        )
-        gauge(
-            "fremont_feed_subscribers", "Registered change-feed consumers",
-            callback=lambda: len(self._subscriptions),
-        )
+        for key, help_text, read in gauges:
+            registry.gauge(COUNTER_SCHEMA[key], help_text, callback=read)
+        #: counts() key -> live reading, one per structural gauge
+        self._readings = [(key, read) for key, _help, read in gauges]
 
     # ------------------------------------------------------------------
     # Time
@@ -550,41 +485,6 @@ class Journal(DirectSinkMixin):
     @property
     def now(self) -> float:
         return self._clock()
-
-    # ------------------------------------------------------------------
-    # Counter compatibility properties
-    # ------------------------------------------------------------------
-    # The pre-registry attribute names stay readable and assignable
-    # (the wire codec restores lifetime accounting by assignment), but
-    # the values live in the registry.  Use the registry counters for
-    # concurrent increments; `journal.x += 1` is a read-modify-write.
-
-    observations_submitted = _counter_alias(
-        "_c_submitted", "fremont_observations_submitted_total")
-    observations_applied = _counter_alias(
-        "_c_applied", "fremont_observations_applied_total")
-    observations_coalesced = _counter_alias(
-        "_c_coalesced", "fremont_observations_coalesced_total")
-    batches_flushed = _counter_alias(
-        "_c_batches", "fremont_batches_flushed_total")
-    changes_recorded = _counter_alias(
-        "_c_changes", "fremont_changes_recorded_total")
-    feed_deliveries = _counter_alias(
-        "_c_feed_deliveries", "fremont_feed_deliveries_total")
-    queries_served = _counter_alias(
-        "_c_queries", "fremont_queries_served_total")
-    negative_evictions = _counter_alias(
-        "_c_negative_evictions", "fremont_negative_evictions_total")
-    wal_appends = _counter_alias(
-        "_c_wal_appends", "fremont_wal_appends_total")
-    wal_bytes = _counter_alias(
-        "_c_wal_bytes", "fremont_wal_bytes_total")
-    checkpoints_written = _counter_alias(
-        "_c_checkpoints", "fremont_wal_checkpoints_total")
-    recovered_records = _counter_alias(
-        "_c_recovered", "fremont_wal_recovered_records_total")
-    torn_tail_dropped = _counter_alias(
-        "_c_torn", "fremont_wal_torn_tails_total")
 
     # ------------------------------------------------------------------
     # Change tracking
@@ -692,6 +592,8 @@ class Journal(DirectSinkMixin):
             revision=self.revision,
             complete=rev >= self._pruned_through,
         )
+        if rev == self.revision:
+            return changes  # nothing moved: skip the log searches
         touched = {
             "interface": changes.interfaces,
             "gateway": changes.gateways,
@@ -723,18 +625,24 @@ class Journal(DirectSinkMixin):
         After pruning, ``changes_since(r)`` for any ``r < rev`` reports
         ``complete=False`` and the caller must fall back to a full scan.
         The requested revision is clamped to the slowest open feed
-        subscription and to the topology store's last refresh, so one
-        consumer draining its delta can never force another into a full
-        resync.
+        subscription, so one consumer draining its delta can never
+        force another into a full resync.  It is clamped to the
+        topology store's last refresh only while the log since then is
+        shorter than the Journal has records: past that, the store's
+        full rebuild costs no more than the delta would, and a store no
+        one reads must not keep the log growing.
         """
         for subscription in self._subscriptions:
             rev = min(rev, subscription.last_revision)
+        log = self._change_log
         store = self._topology
-        if store is not None and store.last_revision is not None:
-            rev = min(rev, store.last_revision)
+        pin = store.last_revision if store is not None else None
+        if pin is not None and self._pruned_through <= pin < rev:
+            lag = len(log) - bisect.bisect_right(log, pin, key=lambda entry: entry[0])
+            if lag < len(self.interfaces) + len(self.gateways) + len(self.subnets):
+                rev = pin
         if rev <= self._pruned_through:
             return
-        log = self._change_log
         del log[: bisect.bisect_right(log, rev, key=lambda entry: entry[0])]
         klog = self._key_log
         del klog[: bisect.bisect_right(klog, rev, key=lambda entry: entry[0])]
@@ -800,7 +708,7 @@ class Journal(DirectSinkMixin):
     # ------------------------------------------------------------------
 
     def submit(self, observation: Observation) -> Tuple[InterfaceRecord, bool]:
-        self._c_submitted.inc()
+        self._counters["observations_submitted"].inc()
         return self.observe_interface(observation)
 
     def resolve(self, observation: Observation) -> Tuple[InterfaceRecord, bool]:
@@ -821,36 +729,21 @@ class Journal(DirectSinkMixin):
     ) -> None:
         """Account for upstream ingest work (a BatchingSink reporting
         sightings it merged away, a server batch op landing)."""
-        if submitted:
-            self._c_submitted.inc(submitted)
-        if coalesced:
-            self._c_coalesced.inc(coalesced)
-        if batches:
-            self._c_batches.inc(batches)
+        self.count(
+            observations_submitted=submitted,
+            observations_coalesced=coalesced,
+            batches_flushed=batches,
+        )
 
-    def note_durability(
-        self,
-        *,
-        appends: int = 0,
-        wal_bytes: int = 0,
-        checkpoints: int = 0,
-        recovered: int = 0,
-        torn: int = 0,
-    ) -> None:
-        """Account for durability work, atomically.  The attached
-        JournalStore calls this instead of read-modify-writing the
-        compatibility attributes, so the checkpoint poll thread can
+    def count(self, **amounts: int) -> None:
+        """Add to counters named by their ``wire.JOURNAL_COUNTERS`` key
+        (``journal.count(wal_appends=1, wal_bytes=n)``).  Each increment
+        is atomic, so the durability layer's checkpoint poll thread can
         never race a server read op into a lost update."""
-        if appends:
-            self._c_wal_appends.inc(appends)
-        if wal_bytes:
-            self._c_wal_bytes.inc(wal_bytes)
-        if checkpoints:
-            self._c_checkpoints.inc(checkpoints)
-        if recovered:
-            self._c_recovered.inc(recovered)
-        if torn:
-            self._c_torn.inc(torn)
+        counters = self._counters
+        for key, amount in amounts.items():
+            if amount:
+                counters[key].inc(amount)
 
     # ------------------------------------------------------------------
     # Interface observations
@@ -865,7 +758,7 @@ class Journal(DirectSinkMixin):
         replay uses it to reproduce the original ingest times instead of
         stamping the recovery clock's."""
         now = self.now if at is None else at
-        self._c_applied.inc()
+        self._counters["observations_applied"].inc()
         if self.durability is not None:
             self.durability.log_observation(observation, at=now)
         record = self._match_record(observation)
@@ -880,7 +773,7 @@ class Journal(DirectSinkMixin):
                 changed = True
                 self._reindex(record, name, old_value, record.get(name))
         if changed:
-            self._c_changes.inc()
+            self._counters["changes_recorded"].inc()
             self._touch("interface", record)
         else:
             # Verify-only sighting: record.set still advanced
@@ -1124,7 +1017,7 @@ class Journal(DirectSinkMixin):
             else:
                 self._note_modified("interface", self.interfaces[interface_id])
         if changed:
-            self._c_changes.inc()
+            self._counters["changes_recorded"].inc()
             self._touch("gateway", gateway)
         else:
             self._note_modified("gateway", gateway)
@@ -1149,7 +1042,7 @@ class Journal(DirectSinkMixin):
             if sibling is not gateway:
                 changed = self._merge_gateways(gateway, sibling, now) or changed
         if changed:
-            self._c_changes.inc()
+            self._counters["changes_recorded"].inc()
             self._touch("gateway", gateway)
         else:
             self._note_modified("gateway", gateway)
@@ -1200,7 +1093,7 @@ class Journal(DirectSinkMixin):
             changed = True
         changed = changed or subnet_changed
         if changed:
-            self._c_changes.inc()
+            self._counters["changes_recorded"].inc()
         return changed
 
     # ------------------------------------------------------------------
@@ -1235,7 +1128,7 @@ class Journal(DirectSinkMixin):
             if record.set(name, value, now, source, quality):
                 changed = True
         if changed:
-            self._c_changes.inc()
+            self._counters["changes_recorded"].inc()
             self._touch("subnet", record)
         else:
             self._note_modified("subnet", record)
@@ -1265,7 +1158,7 @@ class Journal(DirectSinkMixin):
         if table is None:
             raise ValueError(f"unknown query kind: {kind!r}")
         records = query_module.evaluate(self, table, where)
-        self._c_queries.inc()
+        self._counters["queries_served"].inc()
         return records
 
     def pull(self, since: int, where=None) -> Tuple[int, List, List, List, List]:
@@ -1374,7 +1267,7 @@ class Journal(DirectSinkMixin):
                 changed = True
         record.last_modified = max(record.last_modified, foreign.last_modified)
         if changed:
-            self._c_changes.inc()
+            self._counters["changes_recorded"].inc()
             self._touch("interface", record)
         else:
             self._note_modified("interface", record)
@@ -1475,7 +1368,7 @@ class Journal(DirectSinkMixin):
         for key in expired:
             del self._negative[key]
         if expired:
-            self._c_negative_evictions.inc(len(expired))
+            self._counters["negative_evictions"].inc(len(expired))
         self._negative_sweep_at = max(128, 2 * len(self._negative))
 
     def negative_check(self, kind: str, key: str) -> bool:
@@ -1498,40 +1391,15 @@ class Journal(DirectSinkMixin):
     # ------------------------------------------------------------------
 
     def counts(self) -> Dict[str, int]:
-        """Compatibility shim over the metrics registry.
-
-        Every value here is a view of a ``journal.telemetry`` metric
-        (see ``wire.COUNTER_SCHEMA`` for the key -> metric mapping);
-        new consumers should read ``telemetry.snapshot()`` or the
-        Prometheus exposition instead.  (The pre-schema durability
-        spellings — ``checkpoints_written`` and friends — were removed
-        when their one-release deprecation window closed.)
-        """
-        return {
-            "interfaces": len(self.interfaces),
-            "gateways": len(self.gateways),
-            "subnets": len(self.subnets),
-            "revision": self.revision,
-            "negative_cache_size": len(self._negative),
-            # Ingest-pipeline counters: benchmarks and tests assert the
-            # batching/coalescing/feed behaviour from these instead of
-            # guessing at it.
-            "observations_submitted": self.observations_submitted,
-            "observations_applied": self.observations_applied,
-            "observations_coalesced": self.observations_coalesced,
-            "batches_flushed": self.batches_flushed,
-            "feed_deliveries": self.feed_deliveries,
-            "feed_subscribers": self.feed_subscribers,
-            "queries_served": self.queries_served,
-            "negative_evictions": self.negative_evictions,
-            # Durability counters: zero unless a JournalStore is (or
-            # was, for wal_recovered_records) attached.
-            "wal_appends": self.wal_appends,
-            "wal_bytes": self.wal_bytes,
-            "wal_checkpoints": self.checkpoints_written,
-            "wal_recovered_records": self.recovered_records,
-            "wal_torn_tails": self.torn_tail_dropped,
-        }
+        """The Journal's structure sizes and its counters, keyed as in
+        ``wire.COUNTER_SCHEMA`` (which names each value's registry
+        metric).  Benchmarks and tests assert the batching, coalescing,
+        feed and WAL behaviour from these; the durability counters stay
+        zero unless a JournalStore is (or was) attached."""
+        counts = {key: read() for key, read in self._readings}
+        for key, counter in self._counted:
+            counts[key] = int(counter.value)
+        return counts
 
     def canonical_state(self) -> Dict[str, object]:
         """A structural snapshot for equivalence checks: record ids are

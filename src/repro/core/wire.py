@@ -47,8 +47,10 @@ from .records import (
 __all__ = [
     "CONTROL_OPS",
     "COUNTER_SCHEMA",
+    "CounterSpec",
     "INLINE_OPS",
     "INLINE_WRITES",
+    "JOURNAL_COUNTERS",
     "JournalCall",
     "OPS",
     "OpSpec",
@@ -223,9 +225,65 @@ INLINE_OPS = _ops_where(lambda spec: spec.inline)
 #: the write ops among them (and the only ones an inline batch may carry)
 INLINE_WRITES = INLINE_OPS & WRITE_OPS
 
-#: ``Journal.counts()`` key -> registry metric name.  This is the one
-#: documented mapping between the legacy dashboard-shaped dict and the
-#: telemetry registry; every key is readable from either side.
+class CounterSpec(NamedTuple):
+    """One Journal counter, named by its row's key; its registry metric
+    is ``fremont_<key>_total``.  A saved journal keeps it as
+    ``document[section][saved]``, and ``Journal.counts()`` shows it
+    under its key.  A counter with no section is registry-only: it
+    restarts at zero, so ``counts()`` leaves it out and a loaded
+    journal's ``counts()`` equal the saved one's."""
+
+    section: Optional[str]
+    saved: Optional[str]
+    help: str
+
+
+#: The Journal's counters, each declared once.  The Journal's registry
+#: counters, ``Journal.counts()``, the counter rows of
+#: :data:`COUNTER_SCHEMA` and the ``ingest``/``durability`` sections of
+#: a saved journal are all derived from this table.
+JOURNAL_COUNTERS: Dict[str, CounterSpec] = {
+    "observations_submitted": CounterSpec(
+        "ingest", "submitted",
+        "Observations entering the ingest pipeline (including coalesced)",
+    ),
+    "observations_applied": CounterSpec(
+        "ingest", "applied", "Observations individually applied to the Journal"
+    ),
+    "observations_coalesced": CounterSpec(
+        "ingest", "coalesced",
+        "Submissions merged away by batching sinks, never individually applied",
+    ),
+    "batches_flushed": CounterSpec(
+        "ingest", "batches", "Batch applications performed (one per BatchingSink flush)"
+    ),
+    "changes_recorded": CounterSpec(None, None, "Mutations that changed a Journal record"),
+    "feed_deliveries": CounterSpec(
+        "ingest", "feed_deliveries", "Non-empty deltas handed to change-feed subscribers"
+    ),
+    "queries_served": CounterSpec(
+        "ingest", "queries", "Predicate queries evaluated (locally or via the query op)"
+    ),
+    "negative_evictions": CounterSpec(
+        "ingest", "negative_evictions", "Expired negative-cache entries swept"
+    ),
+    "wal_appends": CounterSpec(
+        "durability", "wal_appends", "Frames appended to the write-ahead log"
+    ),
+    "wal_bytes": CounterSpec(
+        "durability", "wal_bytes", "Bytes appended to the write-ahead log"
+    ),
+    "wal_checkpoints": CounterSpec("durability", "checkpoints", "Atomic checkpoints written"),
+    "wal_recovered_records": CounterSpec(
+        "durability", "recovered", "WAL records replayed during recovery"
+    ),
+    "wal_torn_tails": CounterSpec(
+        "durability", "torn_dropped", "Torn/corrupt WAL tail frames dropped during recovery"
+    ),
+}
+
+#: ``Journal.counts()`` key -> registry metric name: the Journal's
+#: structural gauges, then its counters.
 COUNTER_SCHEMA: Dict[str, str] = {
     "interfaces": "fremont_interface_records",
     "gateways": "fremont_gateway_records",
@@ -233,18 +291,11 @@ COUNTER_SCHEMA: Dict[str, str] = {
     "revision": "fremont_journal_revision",
     "negative_cache_size": "fremont_negative_cache_size",
     "feed_subscribers": "fremont_feed_subscribers",
-    "observations_submitted": "fremont_observations_submitted_total",
-    "observations_applied": "fremont_observations_applied_total",
-    "observations_coalesced": "fremont_observations_coalesced_total",
-    "batches_flushed": "fremont_batches_flushed_total",
-    "feed_deliveries": "fremont_feed_deliveries_total",
-    "queries_served": "fremont_queries_served_total",
-    "negative_evictions": "fremont_negative_evictions_total",
-    "wal_appends": "fremont_wal_appends_total",
-    "wal_bytes": "fremont_wal_bytes_total",
-    "wal_checkpoints": "fremont_wal_checkpoints_total",
-    "wal_recovered_records": "fremont_wal_recovered_records_total",
-    "wal_torn_tails": "fremont_wal_torn_tails_total",
+    **{
+        key: f"fremont_{key}_total"
+        for key, spec in JOURNAL_COUNTERS.items()
+        if spec.section is not None
+    },
 }
 
 
@@ -854,30 +905,19 @@ JOURNAL_FORMATS = frozenset({"fremont-journal-1", JOURNAL_FORMAT})
 
 
 def journal_to_dict(journal) -> Dict[str, Any]:
+    # Counters survive restarts: pipeline counters ride along in dumps,
+    # so a snapshot's counts() matches the server's, and a recovered
+    # journal's lifetime WAL accounting is not reset by the very
+    # checkpoint that preserved it.
+    counts = journal.counts()
+    saved: Dict[str, Dict[str, int]] = {"ingest": {}, "durability": {}}
+    for key, spec in JOURNAL_COUNTERS.items():
+        if spec.section is not None:
+            saved[spec.section][spec.saved] = counts[key]
     return {
         "format": JOURNAL_FORMAT,
         "revision": journal.revision,
-        # Pipeline counters survive restarts (and ride along in dumps,
-        # so a snapshot's counts() matches the server's).
-        "ingest": {
-            "submitted": journal.observations_submitted,
-            "applied": journal.observations_applied,
-            "coalesced": journal.observations_coalesced,
-            "batches": journal.batches_flushed,
-            "feed_deliveries": journal.feed_deliveries,
-            "negative_evictions": journal.negative_evictions,
-            "queries": journal.queries_served,
-        },
-        # Durability counters ride along so a recovered journal's
-        # lifetime accounting (WAL traffic, checkpoints taken) is not
-        # reset by the very checkpoint that preserved it.
-        "durability": {
-            "wal_appends": journal.wal_appends,
-            "wal_bytes": journal.wal_bytes,
-            "checkpoints": journal.checkpoints_written,
-            "recovered": journal.recovered_records,
-            "torn_dropped": journal.torn_tail_dropped,
-        },
+        **saved,
         "interfaces": [interface_to_dict(r) for r in journal.all_interfaces()],
         "gateways": [gateway_to_dict(r) for r in journal.all_gateways()],
         "subnets": [subnet_to_dict(r) for r in journal.all_subnets()],
@@ -914,20 +954,12 @@ def journal_from_dict(data: Dict[str, Any], clock: Optional[Callable[[], float]]
         if record.subnet is not None:
             journal.by_subnet.insert(record.subnet, record.record_id)
     journal.revision = int(data.get("revision", 0))
-    ingest = data.get("ingest", {})
-    journal.observations_submitted = int(ingest.get("submitted", 0))
-    journal.observations_applied = int(ingest.get("applied", 0))
-    journal.observations_coalesced = int(ingest.get("coalesced", 0))
-    journal.batches_flushed = int(ingest.get("batches", 0))
-    journal.feed_deliveries = int(ingest.get("feed_deliveries", 0))
-    journal.negative_evictions = int(ingest.get("negative_evictions", 0))
-    journal.queries_served = int(ingest.get("queries", 0))
-    durability = data.get("durability", {})
-    journal.wal_appends = int(durability.get("wal_appends", 0))
-    journal.wal_bytes = int(durability.get("wal_bytes", 0))
-    journal.checkpoints_written = int(durability.get("checkpoints", 0))
-    journal.recovered_records = int(durability.get("recovered", 0))
-    journal.torn_tail_dropped = int(durability.get("torn_dropped", 0))
+    # The Journal is fresh, so counting a saved value restores it.
+    journal.count(**{
+        key: int(data.get(spec.section, {}).get(spec.saved, 0))
+        for key, spec in JOURNAL_COUNTERS.items()
+        if spec.section is not None
+    })
     journal._negative = {
         (kind, key): expiry for kind, key, expiry in data.get("negative", [])
     }

@@ -152,7 +152,7 @@ class TestStoreRecovery:
         recovered = make_store(tmp_path).recover()
         assert recovered.canonical_state() == reference
         assert recovered._negative == negatives
-        assert recovered.recovered_records == 21
+        assert recovered.counts()["wal_recovered_records"] == 21
 
     def test_checkpoint_plus_tail_round_trip(self, tmp_path):
         store = make_store(tmp_path)
@@ -205,7 +205,7 @@ class TestStoreRecovery:
         recovered = store2.recover()
         assert store2.last_recovery.torn_tail_dropped == 1
         assert store2.last_recovery.recovered_records == 5
-        assert recovered.torn_tail_dropped == 1
+        assert recovered.counts()["wal_torn_tails"] == 1
         assert len(recovered.interfaces) == 5
         store2.close(checkpoint=False)
         # The dangling bytes were trimmed: the next recovery is clean.
@@ -400,7 +400,7 @@ class TestPoliciesAndCounters:
         store.close(checkpoint=False)
         recovered_store = make_store(tmp_path)
         recovered = recovered_store.recover()
-        assert recovered.recovered_records == 3
+        assert recovered.counts()["wal_recovered_records"] == 3
         clone = Journal.from_dict(recovered.to_dict())
         assert clone.counts()["wal_recovered_records"] == 3
         recovered_store.close(checkpoint=False)

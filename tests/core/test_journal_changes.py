@@ -179,7 +179,7 @@ class TestNegativeCachePruning:
         clock_state["now"] = 100.0
         journal.negative_put("ping", "10.9.1.1", ttl=1000.0)
         assert journal.counts()["negative_cache_size"] == 1
-        assert journal.negative_evictions == 127
+        assert journal.counts()["negative_evictions"] == 127
         assert journal.negative_check("ping", "10.9.1.1")
         assert not journal.negative_check("ping", "10.9.0.5")
 

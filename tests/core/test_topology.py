@@ -914,6 +914,37 @@ class TestOneStorePerJournal:
         assert journal.changes_since(pinned).complete
         assert store.refresh() == "incremental"
 
+    def test_an_unread_store_does_not_pin_the_log_forever(self, journal, clock_state):
+        """One early report must not stop every later prune: once the
+        log since the store's last refresh outgrows the Journal, a
+        Correlator's prune goes through and the store rebuilds."""
+        _line(journal)
+        hosts = [
+            (f"10.0.{i // 50 + 4}.{i % 50 + 1}", f"aa:00:00:00:01:{i:02x}")
+            for i in range(100)
+        ]
+        for i, (ip, mac) in enumerate(hosts):
+            _observe(journal, ip=ip, mac=mac, dns_name=f"h{i}.a")
+        correlator = Correlator(journal)
+        correlator.correlate()
+        render_report(journal, "topology")
+        for n in range(3000):
+            clock_state["now"] += 1.0
+            ip, mac = hosts[n % 100]
+            domain = "b" if (n // 100) % 2 == 0 else "a"
+            _observe(journal, ip=ip, mac=mac, dns_name=f"h{n % 100}.{domain}")
+            if n % 100 == 99:
+                correlator.correlate()
+        records = len(journal.interfaces) + len(journal.gateways) + len(journal.subnets)
+        assert len(journal._change_log) < records
+        assert len(journal._key_log) < 4 * records
+        store = journal.topology()
+        assert store.refresh() == "full"
+        fresh = TopologyStore(journal)
+        assert [(e.gateway_name, e.subnet, e.method) for e in store.edges()] == [
+            (e.gateway_name, e.subnet, e.method) for e in fresh.edges()
+        ]
+
 
 class TestServer:
     @pytest.fixture

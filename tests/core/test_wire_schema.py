@@ -150,5 +150,33 @@ class TestCounterSchema:
         journal.observe_interface(Observation(source="t", ip="10.0.0.1"))
         journal.negative_put("ip", "10.9.9.9", ttl=5.0)
         journal.flush()
-        restored = Journal.from_dict(journal.to_dict())
-        assert restored.counts() == journal.counts()
+        # Where a saved journal keeps each counter: saved files depend
+        # on these names, so they are pinned here, not read off the table.
+        on_disk = {
+            "observations_submitted": ("ingest", "submitted"),
+            "observations_applied": ("ingest", "applied"),
+            "observations_coalesced": ("ingest", "coalesced"),
+            "batches_flushed": ("ingest", "batches"),
+            "feed_deliveries": ("ingest", "feed_deliveries"),
+            "negative_evictions": ("ingest", "negative_evictions"),
+            "queries_served": ("ingest", "queries"),
+            "wal_appends": ("durability", "wal_appends"),
+            "wal_bytes": ("durability", "wal_bytes"),
+            "wal_checkpoints": ("durability", "checkpoints"),
+            "wal_recovered_records": ("durability", "recovered"),
+            "wal_torn_tails": ("durability", "torn_dropped"),
+        }
+        # A distinct non-zero value per counter, so a swapped row shows.
+        journal.count(**{key: 100 * (i + 1) for i, key in enumerate(on_disk)})
+        counts = journal.counts()
+        values = [counts[key] for key in on_disk]
+        assert 0 not in values and len(set(values)) == len(values)
+        saved = journal.to_dict()
+        for section in ("ingest", "durability"):
+            assert set(saved[section]) == {
+                name for where, name in on_disk.values() if where == section
+            }
+        for key, (section, name) in on_disk.items():
+            assert saved[section][name] == counts[key], key
+        restored = Journal.from_dict(saved)
+        assert restored.counts() == counts

@@ -85,7 +85,7 @@ def state_after(prefix_len):
 def assert_is_clean_prefix(recovered, total):
     """The recovered journal must equal *some* prefix of the stream."""
     # recovered_records counts replayed WAL entries = applied prefix.
-    prefix = recovered.recovered_records
+    prefix = recovered.counts()["wal_recovered_records"]
     assert 0 <= prefix <= total
     assert recovered.canonical_state() == state_after(prefix)
     return prefix
@@ -134,7 +134,7 @@ class TestProcessKill:
         store = JournalStore(str(tmp_path), fsync="never", checkpoint_ops=None,
                              checkpoint_bytes=None, checkpoint_age=None)
         recovered = store.recover()
-        prefix = recovered.recovered_records
+        prefix = recovered.counts()["wal_recovered_records"]
         # Resume exactly where the dead process stopped.
         for observation in build_stream(self.STREAM_LEN)[prefix : prefix + 50]:
             recovered.submit(observation)
@@ -231,7 +231,7 @@ class TestPrefixTruncation:
         expected = sum(1 for end in scan.end_offsets if end <= cut)
         store = JournalStore(str(workdir))
         recovered = store.recover()
-        assert recovered.recovered_records == expected
+        assert recovered.counts()["wal_recovered_records"] == expected
         assert recovered.canonical_state() == oracle[expected]
         # Clean cut points drop nothing: the empty file, the bare magic
         # header (a segment opened but never appended to), any whole-
