@@ -140,40 +140,12 @@ class LocalClient(query_module.NamedReads, DirectSinkMixin):
 
     # -- change feed -----------------------------------------------------
 
-    def changes_since(self, since: int) -> JournalChanges:
-        return self.journal.changes_since(since)
-
     def subscribe(self, callback: Optional[Callable] = None, *, since: int = 0):
         return self.journal.subscribe(callback, since=since)
-
-    # -- queries ---------------------------------------------------------
-
-    def query(self, kind: str, where=None) -> List:
-        """Predicate query (see :mod:`repro.core.query`): records of
-        *kind* matching *where*, in ``(last_modified, record_id)``
-        order, served from the journal's secondary indexes."""
-        return self.journal.query(kind, where)
 
     def revision(self) -> int:
         """The journal's current change-tracking revision."""
         return self.journal.revision
-
-    def pull(self, since: int, where=None):
-        """One replication pass's reads (mirror of the ``pull`` wire
-        op); see :meth:`repro.core.journal.Journal.pull`."""
-        return self.journal.pull(since, where)
-
-    # -- topology ---------------------------------------------------------
-
-    def path(self, a: str, b: str):
-        """Confidence-weighted topology route (mirror of the ``path``
-        wire op); see :meth:`repro.core.topology.TopologyStore.path`."""
-        return self.journal.topology().path(a, b)
-
-    def impact(self, target: str):
-        """Blast radius of *target* (mirror of the ``impact`` wire op);
-        see :meth:`repro.core.topology.TopologyStore.impact`."""
-        return self.journal.topology().impact(target)
 
     # -- bulk -------------------------------------------------------------
 
@@ -184,6 +156,13 @@ class LocalClient(query_module.NamedReads, DirectSinkMixin):
     def close(self) -> None:
         """Nothing to release: the in-process client owns no resource
         (the topology store belongs to the journal)."""
+
+
+#: every plain Journal call's codec, derived as this module loads,
+#: before anything can wrap a Journal method (see wire.JournalCall)
+_JOURNAL_CALLS = {
+    op: wire.JournalCall(op) for op, spec in wire.OPS.items() if spec.reply is not None
+}
 
 
 def _provisional_record(observation: Observation) -> InterfaceRecord:
@@ -286,7 +265,7 @@ class PendingPull:
         self._reply = reply
 
     def wait(self, timeout: Optional[float] = -1.0):
-        return wire.pull_from_dict(self._reply.wait(timeout))
+        return _JOURNAL_CALLS["pull"].result(self._reply.wait(timeout))
 
 
 class RemoteClient(query_module.NamedReads):
@@ -799,12 +778,6 @@ class RemoteClient(query_module.NamedReads):
 
     # -- change feed -----------------------------------------------------
 
-    def changes_since(self, since: int) -> JournalChanges:
-        """Polling fallback for remote consumers that cannot hold a
-        subscribe stream open."""
-        response = self._call({"op": "changes_since", "since": int(since)})
-        return wire.changes_from_dict(response["changes"])
-
     def subscribe(self, *, since: int = 0) -> "RemoteChangeFeed":
         """Open a dedicated streaming connection that receives a pushed
         delta frame whenever a write lands on the server."""
@@ -814,53 +787,10 @@ class RemoteClient(query_module.NamedReads):
 
     # -- queries --------------------------------------------------------------
 
-    # plain dict values are not descriptors, so these stay unbound
-    _QUERY_DECODERS = {
-        "interfaces": wire.interface_from_dict,
-        "gateways": wire.gateway_from_dict,
-        "subnets": wire.subnet_from_dict,
-    }
-
-    def query(self, kind: str, where=None) -> List:
-        """Server-side predicate query (the ``query`` wire op): only
-        matching records cross the wire, evaluated against the server
-        journal's secondary indexes."""
-        kind = query_module.normalize_kind(kind)
-        request: Dict[str, Any] = {"op": "query", "kind": kind}
-        if where is not None:
-            request["where"] = wire.predicate_to_dict(where)
-        response = self._call(request)
-        decoder = self._QUERY_DECODERS[kind]
-        return [decoder(data) for data in response["records"]]
-
     def begin_pull(self, since: int, where=None) -> PendingPull:
         """Send a ``pull`` without waiting for it: a router starts one
         on every shard before it waits on any."""
-        request: Dict[str, Any] = {"op": "pull", "since": int(since)}
-        if where is not None:
-            request["where"] = wire.predicate_to_dict(where)
-        return PendingPull(self.begin(request))
-
-    def pull(self, since: int, where=None):
-        """One replication pass's reads, answered in one round trip
-        under the server's read lock; see
-        :meth:`repro.core.journal.Journal.pull`."""
-        return self.begin_pull(since, where).wait()
-
-    def path(self, a: str, b: str):
-        """Confidence-weighted topology route (the ``path`` wire op),
-        computed server-side against its feed-maintained topology
-        store; returns a :class:`~repro.core.topology.TopologyPath`."""
-        return wire.path_from_dict(
-            self._call({"op": "path", "a": str(a), "b": str(b)})["path"]
-        )
-
-    def impact(self, target: str):
-        """Blast radius of *target* (the ``impact`` wire op); returns a
-        :class:`~repro.core.topology.TopologyImpact`."""
-        return wire.impact_from_dict(
-            self._call({"op": "impact", "target": str(target)})["impact"]
-        )
+        return PendingPull(self.begin(_JOURNAL_CALLS["pull"].request((since, where), {})))
 
     def metrics(self, *, spans: int = 50) -> Dict[str, Any]:
         """The server registry's snapshot (the ``metrics`` wire op):
@@ -969,7 +899,7 @@ def _local_method(op: str) -> Callable:
 
 
 def _remote_method(op: str) -> Callable:
-    call = wire.JournalCall(op)
+    call = _JOURNAL_CALLS[op]
     parks = call.spec.parks
 
     def method(self, *args, **kwargs):

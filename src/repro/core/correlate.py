@@ -46,13 +46,38 @@ from .journal import Journal, JournalChanges
 from .records import GatewayRecord, InterfaceRecord
 
 __all__ = [
+    "DEFAULT_PREFIX",
     "Correlator",
     "CorrelationReport",
     "FederatedCorrelator",
     "TopologyGraph",
+    "subnet_containing",
 ]
 
 SOURCE = "correlator"
+
+#: the prefix of an address whose mask no one has reported (the campus
+#: default)
+DEFAULT_PREFIX = 24
+
+
+def subnet_containing(ip: Optional[str], mask: Optional[str] = None) -> Optional[Subnet]:
+    """The subnet that holds address *ip*: by *mask* when it parses,
+    else by :data:`DEFAULT_PREFIX`.  None for a missing or unparsable
+    address.  The one subnet-placement rule: the Correlator, the
+    topology store and the inquiry layer all place addresses by it."""
+    if ip is None:
+        return None
+    try:
+        address = Ipv4Address.parse(ip)
+    except ValueError:
+        return None
+    if mask:
+        try:
+            return Subnet.containing(address, Netmask.parse(mask))
+        except ValueError:
+            pass
+    return Subnet.containing(address, Netmask.from_prefix(DEFAULT_PREFIX))
 
 
 @dataclass
@@ -67,8 +92,6 @@ class CorrelationReport:
     notes: List[str] = field(default_factory=list)
     #: "full" or "incremental" — which engine produced this report
     mode: str = "full"
-    #: "poll" (changes_since) or "feed" (pushed subscription deltas)
-    driven_by: str = "poll"
     #: how many interface records the pass actually examined
     interfaces_examined: int = 0
 
@@ -122,25 +145,10 @@ class Correlator:
     last-correlated revision, the interface reverse maps, and the memoised
     per-record subnet cache.  A fresh instance simply performs a full
     rescan on its first :meth:`correlate` call.
-
-    With ``use_feed=True`` the Correlator registers as a Journal
-    change-feed subscriber: every :meth:`~repro.core.journal.Journal.publish`
-    pushes the pending delta here, and :meth:`correlate` consumes the
-    accumulated deltas instead of calling ``changes_since``.  Both paths
-    produce identical Journal state; the feed simply moves delta
-    assembly to the write side and lets the subscription cursor protect
-    the change history from being pruned out from under the Correlator.
     """
 
-    def __init__(
-        self,
-        journal: Journal,
-        *,
-        default_prefix: int = 24,
-        use_feed: bool = False,
-    ) -> None:
+    def __init__(self, journal: Journal) -> None:
         self.journal = journal
-        self.default_prefix = default_prefix
         self._h_pass = journal.telemetry.histogram(
             "fremont_correlation_seconds",
             "Duration of one correlation pass",
@@ -155,11 +163,6 @@ class Correlator:
         self.last_revision: Optional[int] = None
         self.full_passes = 0
         self.incremental_passes = 0
-        #: deltas pushed by the feed, merged, awaiting the next pass
-        self._pending: Optional[JournalChanges] = None
-        #: feed deltas absorbed so far
-        self.feed_deliveries = 0
-        self.subscription = journal.subscribe(self._absorb_changes) if use_feed else None
         #: mac -> record ids holding that MAC *and* an IP (pass 1's input)
         self._by_mac: Dict[str, Set[int]] = {}
         #: ip -> record ids holding that IP (pass 2's input)
@@ -172,52 +175,19 @@ class Correlator:
         self._subnet_memo: Dict[int, Tuple[int, Optional[Subnet]]] = {}
 
     # ------------------------------------------------------------------
-    # Change-feed consumption
-    # ------------------------------------------------------------------
-
-    def _absorb_changes(self, changes: JournalChanges) -> None:
-        """Feed callback: fold the pushed delta into the pending set."""
-        self.feed_deliveries += 1
-        if self._pending is None:
-            self._pending = changes
-        else:
-            self._pending.merge(changes)
-
-    def close(self) -> None:
-        """Detach from the change feed (no-op when polling)."""
-        if self.subscription is not None:
-            self.subscription.close()
-            self.subscription = None
-
-    # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
 
     def subnet_of_record(self, record: InterfaceRecord) -> Optional[Subnet]:
-        """The subnet an interface record belongs to, by its own mask
-        (falling back to the campus default prefix).  Memoised per
-        record, keyed on the record's Journal revision."""
+        """The subnet an interface record belongs to, by its own address
+        and mask (:func:`subnet_containing`).  Memoised per record, keyed
+        on the record's Journal revision."""
         cached = self._subnet_memo.get(record.record_id)
         if cached is not None and cached[0] == record.revision:
             return cached[1]
-        subnet = self._compute_subnet(record)
+        subnet = subnet_containing(record.ip, record.subnet_mask)
         self._subnet_memo[record.record_id] = (record.revision, subnet)
         return subnet
-
-    def _compute_subnet(self, record: InterfaceRecord) -> Optional[Subnet]:
-        if record.ip is None:
-            return None
-        try:
-            ip = Ipv4Address.parse(record.ip)
-        except ValueError:
-            return None
-        mask_text = record.subnet_mask
-        if mask_text:
-            try:
-                return Subnet.containing(ip, Netmask.parse(mask_text))
-            except ValueError:
-                pass
-        return Subnet.containing(ip, Netmask.from_prefix(self.default_prefix))
 
     # ------------------------------------------------------------------
     # Reverse-map maintenance
@@ -478,25 +448,11 @@ class Correlator:
         report = CorrelationReport()
         since = self.last_revision
         changes: Optional[JournalChanges] = None
-        if self.subscription is not None:
-            report.driven_by = "feed"
-            # Pull through anything written since the last publish, so
-            # the pending delta covers everything up to this instant.
-            journal.publish()
         if not full and since is not None:
-            if self.subscription is not None:
-                # The subscription cursor tracked last_revision, so the
-                # merged pushed deltas equal changes_since(since); an
-                # empty pending set means nothing moved.
-                changes = self._pending
-                if changes is None:
-                    changes = JournalChanges(since=since, revision=journal.revision)
-            else:
-                changes = journal.changes_since(since)
+            changes = journal.changes_since(since)
             if not changes.complete:
                 changes = None
                 full = True
-        self._pending = None
         if since is None or full:
             report.mode = "full"
             self.full_passes += 1
@@ -531,10 +487,6 @@ class Correlator:
                 report, gateways=self._scope_gateways(journal.changes_since(since))
             )
         self.last_revision = journal.revision
-        if self.subscription is not None:
-            # Skip the echo: the pass's own writes are already reflected
-            # in the indexes, so the feed must not replay them to us.
-            self.subscription.last_revision = journal.revision
         journal.prune_changes(self.last_revision)
         return report
 
@@ -563,7 +515,7 @@ class FederatedCorrelator:
     ``tests/integration/test_federation.py``.
     """
 
-    def __init__(self, shards, *, view=None, default_prefix: int = 24) -> None:
+    def __init__(self, shards, *, view=None) -> None:
         from .client import LocalClient
         from .replicate import FederatedView, JournalReplicator
 
@@ -572,9 +524,7 @@ class FederatedCorrelator:
         #: the scatter-gather router conclusions are written through;
         #: None when constructed from bare shard clients (read-only)
         self.router = router
-        self.correlator = Correlator(
-            self.view.journal, default_prefix=default_prefix
-        )
+        self.correlator = Correlator(self.view.journal)
         self._writeback = (
             JournalReplicator(LocalClient(self.view.journal), router)
             if router is not None

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..netsim.addresses import Ipv4Address, Subnet
-from .correlate import Correlator
+from .correlate import subnet_containing
 from .journal import Journal
 from .records import GatewayRecord, InterfaceRecord
 
@@ -92,10 +92,8 @@ class RouteExplanation:
 class NetworkPicture:
     """Read-only operational queries over a discovered Journal."""
 
-    def __init__(self, journal: Journal, *, default_prefix: int = 24) -> None:
+    def __init__(self, journal: Journal) -> None:
         self.journal = journal
-        self.default_prefix = default_prefix
-        self._correlator = Correlator(journal, default_prefix=default_prefix)
 
     # ------------------------------------------------------------------
     # Host and interface questions
@@ -113,7 +111,7 @@ class NetworkPicture:
         """Which subnet does this host or address live on?"""
         records = self.where_is(what)
         for record in records:
-            subnet = self._correlator.subnet_of_record(record)
+            subnet = subnet_containing(record.ip, record.subnet_mask)
             if subnet is not None:
                 return subnet
         return None

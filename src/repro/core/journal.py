@@ -71,10 +71,11 @@ from typing import (
     Set,
     Tuple,
     TypeVar,
+    Union,
 )
 
 from . import query as query_module
-from .query import ip_key
+from .query import Predicate, ip_key
 from .records import (
     Attribute,
     GatewayRecord,
@@ -88,7 +89,7 @@ from .telemetry import MetricsRegistry
 from .wire import COUNTER_SCHEMA, JOURNAL_COUNTERS
 
 if TYPE_CHECKING:
-    from .topology import TopologyStore
+    from .topology import TopologyImpact, TopologyPath, TopologyStore
 
 __all__ = [
     "Journal",
@@ -102,6 +103,9 @@ logger = logging.getLogger(__name__)
 
 K = TypeVar("K")
 V = TypeVar("V")
+
+#: what a query answers: records of one kind
+AnyRecord = Union[InterfaceRecord, GatewayRecord, SubnetRecord]
 
 
 class JournalCorruptError(Exception):
@@ -577,10 +581,10 @@ class Journal(DirectSinkMixin):
             for record in table.values():
                 self._note_modified(kind, record)
 
-    def changes_since(self, rev: int) -> JournalChanges:
-        """Record ids touched or deleted after revision *rev*.
+    def changes_since(self, since: int) -> JournalChanges:
+        """Record ids touched or deleted after revision *since*.
 
-        Costs O(log n) to find *rev* in the mutation log plus O(delta)
+        Costs O(log n) to find *since* in the mutation log plus O(delta)
         to replay the entries after it — independent of how much older
         history other (slower) consumers are still retaining.  Call
         :meth:`prune_changes` after consuming a delta to keep the
@@ -588,11 +592,11 @@ class Journal(DirectSinkMixin):
         consumption.
         """
         changes = JournalChanges(
-            since=rev,
+            since=since,
             revision=self.revision,
-            complete=rev >= self._pruned_through,
+            complete=since >= self._pruned_through,
         )
-        if rev == self.revision:
+        if since == self.revision:
             return changes  # nothing moved: skip the log searches
         touched = {
             "interface": changes.interfaces,
@@ -605,7 +609,7 @@ class Journal(DirectSinkMixin):
             "subnet": changes.deleted_subnets,
         }
         log = self._change_log
-        start = bisect.bisect_right(log, rev, key=lambda entry: entry[0])
+        start = bisect.bisect_right(log, since, key=lambda entry: entry[0])
         for _revision, kind, record_id, is_delete in log[start:]:
             if is_delete:
                 # A record deleted after its touch reports as deleted
@@ -615,7 +619,7 @@ class Journal(DirectSinkMixin):
             else:
                 touched[kind].add(record_id)
         klog = self._key_log
-        kstart = bisect.bisect_right(klog, rev, key=lambda entry: entry[0])
+        kstart = bisect.bisect_right(klog, since, key=lambda entry: entry[0])
         changes.keys.update(key for _revision, key in klog[kstart:])
         return changes
 
@@ -702,6 +706,16 @@ class Journal(DirectSinkMixin):
 
                     store = self._topology = TopologyStore(self)
         return store
+
+    def path(self, a: str, b: str) -> TopologyPath:
+        """The confidence-weighted route between *a* and *b*; see
+        :meth:`repro.core.topology.TopologyStore.path`."""
+        return self.topology().path(a, b)
+
+    def impact(self, target: str) -> TopologyImpact:
+        """The blast radius of *target*; see
+        :meth:`repro.core.topology.TopologyStore.impact`."""
+        return self.topology().impact(target)
 
     # ------------------------------------------------------------------
     # Ingest sink protocol (terminal ObservationSink of the pipeline)
@@ -1148,7 +1162,7 @@ class Journal(DirectSinkMixin):
     # Predicate queries
     # ------------------------------------------------------------------
 
-    def query(self, kind: str, where=None) -> List:
+    def query(self, kind: str, where: Optional[Predicate] = None) -> List[AnyRecord]:
         """Evaluate a predicate query (see :mod:`repro.core.query`):
         records of *kind* ("interfaces"/"gateways"/"subnets", singular
         accepted) matching *where* (a Predicate, or None for all),
@@ -1161,7 +1175,11 @@ class Journal(DirectSinkMixin):
         self._counters["queries_served"].inc()
         return records
 
-    def pull(self, since: int, where=None) -> Tuple[int, List, List, List, List]:
+    def pull(
+        self, since: int, where: Optional[Predicate] = None
+    ) -> Tuple[
+        int, List[InterfaceRecord], List[GatewayRecord], List[InterfaceRecord], List[SubnetRecord]
+    ]:
         """One replication pass's reads, taken together: everything a
         :class:`~repro.core.replicate.JournalReplicator` needs to bring
         a replica from revision *since* (0 = everything) up to now.

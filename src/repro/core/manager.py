@@ -406,15 +406,12 @@ class DiscoveryManager:
             # at the Journal Server's site), not through the wire client.
             return
         if self._correlator is None or self._correlator.journal is not journal:
-            if self._correlator is not None:
-                # Detach the old subscription or it would pin the old
-                # journal's change history forever.
-                self._correlator.close()
-            self._correlator = Correlator(journal, use_feed=True)
-        # The persistent Correlator carries the last-correlated revision
-        # and subscribes to the Journal change feed, so after its first
-        # full scan every per-run correlation consumes only the pushed
-        # delta the module run just produced.
+            self._correlator = Correlator(journal)
+        # The run's writes reach the feed's subscribers first.  The
+        # persistent Correlator carries the last-correlated revision, so
+        # after its first full scan every per-run correlation consumes
+        # only the delta the module run just produced.
+        journal.publish()
         self.last_correlation_report = self._correlator.correlate()
         self.last_correlated_revision = self._correlator.last_revision
 

@@ -62,6 +62,12 @@ _CLOSE = object()
 #: written directly
 _DIRECT_WRITE_LIMIT = 64 * 1024
 
+#: every plain Journal call's codec, derived as this module loads,
+#: before anything can wrap a Journal method (see wire.JournalCall)
+_JOURNAL_CALLS = {
+    op: wire.JournalCall(op) for op, spec in wire.OPS.items() if spec.reply is not None
+}
+
 
 def _log_detached_failure(future) -> None:
     if not future.cancelled() and future.exception() is not None:
@@ -154,8 +160,8 @@ class JournalDispatcher:
             pass
         if op in wire.WIRE_OPS:
             handler = getattr(self, f"_op_{op}", None)
-            if handler is None and wire.OPS[op].reply is not None:
-                handler = functools.partial(self._call_journal, wire.JournalCall(op))
+            if handler is None and op in _JOURNAL_CALLS:
+                handler = functools.partial(self._call_journal, _JOURNAL_CALLS[op])
             if handler is not None:
                 self._handlers[op] = handler
             return handler
@@ -510,54 +516,6 @@ class JournalDispatcher:
         _record, changed = self.journal.submit(observation)
         return {"ok": True, "changed": changed}
 
-    _QUERY_ENCODERS = {
-        "interfaces": wire.interface_to_dict,
-        "gateways": wire.gateway_to_dict,
-        "subnets": wire.subnet_to_dict,
-    }
-
-    def _op_query(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Server-side predicate evaluation: the paper's "predicate-based
-        queries to limit exchanged data to the parts that are needed".
-        The response carries the revision at evaluation time so clients
-        can anchor cache entries to their change-feed cursor."""
-        kind = request.get("kind")
-        encoder = self._QUERY_ENCODERS.get(kind)
-        if encoder is None:
-            raise wire.WireError(f"unknown query kind: {kind!r}")
-        where = request.get("where")
-        predicate = None if where is None else wire.predicate_from_dict(where)
-        records = self.journal.query(kind, predicate)
-        return {
-            "ok": True,
-            "revision": self.journal.revision,
-            "records": [encoder(record) for record in records],
-        }
-
-    # -- topology queries ------------------------------------------------
-
-    def _op_path(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        a, b = request.get("a"), request.get("b")
-        if not isinstance(a, str) or not isinstance(b, str):
-            raise wire.WireError("path needs string endpoints 'a' and 'b'")
-        result = self.journal.topology().path(a, b)
-        return {
-            "ok": True,
-            "revision": self.journal.revision,
-            "path": wire.path_to_dict(result),
-        }
-
-    def _op_impact(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        target = request.get("target")
-        if not isinstance(target, str):
-            raise wire.WireError("impact needs a string 'target'")
-        result = self.journal.topology().impact(target)
-        return {
-            "ok": True,
-            "revision": self.journal.revision,
-            "impact": wire.impact_to_dict(result),
-        }
-
     def _op_metrics(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Structured registry snapshot: every metric family plus the
         tail of the span ring.  Runs under the read lock; the registry's
@@ -626,26 +584,6 @@ class JournalDispatcher:
         self._step_down(epoch)
         return {"ok": True, "epoch": self.epoch, "role": "fenced",
                 "previous_role": previous}
-
-    def _op_changes_since(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Polling fallback for the change feed: the delta between a
-        client-held revision and now (complete=False means the window
-        was pruned and the client must rescan)."""
-        if "since" not in request:
-            raise wire.WireError("changes_since requires 'since'")
-        changes = self.journal.changes_since(int(request["since"]))
-        return {"ok": True, "changes": wire.changes_to_dict(changes)}
-
-    def _op_pull(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """One replication pass's reads (``Journal.pull``), all taken
-        under the read lock this handler runs in."""
-        since = request.get("since", 0)
-        if isinstance(since, bool) or not isinstance(since, int):
-            raise wire.WireError("pull needs an integer 'since'")
-        where = request.get("where")
-        predicate = None if where is None else wire.predicate_from_dict(where)
-        pulled = self.journal.pull(since, predicate)
-        return {"ok": True, **wire.pull_to_dict(pulled)}
 
     def _op_dump(self, request: Dict[str, Any]) -> Dict[str, Any]:
         return {"ok": True, "journal": self.journal.to_dict()}

@@ -58,8 +58,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..netsim.addresses import Ipv4Address, Netmask, Subnet
-from .correlate import TopologyGraph
+from .correlate import TopologyGraph, subnet_containing
 from .journal import Journal, JournalChanges
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "TopologyPath",
     "TopologyImpact",
     "CONFIDENCE_WEIGHTS",
-    "DEFAULT_PREFIX",
     "HISTORY_LIMIT",
 ]
 
@@ -78,9 +76,6 @@ CONFIDENCE_WEIGHTS: Dict[str, float] = {"good": 1.0, "questionable": 3.0}
 
 #: appear/disappear transitions retained per edge (oldest dropped)
 HISTORY_LIMIT = 16
-
-#: prefix length placing an interface recorded without a usable mask
-DEFAULT_PREFIX = 24
 
 
 @dataclass
@@ -412,29 +407,13 @@ class TopologyStore:
         if node is not None and not node.live:
             del self._subnet_nodes[key]
 
-    def _compute_subnet(self, record) -> Optional[str]:
-        if record.ip is None:
-            return None
-        try:
-            ip = Ipv4Address.parse(record.ip)
-        except ValueError:
-            return None
-        mask_text = record.subnet_mask
-        if mask_text:
-            try:
-                return str(Subnet.containing(ip, Netmask.parse(mask_text)))
-            except ValueError:
-                pass
-        return str(
-            Subnet.containing(ip, Netmask.from_prefix(DEFAULT_PREFIX))
-        )
-
     def _sync_interface(self, rid: int) -> None:
         record = self.journal.interfaces.get(rid)
         if record is None:
             self._drop_interface(rid)
             return
-        key = self._compute_subnet(record)
+        subnet = subnet_containing(record.ip, record.subnet_mask)
+        key = None if subnet is None else str(subnet)
         old = self._iface_subnet.get(rid)
         if old == key:
             return
@@ -649,17 +628,14 @@ class TopologyStore:
                 return ("gateway", int(suffix))
         if target.isdigit() and int(target) in self._gateway_names:
             return ("gateway", int(target))
-        try:
-            ip = Ipv4Address.parse(target)
-        except ValueError:
+        subnet = subnet_containing(target)
+        if subnet is None:
             return None
         for record in self.journal.interfaces_by_ip(target):
             key = self._iface_subnet.get(record.record_id)
             if key is not None:
                 return ("subnet", key)
-        key = str(
-            Subnet.containing(ip, Netmask.from_prefix(DEFAULT_PREFIX))
-        )
+        key = str(subnet)
         if key in self._subnet_nodes:
             return ("subnet", key)
         return None

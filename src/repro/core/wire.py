@@ -75,12 +75,8 @@ __all__ = [
     "subnet_from_dict",
     "observation_to_dict",
     "observation_from_dict",
-    "path_to_dict",
     "path_from_dict",
-    "impact_to_dict",
     "impact_from_dict",
-    "pull_to_dict",
-    "pull_from_dict",
     "journal_to_dict",
     "journal_from_dict",
     "encode_message",
@@ -185,16 +181,18 @@ OPS: Dict[str, OpSpec] = {
     "negative_put": OpSpec("write", True, ("negative_put",), (), parks=True),
     "counts": OpSpec("read", True, ("counts", "revision"), ("counts",)),
     "negative_check": OpSpec("read", True, ("negative_check",), ("cached",)),
-    # queries
-    "ping": OpSpec("read", True),
-    "metrics": OpSpec("read", True, ("metrics",)),
     # The one record read: the clients' named reads (query.NamedReads)
     # are predicates over it.
-    "query": OpSpec("read", False, ("query",)),
-    "path": OpSpec("read", False, ("path",)),
-    "impact": OpSpec("read", False, ("impact",)),
-    "changes_since": OpSpec("read", True, ("changes_since",)),
-    "pull": OpSpec("read", False, ("pull",)),
+    "query": OpSpec("read", False, ("query",), ("records",)),
+    "pull": OpSpec(
+        "read", False, ("pull",), ("revision", "interfaces", "gateways", "members", "subnets")
+    ),
+    "changes_since": OpSpec("read", True, ("changes_since",), ("changes",)),
+    "path": OpSpec("read", False, ("path",), ("path",)),
+    "impact": OpSpec("read", False, ("impact",), ("impact",)),
+    # hand-written reads
+    "ping": OpSpec("read", True),
+    "metrics": OpSpec("read", True, ("metrics",)),
     "dump": OpSpec("read", False, ("snapshot",)),
     "save": OpSpec("read"),
     # federation and failover handshake
@@ -514,14 +512,59 @@ _RECORDS = {
     GatewayRecord: ("gateway", gateway_to_dict, gateway_from_dict),
     SubnetRecord: ("subnet", subnet_to_dict, subnet_from_dict),
 }
+#: wire ``kind`` -> decoder
+_RECORD_KINDS = {kind: decode for kind, _encode, decode in _RECORDS.values()}
+
+
+def _checked(kind: type, article: str) -> Callable[[Any], Any]:
+    """A decoder that only admits a JSON value of *kind* (a JSON
+    ``true`` is no integer)."""
+
+    def check(value: Any) -> Any:
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise WireError(f"expected {article}, got {type(value).__name__}")
+        return value
+
+    return check
+
+
+def _any_record(data: Any):
+    """A record of whichever kind its wire form names."""
+    decode = _RECORD_KINDS.get(data.get("kind")) if isinstance(data, dict) else None
+    if decode is None:
+        raise WireError("expected a record")
+    return decode(data)
+
+
+def _payloads() -> Dict[Any, Tuple[Callable, Callable]]:
+    """type -> (encode, decode) for the annotated types that need more
+    than their JSON form: strings and integers are checked, and a
+    predicate, a change delta or a topology answer travels in its own
+    codec.  Those types' modules import this one, so the table is built
+    as a :class:`JournalCall` is derived, not as this module loads."""
+    from .journal import JournalChanges
+    from .query import Predicate
+    from .topology import TopologyImpact, TopologyPath
+
+    return {
+        str: (None, _checked(str, "a string")),
+        int: (None, _checked(int, "an integer")),
+        Predicate: (predicate_to_dict, predicate_from_dict),
+        JournalChanges: (changes_to_dict, changes_from_dict),
+        TopologyPath: (TopologyPath.to_dict, path_from_dict),
+        TopologyImpact: (TopologyImpact.to_dict, impact_from_dict),
+    }
 
 
 def _codec(hint: Any) -> Tuple[Optional[Callable], Optional[Callable]]:
     """``(encode, decode)`` for a value of the annotated type, None for
     a value that travels as it is: a record travels in its wire form
-    and must come back as its own ``kind``, an int-keyed dict gets its
-    keys back (JSON object keys are strings), and any other iterable
-    travels as a list."""
+    and must come back as its own ``kind`` (a union of record classes
+    as whichever kind it is), a string or an integer must arrive as
+    one, a predicate, change delta or topology answer travels in its
+    own codec, an ``Optional`` value as that codec or null, a list
+    item by item, an int-keyed dict gets its keys back (JSON object
+    keys are strings), and any other iterable travels as a list."""
     if hint in _RECORDS:
         kind, encode, decode = _RECORDS[hint]
 
@@ -531,7 +574,26 @@ def _codec(hint: Any) -> Tuple[Optional[Callable], Optional[Callable]]:
             return decode(data)
 
         return encode, decode_record
+    try:
+        return _payloads()[hint]
+    except (KeyError, TypeError):
+        pass
     origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        members = [arg for arg in args if arg is not type(None)]
+        if all(member in _RECORDS for member in members):
+            return (lambda record: _RECORDS[type(record)][1](record)), _any_record
+        encode, decode = _codec(members[0])
+        return (
+            encode and (lambda value: None if value is None else encode(value)),
+            decode and (lambda data: None if data is None else decode(data)),
+        )
+    if origin is list:
+        encode, decode = _codec(args[0])
+        return (
+            (lambda values: [encode(value) for value in values]) if encode else list,
+            decode and (lambda data: [decode(item) for item in data]),
+        )
     if origin is dict and args[:1] == (int,):
         return None, lambda data: {int(key): value for key, value in data.items()}
     if origin is collections.abc.Iterable:
@@ -543,14 +605,21 @@ class JournalCall:
     """The wire codec of one plain Journal call, derived from its
     :data:`OPS` row and the Journal method's signature and type hints:
     :meth:`request` and :meth:`result` for the client, :meth:`arguments`
-    and :meth:`reply` for the server."""
+    and :meth:`reply` for the server.  Derive it before anything wraps
+    the method: a wrapper without ``functools.wraps`` (a tracer's) has
+    neither, so the server and the clients derive theirs as they load."""
 
     def __init__(self, op: str) -> None:
         from .journal import Journal
+        from .topology import TopologyImpact, TopologyPath
 
         spec, method = OPS[op], getattr(Journal, op)
         params = list(inspect.signature(method).parameters.values())[1:]
-        hints = typing.get_type_hints(method)
+        # journal.py imports the topology answers for type checking only
+        # (topology.py imports journal.py).
+        hints = typing.get_type_hints(
+            method, localns={"TopologyPath": TopologyPath, "TopologyImpact": TopologyImpact}
+        )
         codecs = {param.name: _codec(hints.get(param.name)) for param in params}
         self.op, self.spec = op, spec
         #: the Journal method's signature without ``self``
@@ -608,7 +677,10 @@ class JournalCall:
             raise WireError(f"{self.op}: unknown field(s) {unknown}")
         for name, decode in self._decoders.items():
             if name in kwargs:
-                kwargs[name] = decode(kwargs[name])
+                try:
+                    kwargs[name] = decode(kwargs[name])
+                except WireError as error:
+                    raise WireError(f"{self.op}: {name!r}: {error}") from None
         if self._spread in kwargs:
             spread = kwargs.pop(self._spread)
             if not isinstance(spread, dict):
@@ -735,18 +807,13 @@ def changes_from_dict(data: Dict[str, Any]):
 
 
 # ----------------------------------------------------------------------
-# Topology query payloads (path / impact ops)
+# Topology answers (path / impact ops)
 # ----------------------------------------------------------------------
 
 
-def path_to_dict(path) -> Dict[str, Any]:
-    """Wire form of a :class:`~repro.core.topology.TopologyPath`."""
-    return path.to_dict()
-
-
 def path_from_dict(data: Any):
-    """A :class:`~repro.core.topology.TopologyPath` from the wire form;
-    hostile-input safe like the rest of the codec."""
+    """A :class:`~repro.core.topology.TopologyPath` from its
+    ``to_dict`` form; hostile-input safe like the rest of the codec."""
     from .topology import TopologyPath
 
     try:
@@ -755,53 +822,15 @@ def path_from_dict(data: Any):
         raise WireError(f"malformed path payload: {reason}") from None
 
 
-def impact_to_dict(impact) -> Dict[str, Any]:
-    """Wire form of a :class:`~repro.core.topology.TopologyImpact`."""
-    return impact.to_dict()
-
-
 def impact_from_dict(data: Any):
-    """A :class:`~repro.core.topology.TopologyImpact` from the wire
-    form; hostile-input safe like the rest of the codec."""
+    """A :class:`~repro.core.topology.TopologyImpact` from its
+    ``to_dict`` form; hostile-input safe like the rest of the codec."""
     from .topology import TopologyImpact
 
     try:
         return TopologyImpact.from_dict(data)
     except (TypeError, ValueError, KeyError) as reason:
         raise WireError(f"malformed impact payload: {reason}") from None
-
-
-# ----------------------------------------------------------------------
-# Replication pulls (pull op)
-# ----------------------------------------------------------------------
-
-
-def pull_to_dict(pulled) -> Dict[str, Any]:
-    """Wire form of a ``Journal.pull`` result: ``(revision, interfaces,
-    gateways, members, subnets)``."""
-    revision, interfaces, gateways, members, subnets = pulled
-    return {
-        "revision": revision,
-        "interfaces": [interface_to_dict(r) for r in interfaces],
-        "gateways": [gateway_to_dict(r) for r in gateways],
-        "members": [interface_to_dict(r) for r in members],
-        "subnets": [subnet_to_dict(r) for r in subnets],
-    }
-
-
-def pull_from_dict(data: Dict[str, Any]):
-    """The ``(revision, interfaces, gateways, members, subnets)`` tuple
-    from its wire form."""
-    try:
-        return (
-            int(data["revision"]),
-            [interface_from_dict(r) for r in data["interfaces"]],
-            [gateway_from_dict(r) for r in data["gateways"]],
-            [interface_from_dict(r) for r in data["members"]],
-            [subnet_from_dict(r) for r in data["subnets"]],
-        )
-    except (KeyError, TypeError, ValueError) as reason:
-        raise WireError(f"malformed pull payload: {reason}") from None
 
 
 # ----------------------------------------------------------------------

@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import inspect
 import socket
+import typing
 
 import pytest
 
 from repro.core import FailoverClient, Journal, JournalServer, LocalClient, RemoteClient
 from repro.core import wire
+from repro.core.journal import JournalChanges
+from repro.core.query import InSubnet
 from repro.core.records import GatewayRecord, InterfaceRecord, Observation, SubnetRecord
+from repro.core.topology import TopologyImpact, TopologyPath
 
 DERIVED = sorted(op for op, spec in wire.OPS.items() if spec.reply is not None)
 
@@ -30,9 +34,9 @@ def _clock() -> float:
 
 
 def _seed():
-    """A journal with two gateway members, a loose interface, a linked
-    subnet and a live negative entry, plus records from another journal
-    to absorb.  Returns ``(journal, ids, foreign)``."""
+    """A journal with two gateway members, a loose interface, two
+    subnets the gateway joins and a live negative entry, plus records
+    from another journal to absorb.  Returns ``(journal, ids, foreign)``."""
     journal = Journal(clock=_clock)
     a, _ = journal.observe_interface(Observation(source="t", ip="10.0.1.1", mac="08:00:20:00:00:01"))
     b, _ = journal.observe_interface(Observation(source="t", ip="10.0.1.2", mac="08:00:20:00:00:02"))
@@ -41,6 +45,7 @@ def _seed():
         source="t", name="gw-1", interface_ids=[a.record_id, b.record_id]
     )
     journal.link_gateway_subnet(gateway.record_id, "10.0.1.0", source="t")
+    journal.link_gateway_subnet(gateway.record_id, "10.0.5.0", source="t")
     journal.negative_put("dns", "cached.test", ttl=1000.0)
     ids = {"a": a.record_id, "loose": loose.record_id, "gateway": gateway.record_id}
 
@@ -77,6 +82,11 @@ CALLS = {
     "negative_put": lambda ids, far: (("dns", "new.test"), {"ttl": 60.0}),
     "negative_check": lambda ids, far: (("dns", "cached.test"), {}),
     "counts": lambda ids, far: ((), {}),
+    "query": lambda ids, far: (("interfaces",), {"where": InSubnet("10.0.1.0/24")}),
+    "pull": lambda ids, far: ((0,), {}),
+    "changes_since": lambda ids, far: ((1,), {}),
+    "path": lambda ids, far: (("10.0.1.0", "10.0.5.0"), {}),
+    "impact": lambda ids, far: (("gw-1",), {}),
 }
 
 
@@ -92,6 +102,12 @@ def _comparable(value):
     records under different process-wide ids."""
     if isinstance(value, tuple):
         return tuple(_comparable(item) for item in value)
+    if isinstance(value, list):
+        return [_comparable(item) for item in value]
+    if isinstance(value, (TopologyPath, TopologyImpact)):
+        return value.to_dict()
+    if isinstance(value, JournalChanges):
+        return wire.changes_to_dict(value)
     if type(value) in _TO_DICT:
         data = _TO_DICT[type(value)](value)
         data.pop("record_id")
@@ -168,14 +184,28 @@ def test_every_client_returns_the_journal_result(op, servers):
     assert _comparable(call.result(item)) == expected
 
 
+#: a value of the wrong JSON type for a string or an integer field
+_WRONG_TYPE = {str: 5, int: "5"}
+
+
 def _malformed(op, request):
     """Malformed variants of a good request: each required field
-    missing, an unknown field, every record swapped for another kind
-    or carrying a malformed attribute row, a ``**`` field that is no
-    object, and one that repeats a field."""
+    missing, an unknown field, a string or integer field of the wrong
+    JSON type, every record swapped for another kind or carrying a
+    malformed attribute row, a ``**`` field that is no object, and one
+    that repeats a field."""
+    hints = typing.get_type_hints(
+        getattr(Journal, op),
+        localns={"TopologyPath": TopologyPath, "TopologyImpact": TopologyImpact},
+    )
     for param in wire.JournalCall(op).signature.parameters.values():
         if param.default is param.empty and param.kind is not param.VAR_KEYWORD:
             yield {key: value for key, value in request.items() if key != param.name}
+        hint = hints.get(param.name)
+        if typing.get_origin(hint) is typing.Union:
+            (hint,) = set(typing.get_args(hint)) - {type(None)}
+        if hint in _WRONG_TYPE:
+            yield {**request, param.name: _WRONG_TYPE[hint]}
     yield {**request, "bogus": 1}
     for name, value in request.items():
         if isinstance(value, dict) and "kind" in value:
@@ -220,3 +250,44 @@ def test_malformed_request_is_refused_and_the_server_keeps_serving(op, servers):
     assert after == before
     with RemoteClient(*server.address) as client:
         assert client._call(request)["ok"] is True
+
+
+def _traced(cls, name, calls):
+    """Replace ``cls.name`` with a bare ``*args, **kwargs`` wrapper, as a
+    tracer installs it (no ``functools.wraps``): the wrapper has neither
+    the method's signature nor its type hints."""
+    original = getattr(cls, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
+def test_served_reads_decode_under_a_wrapped_journal(monkeypatch, servers):
+    """A codec derived after the wrap would read no signature and no
+    hints, so it would send records and topology answers unencoded:
+    the codecs are built when the modules load, not on first
+    dispatch."""
+    from repro.core.topology import TopologyStore
+
+    calls = []
+    for cls, name in (
+        (Journal, "query"),
+        (Journal, "path"),
+        (Journal, "impact"),
+        (TopologyStore, "path"),
+        (TopologyStore, "impact"),
+    ):
+        monkeypatch.setattr(cls, name, _traced(cls, name, calls))
+    seed, _ids, _foreign = _seed()
+    with RemoteClient(*servers(seed).address) as client:
+        records = client.query("interfaces", InSubnet("10.0.1.0/24"))
+        assert [record.ip for record in records] == ["10.0.1.1", "10.0.1.2"]
+        path = client.path("10.0.1.0", "10.0.5.0")
+        assert isinstance(path, TopologyPath) and path.found
+        impact = client.impact("gw-1")
+        assert isinstance(impact, TopologyImpact) and impact.cut_subnets == ["10.0.5.0"]
+    assert sorted(set(calls)) == ["impact", "path", "query"]
+    assert len(calls) == 5

@@ -112,40 +112,29 @@ class TestFeedDrivenCorrelator:
         journal.submit(_obs(ip=f"10.1.{octet}.1", mac=mac,
                             subnet_mask="255.255.255.0"))
 
-    def test_feed_and_polling_paths_converge(self):
-        polled, fed = Journal(), Journal()
+    def test_incremental_passes_converge_with_full_rescans(self):
+        polled, rescanned = Journal(), Journal()
         poll_correlator = Correlator(polled)
-        feed_correlator = Correlator(fed, use_feed=True)
+        rescan_correlator = Correlator(rescanned)
         for octet in range(1, 4):
             self._grow(polled, octet)
             poll_correlator.correlate()
-            self._grow(fed, octet)
-            report = feed_correlator.correlate()
-            assert report.driven_by == "feed"
-        assert polled.canonical_state() == fed.canonical_state()
-        # After warmup every pass consumed pushed deltas, not rescans.
-        assert feed_correlator.incremental_passes == 2
-        assert feed_correlator.feed_deliveries >= 2
+            self._grow(rescanned, octet)
+            rescan_correlator.correlate(full=True)
+        assert polled.canonical_state() == rescanned.canonical_state()
+        # After warmup every pass consumed the polled delta, not a rescan.
+        assert poll_correlator.incremental_passes == 2
 
     def test_correlator_does_not_chase_its_own_echo(self):
         journal = Journal()
-        correlator = Correlator(journal, use_feed=True)
+        correlator = Correlator(journal)
         self._grow(journal, 1)
         correlator.correlate()
         # The pass's own gateway/subnet writes must not come back as a
-        # pending delta for the next pass.
-        journal.publish()
-        assert correlator._pending is None
+        # delta for the next pass.
         report = correlator.correlate()
         assert report.mode == "incremental"
         assert report.interfaces_examined == 0
-
-    def test_close_detaches_from_feed(self):
-        journal = Journal()
-        correlator = Correlator(journal, use_feed=True)
-        assert journal.counts()["feed_subscribers"] == 1
-        correlator.close()
-        assert journal.counts()["feed_subscribers"] == 0
 
 
 class TestAnalysisMonitor:

@@ -604,7 +604,8 @@ class TestDurableInlinePath:
             assert len(replies[2]["interfaces"]) == 1
             assert replies[2]["revision"] == journal.revision
             assert len(replies[1]["interfaces"]) == 500
-            assert replies[3]["ok"] is False and "integer 'since'" in replies[3]["error"]
+            assert replies[3]["ok"] is False
+            assert "pull: 'since': expected an integer" in replies[3]["error"]
         finally:
             server.stop()
             store.close(checkpoint=False)

@@ -974,9 +974,9 @@ class TestServer:
         # The dispatcher turns the WireError into an error reply; the
         # client surfaces it without dropping the connection.
         _journal, client = served
-        with pytest.raises(RuntimeError, match="string endpoints"):
+        with pytest.raises(RuntimeError, match="path: 'a': expected a string"):
             client._call({"op": "path", "a": 5, "b": "10.0.1.0/24"})
-        with pytest.raises(RuntimeError, match="string 'target'"):
+        with pytest.raises(RuntimeError, match="impact: 'target': expected a string"):
             client._call({"op": "impact", "target": ["x"]})
         assert client.path("10.0.1.0/24", "10.0.3.0/24").found
 

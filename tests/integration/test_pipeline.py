@@ -165,14 +165,14 @@ class TestManagerDrivenCampaign:
 
 
 class TestFeedDrivenPipeline:
-    def _campaign(self, *, use_feed, batch=False):
+    def _campaign(self, *, batch=False, full=False):
         campus = build_campus(SMALL_PROFILE)
         journal = Journal(clock=lambda: campus.sim.now)
         client = LocalClient(journal)
         sink = BatchingSink(client, max_batch=32) if batch else client
         campus.network.start_rip()
         campus.set_cs_uptime(1.0)
-        correlator = Correlator(journal, use_feed=use_feed)
+        correlator = Correlator(journal)
         reports = []
         for module, directive in (
             (RipWatch(campus.monitor, sink), {"duration": 65.0}),
@@ -181,22 +181,19 @@ class TestFeedDrivenPipeline:
             (TracerouteModule(campus.monitor, sink), {}),
         ):
             module.run(**directive)
-            reports.append(correlator.correlate())
-        correlator.close()
+            reports.append(correlator.correlate(full=full))
         return journal, reports
 
-    def test_feed_driven_correlation_matches_polling(self):
-        polled_journal, polled_reports = self._campaign(use_feed=False)
-        fed_journal, fed_reports = self._campaign(use_feed=True)
-        assert polled_journal.canonical_state() == fed_journal.canonical_state()
-        assert {r.driven_by for r in polled_reports} == {"poll"}
-        assert {r.driven_by for r in fed_reports} == {"feed"}
-        # Both engines degrade to full only on the cold start.
-        assert [r.mode for r in fed_reports] == [r.mode for r in polled_reports]
+    def test_incremental_correlation_matches_full_rescans(self):
+        polled_journal, polled_reports = self._campaign()
+        rescanned_journal, _ = self._campaign(full=True)
+        assert polled_journal.canonical_state() == rescanned_journal.canonical_state()
+        # The polling engine degrades to full only on the cold start.
+        assert [r.mode for r in polled_reports] == ["full"] + ["incremental"] * 3
 
     def test_batched_ingest_through_full_campaign(self):
-        direct_journal, _ = self._campaign(use_feed=False)
-        batched_journal, _ = self._campaign(use_feed=True, batch=True)
+        direct_journal, _ = self._campaign()
+        batched_journal, _ = self._campaign(batch=True)
         assert (
             direct_journal.canonical_state() == batched_journal.canonical_state()
         )
