@@ -158,11 +158,8 @@ class LocalClient(query_module.NamedReads, DirectSinkMixin):
         (the topology store belongs to the journal)."""
 
 
-#: every plain Journal call's codec, derived as this module loads,
-#: before anything can wrap a Journal method (see wire.JournalCall)
-_JOURNAL_CALLS = {
-    op: wire.JournalCall(op) for op, spec in wire.OPS.items() if spec.reply is not None
-}
+#: every Journal call's codec, derived as this module loads
+_JOURNAL_CALLS = wire.journal_calls()
 
 
 def _provisional_record(observation: Observation) -> InterfaceRecord:

@@ -319,24 +319,25 @@ class Correlator:
             holders = self._by_ip.get(ip)
             if not holders:
                 continue
-            unique: Dict[int, GatewayRecord] = {}
+            holder_in: Dict[int, int] = {}  # gateway id -> a holder in it
             for rid in sorted(holders):
                 gateway = journal.gateway_for_interface(rid)
                 if gateway is not None:
-                    unique[gateway.record_id] = gateway
-            if len(unique) < 2:
+                    holder_in.setdefault(gateway.record_id, rid)
+            if len(holder_in) < 2:
                 continue
-            keeper, *others = sorted(unique.values(), key=lambda g: g.record_id)
+            keeper, *others = sorted(holder_in)
             for other in others:
-                if other.record_id not in journal.gateways:
+                if other not in journal.gateways:
                     continue  # already merged away
-                if keeper.record_id not in journal.gateways:
-                    break
-                journal._merge_gateways(keeper, other, journal.now)
+                # One gateway write (so the merge is WAL-logged): the
+                # gateway of the first member keeps the second's.
+                journal.ensure_gateway(
+                    source=SOURCE, interface_ids=[holder_in[keeper], holder_in[other]]
+                )
                 report.gateways_merged += 1
                 report.notes.append(
-                    f"gateways sharing interface {ip} merged into "
-                    f"#{keeper.record_id}"
+                    f"gateways sharing interface {ip} merged into #{keeper}"
                 )
 
     def link_gateways_to_subnets(
@@ -383,9 +384,8 @@ class Correlator:
                 if record is None:
                     continue
                 if record.gateway_id != gateway.record_id:
-                    record.set(
-                        "gateway_id", gateway.record_id, journal.now, SOURCE
-                    )
+                    # A gateway write sets it, so the repair is logged.
+                    journal.ensure_gateway(source=SOURCE, interface_ids=[interface_id])
                     report.interfaces_assigned += 1
 
     # ------------------------------------------------------------------

@@ -314,8 +314,8 @@ def _render_dot(journal: Journal) -> str:
         "  layout=neato;",
         '  node [fontname="Helvetica"];',
     ]
-    # Journal-local ordinals, not record ids: ids come from a
-    # process-global counter, so embedding them would make the output
+    # Gateway ordinals, not record ids: ids number every record the
+    # journal ever made, so embedding them would make the output
     # depend on allocation history rather than journal content.
     ordinal = _gateway_ordinals(graph)
     for subnet_key in sorted(graph.subnets):
@@ -430,9 +430,9 @@ def _render_svg(
     store = journal.topology()
     graph = store.graph()
     topo_edges = store.edges()
-    # Layout keys use journal-local ordinals (see _gateway_ordinals):
-    # the embedding must depend on the journal's content, not on the
-    # process-global record-id counter.
+    # Layout keys use gateway ordinals (see _gateway_ordinals): the
+    # embedding must depend on the journal's content, not on its
+    # record-id allocation history.
     ordinal = _gateway_ordinals(graph)
     nodes: List[Tuple[str, Any]] = [
         ("subnet", key) for key in sorted(graph.subnets)

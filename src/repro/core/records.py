@@ -16,7 +16,6 @@ Journal's indexes surface exactly those collisions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -27,26 +26,7 @@ __all__ = [
     "GatewayRecord",
     "SubnetRecord",
     "Observation",
-    "ensure_record_ids_above",
-    "next_record_id",
 ]
-
-_record_ids = itertools.count(1)
-
-
-def next_record_id() -> int:
-    return next(_record_ids)
-
-
-def ensure_record_ids_above(minimum: int) -> None:
-    """Advance the process-global id allocator past *minimum*.
-
-    A journal loaded from disk keeps the record ids it was saved with;
-    in a fresh process the counter restarts at 1, so without this bump
-    newly created records could collide with loaded ones."""
-    global _record_ids
-    probe = next(_record_ids)
-    _record_ids = itertools.count(max(probe, minimum + 1))
 
 
 class Quality:
@@ -148,7 +128,8 @@ class _Record:
     FIELDS: Tuple[str, ...] = ()
 
     def __init__(self) -> None:
-        self.record_id = next_record_id()
+        #: assigned by the owning Journal (0 for a detached record)
+        self.record_id = 0
         self.attributes: Dict[str, Attribute] = {}
         self.created_at: Optional[float] = None
         self.last_modified: float = 0.0

@@ -62,11 +62,8 @@ _CLOSE = object()
 #: written directly
 _DIRECT_WRITE_LIMIT = 64 * 1024
 
-#: every plain Journal call's codec, derived as this module loads,
-#: before anything can wrap a Journal method (see wire.JournalCall)
-_JOURNAL_CALLS = {
-    op: wire.JournalCall(op) for op, spec in wire.OPS.items() if spec.reply is not None
-}
+#: every Journal call's codec, derived as this module loads
+_JOURNAL_CALLS = wire.journal_calls()
 
 
 def _log_detached_failure(future) -> None:

@@ -98,8 +98,8 @@ _TO_DICT = {
 
 
 def _comparable(value):
-    """A result with record ids dropped: equal journals mint equal
-    records under different process-wide ids."""
+    """A result in comparable form.  Record ids stay: equal journals
+    mint equal records under equal ids (each Journal owns its ids)."""
     if isinstance(value, tuple):
         return tuple(_comparable(item) for item in value)
     if isinstance(value, list):
@@ -109,9 +109,7 @@ def _comparable(value):
     if isinstance(value, JournalChanges):
         return wire.changes_to_dict(value)
     if type(value) in _TO_DICT:
-        data = _TO_DICT[type(value)](value)
-        data.pop("record_id")
-        return data
+        return _TO_DICT[type(value)](value)
     return value
 
 

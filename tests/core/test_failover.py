@@ -11,6 +11,7 @@ and partitions against real processes — lives in
 """
 
 import contextlib
+import shutil
 import socket
 import time
 
@@ -326,6 +327,53 @@ class TestStandbyReplica:
             with RemoteClient(sh, sp) as client:
                 _record, changed = client.resolve(obs(1))
                 assert changed
+
+    def test_absorbing_standby_checkpoints_and_loses_no_acked_write(
+        self, server, tmp_path
+    ):
+        # A standby writes only absorbs.  They are WAL-logged like any
+        # write, so they count toward its checkpoint policy, and after
+        # promotion a crash (its directory copied without close()) loses
+        # neither what it replicated nor what it acknowledged since.
+        host, port = server.address
+        with RemoteClient(host, port) as client:
+            members = [client.resolve(obs(index))[0] for index in range(6)]
+            gateway, _ = client.ensure_gateway(
+                source="t", name="gw-1",
+                interface_ids=[record.record_id for record in members[:2]],
+            )
+            client.link_gateway_subnet(gateway.record_id, "10.40.0.0/24", source="t")
+            revision = client.revision()
+        store = JournalStore(
+            str(tmp_path / "standby"), fsync="never", checkpoint_ops=4,
+            checkpoint_bytes=None, checkpoint_age=None,
+        )
+        standby = StandbyReplica(
+            (host, port), store=store, poll_interval=0.05,
+            server_options={"checkpoint_poll": 0.05},
+        )
+        with standby:
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and (
+                standby.replicated_revision < revision
+                or standby.journal.counts()["wal_checkpoints"] < 1
+            ):
+                time.sleep(0.02)
+            assert standby.replicated_revision >= revision
+            assert standby.journal.counts()["wal_checkpoints"] >= 1
+            standby.promote()
+            sh, sp = standby.address
+            with RemoteClient(sh, sp) as client:
+                client.resolve(obs(99))  # acknowledged by the new primary
+            with standby.server.dispatcher.rwlock.write_locked():
+                shutil.copytree(tmp_path / "standby", tmp_path / "crashed")
+            promoted = standby.journal.identity_state()
+        recovered_store = JournalStore(str(tmp_path / "crashed"))
+        recovered = recovered_store.recover()
+        assert recovered.identity_state() == promoted
+        assert len(recovered.gateways) == 1 and len(recovered.interfaces) == 7
+        recovered_store.close(checkpoint=False)
+        store.close()
 
     def test_standby_adopts_primary_epoch(self, server):
         host, port = server.address

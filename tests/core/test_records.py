@@ -3,6 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.journal import Journal
 from repro.core.records import (
     Attribute,
     GatewayRecord,
@@ -102,8 +103,16 @@ class TestInterfaceRecord:
         assert record.gateway_id is None
 
     def test_record_ids_unique(self):
-        a, b = InterfaceRecord(), InterfaceRecord()
-        assert a.record_id != b.record_id
+        # Ids are the owning Journal's: unique across its records of
+        # every kind, and never the 0 a detached record carries.
+        journal = Journal()
+        a, _ = journal.submit(Observation(source="x", ip="10.0.0.1"))
+        b, _ = journal.submit(Observation(source="x", ip="10.0.0.2"))
+        gateway, _ = journal.ensure_gateway(source="x", interface_ids=[a.record_id])
+        subnet, _ = journal.ensure_subnet("10.0.0.0/24", source="x")
+        ids = [a.record_id, b.record_id, gateway.record_id, subnet.record_id]
+        assert len(set(ids)) == 4 and 0 not in ids
+        assert InterfaceRecord().record_id == 0
 
     def test_describe_mentions_key_fields(self):
         record = InterfaceRecord()
