@@ -18,7 +18,6 @@ from typing import Dict, Optional, Tuple
 from ...netsim.addresses import MacAddress, vendor_for_mac
 from ...netsim.nic import Nic
 from ...netsim.packet import ArpOp, ArpPacket, EthernetFrame
-from ...netsim.segment import TapHandle
 from ..records import Observation
 from .base import PassiveExplorerModule, RunResult
 
@@ -37,34 +36,20 @@ class ArpWatch(PassiveExplorerModule):
     REVERIFY_INTERVAL = 600.0
 
     def __init__(self, node, journal, *, nic: Optional[Nic] = None) -> None:
-        super().__init__(node, journal)
-        self.nic = nic or node.primary_nic()
-        self._tap: Optional[TapHandle] = None
-        self._result: Optional[RunResult] = None
+        super().__init__(node, journal, nic=nic)
         #: (ip, mac) -> last time reported to the Journal
         self._reported: Dict[Tuple[str, str], float] = {}
         self.pairs_seen = 0
 
     # ------------------------------------------------------------------
 
-    def start(self) -> None:
-        if self._tap is not None:
-            raise RuntimeError("ARPwatch already running")
-        self._result = self._begin()
+    def _reset(self) -> None:
         self._reported.clear()
-        self._tap = self.nic.open_tap(self._on_frame)
 
-    def stop(self) -> RunResult:
-        if self._tap is None or self._result is None:
-            raise RuntimeError("ARPwatch not running")
-        self._tap.close()
-        self._tap = None
-        result = self._result
-        self._result = None
+    def _report(self, result: RunResult) -> None:
         distinct_ips = {ip for ip, _mac in self._reported}
         result.discovered["interfaces"] = len(distinct_ips)
         result.discovered["pairs"] = len(self._reported)
-        return self._finish(result)
 
     # ------------------------------------------------------------------
 

@@ -17,7 +17,9 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ...netsim.nic import Nic
 from ...netsim.node import Node
+from ...netsim.segment import TapHandle
 from ...netsim.sim import Simulator
 from ..records import InterfaceRecord, Observation
 from ..sink import BatchingSink
@@ -195,23 +197,50 @@ class ExplorerModule(abc.ABC):
 
 
 class PassiveExplorerModule(ExplorerModule):
-    """Modules that quietly observe (ARPwatch, RIPwatch).
+    """Modules that quietly observe one segment through a NIT tap
+    (ARPwatch, RIPwatch, GDPwatch, TrafficWatch).
 
     They are started, left running while the simulation advances, and
     stopped; :meth:`run` provides the convenience "watch for N seconds"
-    form the Discovery Manager uses.
+    form the Discovery Manager uses.  A subclass decodes what the tap
+    sees in ``_on_frame`` and reports its findings in ``_report``.
     """
 
     active = False
     requires_privilege = True  # NIT taps need system privileges
 
-    @abc.abstractmethod
+    def __init__(self, node: Node, journal, *, nic: Optional[Nic] = None) -> None:
+        super().__init__(node, journal)
+        self.nic = nic or node.primary_nic()
+        self._tap: Optional[TapHandle] = None
+        #: the watch in progress (None while stopped)
+        self._result: Optional[RunResult] = None
+
     def start(self) -> None:
         """Open the tap and begin observing."""
+        if self._tap is not None:
+            raise RuntimeError(f"{self.name} already running")
+        self._result = self._begin()
+        self._reset()
+        self._tap = self.nic.open_tap(self._on_frame)
 
-    @abc.abstractmethod
     def stop(self) -> RunResult:
         """Close the tap and flush findings to the Journal."""
+        if self._tap is None or self._result is None:
+            raise RuntimeError(f"{self.name} not running")
+        self._tap.close()
+        self._tap = None
+        result, self._result = self._result, None
+        self._report(result)
+        return self._finish(result)
+
+    @abc.abstractmethod
+    def _reset(self) -> None:
+        """Forget the previous watch's findings."""
+
+    @abc.abstractmethod
+    def _report(self, result: RunResult) -> None:
+        """Report the watch's findings to the Journal and into *result*."""
 
     def run(self, *, duration: float = 1800.0, **directive: Any) -> RunResult:
         """Watch the attached segment for *duration* simulated seconds."""

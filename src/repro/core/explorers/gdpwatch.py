@@ -14,7 +14,6 @@ from ...netsim.addresses import Ipv4Address, vendor_for_mac
 from ...netsim.gdp import GDP_PORT
 from ...netsim.nic import Nic
 from ...netsim.packet import EthernetFrame, Ipv4Packet, UdpDatagram
-from ...netsim.segment import TapHandle
 from ..records import Observation
 from .base import PassiveExplorerModule, RunResult
 
@@ -30,27 +29,14 @@ class GdpWatch(PassiveExplorerModule):
     outputs = "Gateway interfaces (with priority)"
 
     def __init__(self, node, journal, *, nic: Optional[Nic] = None) -> None:
-        super().__init__(node, journal)
-        self.nic = nic or node.primary_nic()
-        self._tap: Optional[TapHandle] = None
-        self._result: Optional[RunResult] = None
+        super().__init__(node, journal, nic=nic)
         #: gateway ip -> (mac, priority)
         self._gateways: Dict[Ipv4Address, tuple] = {}
 
-    def start(self) -> None:
-        if self._tap is not None:
-            raise RuntimeError("GDPwatch already running")
-        self._result = self._begin()
+    def _reset(self) -> None:
         self._gateways.clear()
-        self._tap = self.nic.open_tap(self._on_frame)
 
-    def stop(self) -> RunResult:
-        if self._tap is None or self._result is None:
-            raise RuntimeError("GDPwatch not running")
-        self._tap.close()
-        self._tap = None
-        result = self._result
-        self._result = None
+    def _report(self, result: RunResult) -> None:
         for ip, (mac, _priority) in sorted(self._gateways.items()):
             record = self.report_resolved(
                 result,
@@ -65,7 +51,6 @@ class GdpWatch(PassiveExplorerModule):
                 source=self.name, interface_ids=[record.record_id]
             )
         result.discovered["gateways"] = len(self._gateways)
-        return self._finish(result)
 
     def _on_frame(self, frame: EthernetFrame, now: float) -> None:
         if not isinstance(frame.payload, Ipv4Packet):

@@ -21,7 +21,6 @@ from typing import Dict, Optional, Set, Tuple
 from ...netsim.addresses import Ipv4Address, MacAddress, Subnet, vendor_for_mac
 from ...netsim.nic import Nic
 from ...netsim.packet import EthernetFrame, Ipv4Packet, RipCommand, RipPacket
-from ...netsim.segment import TapHandle
 from ..records import Observation, Quality
 from .base import PassiveExplorerModule, RunResult
 
@@ -40,33 +39,16 @@ class RipWatch(PassiveExplorerModule):
     PROMISCUOUS_MIN_ROUTES = 5
 
     def __init__(self, node, journal, *, nic: Optional[Nic] = None) -> None:
-        super().__init__(node, journal)
-        self.nic = nic or node.primary_nic()
-        self._tap: Optional[TapHandle] = None
-        self._result: Optional[RunResult] = None
+        super().__init__(node, journal, nic=nic)
         #: source ip -> {advertised address: best metric seen}
         self._routes_by_source: Dict[Ipv4Address, Dict[Ipv4Address, int]] = {}
         self._mac_by_source: Dict[Ipv4Address, MacAddress] = {}
 
     # ------------------------------------------------------------------
 
-    def start(self) -> None:
-        if self._tap is not None:
-            raise RuntimeError("RIPwatch already running")
-        self._result = self._begin()
+    def _reset(self) -> None:
         self._routes_by_source.clear()
         self._mac_by_source.clear()
-        self._tap = self.nic.open_tap(self._on_frame)
-
-    def stop(self) -> RunResult:
-        if self._tap is None or self._result is None:
-            raise RuntimeError("RIPwatch not running")
-        self._tap.close()
-        self._tap = None
-        result = self._result
-        self._result = None
-        self._flush(result)
-        return self._finish(result)
 
     # ------------------------------------------------------------------
 
@@ -133,7 +115,7 @@ class RipWatch(PassiveExplorerModule):
                 return False
         return True
 
-    def _flush(self, result: RunResult) -> None:
+    def _report(self, result: RunResult) -> None:
         subnets: Set[Subnet] = set()
         networks: Set[Subnet] = set()
         hosts: Set[Ipv4Address] = set()

@@ -29,7 +29,6 @@ from ...netsim.packet import (
     UDP_ECHO_PORT,
     UdpDatagram,
 )
-from ...netsim.segment import TapHandle
 from ..records import Observation
 from .base import PassiveExplorerModule, RunResult
 
@@ -55,31 +54,18 @@ class TrafficWatch(PassiveExplorerModule):
     outputs = "Communicating intfs.; services per host"
 
     def __init__(self, node, journal, *, nic: Optional[Nic] = None) -> None:
-        super().__init__(node, journal)
-        self.nic = nic or node.primary_nic()
-        self._tap: Optional[TapHandle] = None
-        self._result: Optional[RunResult] = None
+        super().__init__(node, journal, nic=nic)
         #: ip -> mac for frames sourced on this wire
         self._talkers: Dict[Ipv4Address, MacAddress] = {}
         #: (ip, service name) pairs observed answering
         self.services: Set[Tuple[Ipv4Address, str]] = set()
         self.frames_decoded = 0
 
-    def start(self) -> None:
-        if self._tap is not None:
-            raise RuntimeError("TrafficWatch already running")
-        self._result = self._begin()
+    def _reset(self) -> None:
         self._talkers.clear()
         self.services.clear()
-        self._tap = self.nic.open_tap(self._on_frame)
 
-    def stop(self) -> RunResult:
-        if self._tap is None or self._result is None:
-            raise RuntimeError("TrafficWatch not running")
-        self._tap.close()
-        self._tap = None
-        result = self._result
-        self._result = None
+    def _report(self, result: RunResult) -> None:
         local = self.nic.subnet
         for ip, mac in sorted(self._talkers.items()):
             # Frames from beyond the gateway carry the gateway's MAC;
@@ -94,7 +80,6 @@ class TrafficWatch(PassiveExplorerModule):
         result.discovered["interfaces"] = len(self._talkers)
         result.discovered["services"] = len(self.services)
         result.discovered["service_hosts"] = len({ip for ip, _s in self.services})
-        return self._finish(result)
 
     def _on_frame(self, frame: EthernetFrame, now: float) -> None:
         if not isinstance(frame.payload, Ipv4Packet):

@@ -107,9 +107,6 @@ class ZoneDatabase:
     def addresses_for(self, name: str) -> List[Ipv4Address]:
         return list(self.forward.get(name, []))
 
-    def all_addresses(self) -> List[Ipv4Address]:
-        return sorted(self.reverse)
-
     # ------------------------------------------------------------------
     # Zone construction
     # ------------------------------------------------------------------

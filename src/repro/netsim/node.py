@@ -175,12 +175,6 @@ class Node:
     def local_ips(self) -> List[Ipv4Address]:
         return [nic.ip for nic in self.nics]
 
-    def nic_for_ip(self, ip: Ipv4Address) -> Optional[Nic]:
-        for nic in self.nics:
-            if nic.ip == ip:
-                return nic
-        return None
-
     def nic_toward(self, dst: Ipv4Address) -> Optional[Nic]:
         """The interface whose subnet contains *dst*, if any."""
         for nic in self.nics:
