@@ -90,8 +90,6 @@ SEGMENT_MAGIC = b"FWAL0001"
 
 #: frame header: payload length + CRC32 of the payload, big-endian
 _FRAME_HEADER = struct.Struct(">II")
-#: the payload encoder, made once (``json.dumps`` would make one per call)
-_PAYLOAD = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 #: a declared payload length beyond this is treated as corruption, not
 #: as an instruction to allocate gigabytes for a garbage length field
@@ -135,15 +133,17 @@ def _fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: str, data: bytes, *, fsync: bool = True) -> None:
-    """Write *data* to *path* via temp file + ``os.replace`` so readers
-    (and crash recovery) only ever see the old content or the new —
-    never a truncated hybrid."""
+def atomic_write_bytes(path: str, *parts: bytes, fsync: bool = True) -> None:
+    """Write *parts*, one after another, to *path* via temp file +
+    ``os.replace`` so readers (and crash recovery) only ever see the old
+    content or the new — never a truncated hybrid.  Parts are written
+    as they are, never joined into one more copy."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp_path, "wb") as handle:
-            handle.write(data)
+            for part in parts:
+                handle.write(part)
             handle.flush()
             if fsync:
                 os.fsync(handle.fileno())
@@ -163,8 +163,7 @@ def atomic_write_json(path: str, document: Any, *, fsync: bool = False) -> None:
     (indent=1, sorted keys) — the torn-write-proof replacement for the
     old open/``json.dump`` in ``Journal.save`` and
     ``DiscoveryManager.save_state``."""
-    text = json.dumps(document, indent=1, sort_keys=True)
-    atomic_write_bytes(path, text.encode("utf-8"), fsync=fsync)
+    atomic_write_bytes(path, wire.encode_document(document), fsync=fsync)
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +173,7 @@ def atomic_write_json(path: str, document: Any, *, fsync: bool = False) -> None:
 
 def encode_frame(entry: Dict[str, Any]) -> bytes:
     """One length-prefixed, CRC32-framed WAL record."""
-    payload = _PAYLOAD.encode(entry).encode("utf-8")
+    payload = wire.encode_json(entry, sort_keys=True)
     return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -720,9 +719,7 @@ class JournalStore:
             # Count the checkpoint before serialising so the snapshot's
             # own counters include it.
             journal.count(wal_checkpoints=1)
-            body = json.dumps(
-                journal.to_dict(), separators=(",", ":"), sort_keys=True
-            ).encode("utf-8")
+            body = wire.encode_json(journal.to_dict(), sort_keys=True)
             next_segment = self._segment_seq + 1
             header = {
                 "format": _CHECKPOINT_FORMAT,
@@ -731,10 +728,10 @@ class JournalStore:
                 "wal_seg": next_segment,
                 "next_seq": self._next_seq,
             }
-            header_line = json.dumps(header, separators=(",", ":"), sort_keys=True)
             atomic_write_bytes(
                 self.checkpoint_path,
-                header_line.encode("utf-8") + b"\n" + body,
+                wire.encode_json(header, sort_keys=True, newline=True),
+                body,
                 fsync=True,
             )
             # The snapshot is durable; rotate, then prune superseded

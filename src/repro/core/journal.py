@@ -57,6 +57,7 @@ import bisect
 import functools
 import json
 import logging
+import math
 import threading
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -532,7 +533,10 @@ class Journal(DirectSinkMixin):
 
     def replay(self, method: str, arguments: Dict[str, object], at: float) -> None:
         """Apply a logged write again (WAL recovery), at the instant *at*
-        it first ran, without logging it again."""
+        it first ran, without logging it again.  A step clock resumes
+        past *at*, so a later write is stamped after every replayed one."""
+        if at is not None and isinstance(self._clock, _StepClock):
+            self._clock.resume(at)
         self._at = at
         try:
             getattr(self, method)(**arguments)
@@ -1397,7 +1401,11 @@ class Journal(DirectSinkMixin):
 
     @_logged
     def negative_put(self, kind: str, key: str, *, ttl: float) -> None:
-        """Remember that *key* of *kind* is known unavailable until now+ttl."""
+        """Remember that *key* of *kind* is known unavailable until now+ttl.
+        A non-finite *ttl* raises :class:`ValueError` before anything is
+        applied or logged: JSON has no spelling for it."""
+        if not math.isfinite(ttl):
+            raise ValueError(f"negative_put ttl must be finite, got {ttl!r}")
         now = self.now
         self._negative[(kind, key)] = now + ttl
         if len(self._negative) >= self._negative_sweep_at:
@@ -1631,3 +1639,7 @@ class _StepClock:
     def __call__(self) -> float:
         self._tick += 1.0
         return self._tick
+
+    def resume(self, at: float) -> None:
+        """Read past *at* from now on (a loaded or replayed instant)."""
+        self._tick = max(self._tick, at)

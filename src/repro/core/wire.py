@@ -33,8 +33,11 @@ import socket
 import time
 import typing
 from typing import (
-    Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+    Any, Callable, Dict, FrozenSet, List, NamedTuple, NoReturn, Optional, Sequence,
+    Tuple,
 )
+
+import orjson
 
 from .records import (
     Attribute,
@@ -80,6 +83,8 @@ __all__ = [
     "journal_calls",
     "journal_to_dict",
     "journal_from_dict",
+    "encode_document",
+    "encode_json",
     "encode_message",
     "decode_message",
     "replica_info_to_dict",
@@ -1049,7 +1054,7 @@ def journal_from_dict(data: Dict[str, Any], clock: Optional[Callable[[], float]]
             ),
             default=0.0,
         )
-        journal._clock._tick = max(journal._clock._tick, newest)
+        journal._clock.resume(newest)
     return journal
 
 
@@ -1058,14 +1063,57 @@ def journal_from_dict(data: Dict[str, Any], clock: Optional[Callable[[], float]]
 # ----------------------------------------------------------------------
 
 
+#: orjson writes what the stdlib writes: string keys, and no dataclass
+#: or datetime the stdlib would refuse
+_ORJSON_OPTION = (
+    orjson.OPT_NON_STR_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME
+)
+
+
+def encode_json(value: Any, *, sort_keys: bool = False, newline: bool = False) -> bytes:
+    """*value* as compact UTF-8 JSON: the one encoder of frames, WAL
+    records and checkpoints.  Non-ASCII text is written raw, not
+    ``\\u``-escaped, and non-string keys become strings as the
+    stdlib makes them.  orjson refuses what the stdlib writes — an
+    integer beyond 64 bits, a lone surrogate, a tuple subclass — so
+    such a value alone goes through the stdlib and reads back as the
+    same JSON value.  What the stdlib refuses (a dataclass, a datetime,
+    a set) is refused here too, with :class:`TypeError`.
+    """
+    option = _ORJSON_OPTION
+    if sort_keys:
+        option |= orjson.OPT_SORT_KEYS
+    if newline:
+        option |= orjson.OPT_APPEND_NEWLINE
+    try:
+        return orjson.dumps(value, option=option)
+    except orjson.JSONEncodeError:
+        text = json.dumps(value, separators=(",", ":"), sort_keys=sort_keys)
+    return (text + "\n" if newline else text).encode("utf-8")
+
+
+def encode_document(document: Any) -> bytes:
+    """A saved document (``Journal.save``, the Discovery Manager's
+    state, the fencing epoch): indented, sorted JSON, made to be read
+    by people as well as loaded."""
+    return json.dumps(document, indent=1, sort_keys=True).encode("utf-8")
+
+
 def encode_message(message: Dict[str, Any]) -> bytes:
     """One protocol message: compact JSON plus a newline terminator."""
-    return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
+    return encode_json(message, newline=True)
+
+
+def _non_finite(constant: str) -> NoReturn:
+    raise WireError(f"non-finite number {constant} is not JSON")
 
 
 def decode_message(line: bytes) -> Dict[str, Any]:
+    """One protocol message.  ``NaN`` and ``Infinity`` are refused: the
+    encoder writes neither, and a write holding one would log a record
+    that could not replay."""
     try:
-        message = json.loads(line.decode("utf-8"))
+        message = json.loads(line.decode("utf-8"), parse_constant=_non_finite)
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise WireError(f"malformed message: {error}") from None
     if not isinstance(message, dict):
