@@ -48,14 +48,15 @@ __all__ = [
     "RemoteClient",
     "RemoteChangeFeed",
     "QueryCache",
-    "PendingPull",
     "PendingReply",
     "ReplyTimeout",
+    "begin_call",
     "connect",
     "parse_targets",
     "parse_replica_targets",
     "format_targets",
     "format_replica_targets",
+    "scatter",
 ]
 
 
@@ -249,20 +250,6 @@ class _BatchReply:
         except ConnectionError:
             self._reply = self._park()
             return self._reply
-
-
-class PendingPull:
-    """Handle for a ``pull`` sent with :meth:`RemoteClient.begin_pull`:
-    :meth:`wait` returns the decoded ``(revision, interfaces, gateways,
-    members, subnets)`` tuple and raises like :meth:`PendingReply.wait`."""
-
-    __slots__ = ("_reply",)
-
-    def __init__(self, reply: PendingReply) -> None:
-        self._reply = reply
-
-    def wait(self, timeout: Optional[float] = -1.0):
-        return _JOURNAL_CALLS["pull"].result(self._reply.wait(timeout))
 
 
 class RemoteClient(query_module.NamedReads):
@@ -784,11 +771,6 @@ class RemoteClient(query_module.NamedReads):
 
     # -- queries --------------------------------------------------------------
 
-    def begin_pull(self, since: int, where=None) -> PendingPull:
-        """Send a ``pull`` without waiting for it: a router starts one
-        on every shard before it waits on any."""
-        return PendingPull(self.begin(_JOURNAL_CALLS["pull"].request((since, where), {})))
-
     def metrics(self, *, spans: int = 50) -> Dict[str, Any]:
         """The server registry's snapshot (the ``metrics`` wire op):
         metric families with values/buckets plus recent spans.  This is
@@ -910,6 +892,65 @@ def _remote_method(op: str) -> Callable:
 
 install_op_methods(LocalClient, _plain_call(_local_method))
 install_op_methods(RemoteClient, _plain_call(_remote_method))
+
+
+# ---------------------------------------------------------------------------
+# fan-out: one call started on many clients
+# ---------------------------------------------------------------------------
+
+
+class _Started:
+    """A call :func:`begin_call` started: ``wait()`` gives its result."""
+
+    __slots__ = ("wait",)
+
+    def __init__(self, wait: Callable[[], Any]) -> None:
+        self.wait = wait
+
+
+def begin_call(client, name: str, *args: Any, **kwargs: Any) -> _Started:
+    """Start ``client.<name>(*args, **kwargs)``.  On a
+    :class:`RemoteClient` a plain Journal call is only sent here (its
+    handle's ``wait()`` decodes the reply and raises like
+    :meth:`PendingReply.wait`), so a caller can start it on several
+    servers before it waits on any; any other client or method answers
+    before this returns."""
+    call = _JOURNAL_CALLS.get(name)
+    if isinstance(client, RemoteClient) and call is not None and call.spec.reply is not None:
+        reply = client.begin(call.request(args, kwargs))
+        return _Started(lambda: call.result(reply.wait()))
+    answer = getattr(client, name)(*args, **kwargs)
+    return _Started(lambda: answer)
+
+
+def scatter(starters: Sequence[Callable[[], Any]]) -> Tuple[List[Any], List[int], Any]:
+    """Start every call (each starter returns a :func:`begin_call`
+    handle), then wait on every one that started, so a failure never
+    leaves an unread reply on a connection.
+
+    Returns ``(answers, missing, failure)``: the results by starter
+    index (None where none arrived), the sorted indexes whose client was
+    unreachable, and the first other error (a server error reply or a
+    payload the codec rejected), for the caller to raise."""
+    started = []
+    missing: List[int] = []
+    failure: Optional[Exception] = None
+    for index, start in enumerate(starters):
+        try:
+            started.append((index, start()))
+        except (ConnectionError, TimeoutError):
+            missing.append(index)
+        except (RuntimeError, ValueError) as error:
+            failure = failure or error
+    answers: List[Any] = [None] * len(starters)
+    for index, pending in started:
+        try:
+            answers[index] = pending.wait()
+        except (ConnectionError, TimeoutError):
+            missing.append(index)
+        except (RuntimeError, ValueError) as error:
+            failure = failure or error
+    return answers, sorted(missing), failure
 
 
 class RemoteChangeFeed:

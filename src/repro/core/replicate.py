@@ -58,15 +58,16 @@ dropped silently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from .client import LocalClient, begin_call, scatter
+from .journal import Journal
 from .query import NamedReads, Predicate
 from .telemetry import MetricsRegistry
 
-__all__ = [
-    "JournalReplicator", "SyncStats", "FederatedView", "begin_pull", "gather_pulls",
-]
+__all__ = ["JournalReplicator", "SyncStats", "FederatedView"]
 
 
 @dataclass
@@ -151,10 +152,11 @@ class JournalReplicator:
             return method(*args)
 
     def begin_sync(self, *, full: bool = False):
-        """Send this pass's ``pull`` without waiting for the answer; its
-        handle's ``wait()`` gives what :meth:`absorb` takes."""
-        return begin_pull(
-            self.source, 0 if full else self.last_revision, self.where
+        """Start this pass's ``pull`` (see
+        :func:`~repro.core.client.begin_call`); its handle's ``wait()``
+        gives what :meth:`absorb` takes."""
+        return begin_call(
+            self.source, "pull", 0 if full else self.last_revision, self.where
         )
 
     def absorb(self, pulled) -> SyncStats:
@@ -212,59 +214,6 @@ class JournalReplicator:
         return self.absorb(self.begin_sync(full=full).wait())
 
 
-def begin_pull(source, since: int, where: Optional[Predicate] = None):
-    """Start ``source.pull(since, where)`` and return a handle whose
-    ``wait()`` gives its answer.  A client that pipelines
-    (``begin_pull``) only sends the request here; any other source
-    answers before this returns."""
-    begin = getattr(source, "begin_pull", None)
-    if begin is not None:
-        return begin(since, where)
-    return _Pulled(source.pull(since, where))
-
-
-def gather_pulls(starters: List[Callable[[], Any]]):
-    """Start every pull (each starter returns a :func:`begin_pull`
-    handle), then wait on every one that started — so a failure never
-    leaves an unread reply on a connection.
-
-    Returns ``(answers, lost, failure)``: the pulled tuples by starter
-    index (None where none arrived), the sorted indexes whose source was
-    unreachable, and the first other error (a server error reply or a
-    payload the codec rejected), for the caller to raise."""
-    started = []
-    lost: List[int] = []
-    failure: Optional[Exception] = None
-    for index, start in enumerate(starters):
-        try:
-            started.append((index, start()))
-        except (ConnectionError, TimeoutError):
-            lost.append(index)
-        except (RuntimeError, ValueError) as error:
-            failure = failure or error
-    answers: List[Any] = [None] * len(starters)
-    for index, pending in started:
-        try:
-            answers[index] = pending.wait()
-        except (ConnectionError, TimeoutError):
-            lost.append(index)
-        except (RuntimeError, ValueError) as error:
-            failure = failure or error
-    return answers, sorted(lost), failure
-
-
-class _Pulled:
-    """An answered pull behind the ``wait()`` of a pipelined one."""
-
-    __slots__ = ("_pulled",)
-
-    def __init__(self, pulled) -> None:
-        self._pulled = pulled
-
-    def wait(self):
-        return self._pulled
-
-
 class FederatedView(NamedReads):
     """Read-only aggregate over a sharded fleet.
 
@@ -295,9 +244,6 @@ class FederatedView(NamedReads):
         clock: Optional[Callable[[], float]] = None,
         where: Optional[Predicate] = None,
     ) -> None:
-        from .client import LocalClient
-        from .journal import Journal
-
         clients = getattr(shards, "clients", None)
         self.clients: List[Any] = list(clients if clients is not None else shards)
         if not self.clients:
@@ -328,8 +274,8 @@ class FederatedView(NamedReads):
         so a refresh costs one round trip, not one per shard.  Any other
         error is raised once every started pull has been waited on, and
         then nothing is absorbed: every cursor stays put."""
-        answers, stale, failure = gather_pulls([
-            lambda replicator=replicator: replicator.begin_sync(full=full)
+        answers, stale, failure = scatter([
+            functools.partial(replicator.begin_sync, full=full)
             for replicator in self.replicators
         ])
         total = SyncStats()

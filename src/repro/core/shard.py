@@ -11,13 +11,19 @@ across *N* shards behind an explicit routing layer:
   identity matching local); records with no IP fall back to a stable
   hash of their MAC or DNS name.  The map is versioned so clients and
   servers can verify they agree in the ``shard_info`` wire handshake.
-* :class:`ShardedClient` — the scatter-gather router.  It implements
-  the full :class:`~repro.core.sink.ObservationSink` + query/feed
-  client surface: writes go to the owning shard, reads fan out to all
-  shards and merge in ``(last_modified, record_id)`` order (each shard
-  already returns that order, so the merge preserves the single-journal
-  contract), and change feeds compose per-shard revision cursors into a
-  :class:`VectorCursor`.
+* :class:`ShardedClient` — the router, with the full
+  :class:`~repro.core.sink.ObservationSink` + query/feed client
+  surface.  Its op methods are derived from the ``route`` column of
+  :data:`~repro.core.wire.OPS`, so an op is one Journal method plus one
+  table row.  Derived policies: ``place:<key>`` (the one shard the key
+  argument maps to), ``owner`` (the one shard holding every answer,
+  else as ``scatter``), ``scatter`` (every shard, answers merged:
+  records in ``(last_modified, record_id)`` order, numbers and counts
+  summed), ``vector`` (each shard at its :class:`VectorCursor`
+  component), ``gather`` (answers listed) and ``view`` (the router's
+  aggregate).  Hand-written: ``anchored`` (gateway writes),
+  ``partition`` (batched ingest), ``aggregate`` (a detached snapshot)
+  and ``router`` (the handshake).
 * :class:`ShardedChangeFeed` — the composed change feed.
 
 Record ids crossing the router are *globalized*: shard-local id ``r``
@@ -35,23 +41,30 @@ IP lands on two shards where a single Journal would have matched them;
 the aggregate view (:class:`~repro.core.replicate.FederatedView`)
 re-merges such split identities by identity key.
 
-Degradation contract: a scatter-gather read that cannot reach a shard
-returns what the live shards had and sets :attr:`ShardedClient.partial`
-(and lists :attr:`ShardedClient.missing_shards`); routed writes inherit
-:class:`~repro.core.client.RemoteClient` reconnect-with-replay.
+Degradation contract: every fan-out starts its call on every shard
+before it waits on any, and one rule handles a shard it cannot reach
+(:meth:`ShardedClient._scatter`): the shard is marked down and
+:attr:`ShardedClient.partial` set; a read whose answer can say it is
+partial (a merged record list, a delta marked incomplete, a topology
+answer) answers from the live shards, and any other raises.  Routed
+writes inherit :class:`~repro.core.client.RemoteClient`
+reconnect-with-replay.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
+import inspect
 import zlib
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import query as query_module
 from . import wire
-from .client import LocalClient
+from .client import LocalClient, begin_call, install_op_methods, scatter
 from .journal import Journal, JournalChanges
 from .records import GatewayRecord, InterfaceRecord, Observation, SubnetRecord
+from .replicate import FederatedView
 from .sink import FlushStats, ObservationSink
 from .telemetry import MetricsRegistry
 
@@ -316,8 +329,9 @@ class VectorCursor:
 
 def _normalize_cursor(since: Any, shards: int) -> List[int]:
     """A per-shard revision list from whatever cursor form a caller
-    holds.  A scalar is only meaningful at 0 (start of history): a
-    non-zero sum cannot be split back into per-shard positions."""
+    holds (a ``changes_since`` or ``pull`` cursor).  A scalar is only
+    meaningful at 0 (start of history): a non-zero sum cannot be split
+    back into per-shard positions."""
     if since is None:
         return [0] * shards
     if isinstance(since, VectorCursor):
@@ -331,7 +345,8 @@ def _normalize_cursor(since: Any, shards: int) -> List[int]:
             raise ValueError(
                 "a sharded cursor must be a VectorCursor (or 0 for the "
                 f"start of history); the scalar {since} cannot be split "
-                "into per-shard positions"
+                "into per-shard positions, so an incremental pull or "
+                "changes_since needs the vector"
             )
         return [0] * shards
     else:
@@ -459,23 +474,20 @@ class ShardedClient(query_module.NamedReads):
     :class:`~repro.core.client.LocalClient` or
     :class:`~repro.core.client.RemoteClient` — a BatchingSink, an
     explorer, the correlator's feed, the CLI — can take the router
-    instead.  Writes route to the owning shard per the
-    :class:`ShardMap`, and so do interface reads by one IP or by an IP
-    range inside one network; reads that cannot be routed (by-MAC
-    lookups, ranges that cross networks, other predicates, dumps) fan
-    out to every shard and merge in ``(last_modified, record_id)``
-    order.
+    instead.  Its op methods are derived from the ``route`` column of
+    :data:`~repro.core.wire.OPS` (see :func:`_route`); the rest — the
+    gateway writes, batched ingest, snapshot and handshake — is
+    written out here.
 
     Record ids on this surface are *global* ids; id-taking operations
     decode them back to the owning shard.  Gateways whose members span
     shards are kept as per-shard fragments (same name) and re-merged by
     the aggregate view — the router never moves records across shards.
 
-    On a scatter-gather read, an unreachable shard (its client's
-    reconnect loop exhausted) does not fail the fan-out: the merged
-    result covers the live shards and :attr:`partial` is set (with the
-    dead shard indexes in :attr:`missing_shards`) until the next
-    fully-answered read.  Routed single-shard operations raise
+    A fan-out that cannot reach a shard sets :attr:`partial` (listing
+    the shard in :attr:`missing_shards`) until the next complete one;
+    see :meth:`_scatter` for when it answers from the live shards and
+    when it raises.  Routed single-shard operations raise
     :class:`ConnectionError` as a plain client would.
     """
 
@@ -499,10 +511,10 @@ class ShardedClient(query_module.NamedReads):
                 f"shard map covers {self.shard_map.shards} shards but "
                 f"{len(self.clients)} clients were given"
             )
-        #: True while the most recent scatter-gather read was missing
-        #: at least one shard (cleared by the next complete read)
+        #: True while the most recent fan-out was missing at least one
+        #: shard (cleared by the next complete one)
         self.partial = False
-        #: shard indexes the last scatter-gather read could not reach
+        #: shard indexes the last fan-out could not reach
         self.missing_shards: List[int] = []
         self.telemetry = MetricsRegistry()
         self._c_scatter = self.telemetry.counter(
@@ -517,11 +529,14 @@ class ShardedClient(query_module.NamedReads):
             "fremont_router_routed_ops_total",
             "Operations routed to a single owning shard",
         )
-        self._g_down = self.telemetry.gauge(
+        down = self.telemetry.gauge(
             "fremont_shard_down",
             "1 while the router considers this shard unreachable",
             labels=("shard",),
         )
+        self._down = [down.labels(shard=str(index)) for index in range(self.shards)]
+        #: the aggregate ``view`` ops answer from, built on first use
+        self._view: Optional[FederatedView] = None
         if check:
             self._verify_shards()
 
@@ -610,6 +625,24 @@ class ShardedClient(query_module.NamedReads):
             keys=set(changes.keys),
         )
 
+    _GLOBALIZERS = {
+        InterfaceRecord: _globalize_interface,
+        GatewayRecord: _globalize_gateway,
+        SubnetRecord: _globalize_subnet,
+        JournalChanges: _globalize_changes,
+    }
+
+    def _globalize(self, value: Any, shard: int) -> Any:
+        """Shard *shard*'s answer as the fleet sees it: the record ids of
+        records and change deltas, and of any tuple or list of them, made
+        global; anything else passes."""
+        globalize = self._GLOBALIZERS.get(type(value))
+        if globalize is not None:
+            return globalize(self, value, shard)
+        if isinstance(value, (tuple, list)):
+            return type(value)(self._globalize(item, shard) for item in value)
+        return value
+
     def _localize_predicate(self, predicate, shard: int):
         """Rewrite global record ids inside a predicate tree to shard
         *shard*'s local id space (ids owned by other shards drop out)."""
@@ -643,39 +676,66 @@ class ShardedClient(query_module.NamedReads):
             )
         return predicate
 
-    # -- scatter-gather plumbing -----------------------------------------
+    # -- routing and fan-out ------------------------------------------------
 
-    def _scatter(self, call: Callable[[Any, int], Any], *, partial_ok: bool = True) -> List[Any]:
-        """Run *call(client, index)* on every shard.  With *partial_ok*
-        an unreachable shard contributes None and flips :attr:`partial`
-        instead of failing the whole read."""
-        self._c_scatter.inc()
-        results: List[Any] = []
-        missing: List[int] = []
+    def _routed(self, shard: int, name: str, args: Sequence[Any], kwargs: Dict[str, Any]) -> Any:
+        """``name`` on the one shard that owns the call.  A shard it
+        cannot reach is marked down and the call raises, as on a plain
+        client."""
+        self._c_routed.inc()
+        try:
+            answer = getattr(self.clients[shard], name)(*args, **kwargs)
+        except ConnectionError:
+            self._down[shard].set(1)
+            raise
+        self._down[shard].set(0)
+        return self._globalize(answer, shard)
+
+    def _scatter(self, name: str, bound: inspect.BoundArguments, *, partial: bool) -> List[Any]:
+        """The one fan-out: ``name`` on every shard, every call started
+        before any is waited on (:func:`~repro.core.client.scatter`),
+        with ``where`` localized to each shard's record ids and ``since``
+        split into each shard's component of a vector cursor.  Returns
+        the globalized answers in shard order.
+
+        The down-shard rule: an unreachable shard is noted
+        (:meth:`_note_down`).  When the answer can say it is *partial* —
+        a merged record list, a change delta marked incomplete — that
+        shard's answer is None; otherwise (a full pull, totals, metrics)
+        the fan-out raises :class:`ConnectionError`.  Any other error is
+        raised once every started call has been waited on."""
+        arguments = bound.arguments
+        where = arguments.get("where")
+        cursor = "since" in arguments and _normalize_cursor(arguments["since"], self.shards)
+        starters = []
         for index, client in enumerate(self.clients):
-            try:
-                results.append(call(client, index))
-            except ConnectionError:
-                if not partial_ok:
-                    raise
-                missing.append(index)
-                results.append(None)
+            if where is not None:
+                arguments["where"] = self._localize_predicate(where, index)
+            if cursor:
+                arguments["since"] = cursor[index]
+            starters.append(
+                functools.partial(begin_call, client, name, *bound.args, **bound.kwargs)
+            )
+        self._c_scatter.inc()
+        answers, missing, failure = scatter(starters)
         self._note_down(missing)
-        if missing:
-            self._c_partial.inc()
-        return results
+        if failure is not None or missing and not partial:
+            raise failure or ConnectionError(f"shards {missing} unreachable: {name} needs all")
+        return [
+            None if answer is None else self._globalize(answer, index)
+            for index, answer in enumerate(answers)
+        ]
 
     def _note_down(self, missing: List[int]) -> None:
-        """Record the down/up view of the fleet after a fan-out: the
-        ``fremont_shard_down`` gauge flips per shard, and the
-        partial-read attributes update for callers that inspect them."""
+        """Record the fleet's down/up view after a fan-out: each shard's
+        ``fremont_shard_down`` gauge, :attr:`partial`,
+        :attr:`missing_shards` and the partial-read counter."""
         self.partial = bool(missing)
         self.missing_shards = missing
-        down = set(missing)
-        for index in range(self.shards):
-            self._g_down.labels(shard=str(index)).set(
-                1 if index in down else 0
-            )
+        for index, gauge in enumerate(self._down):
+            gauge.set(1 if index in missing else 0)
+        if missing:
+            self._c_partial.inc()
 
     @staticmethod
     def _merge_records(per_shard: Iterable[Optional[List[Any]]]) -> List[Any]:
@@ -687,6 +747,47 @@ class ShardedClient(query_module.NamedReads):
         ]
         merged.sort(key=lambda record: (record.last_modified, record.record_id))
         return merged
+
+    def _fold(self, answers: List[Any]) -> Any:
+        """Every shard's answer as one: record lists merged in
+        ``(last_modified, record_id)`` order, numbers and counts summed,
+        tuples column by column."""
+        first = answers[0]
+        if isinstance(first, tuple):
+            return tuple(self._fold(list(column)) for column in zip(*answers))
+        if isinstance(first, list):
+            return self._merge_records(answers)
+        if isinstance(first, dict):
+            return {key: sum(answer[key] for answer in answers) for key in first}
+        return sum(answers)
+
+    def _owner(self, arguments: Dict[str, Any]) -> Optional[int]:
+        """The one shard that holds every answer to an interface query
+        by IP (one address, or a range inside one network), else None."""
+        if query_module.normalize_kind(arguments["kind"]) != "interfaces":
+            return None
+        where = arguments.get("where")
+        if isinstance(where, query_module.IpRange):
+            return self.shard_map.shard_for_range(where.low, where.high)
+        if (
+            isinstance(where, query_module.FieldEquals)
+            and where.field == "ip"
+            and where.value is not None
+        ):
+            return self.shard_map.shard_for_ip(str(where.value))
+        return None
+
+    def _refreshed_view(self) -> FederatedView:
+        """The router's :class:`~repro.core.replicate.FederatedView` of
+        every shard, brought up to date: fragments split across shards
+        re-merge there by identity, so topology evidence names gateways
+        and subnets, and its numeric gateway ids are aggregate-local.  A
+        shard the refresh could not reach makes the answer partial."""
+        if self._view is None:
+            self._view = FederatedView(self.clients)
+        self._view.refresh()
+        self._note_down(list(self._view.stale_shards))
+        return self._view
 
     # -- context management ----------------------------------------------
 
@@ -703,21 +804,7 @@ class ShardedClient(query_module.NamedReads):
             except (OSError, ConnectionError):
                 pass
 
-    # -- updates ----------------------------------------------------------
-
-    def observe_interface(self, observation: Observation) -> Tuple[InterfaceRecord, bool]:
-        shard = self.shard_map.shard_for_observation(observation)
-        self._c_routed.inc()
-        record, changed = self.clients[shard].observe_interface(observation)
-        return self._globalize_interface(record, shard), changed
-
-    # -- sink protocol -----------------------------------------------------
-
-    def submit(self, observation: Observation) -> Tuple[InterfaceRecord, bool]:
-        return self.observe_interface(observation)
-
-    def resolve(self, observation: Observation) -> Tuple[InterfaceRecord, bool]:
-        return self.observe_interface(observation)
+    # -- partition: batched ingest -------------------------------------------
 
     def flush(self) -> FlushStats:
         """Flush every shard.  A shard whose server is unreachable keeps
@@ -731,9 +818,9 @@ class ShardedClient(query_module.NamedReads):
                 client.flush()
             except ConnectionError as exc:
                 failures[index] = exc
-                self._g_down.labels(shard=str(index)).set(1)
+                self._down[index].set(1)
             else:
-                self._g_down.labels(shard=str(index)).set(0)
+                self._down[index].set(0)
         if failures:
             raise ShardFlushError(failures)
         return FlushStats()
@@ -806,14 +893,30 @@ class ShardedClient(query_module.NamedReads):
                 published += publish()
         return published
 
-    # -- gateway / subnet writes ------------------------------------------
+    # -- anchored: gateway writes ------------------------------------------
+
+    def _gateways(
+        self, wheres: Dict[int, Any], *, tolerant: bool = False
+    ) -> Dict[int, List[GatewayRecord]]:
+        """Each shard's gateway fragments (shard-local ids) matching its
+        predicate in *wheres*, every query started before any answer is
+        awaited.  An unreachable shard is left out when *tolerant*, and
+        otherwise raises, as the write these lookups serve would."""
+        shards = sorted(wheres)
+        answers, missing, failure = scatter([
+            functools.partial(begin_call, self.clients[shard], "query", "gateways", wheres[shard])
+            for shard in shards
+        ])
+        if failure is not None or missing and not tolerant:
+            raise failure or ConnectionError(f"shards {[shards[i] for i in missing]} unreachable")
+        return {shard: answer for shard, answer in zip(shards, answers) if answer is not None}
 
     def _anchor_shard(
         self, groups: Dict[int, Any], name: Optional[str]
     ) -> int:
-        """The shard that owns a gateway write: the lowest member shard
-        (deterministic), the shard already holding a fragment of the
-        name, the name hash, else shard 0.
+        """The shard that owns a gateway write: the lowest shard with
+        members in *groups* (deterministic), the lowest shard already
+        holding a fragment of the name, the name hash, else shard 0.
 
         The existing-fragment probe matters for equivalence: a single
         Journal matches a memberless ``ensure_gateway`` against the
@@ -824,18 +927,39 @@ class ShardedClient(query_module.NamedReads):
         gateway's name moves on.  The probe is best-effort: with a
         shard unreachable, the write falls back to the hash anchor
         rather than failing."""
-        if groups:
-            return min(groups)
+        members = [shard for shard, ids in groups.items() if ids]
+        if members:
+            return min(members)
         if name:
             where = query_module.FieldEquals("name", name)
-            for shard, client in enumerate(self.clients):
-                try:
-                    if client.query("gateways", where):
-                        return shard
-                except (ConnectionError, TimeoutError):
-                    continue
-            return self.shard_map.shard_for_token("name:" + name)
+            found = self._gateways(dict.fromkeys(range(self.shards), where), tolerant=True)
+            return min(
+                (shard for shard, fragments in found.items() if fragments),
+                default=self.shard_map.shard_for_token("name:" + name),
+            )
         return 0
+
+    def _anchored(
+        self, groups: Dict[int, List[int]], name: Optional[str], source: str, write: Callable
+    ) -> Tuple[GatewayRecord, bool]:
+        """One gateway write: ``write(shard)`` on the anchor shard
+        (:meth:`_anchor_shard`), then on every other shard in *groups*
+        (shard -> member ids), then the renames of the device's stale
+        fragments (:meth:`_stale_fragments`).  Returns the anchor's
+        fragment and whether any shard changed."""
+        stale = self._stale_fragments(groups, name)
+        primary = self._anchor_shard(groups, name)
+        record, changed = None, False
+        for shard in [primary] + [shard for shard in sorted(groups) if shard != primary]:
+            self._c_routed.inc()
+            local, shard_changed = write(shard)
+            changed = changed or shard_changed
+            if shard == primary:
+                record = self._globalize_gateway(local, shard)
+        for shard, local_id in stale:
+            self._c_routed.inc()
+            changed = self.clients[shard].rename_gateway(local_id, name, source=source) or changed
+        return record, changed
 
     def _stale_fragments(
         self, groups: Dict[int, List[int]], name: Optional[str]
@@ -850,26 +974,30 @@ class ShardedClient(query_module.NamedReads):
         subnet-linked one included) must be renamed explicitly or the
         aggregate re-merge — which matches by name — splits the device.
         Returns ``(shard, local_id)`` pairs to rename after the write."""
-        if name is None or not groups:
+        if name is None:
             return []
-        old_names = set()
-        for shard, rids in groups.items():
-            members = query_module.Members(rids)
-            for fragment in self.clients[shard].query("gateways", members):
-                if fragment.name and fragment.name != name:
-                    old_names.add(fragment.name)
+        members = self._gateways({
+            shard: query_module.Members(rids) for shard, rids in groups.items() if rids
+        })
+        old_names = {
+            fragment.name
+            for fragments in members.values()
+            for fragment in fragments
+            if fragment.name and fragment.name != name
+        }
         if not old_names:
             return []
         named = query_module.Or(
             *(query_module.FieldEquals("name", old) for old in sorted(old_names))
         )
-        stale: List[Tuple[int, int]] = []
-        for shard, client in enumerate(self.clients):
-            member_rids = set(groups.get(shard, ()))
-            for fragment in client.query("gateways", named):
-                if not member_rids.intersection(fragment.interface_ids):
-                    stale.append((shard, fragment.record_id))
-        return stale
+        return [
+            (shard, fragment.record_id)
+            for shard, fragments in self._gateways(
+                dict.fromkeys(range(self.shards), named)
+            ).items()
+            for fragment in fragments
+            if not set(groups.get(shard, ())).intersection(fragment.interface_ids)
+        ]
 
     def ensure_gateway(
         self,
@@ -882,25 +1010,8 @@ class ShardedClient(query_module.NamedReads):
         for gid in interface_ids:
             shard, rid = self._route_id(gid)
             groups.setdefault(shard, []).append(rid)
-        stale = self._stale_fragments(groups, name)
-        primary = self._anchor_shard(groups, name)
-        order = [primary] + [shard for shard in sorted(groups) if shard != primary]
-        record: Optional[GatewayRecord] = None
-        changed = False
-        for shard in order:
-            self._c_routed.inc()
-            local, shard_changed = self.clients[shard].ensure_gateway(
-                source=source, name=name, interface_ids=groups.get(shard, [])
-            )
-            changed = changed or shard_changed
-            if shard == primary:
-                record = self._globalize_gateway(local, shard)
-        for shard, local_id in stale:
-            self._c_routed.inc()
-            if self.clients[shard].rename_gateway(local_id, name, source=source):
-                changed = True
-        assert record is not None
-        return record, changed
+        return self._anchored(groups, name, source, lambda shard: self.clients[
+            shard].ensure_gateway(source=source, name=name, interface_ids=groups.get(shard, [])))
 
     def rename_gateway(self, record_id: int, name: str, *, source: str) -> bool:
         """Rename a gateway fleet-wide: the addressed fragment by id,
@@ -915,13 +1026,14 @@ class ShardedClient(query_module.NamedReads):
         changed = self.clients[shard].rename_gateway(rid, name, source=source)
         if old is not None and old != name:
             named = query_module.FieldEquals("name", old)
-            for index, client in enumerate(self.clients):
-                if index == shard:
-                    continue
-                for fragment in client.query("gateways", named):
+            others = dict.fromkeys((i for i in range(self.shards) if i != shard), named)
+            for index, fragments in self._gateways(others).items():
+                for fragment in fragments:
                     self._c_routed.inc()
                     changed = (
-                        client.rename_gateway(fragment.record_id, name, source=source)
+                        self.clients[index].rename_gateway(
+                            fragment.record_id, name, source=source
+                        )
                         or changed
                     )
         return changed
@@ -964,250 +1076,40 @@ class ShardedClient(query_module.NamedReads):
             fragment.record_id, subnet_key, source=source
         )
 
-    def ensure_subnet(
-        self, subnet_key: str, *, source: str, quality: str = "good", **stats: object
-    ) -> Tuple[SubnetRecord, bool]:
-        shard = self.shard_map.shard_for_subnet(subnet_key)
-        self._c_routed.inc()
-        record, changed = self.clients[shard].ensure_subnet(
-            subnet_key, source=source, quality=quality, **stats
-        )
-        return self._globalize_subnet(record, shard), changed
-
-    def delete_interface(self, record_id: int) -> bool:
-        shard, rid = self._route_id(record_id)
-        self._c_routed.inc()
-        return self.clients[shard].delete_interface(rid)
-
-    # -- absorb (replication write path) ----------------------------------
-
-    def absorb_interface(self, record: InterfaceRecord) -> Tuple[InterfaceRecord, bool]:
-        shard = self.shard_map.shard_for_record(record)
-        self._c_routed.inc()
-        local, changed = self.clients[shard].absorb_interface(record)
-        return self._globalize_interface(local, shard), changed
-
     def absorb_gateway(
-        self, record: GatewayRecord, interface_id_map: Dict[int, int]
+        self, foreign: GatewayRecord, interface_id_map: Dict[int, int]
     ) -> Tuple[GatewayRecord, bool]:
         """Route a foreign gateway: its members (translated to global
         ids by *interface_id_map*) are grouped by owning shard and each
-        shard absorbs its fragment."""
-        groups: Dict[int, Dict[int, int]] = {}
-        for member in record.interface_ids:
+        shard absorbs its fragment.  A named gateway's subnet links land
+        on each subnet's owning shard, as :meth:`link_gateway_subnet`
+        places them."""
+        groups: Dict[int, List[int]] = {}
+        id_maps: Dict[int, Dict[int, int]] = {}
+        for member in foreign.interface_ids:
             gid = interface_id_map.get(member)
             if gid is None or gid < 0:
                 continue
             shard, rid = self._route_id(gid)
-            groups.setdefault(shard, {})[member] = rid
-        primary = self._anchor_shard(groups, record.name)
-        order = [primary] + [shard for shard in sorted(groups) if shard != primary]
-        merged: Optional[GatewayRecord] = None
-        changed = False
-        for shard in order:
-            self._c_routed.inc()
-            local, shard_changed = self.clients[shard].absorb_gateway(
-                record, groups.get(shard, {})
-            )
-            changed = changed or shard_changed
-            if shard == primary:
-                merged = self._globalize_gateway(local, shard)
-        assert merged is not None
-        return merged, changed
+            groups.setdefault(shard, []).append(rid)
+            id_maps.setdefault(shard, {})[member] = rid
+        links: Dict[int, Dict[str, Any]] = {}
+        if foreign.name is not None:
+            for key, attribute in foreign.connected_subnets.items():
+                shard = self.shard_map.shard_for_subnet(key)
+                links.setdefault(shard, {})[key] = attribute
+                groups.setdefault(shard, [])
 
-    def absorb_subnet(self, record: SubnetRecord) -> Tuple[SubnetRecord, bool]:
-        if record.subnet is None:
-            raise ValueError("cannot absorb a subnet record with no subnet key")
-        shard = self.shard_map.shard_for_subnet(record.subnet)
-        self._c_routed.inc()
-        local, changed = self.clients[shard].absorb_subnet(record)
-        return self._globalize_subnet(local, shard), changed
+        def absorb(shard: int) -> Tuple[GatewayRecord, bool]:
+            fragment = foreign
+            if foreign.name is not None:
+                fragment = copy.copy(foreign)
+                fragment.connected_subnets = links.get(shard, {})
+            return self.clients[shard].absorb_gateway(fragment, id_maps.get(shard, {}))
 
-    # -- reads -------------------------------------------------------------
-
-    _GLOBALIZERS = {
-        "interfaces": "_globalize_interface",
-        "gateways": "_globalize_gateway",
-        "subnets": "_globalize_subnet",
-    }
-
-    def query(self, kind: str, where=None) -> List:
-        """Predicate query.  An interface query for one IP
-        (``FieldEquals("ip", ...)``, what ``interfaces_by_ip`` sends) or
-        for an ``IpRange``/``InSubnet`` inside one /``prefix`` network
-        goes to that network's owning shard only, and raises
-        :class:`ConnectionError` if the owner is down; anything else
-        scatters — each shard evaluates the (shard-localized) predicate
-        against its own indexes — and merges in global
-        ``(last_modified, record_id)`` order."""
-        kind = query_module.normalize_kind(kind)
-        globalize = getattr(self, self._GLOBALIZERS[kind])
-        shard = self._owner(kind, where)
-        if shard is not None:
-            self._c_routed.inc()
-            down = self._g_down.labels(shard=str(shard))
-            try:
-                records = self.clients[shard].query(kind, where)
-            except ConnectionError:
-                down.set(1)
-                raise
-            down.set(0)
-            return [globalize(record, shard) for record in records]
-
-        def one_shard(client, index):
-            localized = self._localize_predicate(where, index)
-            return [globalize(r, index) for r in client.query(kind, localized)]
-
-        return self._merge_records(self._scatter(one_shard))
-
-    def _owner(self, kind: str, where) -> Optional[int]:
-        """The one shard that holds every answer to an interface query
-        by IP (one address, or a range inside one network), else None."""
-        if kind != "interfaces":
-            return None
-        if isinstance(where, query_module.IpRange):
-            return self.shard_map.shard_for_range(where.low, where.high)
-        if (
-            isinstance(where, query_module.FieldEquals)
-            and where.field == "ip"
-            and where.value is not None
-        ):
-            return self.shard_map.shard_for_ip(str(where.value))
-        return None
-
-    # -- topology ----------------------------------------------------------
-
-    def _topology(self):
-        """Router-side topology: scatter per-shard subgraphs, merge in
-        the router.  The per-shard pulls ride a
-        :class:`~repro.core.replicate.FederatedView` (one pipelined
-        ``pull`` per shard, absorbed in shard index order — the same
-        gather order every scatter read uses), so gateway and subnet
-        fragments split across shards re-merge by identity before the
-        graph is computed.  Evidence in the merged answers names
-        gateways and subnets (globally meaningful); numeric gateway ids
-        are aggregate-local.  A shard the refresh could not reach
-        makes the answer partial, like any scatter read."""
-        view = getattr(self, "_topology_view", None)
-        if view is None:
-            from .replicate import FederatedView
-
-            view = self._topology_view = FederatedView(self.clients)
-        view.refresh()
-        self._note_down(list(view.stale_shards))
-        if view.stale_shards:
-            self._c_partial.inc()
-        return view.journal.topology()
-
-    def path(self, a: str, b: str):
-        """Confidence-weighted route across the whole fleet's merged
-        subgraphs; see :meth:`repro.core.topology.TopologyStore.path`."""
-        return self._topology().path(a, b)
-
-    def impact(self, target: str):
-        """Fleet-wide blast radius of *target*; see
-        :meth:`repro.core.topology.TopologyStore.impact`."""
-        return self._topology().impact(target)
-
-    def pull(self, since: int, where=None):
-        """A full replication pull of the whole fleet (``since`` must be
-        0): the pull is sent to every shard before any is waited on, and
-        record ids come back global.  The revision is the fleet's scalar
-        revision.  An incremental pull raises :class:`ValueError` —
-        per-shard revision counters cannot share one cursor — and an
-        unreachable shard raises :class:`ConnectionError`: a partial
-        full pull would look complete to the replica."""
-        if since:
-            raise ValueError(
-                "an incremental pull cannot be fanned out: per-shard "
-                "revision counters are independent — replicate each "
-                "shard directly"
-            )
-        from .replicate import begin_pull, gather_pulls
-
-        self._c_scatter.inc()
-        answers, lost, failure = gather_pulls([
-            lambda client=client, index=index: begin_pull(
-                client, 0, self._localize_predicate(where, index)
-            )
-            for index, client in enumerate(self.clients)
-        ])
-        if failure is not None:
-            raise failure
-        if lost:
-            raise ConnectionError(
-                f"shards {lost} unreachable: a full pull needs every shard"
-            )
-        globalizers = (
-            self._globalize_interface,
-            self._globalize_gateway,
-            self._globalize_interface,
-            self._globalize_subnet,
-        )
-        tables: Tuple[List[List[Any]], ...] = ([], [], [], [])
-        for index, pulled in enumerate(answers):
-            for table, records, globalize in zip(tables, pulled[1:], globalizers):
-                table.append([globalize(record, index) for record in records])
-        revision = sum(pulled[0] for pulled in answers)
-        return (revision, *(self._merge_records(table) for table in tables))
-
-    def counts(self) -> Dict[str, int]:
-        """Fleet totals: per-shard counts summed key-wise.  Raises when
-        any shard is unreachable — totals over a partial fleet would
-        silently under-count."""
-        totals: Dict[str, int] = {}
-        for client in self.clients:
-            for key, value in client.counts().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def metrics(self, *, spans: int = 50) -> Dict[str, Any]:
-        """Per-shard registry snapshots (keyed by shard index) — the
-        fleet has no single registry to snapshot."""
-        return {
-            "shards": [client.metrics(spans=spans) for client in self.clients]
-        }
-
-    def revision(self) -> int:
-        """Scalar fleet revision: the sum of per-shard revisions (total
-        revisions handed out fleet-wide; monotone)."""
-        return self.vector_revision().scalar
-
-    def vector_revision(self) -> VectorCursor:
-        return VectorCursor(
-            [client.counts()["revision"] for client in self.clients]
-        )
+        return self._anchored(groups, foreign.name, "replica", absorb)
 
     # -- change feed -------------------------------------------------------
-
-    def changes_since(self, since: Any) -> JournalChanges:
-        """The merged delta after a :class:`VectorCursor` (or 0 for the
-        start of history).  The returned delta's ``vector`` field is the
-        new cursor; its scalar ``since``/``revision`` are the sums.  An
-        unreachable shard keeps its old cursor component and marks the
-        delta incomplete (the partial-results flag of the feed path)."""
-        components = _normalize_cursor(since, self.shards)
-        merged = JournalChanges(since=sum(components), revision=0)
-        new_vector = list(components)
-        missing: List[int] = []
-        for index, client in enumerate(self.clients):
-            try:
-                delta = client.changes_since(components[index])
-            except ConnectionError:
-                missing.append(index)
-                merged.complete = False
-                continue
-            new_vector[index] = delta.revision
-            merged.merge(self._globalize_changes(delta, index))
-        # merge() folds shard-local since/revision counters; the
-        # composed delta's scalar cursor is the vector sums.
-        merged.since = sum(components)
-        merged.revision = sum(new_vector)
-        merged.vector = new_vector
-        self._note_down(missing)
-        if missing:
-            self._c_partial.inc()
-        return merged
 
     def subscribe(self, callback: Optional[Callable] = None, *, since: Any = 0) -> ShardedChangeFeed:
         """A composed change feed over every shard.  *since* is a
@@ -1233,39 +1135,134 @@ class ShardedClient(query_module.NamedReads):
             raise
         return ShardedChangeFeed(feeds, self)
 
-    # -- negative cache ----------------------------------------------------
-
-    def _negative_shard(self, kind: str, key: str) -> int:
-        return self.shard_map.shard_for_token(f"neg:{kind}:{key}")
-
-    def negative_put(self, kind: str, key: str, *, ttl: float) -> None:
-        self._c_routed.inc()
-        self.clients[self._negative_shard(kind, key)].negative_put(
-            kind, key, ttl=ttl
-        )
-
-    def negative_check(self, kind: str, key: str) -> bool:
-        self._c_routed.inc()
-        return self.clients[self._negative_shard(kind, key)].negative_check(kind, key)
-
-    # -- bulk --------------------------------------------------------------
+    # -- aggregate and handshake ------------------------------------------
 
     def snapshot(self) -> Journal:
         """A detached aggregate Journal: every shard's records merged by
         identity (global ids do not survive — the aggregate allocates
-        its own, like any replica).  Built with the federation-layer
-        replicator, so gateway fragments re-join here."""
-        from .replicate import JournalReplicator
-
-        aggregate = Journal()
-        target = LocalClient(aggregate)
-        for client in self.clients:
-            JournalReplicator(client, target).sync(full=True)
-        return aggregate
+        its own, like any replica), gateway fragments re-joined.  One
+        full refresh of a new :class:`~repro.core.replicate.FederatedView`;
+        a shard it cannot reach raises, as a partial aggregate would look
+        complete."""
+        view = FederatedView(self.clients)
+        view.refresh(full=True)
+        if view.stale_shards:
+            raise ConnectionError(
+                f"shards {view.stale_shards} unreachable: a snapshot needs every shard"
+            )
+        return view.journal
 
     def shard_info(self) -> Optional[Dict[str, Any]]:
         """Routers do not nest."""
         return None
+
+
+# ---------------------------------------------------------------------------
+# methods derived from the wire.OPS route column
+# ---------------------------------------------------------------------------
+
+
+def _subnet_shard(router: ShardedClient, arguments: Dict[str, Any]) -> int:
+    key = arguments["subnet_key"] if "subnet_key" in arguments else arguments["foreign"].subnet
+    if key is None:
+        raise ValueError("cannot place a subnet record with no subnet key")
+    return router.shard_map.shard_for_subnet(key)
+
+
+def _id_shard(router: ShardedClient, arguments: Dict[str, Any]) -> int:
+    shard, arguments["record_id"] = router._route_id(arguments["record_id"])
+    return shard
+
+
+#: ``place`` key -> the owning shard of a call's bound arguments (a
+#: global id argument is rewritten to the owner's local id)
+_PLACES: Dict[str, Callable[[ShardedClient, Dict[str, Any]], int]] = {
+    "observation": lambda router, a: router.shard_map.shard_for_observation(a["observation"]),
+    "interface": lambda router, a: router.shard_map.shard_for_record(a["foreign"]),
+    "subnet": _subnet_shard,
+    "record_id": _id_shard,
+    "negative": lambda router, a: router.shard_map.shard_for_token(f"neg:{a['kind']}:{a['key']}"),
+}
+
+
+def _placed(router: ShardedClient, name: str, key: str, bound: inspect.BoundArguments) -> Any:
+    shard = _PLACES[key](router, bound.arguments)
+    return router._routed(shard, name, bound.args, bound.kwargs)
+
+
+def _owned(router: ShardedClient, name: str, key: str, bound: inspect.BoundArguments) -> Any:
+    shard = router._owner(bound.arguments)
+    if shard is not None:
+        return router._routed(shard, name, bound.args, bound.kwargs)
+    return router._merge_records(router._scatter(name, bound, partial=True))
+
+
+def _scattered(router: ShardedClient, name: str, key: str, bound: inspect.BoundArguments) -> Any:
+    return router._fold(router._scatter(name, bound, partial=False))
+
+
+def _vectored(router: ShardedClient, name: str, key: str, bound: inspect.BoundArguments) -> Any:
+    components = _normalize_cursor(bound.arguments["since"], router.shards)
+    deltas = router._scatter(name, bound, partial=True)
+    merged = JournalChanges(since=sum(components), revision=0)
+    vector = list(components)
+    for index, delta in enumerate(deltas):
+        if delta is None:
+            # An unreachable shard keeps its cursor component.
+            merged.complete = False
+            continue
+        vector[index] = delta.revision
+        merged.merge(delta)
+    # merge() folds shard-local since/revision counters; the composed
+    # delta's scalar cursor is the vector sums.
+    merged.since, merged.revision, merged.vector = sum(components), sum(vector), vector
+    return merged
+
+
+def _gathered(router: ShardedClient, name: str, key: str, bound: inspect.BoundArguments) -> Any:
+    return {"shards": router._scatter(name, bound, partial=False)}
+
+
+def _viewed(router: ShardedClient, name: str, key: str, bound: inspect.BoundArguments) -> Any:
+    return getattr(router._refreshed_view().journal, name)(*bound.args, **bound.kwargs)
+
+
+#: the derived policies, each serving ``(router, method name, place key,
+#: bound arguments)``; any other route names a hand-written one
+_POLICIES: Dict[str, Callable[..., Any]] = {
+    "place": _placed,
+    "owner": _owned,
+    "scatter": _scattered,
+    "vector": _vectored,
+    "gather": _gathered,
+    "view": _viewed,
+}
+
+
+def _route(op: str, name: str) -> Optional[Callable]:
+    """A ``build`` for :func:`~repro.core.client.install_op_methods`: the
+    router's method *name* for *op*, served by the policy its ``route``
+    names and dressed as the Journal method (or, for a client-only
+    method, the :class:`LocalClient` one); None for a hand-written
+    policy."""
+    policy, _, key = (wire.OPS[op].route or "").partition(":")
+    serve = _POLICIES.get(policy)
+    if serve is None:
+        return None
+    model = getattr(Journal, name, None)
+    if not callable(model):
+        model = getattr(LocalClient, name)
+    signature = inspect.signature(model)
+    bind = signature.replace(parameters=list(signature.parameters.values())[1:]).bind
+
+    def method(self, *args, **kwargs):
+        return serve(self, name, key, bind(*args, **kwargs))
+
+    method.__name__, method.__doc__, method.__signature__ = name, model.__doc__, signature
+    return method
+
+
+install_op_methods(ShardedClient, _route)
 
 
 class _ShardedReply:

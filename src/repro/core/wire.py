@@ -158,51 +158,65 @@ class OpSpec(NamedTuple):
     #: a plain call a client may park for replay while the server is
     #: unreachable (it replies nothing, so no caller waits on an answer)
     parks: bool = False
+    #: how :class:`~repro.core.shard.ShardedClient` serves it over a
+    #: fleet: a routing policy, with its key after a colon
+    #: (``place:observation``), as :mod:`repro.core.shard` defines them.
+    #: None for an op no router serves.
+    route: Optional[str] = None
 
 
 #: The Journal Server op vocabulary, each op declared once.  The
 #: dispatcher's lock, fencing and inline rules, the client's epoch stamp
-#: and write handoff, ``FailoverClient``'s proxies, and the whole of
-#: every plain Journal call are all derived from this table.
+#: and write handoff, ``FailoverClient``'s proxies, the sharded router's
+#: methods and the whole of every plain Journal call are all derived
+#: from this table.
 #: (negative_check may lazily evict an expired entry, but that eviction
 #: is idempotent and race-free, so it stays a read — see
 #: Journal.negative_check.)
 OPS: Dict[str, OpSpec] = {
     # ingest & maintenance
-    "observe": OpSpec("write", True, ("observe_interface", "submit", "resolve")),
-    "observe_batch": OpSpec(
-        "write", False, ("observe_batch", "observe_batch_nowait", "flush")
-    ),
+    "observe": OpSpec("write", True, ("observe_interface", "submit", "resolve"),
+                      route="place:observation"),
+    "observe_batch": OpSpec("write", False, ("observe_batch", "observe_batch_nowait", "flush"),
+                            route="partition"),
     # plain Journal calls: OpSpec(kind, inline, methods, reply)
-    "absorb_interface": OpSpec(
-        "write", True, ("absorb_interface",), ("record", "changed")
-    ),
-    "absorb_gateway": OpSpec("write", True, ("absorb_gateway",), ("record", "changed")),
-    "absorb_subnet": OpSpec("write", True, ("absorb_subnet",), ("record", "changed")),
-    "ensure_gateway": OpSpec("write", True, ("ensure_gateway",), ("record", "changed")),
-    "ensure_subnet": OpSpec("write", True, ("ensure_subnet",), ("record", "changed")),
-    "link_gateway_subnet": OpSpec("write", True, ("link_gateway_subnet",), ("changed",)),
-    "rename_gateway": OpSpec("write", False, ("rename_gateway",), ("changed",)),
-    "delete_interface": OpSpec("write", True, ("delete_interface",), ("deleted",)),
-    "negative_put": OpSpec("write", True, ("negative_put",), (), parks=True),
-    "counts": OpSpec("read", True, ("counts", "revision"), ("counts",)),
-    "negative_check": OpSpec("read", True, ("negative_check",), ("cached",)),
+    "absorb_interface": OpSpec("write", True, ("absorb_interface",), ("record", "changed"),
+                               route="place:interface"),
+    "absorb_gateway": OpSpec("write", True, ("absorb_gateway",), ("record", "changed"),
+                             route="anchored"),
+    "absorb_subnet": OpSpec("write", True, ("absorb_subnet",), ("record", "changed"),
+                            route="place:subnet"),
+    "ensure_gateway": OpSpec("write", True, ("ensure_gateway",), ("record", "changed"),
+                             route="anchored"),
+    "ensure_subnet": OpSpec("write", True, ("ensure_subnet",), ("record", "changed"),
+                            route="place:subnet"),
+    "link_gateway_subnet": OpSpec("write", True, ("link_gateway_subnet",), ("changed",),
+                                  route="anchored"),
+    "rename_gateway": OpSpec("write", False, ("rename_gateway",), ("changed",), route="anchored"),
+    "delete_interface": OpSpec("write", True, ("delete_interface",), ("deleted",),
+                               route="place:record_id"),
+    "negative_put": OpSpec("write", True, ("negative_put",), (), parks=True,
+                           route="place:negative"),
+    "counts": OpSpec("read", True, ("counts", "revision"), ("counts",), route="scatter"),
+    "negative_check": OpSpec("read", True, ("negative_check",), ("cached",),
+                             route="place:negative"),
     # The one record read: the clients' named reads (query.NamedReads)
     # are predicates over it.
-    "query": OpSpec("read", False, ("query",), ("records",)),
+    "query": OpSpec("read", False, ("query",), ("records",), route="owner"),
     "pull": OpSpec(
-        "read", False, ("pull",), ("revision", "interfaces", "gateways", "members", "subnets")
+        "read", False, ("pull",), ("revision", "interfaces", "gateways", "members", "subnets"),
+        route="scatter",
     ),
-    "changes_since": OpSpec("read", True, ("changes_since",), ("changes",)),
-    "path": OpSpec("read", False, ("path",), ("path",)),
-    "impact": OpSpec("read", False, ("impact",), ("impact",)),
+    "changes_since": OpSpec("read", True, ("changes_since",), ("changes",), route="vector"),
+    "path": OpSpec("read", False, ("path",), ("path",), route="view"),
+    "impact": OpSpec("read", False, ("impact",), ("impact",), route="view"),
     # hand-written reads
     "ping": OpSpec("read", True),
-    "metrics": OpSpec("read", True, ("metrics",)),
-    "dump": OpSpec("read", False, ("snapshot",)),
+    "metrics": OpSpec("read", True, ("metrics",), route="gather"),
+    "dump": OpSpec("read", False, ("snapshot",), route="aggregate"),
     "save": OpSpec("read"),
     # federation and failover handshake
-    "shard_info": OpSpec("read", True, ("shard_info", "replica_info")),
+    "shard_info": OpSpec("read", True, ("shard_info", "replica_info"), route="router"),
     # failover control plane
     "promote": OpSpec("control", False, ("promote",)),
     "fence": OpSpec("control", False, ("fence",)),

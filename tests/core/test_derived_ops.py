@@ -6,22 +6,28 @@ from the row and the Journal method's signature.  One parametrized case
 per derived row checks that the in-process, remote and failover clients
 (and the op as an ``observe_batch`` item) return equal results on equal
 journals, and that a malformed request is refused with ``ok: false``
-while the server keeps serving.
+while the server keeps serving.  The sharded router's methods are
+derived from the row's ``route``: on a one- and a two-shard fleet each
+returns the Journal's result with its record ids made global.
 """
 
 from __future__ import annotations
 
+import copy
 import inspect
 import socket
 import typing
 
 import pytest
 
-from repro.core import FailoverClient, Journal, JournalServer, LocalClient, RemoteClient
-from repro.core import wire
+from repro.core import (
+    FailoverClient, Journal, JournalServer, LocalClient, RemoteClient, ShardedClient, ShardMap,
+    VectorCursor, wire,
+)
 from repro.core.journal import JournalChanges
 from repro.core.query import InSubnet
 from repro.core.records import GatewayRecord, InterfaceRecord, Observation, SubnetRecord
+from repro.core.shard import _POLICIES, global_id
 from repro.core.topology import TopologyImpact, TopologyPath
 
 DERIVED = sorted(op for op, spec in wire.OPS.items() if spec.reply is not None)
@@ -248,6 +254,104 @@ def test_malformed_request_is_refused_and_the_server_keeps_serving(op, servers):
     assert after == before
     with RemoteClient(*server.address) as client:
         assert client._call(request)["ok"] is True
+
+
+ROUTED = sorted(
+    op for op, spec in wire.OPS.items() if spec.kind in ("read", "write") and spec.methods
+)
+#: the routes whose router methods are written out by hand
+HAND_WRITTEN = {"anchored", "partition", "aggregate", "router"}
+
+
+@pytest.mark.parametrize("op", ROUTED)
+def test_every_routable_row_declares_a_route(op):
+    policy, _, key = (wire.OPS[op].route or "").partition(":")
+    assert policy in set(_POLICIES) | HAND_WRITTEN, op
+    assert bool(key) == (policy == "place"), op
+
+
+@pytest.mark.parametrize("op", ROUTED)
+def test_router_methods_carry_the_journal_signature(op):
+    """A derived router method is dressed as the Journal method; a
+    hand-written one takes the Journal method's parameters, so a caller
+    naming them reaches the fleet as it reaches one Journal."""
+    derived = wire.OPS[op].route.partition(":")[0] not in HAND_WRITTEN
+    for name in wire.OPS[op].methods:
+        model = getattr(Journal, name, None)
+        if not callable(model):
+            if not derived:
+                continue  # a client-level method the router writes itself
+            model = getattr(LocalClient, name)
+        method = getattr(ShardedClient, name)
+        assert inspect.signature(method) == inspect.signature(model), name
+        if derived:
+            assert method.__name__ == name and method.__doc__ == model.__doc__
+
+
+def _global(value, shards, home):
+    """A comparable result with every record id made the fleet's global
+    id of a record on shard *home*."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(_global(item, shards, home) for item in value)
+    if not isinstance(value, dict):
+        return value
+    value = copy.deepcopy(value)
+    g = lambda rid: None if rid is None else global_id(rid, home, shards)  # noqa: E731
+    if "record_id" in value:
+        value["record_id"] = g(value["record_id"])
+        for name in ("interface_ids", "gateway_ids"):
+            if name in value:
+                value[name] = [g(rid) for rid in value[name]]
+        row = value["attributes"].get("gateway_id")
+        if row is not None:
+            row[0] = g(row[0])
+            if len(row) == 9:
+                row[8] = [[g(old), when] for old, when in row[8]]
+    elif "since" in value:
+        for name in wire._CHANGE_SETS[:-1]:
+            value[name] = [g(rid) for rid in value[name]]
+    return value
+
+
+def _fleet_view(value):
+    """A comparable result without what only the fleet adds: a delta's
+    vector cursor and a topology hop's aggregate-local gateway id."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(_fleet_view(item) for item in value)
+    if isinstance(value, dict):
+        value = {key: item for key, item in value.items() if key != "vector"}
+        for hop in value.get("hops", ()):
+            hop.pop("gateway")
+    return value
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("op", DERIVED)
+def test_router_returns_the_journal_result(op, shards):
+    """The seed sits on one *home* shard (a /12 map puts every 10.0.x.x
+    address there, and the negative entry's token hashes there too);
+    any other shard is empty."""
+    seed, ids, foreign = _seed()
+    args, kwargs = CALLS[op](ids, foreign)
+    expected = _comparable(getattr(_copy(seed), op)(*args, **kwargs))
+
+    shard_map = ShardMap(shards, prefix=12)
+    home = shard_map.shard_for_ip("10.0.0.1")
+    assert shard_map.shard_for_token("neg:dns:cached.test") == home
+    router = ShardedClient(
+        [LocalClient(_copy(seed) if index == home else Journal(clock=_clock))
+         for index in range(shards)],
+        shard_map=shard_map,
+    )
+    ids = {name: global_id(rid, home, shards) for name, rid in ids.items()}
+    foreign["id_map"] = {
+        member: global_id(rid, home, shards) for member, rid in foreign["id_map"].items()
+    }
+    args, kwargs = CALLS[op](ids, foreign)
+    if op == "changes_since":
+        args = (VectorCursor([args[0] if index == home else 0 for index in range(shards)]),)
+    answer = _comparable(getattr(router, op)(*args, **kwargs))
+    assert _fleet_view(answer) == _fleet_view(_global(expected, shards, home))
 
 
 def _traced(cls, name, calls):

@@ -560,41 +560,38 @@ class TestPipelinedRefresh:
         after the other shard's pull has been waited on."""
         from repro.core import FederatedView
 
-        class _FailingWait:
-            def begin_pull(self, since, where=None):
-                class _Pending:
-                    def wait(self):
-                        raise error("shard 0 failed")
-
-                return _Pending()
-
-        journal = Journal()
-        _observe(journal, ip="10.1.1.1")
+        journals = [Journal(), Journal()]
+        _observe(journals[1], ip="10.1.1.1")
+        servers = [JournalServer(journal).start() for journal in journals]
+        clients = [RemoteClient(*server.address) for server in servers]
         waited = []
+        try:
+            def fail(rid, timeout):
+                raise error("shard 0 failed")
 
-        class _Live(LocalClient):
-            def begin_pull(self, since, where=None):
-                pulled = self.pull(since, where)
+            def wait(rid, timeout, _wait=clients[1]._wait):
+                waited.append(rid)
+                return _wait(rid, timeout)
 
-                class _Pending:
-                    def wait(self):
-                        waited.append(True)
-                        return pulled
-
-                return _Pending()
-
-        view = FederatedView([_FailingWait(), _Live(journal)])
-        if error is ConnectionError:
-            stats = view.refresh()
-            assert view.partial and view.stale_shards == [0]
-            assert stats.interfaces_sent == 1
-        else:
-            with pytest.raises(RuntimeError, match="shard 0 failed"):
-                view.refresh()
-            # Nothing absorbed: every cursor stays put for the retry.
-            assert view.counts()["interfaces"] == 0
-            assert [r.last_revision for r in view.replicators] == [0, 0]
-        assert waited == [True]
+            clients[0]._wait = fail
+            clients[1]._wait = wait
+            view = FederatedView(clients)
+            if error is ConnectionError:
+                stats = view.refresh()
+                assert view.partial and view.stale_shards == [0]
+                assert stats.interfaces_sent == 1
+            else:
+                with pytest.raises(RuntimeError, match="shard 0 failed"):
+                    view.refresh()
+                # Nothing absorbed: every cursor stays put for the retry.
+                assert view.counts()["interfaces"] == 0
+                assert [r.last_revision for r in view.replicators] == [0, 0]
+            assert len(waited) == 1
+        finally:
+            for client in clients:
+                client.close()
+            for server in servers:
+                server.stop()
 
 
 class TestReplicateFromRouter:

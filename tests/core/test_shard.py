@@ -218,6 +218,58 @@ class TestShardedClientRouting:
         assert router.delete_interface(record.record_id)
         assert router.interfaces_by_ip("10.5.5.5") == []
 
+    def test_absorbed_gateway_links_each_subnet_on_its_owner(self):
+        """A foreign gateway's subnet links land on each subnet's owning
+        shard, as ``link_gateway_subnet`` places them: linked on the
+        gateway's anchor shard instead, a subnet would exist on two
+        shards and a scatter read would list it twice.  The router takes
+        the Journal method's argument names."""
+        journals, router = make_router(3)
+        keys = {}
+        for third in range(1, 64):
+            key = f"10.{third}.1.0/24"
+            keys.setdefault(router.shard_map.shard_for_subnet(key), key)
+        assert len(keys) == 3
+        far = Journal()
+        gateway, _ = far.ensure_gateway(source="far", name="gw-far")
+        for key in keys.values():
+            far.link_gateway_subnet(gateway.record_id, key, source="far")
+        router.absorb_gateway(foreign=far.gateways[gateway.record_id], interface_id_map={})
+        assert sorted(s.subnet for s in router.all_subnets()) == sorted(keys.values())
+        for shard, key in keys.items():
+            assert [s.subnet for s in journals[shard].all_subnets()] == [key]
+        (merged,) = router.snapshot().all_gateways()
+        assert sorted(merged.connected_subnets) == sorted(keys.values())
+
+    def test_absorbed_gateway_renames_the_devices_stale_fragments(self):
+        """A foreign gateway absorbed onto renamed members renames the
+        device back on every shard, as ``ensure_gateway`` with a new
+        name does: a fragment left under the old name would split the
+        device in the aggregate."""
+        shard_map = ShardMap(2)
+        member_ip = "10.1.1.1"
+        subnet = next(
+            f"10.{third}.1.0/24" for third in range(2, 64)
+            if shard_map.shard_for_subnet(f"10.{third}.1.0/24")
+            != shard_map.shard_for_ip(member_ip)
+        )
+        far = Journal()
+        far_member, _ = far.observe_interface(Observation("far", ip=member_ip))
+        far_gateway, _ = far.ensure_gateway(
+            source="far", name="gw-far", interface_ids=[far_member.record_id]
+        )
+        far.link_gateway_subnet(far_gateway.record_id, subnet, source="far")
+        single = Journal()
+        router = ShardedClient([LocalClient(Journal()) for _ in range(2)], shard_map=shard_map)
+        for client in (LocalClient(single), router):
+            member, _ = client.observe_interface(Observation("t", ip=member_ip))
+            id_map = {far_member.record_id: member.record_id}
+            client.absorb_gateway(far.gateways[far_gateway.record_id], id_map)
+            client.ensure_gateway(source="t", name="gw0", interface_ids=[member.record_id])
+            client.absorb_gateway(far.gateways[far_gateway.record_id], id_map)
+        assert {g.name for g in router.all_gateways()} == {"gw-far"}
+        assert router.snapshot().identity_state() == single.identity_state()
+
     def test_counts_sum_across_shards(self):
         _journals, router = make_router(3)
         for i in range(1, 7):
@@ -353,6 +405,43 @@ class TestDegradation:
         )
         with pytest.raises(ConnectionError):
             router.counts()
+
+
+class TestPipelinedFanOut:
+    @pytest.mark.parametrize("read", [
+        lambda router: router.all_interfaces(),
+        lambda router: router.counts(),
+        lambda router: router.pull(0),
+        lambda router: router.changes_since(0),
+    ], ids=["query", "counts", "pull", "changes_since"])
+    def test_every_shard_is_asked_before_any_is_awaited(self, read):
+        """A fan-out costs one round trip, not one per shard."""
+        from repro.core import JournalServer, RemoteClient
+
+        servers = [JournalServer(Journal()).start() for _ in range(2)]
+        clients = [RemoteClient(*server.address) for server in servers]
+        try:
+            events = []
+            for index, client in enumerate(clients):
+                def send(request, _send=client._send_tagged, _index=index):
+                    events.append(("send", _index))
+                    return _send(request)
+
+                def wait(rid, timeout, _wait=client._wait, _index=index):
+                    events.append(("wait", _index))
+                    return _wait(rid, timeout)
+
+                client._send_tagged, client._wait = send, wait
+            router = ShardedClient(clients, check=False)
+            router.observe_interface(Observation("t", ip="10.1.1.1"))
+            events.clear()
+            read(router)
+            assert events == [("send", 0), ("send", 1), ("wait", 0), ("wait", 1)]
+        finally:
+            for client in clients:
+                client.close()
+            for server in servers:
+                server.stop()
 
 
 class TestConnectTargets:

@@ -71,8 +71,9 @@ store = JournalStore(sys.argv[1], fsync="always",
                      checkpoint_ops=None, checkpoint_bytes=None,
                      checkpoint_age=None)
 journal = store.recover()
+stream = build_stream(int(sys.argv[2]))
 print("READY", flush=True)
-for observation in build_stream(int(sys.argv[2])):
+for observation in stream:
     journal.submit(observation)
 print("DONE", flush=True)
 store.close(checkpoint=False)
