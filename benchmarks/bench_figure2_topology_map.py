@@ -108,7 +108,7 @@ class TestFigure2:
         assert precision > 0.95, "the map must not invent attachments"
         assert recall > 0.85, "the visible world must be mapped"
         # The map is one connected campus around the backbone.
-        components = graph.connected_components()
+        components = journal.topology().components()
         assert len(components[0]) >= len(visible_subnets)
 
     def test_export_formats(self, mapped_campus, benchmark):

@@ -32,11 +32,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import shutil
 import statistics
 import sys
-import tempfile
 import threading
 import time
 from typing import Dict, List, Optional
@@ -172,10 +169,8 @@ def bench_read_latency(
     *, records: int, samples: int, dump_readers: int, writers: int
 ) -> Dict[str, object]:
     """Fast-read (counts) latency while heavy reads and writes are in
-    flight.  The heavy read is the ``save`` op: it serialises the whole
-    journal while holding the read lock but sends back a one-line
-    response, so the measuring thread is not polluted by decoding
-    megabytes of dump in the same process."""
+    flight.  The heavy read is the ``dump`` op: it serialises the whole
+    journal while holding the read lock."""
     print(f"read latency under load ({records} records, {samples} samples):")
     journal = Journal()
     for observation in build_stream(records, 1):
@@ -187,14 +182,10 @@ def bench_read_latency(
     threads: List[threading.Thread] = []
     host, port = server.address
 
-    def dump_loop(dump_path: str):
-        # Each reader saves to its own file: the save op's atomic
-        # temp-file + rename must never race another reader (and
-        # must never target a device node like /dev/null, which the
-        # rename would replace with a regular file).
+    def dump_loop():
         with RemoteClient(host, port) as client:
             while not stop.is_set():
-                client._call({"op": "save", "path": dump_path})
+                client._call({"op": "dump"})
                 dumps_done[0] += 1
 
     def write_loop():
@@ -212,16 +203,9 @@ def bench_read_latency(
                 # at a far gentler cadence.
                 time.sleep(0.01)
 
-    dump_dir = tempfile.mkdtemp(prefix="fremont-bench-dump-")
     try:
-        for index in range(dump_readers):
-            threads.append(
-                threading.Thread(
-                    target=dump_loop,
-                    args=(os.path.join(dump_dir, f"dump-{index}.json"),),
-                    daemon=True,
-                )
-            )
+        for _ in range(dump_readers):
+            threads.append(threading.Thread(target=dump_loop, daemon=True))
         for _ in range(writers):
             threads.append(threading.Thread(target=write_loop, daemon=True))
         for thread in threads:
@@ -239,7 +223,6 @@ def bench_read_latency(
         for thread in threads:
             thread.join(timeout=5.0)
         server.stop()
-        shutil.rmtree(dump_dir, ignore_errors=True)
     median_ms = statistics.median(latencies) * 1e3
     p95_ms = sorted(latencies)[int(len(latencies) * 0.95)] * 1e3
     print(f"  counts median={median_ms:7.3f} ms "

@@ -113,5 +113,5 @@ class TestTable7:
         # The map covers the campus: at least the traceroute-visible
         # subnets are present and connected.
         assert len(graph.subnets) >= len(campus.traceroute_visible_subnets())
-        components = graph.connected_components()
+        components = journal.topology().components()
         assert len(components[0]) >= len(campus.traceroute_visible_subnets())

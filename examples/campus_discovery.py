@@ -75,8 +75,9 @@ def main() -> None:
         f"{report.subnet_links_added} subnet links added"
     )
 
-    graph = journal.topology().graph()
-    components = graph.connected_components()
+    store = journal.topology()
+    graph = store.graph()
+    components = store.components()
     print(
         f"topology: {len(graph.subnets)} subnets on the map, largest "
         f"connected component spans {len(components[0])}"

@@ -18,9 +18,9 @@ fighting over the address.
 
 Finders plug into a registry via the :func:`analysis_program`
 decorator: a registered program takes ``(journal, options)`` and
-returns a list of findings.  :func:`run_all_analyses`, the
-:class:`AnalysisMonitor`, and the CLI all enumerate the registry, so a
-new finder needs only the decorator — no dispatch table to update.
+returns a list of findings.  :func:`run_all_analyses` and the CLI
+both enumerate the registry, so a new finder needs only the decorator —
+no dispatch table to update.
 Beyond Table 8, two topology-backed programs watch the discovered
 graph itself: partitioned subnets and single-point-of-failure
 gateways.
@@ -38,7 +38,6 @@ from .query import Stale
 from .records import InterfaceRecord
 
 __all__ = [
-    "AnalysisMonitor",
     "AnalysisOptions",
     "Finding",
     "SubnetUtilisation",
@@ -341,7 +340,7 @@ def find_partitioned_subnets(journal: Journal) -> List[Finding]:
     a side component either lost its gateway or the explorers have not
     found the link yet — both worth an operator's attention.
     """
-    components = journal.topology().graph().connected_components()
+    components = journal.topology().components()
     findings: List[Finding] = []
     if len(components) <= 1:
         return findings
@@ -470,67 +469,6 @@ def run_all_analyses(
         if items:
             counter.labels(kind=kind).inc(len(items))
     return findings
-
-
-class AnalysisMonitor:
-    """A standing analysis program driven by the Journal change feed.
-
-    The Table 8 finders are whole-Journal scans; a dashboard that reruns
-    them after every poll wastes most of its work on an unchanged
-    Journal.  The monitor subscribes to the change feed instead: pushed
-    deltas merely mark it dirty, and :meth:`refresh` reruns the finders
-    only when something actually moved since the last refresh.
-    """
-
-    def __init__(
-        self,
-        journal: Journal,
-        *,
-        stale_horizon: Optional[float] = None,
-        default_prefix: int = 24,
-    ) -> None:
-        self.journal = journal
-        self.stale_horizon = stale_horizon
-        self.default_prefix = default_prefix
-        self._dirty = True  # never computed yet
-        self.findings: Dict[str, List[Finding]] = {}
-        self.recomputes = 0
-        self.skips = 0
-        self.subscription = journal.subscribe(self._on_changes)
-
-    def _on_changes(self, changes) -> None:
-        if not changes.empty() or not changes.complete:
-            self._dirty = True
-
-    @property
-    def dirty(self) -> bool:
-        """Must the next refresh recompute?  (Publishes first, so writes
-        not yet pushed through the feed are taken into account.)"""
-        self.journal.publish()
-        return self._dirty
-
-    def refresh(self) -> Dict[str, List[Finding]]:
-        """Current findings, recomputed only if the Journal changed."""
-        if not self.dirty:
-            self.skips += 1
-            return self.findings
-        self.findings = run_all_analyses(
-            self.journal,
-            stale_horizon=self.stale_horizon,
-            default_prefix=self.default_prefix,
-        )
-        self.recomputes += 1
-        self._dirty = False
-        return self.findings
-
-    def close(self) -> None:
-        self.subscription.close()
-
-    def __enter__(self) -> "AnalysisMonitor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def _records_by_ip(journal: Journal) -> Dict[str, List[InterfaceRecord]]:

@@ -908,7 +908,7 @@ class _Started:
         self.wait = wait
 
 
-def begin_call(client, name: str, *args: Any, **kwargs: Any) -> _Started:
+def begin_call(client, name: str, /, *args: Any, **kwargs: Any) -> _Started:
     """Start ``client.<name>(*args, **kwargs)``.  On a
     :class:`RemoteClient` a plain Journal call is only sent here (its
     handle's ``wait()`` decodes the reply and raises like

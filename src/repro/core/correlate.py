@@ -27,22 +27,26 @@ Explorer Module run, so a naive implementation rescans the whole
 Journal each time and a long campaign degrades quadratically with
 Journal size.  The Correlator therefore consumes the Journal's dirty
 sets (:meth:`~repro.core.journal.Journal.changes_since`): each pass
-examines only records touched since the last correlation, using
-persistent ``by_mac`` / ``by_ip`` reverse maps that are updated from
-the same delta.  ``correlate(full=True)`` forces the classic full
-rescan; by construction both paths converge to the same Journal state
-(property-tested in ``tests/core/test_correlate_incremental.py``).
+examines only the MAC and IP groups of records touched since the last
+correlation, read from the Journal's own ``by_mac`` / ``by_ip``
+indexes, so two addresses are the same address exactly when the
+Journal says so (:func:`~repro.core.query.ip_key`).
+``correlate(full=True)`` forces the classic full rescan, one walk of
+each index; by construction both paths converge to the same Journal
+state (property-tested in ``tests/core/test_correlate_incremental.py``).
 """
 
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..netsim.addresses import Ipv4Address, Netmask, Subnet
-from .journal import Journal, JournalChanges
+from .journal import Journal, JournalChanges, SortedIndex
+from .query import ip_key
 from .records import GatewayRecord, InterfaceRecord
 
 __all__ = [
@@ -113,38 +117,16 @@ class TopologyGraph:
                 result.append((name, key))
         return result
 
-    def connected_components(self) -> List[Set[str]]:
-        """Components over subnets (two subnets connect via a gateway)."""
-        parent: Dict[str, str] = {}
-
-        def find(item: str) -> str:
-            while parent.setdefault(item, item) != item:
-                parent[item] = parent[parent[item]]
-                item = parent[item]
-            return item
-
-        def union(a: str, b: str) -> None:
-            parent[find(a)] = find(b)
-
-        for subnet in self.subnets:
-            find(subnet)
-        for _gateway_id, (_name, subnet_keys) in self.gateways.items():
-            for other in subnet_keys[1:]:
-                union(subnet_keys[0], other)
-        groups: Dict[str, Set[str]] = defaultdict(set)
-        for subnet in self.subnets:
-            groups[find(subnet)].add(subnet)
-        return sorted(groups.values(), key=lambda g: (-len(g), sorted(g)[0]))
-
 
 class Correlator:
     """Cross-correlates Journal records into a coherent network picture.
 
     One Correlator instance is meant to live as long as its Journal (the
     Discovery Manager keeps one): it carries the incremental state — the
-    last-correlated revision, the interface reverse maps, and the memoised
-    per-record subnet cache.  A fresh instance simply performs a full
-    rescan on its first :meth:`correlate` call.
+    last-correlated revision and the memoised per-record subnet cache.
+    The interface groups it examines are the Journal's own indexes.  A
+    fresh instance simply performs a full rescan on its first
+    :meth:`correlate` call.
     """
 
     def __init__(self, journal: Journal) -> None:
@@ -163,12 +145,6 @@ class Correlator:
         self.last_revision: Optional[int] = None
         self.full_passes = 0
         self.incremental_passes = 0
-        #: mac -> record ids holding that MAC *and* an IP (pass 1's input)
-        self._by_mac: Dict[str, Set[int]] = {}
-        #: ip -> record ids holding that IP (pass 2's input)
-        self._by_ip: Dict[str, Set[int]] = {}
-        #: record id -> (mac-or-None, ip-or-None) as currently indexed
-        self._indexed: Dict[int, Tuple[Optional[str], Optional[str]]] = {}
         #: record id -> (record revision, computed subnet); the record
         #: revision is the invalidation key — the subnet table itself
         #: never feeds the computation, so its revision does not appear
@@ -189,65 +165,28 @@ class Correlator:
         self._subnet_memo[record.record_id] = (record.revision, subnet)
         return subnet
 
-    # ------------------------------------------------------------------
-    # Reverse-map maintenance
-    # ------------------------------------------------------------------
-
-    def _index_interface(self, record: InterfaceRecord) -> None:
-        rid = record.record_id
-        mac, ip = record.mac, record.ip
-        entry = (mac if (mac is not None and ip is not None) else None, ip)
-        old = self._indexed.get(rid)
-        if old == entry:
-            return
-        if old is not None:
-            self._drop_entry(rid, old)
-        if entry == (None, None):
-            self._indexed.pop(rid, None)
-            return
-        self._indexed[rid] = entry
-        if entry[0] is not None:
-            self._by_mac.setdefault(entry[0], set()).add(rid)
-        if entry[1] is not None:
-            self._by_ip.setdefault(entry[1], set()).add(rid)
-
-    def _deindex_interface(self, rid: int) -> None:
-        old = self._indexed.pop(rid, None)
-        if old is not None:
-            self._drop_entry(rid, old)
-        self._subnet_memo.pop(rid, None)
-
-    def _drop_entry(self, rid: int, entry: Tuple[Optional[str], Optional[str]]) -> None:
-        mac, ip = entry
-        if mac is not None:
-            holders = self._by_mac.get(mac)
-            if holders is not None:
-                holders.discard(rid)
-                if not holders:
-                    del self._by_mac[mac]
-        if ip is not None:
-            holders = self._by_ip.get(ip)
-            if holders is not None:
-                holders.discard(rid)
-                if not holders:
-                    del self._by_ip[ip]
-
-    def _rebuild_indexes(self) -> None:
-        self._by_mac.clear()
-        self._by_ip.clear()
-        self._indexed.clear()
-        for record in self.journal.interfaces.values():
-            self._index_interface(record)
-
-    def _apply_interface_delta(self, changes: JournalChanges) -> None:
-        for rid in changes.deleted_interfaces:
-            self._deindex_interface(rid)
-        for rid in changes.interfaces:
-            record = self.journal.interfaces.get(rid)
-            if record is None:
-                self._deindex_interface(rid)
-            else:
-                self._index_interface(record)
+    def _groups(
+        self, index: SortedIndex, keys: Optional[Iterable[str]]
+    ) -> List[Tuple[str, List[int]]]:
+        """``(key, holder ids)`` for each key of a Journal index held by
+        two or more live records, in key order, holders in record-id
+        order.  *keys* None means every key, by one walk of the index
+        rather than a lookup per key."""
+        if keys is None:
+            pairs = [
+                (key, [rid for _key, rid in group])
+                for key, group in groupby(index.items(), key=itemgetter(0))
+            ]
+        else:
+            pairs = [(key, index.get(key)) for key in sorted(keys)]
+        interfaces = self.journal.interfaces
+        groups = []
+        for key, rids in pairs:
+            if len(rids) >= 2:
+                holders = sorted(rid for rid in rids if rid in interfaces)
+                if len(holders) >= 2:
+                    groups.append((key, holders))
+        return groups
 
     # ------------------------------------------------------------------
     # Passes
@@ -268,15 +207,11 @@ class Correlator:
         proxy-ARP device (or reconfiguration) if they share one.  With
         *macs* given, only those groups are (re-)examined."""
         journal = self.journal
-        scope = self._by_mac.keys() if macs is None else macs
-        for mac in sorted(scope):
-            holders = self._by_mac.get(mac)
-            if holders is None or len(holders) < 2:
-                continue
+        for mac, holders in self._groups(journal.by_mac, macs):
             records = [
-                journal.interfaces[rid]
-                for rid in sorted(holders)
-                if rid in journal.interfaces
+                record
+                for rid in holders
+                if (record := journal.interfaces[rid]).ip is not None
             ]
             if len(records) < 2:
                 continue
@@ -311,16 +246,13 @@ class Correlator:
         """Different modules may each have created a partial gateway
         holding the same interface; the Journal merge already handles
         that on insert, so here we merge gateways that hold *different*
-        records for the same interface address.  With *ips* given, only
-        those addresses are (re-)examined."""
+        records for the same interface address.  With *ips* given (as
+        :func:`~repro.core.query.ip_key` keys), only those addresses are
+        (re-)examined."""
         journal = self.journal
-        scope = self._by_ip.keys() if ips is None else ips
-        for ip in sorted(scope):
-            holders = self._by_ip.get(ip)
-            if not holders:
-                continue
+        for ip, holders in self._groups(journal.by_ip, ips):
             holder_in: Dict[int, int] = {}  # gateway id -> a holder in it
-            for rid in sorted(holders):
+            for rid in holders:
                 gateway = journal.gateway_for_interface(rid)
                 if gateway is not None:
                     holder_in.setdefault(gateway.record_id, rid)
@@ -337,7 +269,8 @@ class Correlator:
                 )
                 report.gateways_merged += 1
                 report.notes.append(
-                    f"gateways sharing interface {ip} merged into #{keeper}"
+                    f"gateways sharing interface "
+                    f"{journal.interfaces[holder_in[keeper]].ip} merged into #{keeper}"
                 )
 
     def link_gateways_to_subnets(
@@ -393,14 +326,14 @@ class Correlator:
     # ------------------------------------------------------------------
 
     def _scope_ips(self, changes: JournalChanges) -> Set[str]:
-        """IPs whose gateway-collision status may have changed: the IPs
-        of dirty interfaces plus every member IP of dirty gateways."""
+        """IP keys whose gateway-collision status may have changed: the
+        IPs of dirty interfaces plus every member IP of dirty gateways."""
         journal = self.journal
         ips: Set[str] = set()
         for rid in changes.interfaces:
             record = journal.interfaces.get(rid)
             if record is not None and record.ip is not None:
-                ips.add(record.ip)
+                ips.add(ip_key(record.ip))
         for gid in changes.gateways:
             gateway = journal.gateways.get(gid)
             if gateway is None:
@@ -408,7 +341,7 @@ class Correlator:
             for rid in gateway.interface_ids:
                 record = journal.interfaces.get(rid)
                 if record is not None and record.ip is not None:
-                    ips.add(record.ip)
+                    ips.add(ip_key(record.ip))
         return ips
 
     def _scope_gateways(self, changes: JournalChanges) -> List[GatewayRecord]:
@@ -456,7 +389,8 @@ class Correlator:
         if since is None or full:
             report.mode = "full"
             self.full_passes += 1
-            self._rebuild_indexes()
+            for rid in set(self._subnet_memo) - journal.interfaces.keys():
+                del self._subnet_memo[rid]
             self.infer_gateways_from_shared_macs(report)
             self.merge_gateways_by_shared_interface(report)
             self.link_gateways_to_subnets(report)
@@ -465,7 +399,8 @@ class Correlator:
             report.mode = "incremental"
             self.incremental_passes += 1
             assert changes is not None
-            self._apply_interface_delta(changes)
+            for rid in changes.deleted_interfaces:
+                self._subnet_memo.pop(rid, None)
             dirty_macs = {
                 record.mac
                 for rid in changes.interfaces

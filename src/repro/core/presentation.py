@@ -513,7 +513,7 @@ def _render_topology(journal: Journal) -> str:
     store = journal.topology()
     edges = store.edges()
     graph = store.graph()
-    components = graph.connected_components()
+    components = store.components()
     lines = [
         f"# topology: {len(graph.subnets)} subnet(s), "
         f"{len(graph.gateways)} gateway(s), {len(edges)} link(s), "

@@ -585,10 +585,6 @@ class JournalDispatcher:
     def _op_dump(self, request: Dict[str, Any]) -> Dict[str, Any]:
         return {"ok": True, "journal": self.journal.to_dict()}
 
-    def _op_save(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self.journal.save(request["path"])
-        return {"ok": True}
-
 
 class _AsyncConnection:
     """One multiplexed client connection on the async server.

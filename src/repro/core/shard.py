@@ -678,20 +678,20 @@ class ShardedClient(query_module.NamedReads):
 
     # -- routing and fan-out ------------------------------------------------
 
-    def _routed(self, shard: int, name: str, args: Sequence[Any], kwargs: Dict[str, Any]) -> Any:
+    def _routed(self, shard: int, name: str, arguments: Dict[str, Any]) -> Any:
         """``name`` on the one shard that owns the call.  A shard it
         cannot reach is marked down and the call raises, as on a plain
         client."""
         self._c_routed.inc()
         try:
-            answer = getattr(self.clients[shard], name)(*args, **kwargs)
+            answer = getattr(self.clients[shard], name)(**arguments)
         except ConnectionError:
             self._down[shard].set(1)
             raise
         self._down[shard].set(0)
         return self._globalize(answer, shard)
 
-    def _scatter(self, name: str, bound: inspect.BoundArguments, *, partial: bool) -> List[Any]:
+    def _scatter(self, name: str, arguments: Dict[str, Any], *, partial: bool) -> List[Any]:
         """The one fan-out: ``name`` on every shard, every call started
         before any is waited on (:func:`~repro.core.client.scatter`),
         with ``where`` localized to each shard's record ids and ``since``
@@ -704,7 +704,6 @@ class ShardedClient(query_module.NamedReads):
         shard's answer is None; otherwise (a full pull, totals, metrics)
         the fan-out raises :class:`ConnectionError`.  Any other error is
         raised once every started call has been waited on."""
-        arguments = bound.arguments
         where = arguments.get("where")
         cursor = "since" in arguments and _normalize_cursor(arguments["since"], self.shards)
         starters = []
@@ -714,7 +713,7 @@ class ShardedClient(query_module.NamedReads):
             if cursor:
                 arguments["since"] = cursor[index]
             starters.append(
-                functools.partial(begin_call, client, name, *bound.args, **bound.kwargs)
+                functools.partial(begin_call, client, name, **arguments)
             )
         self._c_scatter.inc()
         answers, missing, failure = scatter(starters)
@@ -1174,7 +1173,7 @@ def _id_shard(router: ShardedClient, arguments: Dict[str, Any]) -> int:
     return shard
 
 
-#: ``place`` key -> the owning shard of a call's bound arguments (a
+#: ``place`` key -> the owning shard of a call's arguments (a
 #: global id argument is rewritten to the owner's local id)
 _PLACES: Dict[str, Callable[[ShardedClient, Dict[str, Any]], int]] = {
     "observation": lambda router, a: router.shard_map.shard_for_observation(a["observation"]),
@@ -1185,25 +1184,25 @@ _PLACES: Dict[str, Callable[[ShardedClient, Dict[str, Any]], int]] = {
 }
 
 
-def _placed(router: ShardedClient, name: str, key: str, bound: inspect.BoundArguments) -> Any:
-    shard = _PLACES[key](router, bound.arguments)
-    return router._routed(shard, name, bound.args, bound.kwargs)
+def _placed(router: ShardedClient, name: str, key: str, arguments: Dict[str, Any]) -> Any:
+    shard = _PLACES[key](router, arguments)
+    return router._routed(shard, name, arguments)
 
 
-def _owned(router: ShardedClient, name: str, key: str, bound: inspect.BoundArguments) -> Any:
-    shard = router._owner(bound.arguments)
+def _owned(router: ShardedClient, name: str, key: str, arguments: Dict[str, Any]) -> Any:
+    shard = router._owner(arguments)
     if shard is not None:
-        return router._routed(shard, name, bound.args, bound.kwargs)
-    return router._merge_records(router._scatter(name, bound, partial=True))
+        return router._routed(shard, name, arguments)
+    return router._merge_records(router._scatter(name, arguments, partial=True))
 
 
-def _scattered(router: ShardedClient, name: str, key: str, bound: inspect.BoundArguments) -> Any:
-    return router._fold(router._scatter(name, bound, partial=False))
+def _scattered(router: ShardedClient, name: str, key: str, arguments: Dict[str, Any]) -> Any:
+    return router._fold(router._scatter(name, arguments, partial=False))
 
 
-def _vectored(router: ShardedClient, name: str, key: str, bound: inspect.BoundArguments) -> Any:
-    components = _normalize_cursor(bound.arguments["since"], router.shards)
-    deltas = router._scatter(name, bound, partial=True)
+def _vectored(router: ShardedClient, name: str, key: str, arguments: Dict[str, Any]) -> Any:
+    components = _normalize_cursor(arguments["since"], router.shards)
+    deltas = router._scatter(name, arguments, partial=True)
     merged = JournalChanges(since=sum(components), revision=0)
     vector = list(components)
     for index, delta in enumerate(deltas):
@@ -1219,16 +1218,16 @@ def _vectored(router: ShardedClient, name: str, key: str, bound: inspect.BoundAr
     return merged
 
 
-def _gathered(router: ShardedClient, name: str, key: str, bound: inspect.BoundArguments) -> Any:
-    return {"shards": router._scatter(name, bound, partial=False)}
+def _gathered(router: ShardedClient, name: str, key: str, arguments: Dict[str, Any]) -> Any:
+    return {"shards": router._scatter(name, arguments, partial=False)}
 
 
-def _viewed(router: ShardedClient, name: str, key: str, bound: inspect.BoundArguments) -> Any:
-    return getattr(router._refreshed_view().journal, name)(*bound.args, **bound.kwargs)
+def _viewed(router: ShardedClient, name: str, key: str, arguments: Dict[str, Any]) -> Any:
+    return getattr(router._refreshed_view().journal, name)(**arguments)
 
 
 #: the derived policies, each serving ``(router, method name, place key,
-#: bound arguments)``; any other route names a hand-written one
+#: the call's arguments by name)``; any other route names a hand-written one
 _POLICIES: Dict[str, Callable[..., Any]] = {
     "place": _placed,
     "owner": _owned,
@@ -1253,10 +1252,16 @@ def _route(op: str, name: str) -> Optional[Callable]:
     if not callable(model):
         model = getattr(LocalClient, name)
     signature = inspect.signature(model)
-    bind = signature.replace(parameters=list(signature.parameters.values())[1:]).bind
+    params = list(signature.parameters.values())[1:]
+    bind = wire.binder(params)
+    spread = next((p.name for p in params if p.kind is p.VAR_KEYWORD), None)
 
     def method(self, *args, **kwargs):
-        return serve(self, name, key, bind(*args, **kwargs))
+        # Every argument by name; a ``**`` parameter's keywords spread.
+        arguments = bind(args, kwargs)
+        if spread in arguments:
+            arguments.update(arguments.pop(spread))
+        return serve(self, name, key, arguments)
 
     method.__name__, method.__doc__, method.__signature__ = name, model.__doc__, signature
     return method

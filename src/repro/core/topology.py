@@ -579,6 +579,20 @@ class TopologyStore:
                 )
             return graph
 
+    def components(self) -> List[List[str]]:
+        """The subnets in connected pieces (two subnets connect through
+        a gateway with a present edge to each), each piece in key order:
+        the graph index's components plus one piece per subnet with no
+        gateway, largest first, ties to the lowest key."""
+        with self._lock:
+            self.refresh()
+            components = [list(keys) for keys in self._graph_index().component_subnets]
+            components.extend(
+                [key] for key, node in self._subnet_nodes.items() if not node.gateways
+            )
+            components.sort(key=lambda keys: (-len(keys), keys[0]))
+            return components
+
     def state(self) -> Dict[str, Any]:
         """Canonical JSON-able structure state (no history): the
         incremental ≡ rebuilt equivalence surface."""

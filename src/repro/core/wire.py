@@ -214,7 +214,6 @@ OPS: Dict[str, OpSpec] = {
     "ping": OpSpec("read", True),
     "metrics": OpSpec("read", True, ("metrics",), route="gather"),
     "dump": OpSpec("read", False, ("snapshot",), route="aggregate"),
-    "save": OpSpec("read"),
     # federation and failover handshake
     "shard_info": OpSpec("read", True, ("shard_info", "replica_info"), route="router"),
     # failover control plane
@@ -623,6 +622,34 @@ def _codec(hint: Any) -> Tuple[Optional[Callable], Optional[Callable]]:
     return None, None
 
 
+def binder(params: Sequence[inspect.Parameter]) -> Callable[..., Dict[str, Any]]:
+    """``bind(args, kwargs)`` for a method with these parameters (no
+    ``self``): the call's arguments by name, as
+    ``inspect.Signature.bind`` would give them (a ``**`` parameter's
+    keywords as one dict under its own name), or a TypeError for a call
+    the method would refuse.  The names are worked out here, once: a
+    plain call costs two dict builds, not a ``Signature.bind``."""
+    bind = inspect.Signature(params).bind
+    positional = [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+    names = frozenset(p.name for p in params if p.kind is not p.VAR_KEYWORD)
+    required = {p.name for p in params if p.default is p.empty and p.kind is not p.VAR_KEYWORD}
+
+    def bound(args: Sequence[Any], kwargs: Dict[str, Any]) -> Dict[str, Any]:
+        values = dict(zip(positional, args))
+        values.update(kwargs)
+        if (
+            len(values) != len(args) + len(kwargs)
+            or not required <= values.keys()
+            or not names >= kwargs.keys()
+        ):
+            # Anything but plain named arguments (a ``**`` argument, or
+            # a call the method would refuse): bind it the slow way.
+            values = bind(*args, **kwargs).arguments
+        return values
+
+    return bound
+
+
 class JournalCall:
     """The wire codec of one Journal call, derived from its :data:`OPS`
     row and the signature and type hints of the Journal method the row
@@ -648,6 +675,8 @@ class JournalCall:
         self.op, self.spec = op, spec
         #: the Journal method's signature without ``self``
         self.signature = inspect.Signature(params)
+        #: the call's arguments by name (see :func:`binder`)
+        self.bind = binder(params)
         #: the request fields: the Journal method's parameter names (a
         #: ``**`` parameter travels as one object under its own name)
         self._names = frozenset(param.name for param in params)
@@ -656,9 +685,6 @@ class JournalCall:
         self._positional = [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
         #: the parameters a one-shot iterator may fill (see :meth:`settle`)
         self._iterables = [name for name, (enc, _dec) in codecs.items() if enc is list]
-        self._required = {
-            p.name for p in params if p.default is p.empty and p.kind is not p.VAR_KEYWORD
-        }
         #: the ``**`` parameter, whose object spreads into keywords
         self._spread = next((p.name for p in params if p.kind is p.VAR_KEYWORD), None)
         reply = spec.reply or ()
@@ -669,17 +695,7 @@ class JournalCall:
     def request(self, args: Sequence[Any], kwargs: Dict[str, Any]) -> Dict[str, Any]:
         """The request for a call (a TypeError for arguments the Journal
         method would refuse)."""
-        values = dict(zip(self._positional, args))
-        values.update(kwargs)
-        if (
-            len(values) != len(args) + len(kwargs)
-            or not self._required <= values.keys()
-            or not self._names >= kwargs.keys()
-        ):
-            # Anything but plain named arguments (a ``**`` argument, or
-            # a call the method would refuse): bind it the slow way.
-            values = self.signature.bind(*args, **kwargs).arguments
-        request = {"op": self.op, **values}
+        request = {"op": self.op, **self.bind(args, kwargs)}
         for name, encode in self._encoders.items():
             if name in request:
                 request[name] = encode(request[name])

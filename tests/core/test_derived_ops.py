@@ -288,6 +288,26 @@ def test_router_methods_carry_the_journal_signature(op):
             assert method.__name__ == name and method.__doc__ == model.__doc__
 
 
+@pytest.mark.parametrize(
+    "op", [op for op in ROUTED if wire.OPS[op].route.partition(":")[0] in _POLICIES]
+)
+def test_router_refuses_a_call_the_journal_refuses(op):
+    """Too many arguments, or a required one missing: the derived
+    router method raises the Journal method's TypeError."""
+    router = ShardedClient([LocalClient(Journal(clock=_clock)) for _ in range(2)])
+    for name in wire.OPS[op].methods:
+        model = getattr(Journal, name, None) or getattr(LocalClient, name)
+        params = list(inspect.signature(model).parameters.values())[1:]
+        calls = [(None,) * 6]
+        if any(p.default is p.empty and p.kind is not p.VAR_KEYWORD for p in params):
+            calls.append(())
+        for args in calls:
+            with pytest.raises(TypeError):
+                model(Journal(clock=_clock), *args)
+            with pytest.raises(TypeError):
+                getattr(router, name)(*args)
+
+
 def _global(value, shards, home):
     """A comparable result with every record id made the fleet's global
     id of a record on shard *home*."""

@@ -1,8 +1,7 @@
 """Journal change feed: subscriptions, publish, pruning, and the
-feed-driven Correlator / AnalysisMonitor consumers."""
+feed-driven Correlator consumer."""
 
 from repro.core import Correlator, Journal
-from repro.core.analysis import AnalysisMonitor
 from repro.core.journal import JournalChanges
 from repro.core.records import Observation
 
@@ -135,34 +134,3 @@ class TestFeedDrivenCorrelator:
         report = correlator.correlate()
         assert report.mode == "incremental"
         assert report.interfaces_examined == 0
-
-
-class TestAnalysisMonitor:
-    def test_recomputes_only_when_journal_moves(self):
-        journal = Journal()
-        journal.submit(_obs(ip="10.0.0.1", promiscuous_rip=True))
-        with AnalysisMonitor(journal, stale_horizon=0.0) as monitor:
-            first = monitor.refresh()
-            assert first["promiscuous-rip"]
-            second = monitor.refresh()
-            assert second is first
-            assert (monitor.recomputes, monitor.skips) == (1, 1)
-            journal.submit(_obs(ip="10.0.0.2", promiscuous_rip=True))
-            third = monitor.refresh()
-            assert len(third["promiscuous-rip"]) == 2
-            assert monitor.recomputes == 2
-        assert journal.counts()["feed_subscribers"] == 0
-
-    def test_monitor_matches_direct_analysis(self):
-        from repro.core.analysis import run_all_analyses
-
-        journal = Journal()
-        journal.submit(_obs(ip="10.0.0.1", mac="aa:00:00:00:00:01"))
-        journal.submit(_obs(ip="10.0.0.1", mac="aa:00:00:00:00:02"))
-        monitor = AnalysisMonitor(journal, stale_horizon=0.0)
-        direct = run_all_analyses(journal, stale_horizon=0.0)
-        via_feed = monitor.refresh()
-        assert {k: [str(f) for f in v] for k, v in direct.items()} == {
-            k: [str(f) for f in v] for k, v in via_feed.items()
-        }
-        monitor.close()

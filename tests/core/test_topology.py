@@ -776,35 +776,108 @@ class TestIndexOracle:
         _assert_matches_reference(journal, (store,))
 
 
+def _union_find_components(graph):
+    """The reference for ``TopologyStore.components``: a union-find over
+    the graph's subnets, two subnets joined by each gateway holding
+    both, largest piece first, ties to the lowest key."""
+    parent = {}
+
+    def find(item):
+        while parent.setdefault(item, item) != item:
+            parent[item] = parent[parent[item]]
+            item = parent[item]
+        return item
+
+    for subnet in graph.subnets:
+        find(subnet)
+    for _name, subnet_keys in graph.gateways.values():
+        for other in subnet_keys[1:]:
+            parent[find(subnet_keys[0])] = find(other)
+    groups = {}
+    for subnet in graph.subnets:
+        groups.setdefault(find(subnet), []).append(subnet)
+    return sorted(
+        (sorted(group) for group in groups.values()),
+        key=lambda group: (-len(group), group[0]),
+    )
+
+
+def _random_step(rng):
+    """One ``_O_STEPS``-shaped step drawn from *rng*."""
+    kind = rng.choice(["link"] * 3 + ["unlink", "requalify", "rename",
+                                      "delete", "subnet", "host"])
+    name = rng.choice(_O_NAMES)
+    if kind == "link":
+        keys = rng.sample(_O_SUBNETS, rng.randint(1, 3))
+        return (kind, name, keys, rng.random() < 0.5)
+    if kind in ("unlink", "requalify"):
+        return (kind, name, rng.choice(_O_SUBNETS))
+    if kind == "rename":
+        return (kind, name, rng.choice(_O_NAMES))
+    if kind == "delete":
+        return (kind, name)
+    if kind == "subnet":
+        return (kind, rng.choice(_O_SUBNETS))
+    return (kind, rng.choice(_O_SUBNETS), rng.randint(10, 12))
+
+
 class TestComponentsProperty:
     @pytest.mark.parametrize("seed", [2, 9, 77])
     def test_components_partition_the_subnets(self, seed):
-        """connected_components is a partition: disjoint, covering,
-        ordered largest-first, and consistent with the edge relation."""
+        """Under seeded churn the store's components stay a partition:
+        disjoint, covering, ordered largest-first, and consistent with
+        the edge relation."""
         rng = random.Random(seed)
-        graph = TopologyGraph()
-        subnets = [f"10.{i}.0.0/24" for i in range(rng.randint(2, 12))]
-        for key in subnets:
-            graph.subnets[key] = []
-        for gid in range(rng.randint(0, 8)):
-            attached = rng.sample(subnets, min(len(subnets), rng.randint(1, 3)))
-            graph.gateways[gid] = (f"g{gid}", sorted(attached))
-        components = graph.connected_components()
-        seen = set()
-        for component in components:
-            assert not (component & seen)
-            seen |= component
-        assert seen == set(subnets)
-        sizes = [len(component) for component in components]
-        assert sizes == sorted(sizes, reverse=True)
-        for _name, attached in graph.gateways.values():
-            owners = [
-                index
-                for index, component in enumerate(components)
-                if set(attached) & component
-            ]
-            # All subnets behind one gateway share one component.
-            assert len(set(owners)) <= 1 or not attached
+        clock = {"now": 0.0}
+        journal = Journal(clock=lambda: clock["now"])
+        store = journal.topology()
+        for _round in range(30):
+            clock["now"] += 10.0
+            _apply_step(journal, _random_step(rng))
+            graph = store.graph()
+            components = store.components()
+            seen = set()
+            for component in components:
+                assert component == sorted(component)
+                assert not (set(component) & seen)
+                seen |= set(component)
+            assert seen == set(graph.subnets)
+            sizes = [len(component) for component in components]
+            assert sizes == sorted(sizes, reverse=True)
+            for _name, attached in graph.gateways.values():
+                owners = {
+                    index
+                    for index, component in enumerate(components)
+                    if set(attached) & set(component)
+                }
+                # All subnets behind one gateway share one component.
+                assert len(owners) <= 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(steps=st.lists(_O_STEPS, min_size=1, max_size=24))
+    def test_components_equal_the_union_find(self, steps):
+        """After every churn step (links that retire and return, deleted
+        gateways, edgeless subnets, equal-sized pieces) the store's
+        components equal the union-find reference over its graph."""
+        clock = {"now": 0.0}
+        journal = Journal(clock=lambda: clock["now"])
+        store = journal.topology()
+        for step in steps:
+            clock["now"] += 10.0
+            _apply_step(journal, step)
+            assert store.components() == _union_find_components(store.graph())
+
+    def test_edgeless_subnets_and_ties(self, journal):
+        journal.ensure_subnet("10.0.9.0/24", source=SOURCE)
+        journal.ensure_subnet("10.0.8.0/24", source=SOURCE)
+        _gateway(journal, "gw-b", ["10.0.5.0/24", "10.0.6.0/24"])
+        _gateway(journal, "gw-a", ["10.0.3.0/24", "10.0.4.0/24"])
+        assert journal.topology().components() == [
+            ["10.0.3.0/24", "10.0.4.0/24"],
+            ["10.0.5.0/24", "10.0.6.0/24"],
+            ["10.0.8.0/24"],
+            ["10.0.9.0/24"],
+        ]
 
 
 class TestWireSafety:

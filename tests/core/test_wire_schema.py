@@ -1,5 +1,7 @@
 """The wire op/counter naming schema."""
 
+import socket
+
 import pytest
 
 from repro.core import FailoverClient, Journal, JournalServer, RemoteClient
@@ -75,7 +77,7 @@ class TestOpTable:
     def test_derived_sets_equal_the_lists_they_replaced(self):
         assert wire.READ_OPS == frozenset({
             "ping", "counts", "metrics", "shard_info", "query", "path",
-            "impact", "negative_check", "changes_since", "pull", "dump", "save",
+            "impact", "negative_check", "changes_since", "pull", "dump",
         })
         inline_writes = frozenset({
             "observe", "negative_put", "ensure_gateway", "ensure_subnet",
@@ -116,6 +118,22 @@ class TestOpCompatibility:
             with pytest.raises(wire.WireError, match="unknown op"):
                 server._dispatch(request)
         assert journal.counts()["interfaces"] == 0
+
+    def test_save_op_writes_no_file(self, served_journal, tmp_path):
+        """A peer cannot make the server write a file at a path it
+        names: ``save`` is no op, and the connection stays usable."""
+        _journal, server, _address = served_journal
+        target = tmp_path / "overwritten.json"
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            reader = wire.FrameReader(sock)
+            sock.sendall(wire.encode_message({"op": "save", "path": str(target)}))
+            reply = reader.read(5.0)
+            assert reply["ok"] is False
+            assert "unknown op" in reply["error"]
+            sock.sendall(wire.encode_message({"op": "ping"}))
+            assert reader.read(5.0)["ok"] is True
+        assert not target.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_op_is_still_rejected(self, served_journal):
         _journal, server, _address = served_journal

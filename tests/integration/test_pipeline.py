@@ -92,7 +92,7 @@ class TestLocalPipeline:
         report = Correlator(journal).correlate()
         graph = journal.topology().graph()
         # The discovered picture is connected around the backbone.
-        components = graph.connected_components()
+        components = journal.topology().components()
         assert len(components[0]) >= len(campus.traceroute_visible_subnets())
 
         # Presentation programs run on the result.
