@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional
 
 from ..netsim.addresses import Ipv4Address, Netmask, Subnet
@@ -472,11 +474,19 @@ def run_all_analyses(
 
 
 def _records_by_ip(journal: Journal) -> Dict[str, List[InterfaceRecord]]:
-    by_ip: Dict[str, List[InterfaceRecord]] = defaultdict(list)
-    for record in journal.all_interfaces():
-        if record.ip is not None:
-            by_ip[record.ip].append(record)
-    return by_ip
+    """The interfaces sharing an address, two or more to a group, by one
+    walk of the Journal's ``by_ip`` index: addresses compare by
+    :func:`~repro.core.query.ip_key`, so ``010.000.000.001`` and
+    ``10.0.0.1`` are one.  Groups come in address order, keyed by their
+    first holder's address text, holders in record-id order."""
+    interfaces = journal.interfaces
+    groups: Dict[str, List[InterfaceRecord]] = {}
+    for _key, group in groupby(journal.by_ip.items(), key=itemgetter(0)):
+        holders = sorted(rid for _ip, rid in group if rid in interfaces)
+        if len(holders) >= 2:
+            records = [interfaces[rid] for rid in holders]
+            groups[records[0].ip] = records
+    return groups
 
 
 # ----------------------------------------------------------------------

@@ -242,7 +242,7 @@ def scan_segment(path: str) -> SegmentScan:
             scan.error = f"CRC mismatch at offset {offset}"
             break
         try:
-            entry = json.loads(payload.decode("utf-8"))
+            entry = wire.decode_json(payload)
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             scan.corrupt = True
             scan.error = f"unparseable record at offset {offset}: {error}"
@@ -489,7 +489,7 @@ class JournalStore:
             header_line = handle.readline()
             body = handle.read()
         try:
-            header = json.loads(header_line.decode("utf-8"))
+            header = wire.decode_json(header_line)
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ValueError(f"unreadable header: {error}") from None
         if not isinstance(header, dict) or header.get("format") not in _CHECKPOINT_FORMATS:
@@ -497,7 +497,7 @@ class JournalStore:
         if zlib.crc32(body) != int(header.get("crc32", -1)):
             raise ValueError("body CRC mismatch (torn or bit-rotted snapshot)")
         try:
-            data = json.loads(body.decode("utf-8"))
+            data = wire.decode_json(body)
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ValueError(f"unparseable body: {error}") from None
         try:

@@ -683,12 +683,17 @@ class ShardedClient(query_module.NamedReads):
         cannot reach is marked down and the call raises, as on a plain
         client."""
         self._c_routed.inc()
+        # The down gauge is written only when the shard's state flips,
+        # not on every call.
+        down = self._down[shard]
         try:
             answer = getattr(self.clients[shard], name)(**arguments)
         except ConnectionError:
-            self._down[shard].set(1)
+            if not down.value:
+                down.set(1)
             raise
-        self._down[shard].set(0)
+        if down.value:
+            down.set(0)
         return self._globalize(answer, shard)
 
     def _scatter(self, name: str, arguments: Dict[str, Any], *, partial: bool) -> List[Any]:

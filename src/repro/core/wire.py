@@ -28,6 +28,7 @@ import collections.abc
 import functools
 import inspect
 import json
+import math
 import select
 import socket
 import time
@@ -86,6 +87,7 @@ __all__ = [
     "encode_document",
     "encode_json",
     "encode_message",
+    "decode_json",
     "decode_message",
     "replica_info_to_dict",
     "replica_info_from_dict",
@@ -683,6 +685,12 @@ class JournalCall:
         self._encoders = {name: enc for name, (enc, _dec) in codecs.items() if enc}
         self._decoders = {name: dec for name, (_enc, dec) in codecs.items() if dec}
         self._positional = [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+        #: the float parameters: orjson would write a non-finite one as
+        #: null, so :meth:`request` refuses it as the Journal method does
+        self._floats = [
+            param.name for param in params
+            if hints.get(param.name) in (float, Optional[float])
+        ]
         #: the parameters a one-shot iterator may fill (see :meth:`settle`)
         self._iterables = [name for name, (enc, _dec) in codecs.items() if enc is list]
         #: the ``**`` parameter, whose object spreads into keywords
@@ -694,8 +702,12 @@ class JournalCall:
 
     def request(self, args: Sequence[Any], kwargs: Dict[str, Any]) -> Dict[str, Any]:
         """The request for a call (a TypeError for arguments the Journal
-        method would refuse)."""
+        method would refuse, a ValueError for a non-finite float)."""
         request = {"op": self.op, **self.bind(args, kwargs)}
+        for name in self._floats:
+            value = request.get(name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{self.op} {name} must be finite, got {value!r}")
         for name, encode in self._encoders.items():
             if name in request:
                 request[name] = encode(request[name])
@@ -1138,13 +1150,53 @@ def _non_finite(constant: str) -> NoReturn:
     raise WireError(f"non-finite number {constant} is not JSON")
 
 
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if math.isinf(value):
+        _non_finite(literal)
+    return value
+
+
+#: maps each digit to ``0`` and every other byte to ``x``: bytes holding
+#: a run of 19 digits translate to bytes holding :data:`_LONG_RUN`
+_DIGITS = bytes(0x30 if 0x30 <= byte <= 0x39 else 0x78 for byte in range(256))
+_LONG_RUN = b"0" * 19
+
+
+def decode_json(data: bytes, *, finite: bool = False) -> Any:
+    """The JSON value of UTF-8 *data*: the one decoder of frames, WAL
+    records and checkpoints.  orjson reads it unless it could read it
+    wrong.  orjson turns an integer beyond 64 bits into a float, and
+    every integer of 18 digits or fewer fits in 64 bits, so bytes
+    holding a run of 19 or more digits go to the stdlib; so do bytes
+    orjson refuses (a lone surrogate, ``NaN``, ``1e400``, malformed
+    text), which the stdlib reads as it always has or refuses with its
+    own error.  *finite* makes the stdlib refuse a non-finite number
+    (a constant or an overflowing literal) with :class:`WireError`.
+    """
+    if _LONG_RUN not in data.translate(_DIGITS):
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    text = data.decode("utf-8")
+    if finite:
+        return json.loads(text, parse_constant=_non_finite, parse_float=_finite_float)
+    return json.loads(text)
+
+
 def decode_message(line: bytes) -> Dict[str, Any]:
-    """One protocol message.  ``NaN`` and ``Infinity`` are refused: the
-    encoder writes neither, and a write holding one would log a record
-    that could not replay."""
+    """One protocol message.  ``NaN``, ``Infinity`` and a literal that
+    overflows to infinity (``1e400``) are refused: the encoder writes
+    none of them, and a write holding one would log a record that could
+    not replay."""
     try:
-        message = json.loads(line.decode("utf-8"), parse_constant=_non_finite)
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        message = decode_json(line, finite=True)
+    except WireError:
+        raise
+    except ValueError as error:
+        # Malformed JSON or UTF-8, or an integer past the stdlib's
+        # digit limit (a bare ValueError).
         raise WireError(f"malformed message: {error}") from None
     if not isinstance(message, dict):
         raise WireError("message must be a JSON object")

@@ -125,6 +125,22 @@ class TestDuplicateAddresses:
         _observe(journal, ip="10.0.0.1", mac="aa:00:03:00:00:02")
         assert find_duplicate_addresses(journal) == []
 
+    def test_one_address_in_two_spellings_is_one_address(self, timed_journal):
+        """The finders group by the Journal's IP index, which compares
+        addresses by ``ip_key``: zero-padded text is the same address."""
+        journal, state = timed_journal
+        state["now"] = 10.0
+        first = _observe(journal, ip="10.0.0.1", mac="aa:00:03:00:00:01")
+        state["now"] = 100.0
+        second = _observe(journal, ip="010.000.000.001", mac="aa:00:03:00:00:02")
+        state["now"] = 200.0
+        _observe(journal, ip="10.0.0.1", mac="aa:00:03:00:00:01")
+        assert first.record_id != second.record_id
+        findings = run_all_analyses(journal)[KIND_DUPLICATE]
+        assert len(findings) == 1
+        assert findings[0].subject == "10.0.0.1"
+        assert findings[0].record_ids == [first.record_id, second.record_id]
+
 
 class TestMaskConflicts:
     def test_minority_mask_flagged(self, timed_journal):

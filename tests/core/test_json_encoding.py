@@ -24,7 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Journal, JournalServer, Observation, RemoteClient, wire
+from repro.core import (
+    FailoverClient, Journal, JournalServer, Observation, RemoteClient, wire,
+)
 from repro.core.client import LocalClient
 from repro.core.durability import SEGMENT_MAGIC, JournalStore, scan_segment
 from repro.core.records import Attribute, InterfaceRecord
@@ -129,6 +131,28 @@ class TestNonFiniteNumbers:
         assert list(client.journal._negative) == [("dns", "ok.example")]
         store.close(checkpoint=False)
         assert len(scan_segment(str(tmp_path / "wal-00000001.log")).entries) == 1
+
+    @pytest.mark.parametrize("ttl", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("connect", [
+        lambda address: RemoteClient(*address),
+        lambda address: FailoverClient([address]),
+    ], ids=["remote", "failover"])
+    def test_a_remote_client_refuses_a_non_finite_ttl_before_sending(self, connect, ttl):
+        """orjson would write the float as ``null``; the client raises the
+        ValueError a LocalClient raises, and the server sees nothing."""
+        journal = Journal()
+        server = JournalServer(journal)
+        server.start()
+        client = connect(server.address)
+        try:
+            with pytest.raises(ValueError, match="negative_put ttl must be finite"):
+                client.negative_put("arp", "ghost", ttl=ttl)
+            assert journal._negative == {}
+            client.negative_put("arp", "k", ttl=30.0)
+            assert list(journal._negative) == [("arp", "k")]
+        finally:
+            client.close()
+            server.stop()
 
 
 class TestStdlibFilesStillRecover:

@@ -399,6 +399,41 @@ class TestDegradation:
         assert down.labels(shard="1").value == 1
         assert partial_reads.value == 2
 
+    def test_a_routed_op_writes_the_down_gauge_only_when_it_flips(self, monkeypatch):
+        """The gauge reads 1 after an unreachable routed call and 0 after
+        a successful one, but a run of successes writes it no more."""
+        from repro.core import telemetry
+
+        class _Flaky(LocalClient):
+            down = False
+
+            def negative_check(self, kind, key):
+                if self.down:
+                    raise ConnectionError("shard down")
+                return super().negative_check(kind, key)
+
+        flaky = _Flaky(Journal())
+        router = ShardedClient([flaky], check=False)
+        gauge = router.telemetry.gauge("fremont_shard_down", "", labels=("shard",))
+        writes = []
+        set_value = telemetry.Gauge.set
+        monkeypatch.setattr(
+            telemetry.Gauge, "set",
+            lambda self, value: (writes.append(value), set_value(self, value)),
+        )
+        for _ in range(3):
+            assert router.negative_check("arp", "k") is False
+        assert gauge.labels(shard="0").value == 0 and writes == []
+        flaky.down = True
+        for _ in range(2):
+            with pytest.raises(ConnectionError):
+                router.negative_check("arp", "k")
+        assert gauge.labels(shard="0").value == 1 and writes == [1]
+        flaky.down = False
+        for _ in range(3):
+            router.negative_check("arp", "k")
+        assert gauge.labels(shard="0").value == 0 and writes == [1, 0]
+
     def test_counts_raise_on_unreachable_shard(self):
         router = ShardedClient(
             [LocalClient(Journal()), _DeadClient()], check=False
