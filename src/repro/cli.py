@@ -168,24 +168,12 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     if isinstance(source, Journal):
         journal = source
     else:
+        # Every client snapshots what its target knows: one server's
+        # journal, or a sharded router's whole fleet.
         with connect(source) as client:
-            journal = _materialize(client)
+            journal = client.snapshot()
     print(render_report(journal, "dump"))
     return 0
-
-
-def _materialize(client) -> Journal:
-    """A local Journal holding everything a live target knows: a
-    sharded router snapshots its whole fleet; a single server is
-    pulled with one full replication pass."""
-    snapshot = getattr(client, "snapshot", None)
-    if callable(snapshot):
-        return snapshot()
-    from .core.replicate import JournalReplicator
-
-    journal = Journal()
-    JournalReplicator(client, connect(journal)).sync(full=True)
-    return journal
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

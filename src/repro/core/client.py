@@ -12,8 +12,10 @@ Manager, and data analysis and presentation programs use"):
   distributed placement ("there are no restrictions about the physical
   location of individual modules").
 
-Both expose the same duck-typed surface, so explorers never know which
-they hold.  Callers normally obtain one through :func:`connect`, which
+Both — and the failover and sharded clients built from them — answer
+the one :class:`JournalClient` surface, so explorers, the batching sink
+and the query cache never know which they hold.  Callers normally
+obtain one through :func:`connect`, which
 picks the client class from the target and optionally stacks a
 :class:`~repro.core.sink.BatchingSink` on top.
 
@@ -40,12 +42,15 @@ from . import query as query_module
 from . import wire
 from .journal import Journal, JournalChanges
 from .records import InterfaceRecord, Observation
-from .sink import BatchingSink, DirectSinkMixin, ObservationSink
+from .sink import BatchingSink, ObservationSink
 from .telemetry import DEPTH_BUCKETS, MetricsRegistry
 
 __all__ = [
+    "JournalClient",
     "LocalClient",
     "RemoteClient",
+    "ChangeFeed",
+    "LocalChangeFeed",
     "RemoteChangeFeed",
     "QueryCache",
     "PendingReply",
@@ -83,7 +88,100 @@ def _raise_server_error(response: Dict[str, Any]) -> None:
     raise RuntimeError(message)
 
 
-class LocalClient(query_module.NamedReads, DirectSinkMixin):
+class JournalClient(query_module.NamedReads):
+    """The one surface every journal client answers — :class:`LocalClient`,
+    :class:`RemoteClient`, :class:`~repro.core.failover.FailoverClient`
+    and :class:`~repro.core.shard.ShardedClient` — so the sink, the
+    router and the cache never ask which client they hold:
+
+    * ``observe_batch_nowait(observations, coalesced=0)`` returns a reply
+      whose ``wait()`` gives ``{"ok": True, "responses": [...]}``, one
+      ``{"changed": bool}`` item per observation in submission order
+      (already settled on an in-process client); :meth:`observe_batch`
+      is that reply's flags;
+    * ``subscribe(since=0)`` returns a :class:`ChangeFeed`;
+    * ``revision()``, ``snapshot()``, ``flush()`` and ``close()``, and
+      ``with`` closes.
+    """
+
+    def observe_batch(
+        self, observations: Sequence[Observation], *, coalesced: int = 0
+    ) -> List[bool]:
+        """Apply a batch of observations (one ``observe_batch`` op per
+        server) and return its per-observation changed flags, in
+        submission order."""
+        response = self.observe_batch_nowait(observations, coalesced=coalesced).wait()
+        return [bool(item.get("changed")) for item in response["responses"]]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+# Every client speaks the sink protocol (submit/resolve/flush/close) by
+# duck typing; registering the base lets isinstance-based plumbing
+# (connect, tooling) treat them uniformly.
+ObservationSink.register(JournalClient)
+
+
+class ChangeFeed:
+    """What every client's ``subscribe(since=...)`` returns: ``poll``
+    for the next delta, ``drain`` for everything pending as one delta,
+    a ``revision`` delivery cursor, ``close``, and ``with`` support."""
+
+    __slots__ = ()
+
+    def poll(self, timeout: Optional[float] = 0.5) -> Optional[JournalChanges]:
+        raise NotImplementedError
+
+    def drain(self, timeout: Optional[float] = 0.5) -> Optional[JournalChanges]:
+        """Collapse every delta currently pending (waiting up to
+        *timeout* for the first) into one merged delta, or None."""
+        merged = self.poll(timeout)
+        if merged is None:
+            return None
+        while True:
+            extra = self.poll(0.0)
+            if extra is None:
+                return merged
+            merged.merge(extra)
+
+    def close(self) -> None:
+        raise NotImplementedError
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class LocalChangeFeed(ChangeFeed):
+    """An in-process client's change feed: a pull
+    :class:`~repro.core.journal.FeedSubscription`.  Nothing is in
+    transit, so :meth:`poll` answers at once, whatever its timeout."""
+
+    __slots__ = ("_subscription",)
+
+    def __init__(self, subscription) -> None:
+        self._subscription = subscription
+
+    @property
+    def revision(self) -> int:
+        return self._subscription.last_revision
+
+    def poll(self, timeout: Optional[float] = 0.5) -> Optional[JournalChanges]:
+        if not self._subscription.pending:
+            return None
+        return self._subscription.poll()
+
+    def close(self) -> None:
+        self._subscription.close()
+
+
+class LocalClient(JournalClient):
     """In-process client: delegates straight to a :class:`Journal`."""
 
     def __init__(self, journal: Journal) -> None:
@@ -97,12 +195,6 @@ class LocalClient(query_module.NamedReads, DirectSinkMixin):
     def metrics(self, *, spans: int = 50) -> Dict[str, Any]:
         """Registry snapshot, mirroring the server ``metrics`` op."""
         return self.journal.telemetry.snapshot(spans=spans)
-
-    def __enter__(self) -> "LocalClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- updates ---------------------------------------------------------
 
@@ -120,29 +212,31 @@ class LocalClient(query_module.NamedReads, DirectSinkMixin):
     def flush(self):
         return self.journal.flush()
 
-    def observe_batch(
+    def observe_batch_nowait(
         self, observations: Sequence[Observation], *, coalesced: int = 0
-    ) -> List[bool]:
-        """Apply a pre-coalesced batch — the local mirror of the server's
-        ``batch`` op, so batched-local and batched-remote ingest keep
-        identical pipeline accounting."""
-        flags = [self.journal.submit(observation)[1] for observation in observations]
+    ) -> "_Started":
+        """Apply a pre-coalesced batch now — the local mirror of the
+        server's ``observe_batch`` op, so batched-local and
+        batched-remote ingest keep identical pipeline accounting — and
+        return its reply, already settled."""
+        response = {
+            "ok": True,
+            "responses": [
+                {"ok": True, "changed": self.journal.submit(observation)[1]}
+                for observation in observations
+            ],
+        }
         self.journal.note_ingest(
             submitted=coalesced, coalesced=coalesced, batches=1 if observations else 0
         )
         self.journal.publish()
-        return flags
-
-    def note_ingest(self, **counters: int) -> None:
-        self.journal.note_ingest(**counters)
-
-    def publish(self) -> int:
-        return self.journal.publish()
+        return _Started(lambda timeout=-1.0: response)
 
     # -- change feed -----------------------------------------------------
 
-    def subscribe(self, callback: Optional[Callable] = None, *, since: int = 0):
-        return self.journal.subscribe(callback, since=since)
+    def subscribe(self, *, since: int = 0) -> LocalChangeFeed:
+        """A pull feed on the journal from revision *since*."""
+        return LocalChangeFeed(self.journal.subscribe(since=since))
 
     def revision(self) -> int:
         """The journal's current change-tracking revision."""
@@ -252,7 +346,7 @@ class _BatchReply:
             return self._reply
 
 
-class RemoteClient(query_module.NamedReads):
+class RemoteClient(JournalClient):
     """Socket client for a running :class:`JournalServer`.
 
     Query methods return record objects reconstructed from the wire
@@ -709,12 +803,6 @@ class RemoteClient(query_module.NamedReads):
                 pass
         self._disconnect()
 
-    def __enter__(self) -> "RemoteClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- updates ------------------------------------------------------------
 
     def observe_interface(self, observation: Observation) -> Tuple[InterfaceRecord, bool]:
@@ -735,22 +823,12 @@ class RemoteClient(query_module.NamedReads):
     def resolve(self, observation: Observation) -> Tuple[InterfaceRecord, bool]:
         return self.observe_interface(observation)
 
-    def observe_batch(
-        self, observations: Sequence[Observation], *, coalesced: int = 0
-    ) -> List[bool]:
-        """Apply a batch of observations in one round trip (the server
-        ``observe_batch`` op) — the :class:`~repro.core.sink.BatchingSink`
-        flush path.  Returns per-observation changed flags; see
-        :meth:`observe_batch_nowait` for the outage behaviour."""
-        response = self.observe_batch_nowait(observations, coalesced=coalesced).wait()
-        return [bool(item.get("changed")) for item in response["responses"]]
-
     def observe_batch_nowait(
         self, observations: Sequence[Observation], *, coalesced: int = 0
     ) -> "_BatchReply":
-        """Pipelined :meth:`observe_batch`: put the batch on the wire and
-        return a reply handle instead of blocking — the sink's pipelined
-        flush path, which keeps several batches in flight to hide the
+        """Put the batch on the wire as one ``observe_batch`` op and
+        return a reply handle instead of blocking — the sink's flush
+        path, which can keep several batches in flight to hide the
         round trip.  If the server is unreachable, before the send or
         while the reply is awaited, the observe requests are parked for
         replay and every flag reports True provisionally."""
@@ -825,12 +903,6 @@ class RemoteClient(query_module.NamedReads):
         return Journal.from_dict(response["journal"])
 
 
-# RemoteClient speaks the sink protocol by duck typing (its flush
-# drains the replay buffer, not a local queue); registering it lets
-# isinstance-based plumbing (connect, tooling) treat it uniformly.
-ObservationSink.register(RemoteClient)
-
-
 # ---------------------------------------------------------------------------
 # methods derived from wire.OPS
 # ---------------------------------------------------------------------------
@@ -900,7 +972,8 @@ install_op_methods(RemoteClient, _plain_call(_remote_method))
 
 
 class _Started:
-    """A call :func:`begin_call` started: ``wait()`` gives its result."""
+    """A call that was started: ``wait()`` gives its result (a
+    :func:`begin_call` handle, or an in-process batch reply)."""
 
     __slots__ = ("wait",)
 
@@ -953,7 +1026,7 @@ def scatter(starters: Sequence[Callable[[], Any]]) -> Tuple[List[Any], List[int]
     return answers, sorted(missing), failure
 
 
-class RemoteChangeFeed:
+class RemoteChangeFeed(ChangeFeed):
     """Client side of the streaming ``subscribe`` op.
 
     Holds its own socket: after the subscribe handshake the server pushes
@@ -1136,18 +1209,6 @@ class RemoteChangeFeed:
             self.revision = max(self.revision, changes.revision)
             return None if changes.empty() else changes
 
-    def drain(self, timeout: Optional[float] = 0.5) -> Optional[JournalChanges]:
-        """Collapse every frame currently pending (waiting up to
-        *timeout* for the first) into one merged delta, or None."""
-        merged = self.poll(timeout)
-        if merged is None:
-            return None
-        while True:
-            extra = self.poll(0.0)
-            if extra is None:
-                return merged
-            merged.merge(extra)
-
     def _close_socket(self) -> None:
         try:
             self._socket.close()
@@ -1159,12 +1220,6 @@ class RemoteChangeFeed:
             return
         self._closed = True
         self._close_socket()
-
-    def __enter__(self) -> "RemoteChangeFeed":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class _CacheEntry:
@@ -1181,13 +1236,14 @@ class _CacheEntry:
 class QueryCache:
     """Client-side query result cache, invalidated by the change feed.
 
-    Wraps any journal client (:class:`LocalClient` or
-    :class:`RemoteClient`).  Repeated queries for the same ``(kind,
-    predicate)`` are served from memory — for a remote client that is a
-    cache hit with **zero wire round trips**, because invalidation rides
-    the server's existing push feed: the cache holds a
-    :class:`RemoteChangeFeed` (push mode) and, before every lookup,
-    drains only the frames the kernel has already buffered.  Each
+    Wraps any single-journal client (local, remote or failover).
+    Repeated queries for the same ``(kind, predicate)`` are served from
+    memory — for a remote client that is a cache hit with **zero wire
+    round trips**, because invalidation rides the client's own change
+    feed (``client.subscribe``): before every lookup the cache drains
+    only what that feed already holds — for a
+    :class:`RemoteChangeFeed` in push mode, the frames the kernel has
+    buffered.  Each
     feed delta carries the index keys it touched
     (:attr:`~repro.core.journal.JournalChanges.keys`); an entry is
     evicted when a delta touches its kind *and* its predicate's key
@@ -1229,18 +1285,11 @@ class QueryCache:
         self.max_entries = max_entries
         #: (kind, canonical predicate key) -> _CacheEntry, LRU-ordered
         self._entries: "OrderedDict[Tuple[str, str], _CacheEntry]" = OrderedDict()
-        journal = getattr(client, "journal", None)
-        self._feed: Optional[RemoteChangeFeed] = None
-        self._subscription = None
-        if journal is not None:
-            # In-process: a pull subscription drained synchronously
-            # before each lookup — coherent without any publish step.
-            self._subscription = journal.subscribe(since=journal.revision)
-        else:
-            # Remote: subscribing *from the current server revision*
-            # means the backlog delta (pushed under the same write lock
-            # as registration) covers any write racing the handshake.
-            self._feed = client.subscribe(since=client.revision())
+        # Subscribing *from the current revision* means the backlog
+        # delta (pushed under the same write lock as registration) covers
+        # any write racing the handshake.  An in-process feed is a pull
+        # subscription, coherent without any publish step.
+        self._feed: Optional[ChangeFeed] = client.subscribe(since=client.revision())
         registry = client.telemetry
         self._c_hits = registry.counter(
             "fremont_query_cache_hits_total",
@@ -1303,10 +1352,10 @@ class QueryCache:
     def sync(self, timeout: float = 5.0) -> None:
         """Read-your-writes barrier: block until every write the server
         has committed so far is reflected in the cache's eviction state.
-        Costs one ``counts`` round trip (plus feed reads); local caches
-        are synchronously coherent, so it only drains."""
+        Costs one ``counts`` round trip (plus feed reads); a local
+        feed's first poll reaches the target, so the loop ends at once.
+        A closed cache has nothing to sync."""
         if self._feed is None:
-            self._drain()
             return
         target = self.client.revision()
         deadline = time.monotonic() + timeout
@@ -1323,10 +1372,7 @@ class QueryCache:
     def _drain(self) -> None:
         """Apply every pending feed delta without blocking (and, for
         the remote feed in push mode, without any wire round trip)."""
-        if self._subscription is not None:
-            if self._subscription.pending:
-                self._apply(self._subscription.poll())
-        elif self._feed is not None:
+        if self._feed is not None:
             self._apply(self._feed.drain(0.0))
 
     def _apply(self, changes: Optional[JournalChanges]) -> None:
@@ -1355,9 +1401,6 @@ class QueryCache:
             self._c_evictions.inc(len(doomed))
 
     def close(self) -> None:
-        if self._subscription is not None:
-            self._subscription.close()
-            self._subscription = None
         if self._feed is not None:
             self._feed.close()
             self._feed = None

@@ -64,6 +64,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import wire
 from .client import (
+    JournalClient,
     LocalClient,
     RemoteChangeFeed,
     RemoteClient,
@@ -71,10 +72,8 @@ from .client import (
     install_op_methods,
 )
 from .journal import Journal
-from .query import NamedReads
 from .replicate import JournalReplicator
 from .server import JournalServer
-from .sink import ObservationSink
 from .telemetry import MetricsRegistry
 
 __all__ = ["StandbyReplica", "FailoverClient"]
@@ -360,7 +359,7 @@ class StandbyReplica:
             client.fence_epoch = None
 
 
-class FailoverClient(NamedReads):
+class FailoverClient(JournalClient):
     """Replica-set client for one shard: routes to the primary, hedges
     reads to followers, and promotes on failure.
 
@@ -780,12 +779,6 @@ class FailoverClient(NamedReads):
                     pass
             self._followers.clear()
 
-    def __enter__(self) -> "FailoverClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 class _FailoverBatchReply:
     """The reply handle of :meth:`FailoverClient.observe_batch_nowait`."""
@@ -824,6 +817,3 @@ def _proxy(op: str, name: str):
 
 
 install_op_methods(FailoverClient, _proxy)
-
-# Same duck-typed sink protocol as RemoteClient: submit/flush/close.
-ObservationSink.register(FailoverClient)

@@ -85,7 +85,7 @@ from .records import (
     Quality,
     SubnetRecord,
 )
-from .sink import DirectSinkMixin, FlushStats
+from .sink import FlushStats, ObservationSink
 from .telemetry import MetricsRegistry
 from .wire import COUNTER_SCHEMA, JOURNAL_COUNTERS, OPS
 
@@ -415,7 +415,7 @@ def _logged(method):
     return write
 
 
-class Journal(DirectSinkMixin):
+class Journal(ObservationSink):
     """In-memory journal with sorted indexes and timestamped records.
 
     Thread discipline: mutation entry points (``observe_interface``,

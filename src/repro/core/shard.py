@@ -61,11 +61,18 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from . import query as query_module
 from . import wire
-from .client import LocalClient, begin_call, install_op_methods, scatter
+from .client import (
+    ChangeFeed,
+    JournalClient,
+    LocalClient,
+    begin_call,
+    install_op_methods,
+    scatter,
+)
 from .journal import Journal, JournalChanges
 from .records import GatewayRecord, InterfaceRecord, Observation, SubnetRecord
 from .replicate import FederatedView
-from .sink import FlushStats, ObservationSink
+from .sink import FlushStats
 from .telemetry import MetricsRegistry
 
 __all__ = [
@@ -358,37 +365,31 @@ def _normalize_cursor(since: Any, shards: int) -> List[int]:
     return components
 
 
-class _LocalFeed:
-    """Adapter giving a pull :class:`~repro.core.journal.FeedSubscription`
-    the ``poll(timeout)``/``revision``/``close`` surface of a
-    :class:`~repro.core.client.RemoteChangeFeed`."""
-
-    __slots__ = ("_subscription",)
-
-    def __init__(self, subscription) -> None:
-        self._subscription = subscription
-
-    @property
-    def revision(self) -> int:
-        return self._subscription.last_revision
-
-    def poll(self, timeout: Optional[float] = 0.5) -> Optional[JournalChanges]:
-        if not self._subscription.pending:
-            return None
-        return self._subscription.poll()
-
-    def close(self) -> None:
-        self._subscription.close()
+def _compose(
+    deltas: Iterable[Optional[JournalChanges]], before: Sequence[int], after: Sequence[int]
+) -> JournalChanges:
+    """Globalized per-shard deltas folded into one fleet delta, moving
+    the vector cursor from *before* to *after*: its ``since``/``revision``
+    are the scalar views of the two and :attr:`JournalChanges.vector`
+    carries *after* for resumption.  A None delta — a shard that could
+    not be reached — marks the fold incomplete."""
+    merged = JournalChanges(since=0, revision=0)
+    for delta in deltas:
+        if delta is None:
+            merged.complete = False
+        else:
+            merged.merge(delta)
+    # merge() folds shard-local since/revision counters; the fleet
+    # cursor's scalars are the vector sums.
+    merged.since, merged.revision, merged.vector = sum(before), sum(after), list(after)
+    return merged
 
 
-class ShardedChangeFeed:
+class ShardedChangeFeed(ChangeFeed):
     """Per-shard change feeds composed behind one poll surface.
 
     Each delivered delta is globalized (record ids rewritten through
-    the global-id codec) and stamped with the fleet-wide cursor: its
-    ``since``/``revision`` are the scalar views of the vector cursor
-    before/after, and :attr:`JournalChanges.vector` carries the
-    per-shard components for resumption."""
+    the global-id codec) and folded with :func:`_compose`."""
 
     def __init__(self, feeds: Sequence[Any], client: "ShardedClient") -> None:
         self._feeds = list(feeds)
@@ -413,24 +414,16 @@ class ShardedChangeFeed:
         deadline = None if timeout is None else _time.monotonic() + timeout
         slice_timeout = 0.0
         while True:
-            merged: Optional[JournalChanges] = None
+            deltas: List[JournalChanges] = []
             before = self.vector
             for index, feed in enumerate(self._feeds):
                 while True:
-                    delta = feed.poll(slice_timeout if merged is None else 0.0)
+                    delta = feed.poll(slice_timeout if not deltas else 0.0)
                     if delta is None:
                         break
-                    localized = self._client._globalize_changes(delta, index)
-                    if merged is None:
-                        merged = localized
-                    else:
-                        merged.merge(localized)
-            if merged is not None:
-                after = self.vector
-                merged.since = before.scalar
-                merged.revision = after.scalar
-                merged.vector = list(after.revisions)
-                return merged
+                    deltas.append(self._client._globalize_changes(delta, index))
+            if deltas:
+                return _compose(deltas, before.revisions, self.vector.revisions)
             if deadline is not None:
                 remaining = deadline - _time.monotonic()
                 if remaining <= 0:
@@ -438,16 +431,6 @@ class ShardedChangeFeed:
                 slice_timeout = min(0.05, remaining / max(1, len(self._feeds)))
             else:
                 slice_timeout = 0.05
-
-    def drain(self, timeout: Optional[float] = 0.5) -> Optional[JournalChanges]:
-        merged = self.poll(timeout)
-        if merged is None:
-            return None
-        while True:
-            extra = self.poll(0.0)
-            if extra is None:
-                return merged
-            merged.merge(extra)
 
     def close(self) -> None:
         if self._closed:
@@ -459,18 +442,13 @@ class ShardedChangeFeed:
             except (OSError, ConnectionError):
                 pass
 
-    def __enter__(self) -> "ShardedChangeFeed":
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class ShardedClient(query_module.NamedReads):
+class ShardedClient(JournalClient):
     """Scatter-gather router over *N* shard journal clients.
 
-    Implements the full journal-client surface (``ObservationSink`` +
-    queries + change feeds), so anything that takes a
+    Answers the one :class:`~repro.core.client.JournalClient` surface
+    (sink protocol, batches, queries, change feed) over shards that
+    answer it too, so anything that takes a
     :class:`~repro.core.client.LocalClient` or
     :class:`~repro.core.client.RemoteClient` — a BatchingSink, an
     explorer, the correlator's feed, the CLI — can take the router
@@ -793,13 +771,7 @@ class ShardedClient(query_module.NamedReads):
         self._note_down(list(self._view.stale_shards))
         return self._view
 
-    # -- context management ----------------------------------------------
-
-    def __enter__(self) -> "ShardedClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    # -- closing -----------------------------------------------------------
 
     def close(self) -> None:
         for client in self.clients:
@@ -838,64 +810,25 @@ class ShardedClient(query_module.NamedReads):
             groups.setdefault(shard, []).append((position, observation))
         return groups
 
-    def observe_batch(
-        self, observations: Sequence[Observation], *, coalesced: int = 0
-    ) -> List[bool]:
-        """Partition a batch by owning shard and apply each sub-batch in
-        one round trip, every shard's on the wire before any is waited
-        on; flags come back in submission order (see
-        :meth:`observe_batch_nowait`)."""
-        response = self.observe_batch_nowait(observations, coalesced=coalesced).wait()
-        return [bool(item.get("changed")) for item in response["responses"]]
-
     def observe_batch_nowait(
         self, observations: Sequence[Observation], *, coalesced: int = 0
     ) -> "_ShardedReply":
-        """Pipelined :meth:`observe_batch`: each shard's sub-batch goes
-        on its wire without waiting; the returned reply reassembles the
-        per-observation responses in submission order when waited on.
-        Shards without a pipelined path (local clients) apply their
-        sub-batch synchronously.  The coalesced count is accounted to
-        the first participating shard (it is fleet-level ingest
-        accounting, not per-record state)."""
+        """Partition a batch by owning shard and start each sub-batch on
+        its shard (every remote one on the wire before any is waited
+        on); the returned reply reassembles the per-observation
+        responses in submission order.  The coalesced count is
+        accounted to the first participating shard (it is fleet-level
+        ingest accounting, not per-record state)."""
         groups = self._partition(observations)
         parts: List[Tuple[List[int], Any]] = []
-        first = True
         for shard in sorted(groups):
             positions = [p for p, _ in groups[shard]]
             items = [o for _, o in groups[shard]]
-            client = self.clients[shard]
-            nowait = getattr(client, "observe_batch_nowait", None)
-            if nowait is not None:
-                reply = nowait(items, coalesced=coalesced if first else 0)
-            else:
-                shard_flags = client.observe_batch(
-                    items, coalesced=coalesced if first else 0
-                )
-                reply = {
-                    "ok": True,
-                    "responses": [
-                        {"ok": True, "changed": bool(flag)} for flag in shard_flags
-                    ],
-                }
-            first = False
+            reply = self.clients[shard].observe_batch_nowait(
+                items, coalesced=0 if parts else coalesced
+            )
             parts.append((positions, reply))
         return _ShardedReply(len(observations), parts)
-
-    def note_ingest(self, **counters: int) -> None:
-        for client in self.clients:
-            note = getattr(client, "note_ingest", None)
-            if note is not None:
-                note(**counters)
-                return
-
-    def publish(self) -> int:
-        published = 0
-        for client in self.clients:
-            publish = getattr(client, "publish", None)
-            if publish is not None:
-                published += publish()
-        return published
 
     # -- anchored: gateway writes ------------------------------------------
 
@@ -1115,24 +1048,14 @@ class ShardedClient(query_module.NamedReads):
 
     # -- change feed -------------------------------------------------------
 
-    def subscribe(self, callback: Optional[Callable] = None, *, since: Any = 0) -> ShardedChangeFeed:
-        """A composed change feed over every shard.  *since* is a
-        :class:`VectorCursor` (or 0); callbacks are not supported on the
-        composed feed — poll it."""
-        if callback is not None:
-            raise TypeError("ShardedClient.subscribe does not take a callback")
+    def subscribe(self, *, since: Any = 0) -> ShardedChangeFeed:
+        """A composed change feed over every shard's own feed.  *since*
+        is a :class:`VectorCursor` (or 0)."""
         components = _normalize_cursor(since, self.shards)
-        feeds: List[Any] = []
+        feeds: List[ChangeFeed] = []
         try:
-            for index, client in enumerate(self.clients):
-                if getattr(client, "journal", None) is not None:
-                    feeds.append(
-                        _LocalFeed(
-                            client.journal.subscribe(since=components[index])
-                        )
-                    )
-                else:
-                    feeds.append(client.subscribe(since=components[index]))
+            for client, component in zip(self.clients, components):
+                feeds.append(client.subscribe(since=component))
         except BaseException:
             for feed in feeds:
                 feed.close()
@@ -1208,19 +1131,12 @@ def _scattered(router: ShardedClient, name: str, key: str, arguments: Dict[str, 
 def _vectored(router: ShardedClient, name: str, key: str, arguments: Dict[str, Any]) -> Any:
     components = _normalize_cursor(arguments["since"], router.shards)
     deltas = router._scatter(name, arguments, partial=True)
-    merged = JournalChanges(since=sum(components), revision=0)
-    vector = list(components)
-    for index, delta in enumerate(deltas):
-        if delta is None:
-            # An unreachable shard keeps its cursor component.
-            merged.complete = False
-            continue
-        vector[index] = delta.revision
-        merged.merge(delta)
-    # merge() folds shard-local since/revision counters; the composed
-    # delta's scalar cursor is the vector sums.
-    merged.since, merged.revision, merged.vector = sum(components), sum(vector), vector
-    return merged
+    # An unreachable shard keeps its cursor component.
+    after = [
+        component if delta is None else delta.revision
+        for component, delta in zip(components, deltas)
+    ]
+    return _compose(deltas, components, after)
 
 
 def _gathered(router: ShardedClient, name: str, key: str, arguments: Dict[str, Any]) -> Any:
@@ -1276,8 +1192,7 @@ install_op_methods(ShardedClient, _route)
 
 
 class _ShardedReply:
-    """Reassembles per-shard ``observe_batch`` replies (or, from a shard
-    without a pipelined path, its settled response) into one response
+    """Reassembles per-shard ``observe_batch`` replies into one response
     whose ``responses`` list is in original submission order."""
 
     __slots__ = ("_size", "_parts")
@@ -1291,11 +1206,8 @@ class _ShardedReply:
             {"ok": True, "changed": False} for _ in range(self._size)
         ]
         for positions, reply in self._parts:
-            response = reply if isinstance(reply, dict) else reply.wait(timeout)
+            response = reply.wait(timeout)
             for position, item in zip(positions, response.get("responses", [])):
                 responses[position] = item
         return {"ok": True, "responses": responses}
 
-
-# The router speaks the sink protocol by duck typing, like RemoteClient.
-ObservationSink.register(ShardedClient)

@@ -7,14 +7,14 @@ observation pipeline (ingest -> storage -> change feed):
 
 * :class:`ObservationSink` — the protocol every journal client speaks:
   ``submit`` (fire-and-forget), ``resolve`` (synchronous, returns the
-  merged record), ``flush``, and ``close``.  ``Journal``,
-  ``LocalClient`` and ``RemoteClient`` all implement it directly
-  (via :class:`DirectSinkMixin`), so a sink can be dropped anywhere a
-  journal client was expected.
-* :class:`BatchingSink` — wraps any sink and buffers submissions,
-  coalescing *consecutive* duplicate (mac, ip, source) sightings and
-  flushing on size/age thresholds.  Against a remote client a flush
-  becomes a single server ``observe_batch`` round trip.
+  merged record), ``flush``, and ``close``.  The ``Journal`` and every
+  :class:`~repro.core.client.JournalClient` implement it, so a sink can
+  be dropped anywhere a journal client was expected.
+* :class:`BatchingSink` — wraps a journal client and buffers
+  submissions, coalescing *consecutive* duplicate (mac, ip, source)
+  sightings and flushing on size/age thresholds.  A flush is one
+  ``observe_batch_nowait`` call — against a remote client a single
+  server ``observe_batch`` round trip.
 
 Flush is also the pipeline's *durability point*: the terminal
 ``Journal.flush`` publishes the change feed and, when a
@@ -40,12 +40,12 @@ from __future__ import annotations
 import abc
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from .records import InterfaceRecord, Observation
 from .telemetry import SIZE_BUCKETS, telemetry_of
 
-__all__ = ["ObservationSink", "DirectSinkMixin", "BatchingSink", "FlushStats"]
+__all__ = ["ObservationSink", "BatchingSink", "FlushStats"]
 
 #: BatchingSink's default batch size (the Journal Server runs an
 #: ``observe_batch`` this small on its event loop thread)
@@ -99,22 +99,6 @@ class ObservationSink(abc.ABC):
         self.flush()
 
 
-class DirectSinkMixin(ObservationSink):
-    """Sink protocol for clients that already expose
-    ``observe_interface`` synchronously (Journal, LocalClient,
-    RemoteClient).  ``submit`` is unbuffered, so ``flush`` has nothing
-    to drain."""
-
-    def submit(self, observation: Observation) -> Tuple[InterfaceRecord, bool]:
-        return self.observe_interface(observation)
-
-    def resolve(self, observation: Observation) -> Tuple[InterfaceRecord, bool]:
-        return self.observe_interface(observation)
-
-    def flush(self) -> FlushStats:
-        return FlushStats()
-
-
 #: observation fields that can be refreshed in place when coalescing
 _MERGE_FIELDS = (
     "ip",
@@ -128,7 +112,9 @@ _MERGE_FIELDS = (
 
 
 class BatchingSink(ObservationSink):
-    """Buffered, coalescing front-end over any other sink.
+    """Buffered, coalescing front-end over a journal client (a bare
+    :class:`~repro.core.journal.Journal` is wrapped in a
+    :class:`~repro.core.client.LocalClient` once, at construction).
 
     Observations accumulate (in order) until ``max_batch`` entries are
     queued or the oldest entry is ``max_age`` clock units old, then the
@@ -139,15 +125,17 @@ class BatchingSink(ObservationSink):
     all are never coalesced (each one creates its own Journal record,
     so dropping one would change the outcome).
 
-    ``pipeline_depth`` > 1 enables the pipelined flush path against a
-    target that supports ``observe_batch_nowait`` (a
-    :class:`~repro.core.client.RemoteClient`): up to that many flushed
-    batches ride the wire concurrently, hiding the round trip, and
-    their changed-flag accounting settles when the responses return —
-    :meth:`take_changes` and :meth:`FlushStats.changed` therefore lag
-    by up to ``pipeline_depth`` batches until :meth:`settle` (or
-    ``close``) drains them.  Batches still *apply* in submission order;
-    the server guarantees per-connection write ordering.
+    Every flush is one ``observe_batch_nowait`` call on the target;
+    ``pipeline_depth`` sets how many of their replies may stay open.
+    At the default 1 a flush settles its own reply before it returns
+    (an in-process client's reply is settled already).  Above 1, up to
+    ``pipeline_depth`` flushed batches stay on the wire, hiding the
+    round trip, and their changed-flag accounting settles when the
+    responses return — :meth:`take_changes` and
+    :meth:`FlushStats.changed` therefore lag by up to
+    ``pipeline_depth`` batches until :meth:`settle` (or ``close``)
+    drains them.  Batches still *apply* in submission order; the
+    server guarantees per-connection write ordering.
 
     The sink does not own its target: ``close`` flushes (and settles)
     but leaves the underlying client open.
@@ -166,10 +154,18 @@ class BatchingSink(ObservationSink):
             raise ValueError("max_batch must be at least 1")
         if pipeline_depth < 1:
             raise ValueError("pipeline_depth must be at least 1")
+        # Imported here: the journal and client modules import this one.
+        from .client import LocalClient
+        from .journal import Journal
+
+        if isinstance(target, Journal):
+            target = LocalClient(target)
         self.target = target
         self.max_batch = max_batch
         self.max_age = max_age
         self.pipeline_depth = pipeline_depth
+        #: flush replies a flush may leave open: none at depth 1
+        self._window = pipeline_depth if pipeline_depth > 1 else 0
         self._clock = clock
         #: shared with the target journal's registry when reachable
         self.telemetry = telemetry_of(target)
@@ -196,8 +192,8 @@ class BatchingSink(ObservationSink):
         self._coalesced_pending = 0
         #: journal changes observed by flushes since the last take_changes()
         self._unclaimed_changes = 0
-        #: pipelined flush replies not yet settled: (reply, batch size)
-        self._inflight_flushes: List[Tuple[object, int]] = []
+        #: flush replies not yet settled, oldest first
+        self._inflight_flushes: List[Any] = []
 
     # -- buffering -------------------------------------------------------
 
@@ -278,36 +274,16 @@ class BatchingSink(ObservationSink):
         with self.telemetry.trace(
             "sink_flush", size=len(batch), coalesced=coalesced
         ):
-            observe_batch = getattr(self.target, "observe_batch", None)
-            nowait = (
-                getattr(self.target, "observe_batch_nowait", None)
-                if self.pipeline_depth > 1
-                else None
+            # Put the batch on the wire (one ``observe_batch`` round trip
+            # against a server) and settle the oldest replies only once
+            # the window is full, so up to pipeline_depth round trips
+            # overlap.
+            self._inflight_flushes.append(
+                self.target.observe_batch_nowait(batch, coalesced=coalesced)
             )
-            if nowait is not None:
-                # Pipelined path: put the batch on the wire and keep
-                # going; settle the oldest reply only once the window
-                # is full, so up to pipeline_depth round trips overlap.
-                reply = nowait(batch, coalesced=coalesced)
-                self._inflight_flushes.append((reply, len(batch)))
-                changed = 0
-                while len(self._inflight_flushes) > self.pipeline_depth:
-                    changed += self._settle_one()
-            elif observe_batch is not None:
-                # One round trip for the whole buffer (server
-                # `observe_batch` op).
-                changed_flags = observe_batch(batch, coalesced=coalesced)
-                changed = sum(1 for flag in changed_flags if flag)
-            else:
-                changed = 0
-                for observation in batch:
-                    _record, item_changed = self.target.submit(observation)
-                    if item_changed:
-                        changed += 1
-                journal = getattr(self.target, "journal", self.target)
-                note = getattr(journal, "note_ingest", None)
-                if note is not None:
-                    note(submitted=coalesced, coalesced=coalesced, batches=1)
+            changed = 0
+            while len(self._inflight_flushes) > self._window:
+                changed += self._settle_one()
             # Flushing downstream is what makes a batch boundary a real
             # durability point: the terminal Journal.flush publishes the
             # change feed and fsyncs an attached WAL.  An unreachable
@@ -326,16 +302,15 @@ class BatchingSink(ObservationSink):
         )
 
     def _settle_one(self) -> int:
-        """Wait for the oldest pipelined flush reply; returns how many
-        of its observations changed the Journal."""
-        reply, _size = self._inflight_flushes.pop(0)
-        response = reply.wait()
+        """Wait for the oldest open flush reply; returns how many of its
+        observations changed the Journal."""
+        response = self._inflight_flushes.pop(0).wait()
         return sum(
             1 for item in response.get("responses", []) if item.get("changed")
         )
 
     def settle(self) -> int:
-        """Drain every pipelined flush still in flight, folding the
+        """Drain every flush reply still open, folding the
         changed counts into :meth:`take_changes` accounting.  Returns
         the number of changes settled."""
         changed = 0

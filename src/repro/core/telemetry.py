@@ -573,7 +573,8 @@ class MetricsRegistry:
     def snapshot(self, *, spans: int = 50) -> Dict[str, Any]:
         """A structured, JSON-safe snapshot of every metric (the
         ``metrics`` wire op payload).  Bucket bounds use the Prometheus
-        "+Inf" convention so the document survives json round-trips."""
+        "+Inf" convention so the document survives json round-trips.
+        It carries the newest *spans* spans; 0 carries none."""
         metrics: List[Dict[str, Any]] = []
         for family in self.families():
             samples: List[Dict[str, Any]] = []
@@ -603,7 +604,7 @@ class MetricsRegistry:
                     "samples": samples,
                 }
             )
-        recent = self.spans(limit=spans)
+        recent = self.spans(limit=spans) if spans > 0 else []
         return {
             "metrics": metrics,
             "spans": {
@@ -615,32 +616,9 @@ class MetricsRegistry:
         }
 
     def render_prometheus(self) -> str:
-        """Prometheus text exposition format 0.0.4."""
-        lines: List[str] = []
-        for family in self.families():
-            lines.append(f"# HELP {family.name} {_escape_help(family.help)}")
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            for labels, sample in family.samples():
-                if family.kind == "histogram":
-                    for bound, total in sample.cumulative():
-                        le = "+Inf" if bound == float("inf") else _format_value(bound)
-                        lines.append(
-                            f"{family.name}_bucket"
-                            f"{_render_labels({**labels, 'le': le})} {total}"
-                        )
-                    lines.append(
-                        f"{family.name}_sum{_render_labels(labels)} "
-                        f"{_format_value(sample.sum)}"
-                    )
-                    lines.append(
-                        f"{family.name}_count{_render_labels(labels)} {sample.count}"
-                    )
-                else:
-                    lines.append(
-                        f"{family.name}{_render_labels(labels)} "
-                        f"{_format_value(sample.value)}"
-                    )
-        return "\n".join(lines) + "\n"
+        """Prometheus text exposition format 0.0.4 (the snapshot,
+        rendered by :func:`snapshot_to_prometheus`)."""
+        return snapshot_to_prometheus(self.snapshot(spans=0))
 
 
 def _escape_help(text: str) -> str:
@@ -748,14 +726,10 @@ def _parse_labels(body: str) -> Dict[str, str]:
 
 def telemetry_of(client: Any) -> MetricsRegistry:
     """The registry a component should record into, given whatever
-    journal-ish object it holds: a Journal (``.telemetry``), a client
-    wrapping one (``.journal.telemetry``), or something opaque like a
-    remote client — which gets (or lazily grows) its own registry."""
+    journal-ish object it holds: a Journal or any journal client
+    (``.telemetry`` — a local client's is its journal's), or something
+    opaque, which gets (or lazily grows) its own registry."""
     registry = getattr(client, "telemetry", None)
-    if isinstance(registry, MetricsRegistry):
-        return registry
-    journal = getattr(client, "journal", None)
-    registry = getattr(journal, "telemetry", None)
     if isinstance(registry, MetricsRegistry):
         return registry
     registry = MetricsRegistry()
@@ -909,8 +883,10 @@ def render_stats(snapshot: Dict[str, Any], *, spans: int = 12) -> str:
 
 
 def snapshot_to_prometheus(snapshot: Dict[str, Any]) -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` document back into
-    Prometheus text exposition.
+    """Render a :meth:`MetricsRegistry.snapshot` document into
+    Prometheus text exposition — the one renderer:
+    :meth:`MetricsRegistry.render_prometheus` renders its own snapshot
+    here, each family led by its ``# HELP`` and ``# TYPE`` lines.
 
     The remote ``metrics`` wire op ships the structured snapshot, not
     the text form; turning it back into text lets every consumer —
@@ -921,6 +897,10 @@ def snapshot_to_prometheus(snapshot: Dict[str, Any]) -> str:
     lines: List[str] = []
     for metric in snapshot.get("metrics", []):
         name = metric.get("name", "")
+        if "help" in metric:
+            lines.append(f"# HELP {name} {_escape_help(metric['help'])}")
+        if "type" in metric:
+            lines.append(f"# TYPE {name} {metric['type']}")
         for sample in metric.get("samples", []):
             labels = dict(sample.get("labels", {}))
             if metric.get("type") == "histogram":

@@ -108,8 +108,8 @@ class TestFlushAccounting:
 
     @pytest.mark.parametrize("wrap", [lambda j: j, LocalClient])
     def test_journal_counters_tally_submitted_applied_coalesced(self, wrap):
-        # Both targets — a bare Journal (per-item path) and a
-        # LocalClient (observe_batch path) — must account identically.
+        # Both targets — a bare Journal (wrapped in a LocalClient when
+        # the sink is built) and a LocalClient — must account identically.
         journal = Journal()
         sink = BatchingSink(wrap(journal), max_batch=100)
         for _ in range(4):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Journal, MetricsRegistry, parse_prometheus
+from repro.core import Journal, MetricsRegistry, parse_prometheus, snapshot_to_prometheus
 from repro.core.records import Observation
 from repro.core.telemetry import SIZE_BUCKETS
 from repro.core.wire import COUNTER_SCHEMA
@@ -252,6 +252,24 @@ class TestPrometheusExposition:
         assert parsed[("rt_sizes_sum", ())] == pytest.approx(sum(values))
         # the +Inf bucket is cumulative over everything ever observed
         assert parsed[("rt_sizes_bucket", (("le", "+Inf"),))] == len(values)
+
+    def test_help_and_type_lead_each_family_of_the_one_renderer(self):
+        registry = MetricsRegistry()
+        registry.counter("doc_total", "Line one\nback\\slash").inc()
+        registry.histogram("doc_seconds", "Latency")
+        with registry.trace("op"):
+            pass
+        text = registry.render_prometheus()
+        assert (
+            "# HELP doc_total Line one\\nback\\\\slash\n"
+            "# TYPE doc_total counter\n"
+            "doc_total 1\n"
+        ) in text
+        assert "# HELP doc_seconds Latency\n# TYPE doc_seconds histogram\n" in text
+        # The exposition renders the registry's snapshot, which carries
+        # no spans when asked for none.
+        assert registry.snapshot(spans=0)["spans"]["recent"] == []
+        assert snapshot_to_prometheus(registry.snapshot()) == text
 
 
 class TestJournalCountsEquivalence:
