@@ -841,10 +841,18 @@ class RemoteClient(JournalClient):
     # -- change feed -----------------------------------------------------
 
     def subscribe(self, *, since: int = 0) -> "RemoteChangeFeed":
-        """Open a dedicated streaming connection that receives a pushed
-        delta frame whenever a write lands on the server."""
+        """Open a dedicated streaming connection, with this client's
+        connection settings, that receives a pushed delta frame whenever
+        a write lands on the server."""
         return RemoteChangeFeed(
-            self._host, self._port, since=since, timeout=self._timeout
+            self._host,
+            self._port,
+            since=since,
+            timeout=self._timeout,
+            request_timeout=self._request_timeout,
+            reconnect_attempts=self._reconnect_attempts,
+            reconnect_backoff=self._reconnect_backoff,
+            reconnect_backoff_cap=self._reconnect_backoff_cap,
         )
 
     # -- queries --------------------------------------------------------------
@@ -1027,10 +1035,13 @@ def scatter(starters: Sequence[Callable[[], Any]]) -> Tuple[List[Any], List[int]
 
 
 class RemoteChangeFeed(ChangeFeed):
-    """Client side of the streaming ``subscribe`` op.
+    """Client side of the streaming ``subscribe`` op: one
+    :class:`RemoteClient` connection given over to a subscription.
 
-    Holds its own socket: after the subscribe handshake the server pushes
-    a ``{"event": "changes"}`` frame per completed write, so the
+    The feed opens its own client (``**retry`` are that client's
+    settings, so the feed keeps none of its own) and subscribes with a
+    tagged request like any other; after the acknowledgement the server
+    pushes a ``{"event": "changes"}`` frame per completed write, so the
     connection cannot be shared with request/response traffic.  Frames
     are drained with :meth:`poll`; each one is a
     :class:`~repro.core.journal.JournalChanges` delta whose ``since``
@@ -1041,38 +1052,23 @@ class RemoteChangeFeed(ChangeFeed):
     ``{"event": "feed_lagged"}`` frame marks the cutover, after which no
     more pushes arrive and the feed transparently switches
     :attr:`mode` from ``"push"`` to ``"polling"`` — each subsequent
-    :meth:`poll` issues a ``changes_since`` request on the same socket.
-    Deltas stay correct either way (revision bookkeeping is identical);
-    only the latency model changes.
+    :meth:`poll` is the client's ``changes_since`` round trip, which
+    drops any straggler push frame.  Deltas stay correct either way
+    (revision bookkeeping is identical); only the latency model changes.
 
-    A *dropped* stream is survived rather than surfaced: the feed
-    reconnects (bounded, jittered backoff) and re-subscribes from
-    :attr:`revision` — the cursor of the last delta actually delivered
-    — so the server replays everything past it as the new backlog.  A
-    flapping link therefore delays deltas but never duplicates or
-    skips one; each delta's ``since`` still equals the previous
-    delta's ``revision``.  Only when every resume attempt fails does
-    :meth:`poll` raise :class:`ConnectionError`.
+    A *dropped* stream is survived rather than surfaced: the client
+    reconnects on its bounded, jittered schedule and the feed
+    re-subscribes, in push mode, from :attr:`revision` — the cursor of
+    the last delta actually delivered — so the server replays
+    everything past it as the new backlog.  A flapping link therefore
+    delays deltas but never duplicates or skips one; each delta's
+    ``since`` still equals the previous delta's ``revision``.  Only
+    when the reconnect fails does :meth:`poll` raise
+    :class:`ConnectionError`; a closed feed never reconnects.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        since: int = 0,
-        timeout: float = 10.0,
-        reconnect_attempts: int = 5,
-        reconnect_backoff: float = 0.1,
-        reconnect_backoff_cap: float = 2.0,
-    ) -> None:
-        self._host = host
-        self._port = port
-        self._timeout = timeout
-        self._reconnect_attempts = reconnect_attempts
-        self._reconnect_backoff = reconnect_backoff
-        self._reconnect_backoff_cap = reconnect_backoff_cap
-        self._rng = random.Random()
+    def __init__(self, host: str, port: int, *, since: int = 0, **retry: Any) -> None:
+        self._client = RemoteClient(host, port, **retry)
         self._closed = False
         self.frames_received = 0
         #: reconnect-and-resubscribe cycles survived so far
@@ -1088,72 +1084,39 @@ class RemoteChangeFeed(ChangeFeed):
         self._subscribe()
 
     def _subscribe(self) -> None:
-        """Open the stream socket and perform the subscribe handshake
-        from the current delivery cursor."""
-        self._socket = socket.create_connection(
-            (self._host, self._port), timeout=self._timeout
-        )
-        self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # poll() manages its own deadlines via select(); the socket
-        # itself must block so a frame is never torn mid-read.
-        self._socket.settimeout(None)
-        self._frames = wire.FrameReader(self._socket)
-        self._socket.sendall(
-            wire.encode_message({"op": "subscribe", "since": int(self.revision)})
-        )
+        """The subscribe handshake from the delivery cursor; a refusal
+        or a timeout closes the client and raises ConnectionError."""
         try:
-            ack = self._frames.read(self._timeout)
-        except ConnectionError:
-            ack = None
-        if ack is None:
-            self._close_socket()
-            raise ConnectionError("subscribe handshake timed out")
-        if not ack.get("ok"):
-            self._close_socket()
-            raise ConnectionError(f"subscribe rejected: {ack.get('error')}")
+            ack = self._client._call({"op": "subscribe", "since": self.revision})
+        except (OSError, RuntimeError) as error:
+            self._client.close()
+            if isinstance(error, ConnectionError):
+                raise
+            raise ConnectionError(f"subscribe failed: {error}") from error
         self.server_revision = int(ack.get("revision", 0))
+        self.mode = "push"
 
     def _resume(self) -> None:
-        """The stream died mid-subscription: reconnect with bounded,
-        jittered backoff and re-subscribe from the delivery cursor."""
-        if self._closed:
-            raise ConnectionError("subscribe stream closed")
-        self._close_socket()
-        delay = self._reconnect_backoff
-        error: Optional[Exception] = None
-        for attempt in range(self._reconnect_attempts):
-            if attempt:
-                time.sleep(
-                    min(delay, self._reconnect_backoff_cap)
-                    * (0.5 + self._rng.random())
-                )
-                delay *= 2.0
-            try:
-                self._subscribe()
-            except (ConnectionError, OSError) as exc:
-                error = exc
-                continue
-            # The fresh subscription pushes again even if the old one
-            # had been demoted to polling.
-            self.mode = "push"
-            self.resumes += 1
-            return
-        raise ConnectionError(
-            f"subscribe stream to {self._host}:{self._port} lost and "
-            f"resume failed after {self._reconnect_attempts} attempt(s)"
-        ) from error
+        """The stream died mid-subscription: reconnect on the client's
+        schedule and re-subscribe from the delivery cursor."""
+        if not self._client._reconnect():
+            raise self._client._unreachable()
+        self._subscribe()
+        self.resumes += 1
 
     def _read_frame(self, timeout: Optional[float]) -> Optional[Dict[str, Any]]:
         try:
-            return self._frames.read(timeout)
-        except ConnectionError:
+            return self._client._frames.read(timeout)
+        except OSError:
             self._resume()
-            return self._frames.read(timeout)
+            return self._client._frames.read(timeout)
 
     def poll(self, timeout: Optional[float] = 0.5) -> Optional[JournalChanges]:
         """The next delta, or None if nothing arrives within *timeout*
         seconds (None blocks indefinitely).  In polling mode this is a
         ``changes_since`` round trip instead of a passive read."""
+        if self._closed:
+            raise ConnectionError("change feed closed")
         if self.mode == "polling":
             return self._poll_changes()
         frame = self._read_frame(timeout)
@@ -1176,50 +1139,22 @@ class RemoteChangeFeed(ChangeFeed):
         return changes
 
     def _poll_changes(self) -> Optional[JournalChanges]:
-        """One ``changes_since`` round trip from the current revision.
-        Straggler push frames (queued server-side before the demotion
-        landed) are skipped — their changes are covered by the poll
-        response's wider delta."""
+        """One ``changes_since`` round trip from the delivery cursor;
+        None when it misses the client's reply deadline."""
         try:
-            self._socket.sendall(
-                wire.encode_message(
-                    {"op": "changes_since", "since": int(self.revision)}
-                )
-            )
-        except OSError:
-            # Resume re-subscribes in push mode; the replayed backlog
-            # covers the poll this send was asking for.
-            self._resume()
-            return self.poll(0.0)
-        deadline = time.monotonic() + self._timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            frame = self._read_frame(remaining)
-            if frame is None:
-                return None
-            if "event" in frame:
-                continue
-            if not frame.get("ok"):
-                raise ConnectionError(
-                    f"changes_since failed: {frame.get('error')}"
-                )
-            changes = wire.changes_from_dict(frame["changes"])
-            self.revision = max(self.revision, changes.revision)
-            return None if changes.empty() else changes
-
-    def _close_socket(self) -> None:
-        try:
-            self._socket.close()
-        except OSError:
-            pass
+            changes = self._client.changes_since(self.revision)
+        except ReplyTimeout:
+            return None
+        except RuntimeError as error:
+            raise ConnectionError(f"changes_since failed: {error}") from error
+        self.revision = max(self.revision, changes.revision)
+        return None if changes.empty() else changes
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        self._close_socket()
+        self._client.close()
 
 
 class _CacheEntry:
@@ -1485,94 +1420,36 @@ def format_replica_targets(groups: Sequence[Sequence[Tuple[str, int]]]) -> str:
     return rendered
 
 
-def _is_remote_target(target) -> bool:
+def _build_client(target, *, retry, telemetry, clock) -> ObservationSink:
+    """One shard's client, or the lone target's: an existing client as
+    it is, a Journal or None in a :class:`LocalClient`, an address in a
+    :class:`RemoteClient`, and a replica group (``"h:p|r:q"`` or a list
+    of addresses) in a :class:`~repro.core.failover.FailoverClient` —
+    a RemoteClient when the group has one address."""
     if isinstance(target, str):
-        return True
-    if isinstance(target, tuple) and len(target) == 2:
-        return True
-    # A replica group: a list of (host, port) addresses for one shard.
-    return (
-        isinstance(target, list)
-        and bool(target)
-        and all(
-            isinstance(member, tuple) and len(member) == 2 for member in target
-        )
-    )
+        (target,) = parse_replica_targets(target)
+    elif isinstance(target, tuple):
+        target = [target]
+    if isinstance(target, list):
+        group = [(host, int(port)) for host, port in target]
+        if len(group) == 1:
+            return RemoteClient(*group[0], **(retry or {}))
+        from .failover import FailoverClient
 
-
-def _build_replicated_client(group, *, retry):
-    """One shard's client from its address group: a plain RemoteClient
-    for a single address, a FailoverClient over the replica set
-    otherwise."""
-    if len(group) == 1:
-        host, port = group[0]
-        return RemoteClient(host, int(port), **(retry or {}))
-    from .failover import FailoverClient
-
-    return FailoverClient(group, retry=retry)
-
-
-def _connect_sharded(targets, *, retry, telemetry, clock):
-    """Build a ShardedClient from a list of per-shard targets.  All
-    targets must be remote (str / (host, port) / RemoteClient) or all
-    local (None / Journal / LocalClient) — a mixed fleet has no
-    coherent durability or failure story, so it is rejected outright."""
-    from .shard import ShardedClient
-
-    targets = list(targets)
-    if not targets:
-        raise ValueError("a sharded connect() needs at least one target")
-    from .failover import FailoverClient
-
-    remote_flags = [
-        _is_remote_target(target)
-        or isinstance(target, (RemoteClient, FailoverClient))
-        for target in targets
-    ]
-    local_flags = [
-        target is None or isinstance(target, (Journal, LocalClient))
-        for target in targets
-    ]
-    if any(remote_flags) and any(local_flags):
-        raise ValueError(
-            "cannot mix local and remote targets in one sharded "
-            f"connect(): {targets!r} — every shard must be either an "
-            "address or a Journal/None, not a blend"
-        )
-    clients: List[Any] = []
-    if all(remote_flags):
-        for target in targets:
-            if isinstance(target, (RemoteClient, FailoverClient)):
-                clients.append(target)
-            elif isinstance(target, str):
-                (group,) = parse_replica_targets(target)
-                clients.append(_build_replicated_client(group, retry=retry))
-            elif isinstance(target, list):
-                group = [(host, int(port)) for host, port in target]
-                clients.append(_build_replicated_client(group, retry=retry))
-            else:
-                host, port = target[0], int(target[1])
-                clients.append(RemoteClient(host, port, **(retry or {})))
-    elif all(local_flags):
-        if retry:
-            raise ValueError("retry options only apply to remote targets")
-        for target in targets:
-            if isinstance(target, LocalClient):
-                clients.append(target)
-                continue
-            journal = (
-                target
-                if isinstance(target, Journal)
-                else Journal(clock=clock, telemetry=telemetry)
-            )
-            clients.append(LocalClient(journal))
-    else:
-        raise TypeError(f"cannot shard across {targets!r}")
-    return ShardedClient(clients)
+        return FailoverClient(group, retry=retry)
+    if retry:
+        raise ValueError("retry options only apply to remote targets")
+    if target is None:
+        return LocalClient(Journal(clock=clock, telemetry=telemetry))
+    if isinstance(target, Journal):
+        return LocalClient(target)
+    if isinstance(target, ObservationSink):
+        return target
+    raise TypeError(f"cannot connect to {type(target).__name__!r}")
 
 
 def connect(
-    target: Union[Journal, ObservationSink, str, Tuple[str, int], None] = None,
+    target: Union[Journal, ObservationSink, str, Tuple[str, int], list, None] = None,
     *,
     batching: Union[bool, int, Dict[str, Any], None] = None,
     retry: Optional[Dict[str, Any]] = None,
@@ -1590,13 +1467,16 @@ def connect(
       *retry* keywords (``timeout``, ``request_timeout``,
       ``reconnect_attempts``, ``reconnect_backoff``,
       ``reconnect_backoff_cap``, ``buffer_limit``) pass through to its
-      constructor;
+      constructor, and on to its change feeds;
+    * ``"h1:p1|r1:q1"`` — a :class:`~repro.core.failover.FailoverClient`
+      over the shard's replicas;
     * ``"shard://h1:p1,h2:p2"`` (or a bare comma-joined address list) —
       a :class:`~repro.core.shard.ShardedClient` routing across the
       addressed shard servers, in the given order;
-    * a **list** of targets — one shard per element: all addresses, or
-      all local (``None``/:class:`Journal`).  Mixing local and remote
-      shards raises :class:`ValueError`;
+    * a **list** of targets — one shard per element: all addresses
+      (a list element is a replica group), or all local
+      (``None``/:class:`Journal`).  Mixing local and remote shards
+      raises :class:`ValueError`;
     * any existing :class:`ObservationSink` — used as-is.
 
     *batching* optionally stacks a :class:`~repro.core.sink.BatchingSink`
@@ -1608,36 +1488,25 @@ def connect(
     Replaces the hand-assembled ``BatchingSink(RemoteClient(...))``
     stacks: every layer still exists, ``connect`` just wires it.
     """
-    if isinstance(target, str):
-        if target.startswith("shard://") or "," in target:
-            client: ObservationSink = _connect_sharded(
-                [list(group) for group in parse_replica_targets(target)],
-                retry=retry, telemetry=telemetry, clock=clock,
+    settings = {"retry": retry, "telemetry": telemetry, "clock": clock}
+    if isinstance(target, str) and (target.startswith("shard://") or "," in target):
+        target = parse_replica_targets(target)
+    if isinstance(target, list):
+        from .shard import ShardedClient
+
+        if not target:
+            raise ValueError("a sharded connect() needs at least one target")
+        local = [shard is None or isinstance(shard, (Journal, LocalClient)) for shard in target]
+        if any(local) and not all(local):
+            # A blended fleet has no coherent durability or failure story.
+            raise ValueError(
+                f"cannot mix local and remote targets in one sharded connect(): {target!r}"
             )
-        elif "|" in target:
-            (group,) = parse_replica_targets(target)
-            client = _build_replicated_client(group, retry=retry)
-        else:
-            host, port = _parse_address(target)
-            client = RemoteClient(host, port, **(retry or {}))
-    elif isinstance(target, list):
-        client = _connect_sharded(
-            target, retry=retry, telemetry=telemetry, clock=clock
+        client: ObservationSink = ShardedClient(
+            [_build_client(shard, **settings) for shard in target]
         )
-    elif isinstance(target, tuple):
-        host, port = target
-        client = RemoteClient(host, int(port), **(retry or {}))
     else:
-        if retry:
-            raise ValueError("retry options only apply to remote targets")
-        if target is None:
-            client = LocalClient(Journal(clock=clock, telemetry=telemetry))
-        elif isinstance(target, Journal):
-            client = LocalClient(target)
-        elif isinstance(target, ObservationSink):
-            client = target
-        else:
-            raise TypeError(f"cannot connect to {type(target).__name__!r}")
+        client = _build_client(target, **settings)
     if batching is None or batching is False:
         return client
     if batching is True:

@@ -727,11 +727,12 @@ class FailoverClient(JournalClient):
     # -- direct surface --------------------------------------------------
 
     def subscribe(self, *, since: int = 0) -> RemoteChangeFeed:
-        """A change feed against the current primary (the feed resumes
-        flaps on its own; a permanent primary death surfaces as
-        :class:`ConnectionError` once its resume budget is spent)."""
+        """A change feed against the current primary, with this client's
+        *retry* settings (the feed resumes flaps on its own; a permanent
+        primary death surfaces as :class:`ConnectionError` once its
+        resume budget is spent)."""
         host, port = self.active_address
-        return RemoteChangeFeed(host, port, since=since)
+        return RemoteChangeFeed(host, port, since=since, **self._retry)
 
     def observe_batch_nowait(self, observations, *, coalesced: int = 0):
         """Pipelined batch via the active primary.  Failover covers the

@@ -42,6 +42,7 @@ from . import wire
 from .correlate import Correlator
 from .durability import atomic_write_json
 from .explorers.base import ExplorerModule, RunResult
+from .journal import Journal
 from .telemetry import telemetry_of
 
 __all__ = ["DiscoveryManager", "ModuleEntry", "DEFAULT_INTERVALS"]
@@ -174,6 +175,13 @@ class DiscoveryManager:
             ),
         )
         self._correlator: Optional[Correlator] = None
+        #: the in-process Journal behind *journal* — itself, a local
+        #: client's, or either behind a batching sink — or None when the
+        #: Journal is remote: only an in-process one is correlated and
+        #: checkpointed here
+        target = getattr(journal, "target", journal)
+        local = getattr(target, "journal", target)
+        self._local_journal = local if isinstance(local, Journal) else None
         #: Journal revision covered by the most recent correlation pass
         self.last_correlated_revision = 0
         #: what that pass concluded (None until the first one runs)
@@ -398,14 +406,12 @@ class DiscoveryManager:
         entry.next_due = self.sim.now + backoff
 
     def _correlate(self) -> None:
-        from .journal import Journal
-
-        journal = getattr(self.journal, "journal", self.journal)
-        if not isinstance(journal, Journal):
+        journal = self._local_journal
+        if journal is None:
             # Remote deployment: correlation runs against snapshots (or
             # at the Journal Server's site), not through the wire client.
             return
-        if self._correlator is None or self._correlator.journal is not journal:
+        if self._correlator is None:
             self._correlator = Correlator(journal)
         # The run's writes reach the feed's subscribers first.  The
         # persistent Correlator carries the last-correlated revision, so
@@ -420,8 +426,7 @@ class DiscoveryManager:
         (in-process) durable Journal; remote journals checkpoint at the
         server.  The correlation products this run derived land in the
         snapshot instead of waiting for the next server-side threshold."""
-        journal = getattr(self.journal, "journal", self.journal)
-        store = getattr(journal, "durability", None)
+        store = getattr(self._local_journal, "durability", None)
         if store is not None and store.due():
             store.checkpoint()
 

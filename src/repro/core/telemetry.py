@@ -4,7 +4,7 @@ Fremont's whole point is *visibility* — the Journal's triple timestamps
 exist so an operator can ask "when did discovery last verify this?".
 This module gives the reproduction the same visibility into its own
 machinery: a thread-safe :class:`MetricsRegistry` of monotonic
-counters, gauges, and fixed-bucket latency histograms (with p50/p95/p99
+counters, gauges, and fixed-bucket latency histograms (with percentile
 estimates), plus a lightweight :func:`MetricsRegistry.trace` span API
 that records nested timed spans into a bounded ring buffer.
 
@@ -46,7 +46,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DEPTH_BUCKETS",
@@ -158,6 +158,30 @@ class Gauge:
         return self._value
 
 
+def _bucket_percentile(bounds: Sequence[float], counts: Sequence[int], q: float) -> float:
+    """Estimated q-th percentile (q in [0, 100]) of a fixed-bucket
+    histogram: *counts* per bucket under the upper *bounds*, linearly
+    interpolated inside the winning bucket (the open top bucket answers
+    its lower bound)."""
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    rank = (q / 100.0) * total
+    running = 0
+    lower = 0.0
+    for bound, count in zip(bounds, counts):
+        if count:
+            if running + count >= rank:
+                if bound == float("inf"):
+                    return lower
+                fraction = (rank - running) / count
+                return lower + (bound - lower) * max(0.0, min(1.0, fraction))
+            running += count
+        if bound != float("inf"):
+            lower = bound
+    return lower
+
+
 class Histogram:
     """Fixed-bucket histogram with percentile estimates.
 
@@ -227,35 +251,7 @@ class Histogram:
     def percentile(self, q: float) -> float:
         """Estimated q-th percentile (q in [0, 100])."""
         with self._lock:
-            total = self._count
-            if total == 0:
-                return 0.0
-            rank = (q / 100.0) * total
-            running = 0
-            lower = 0.0
-            for bound, count in zip(self.bounds, self._counts):
-                if count:
-                    if running + count >= rank:
-                        if bound == float("inf"):
-                            return lower
-                        fraction = (rank - running) / count
-                        return lower + (bound - lower) * max(0.0, min(1.0, fraction))
-                    running += count
-                if bound != float("inf"):
-                    lower = bound
-            return lower
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p95(self) -> float:
-        return self.percentile(95)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99)
+            return _bucket_percentile(self.bounds, self._counts, q)
 
 
 _SAMPLE_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -589,9 +585,6 @@ class MetricsRegistry:
                                 ["+Inf" if bound == float("inf") else bound, total]
                                 for bound, total in sample.cumulative()
                             ],
-                            "p50": sample.p50,
-                            "p95": sample.p95,
-                            "p99": sample.p99,
                         }
                     )
                 else:
@@ -852,11 +845,18 @@ def render_stats(snapshot: Dict[str, Any], *, spans: int = 12) -> str:
         label_text = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
         count = sample.get("count", 0)
         mean = (sample.get("sum", 0.0) / count) if count else 0.0
+        bounds, counts, running = [], [], 0
+        for bound, total in sample.get("buckets", []):
+            bounds.append(float(bound))  # float("+Inf") is the open top bucket
+            counts.append(total - running)
+            running = total
+        quantiles = "".join(
+            f" {_format_seconds(_bucket_percentile(bounds, counts, q)):>10}"
+            for q in (50, 95, 99)
+        )
         lines.append(
             f"  {name_of(name, label_text):<58} {count:>8} "
-            f"{_format_seconds(mean):>10} {_format_seconds(sample.get('p50', 0)):>10} "
-            f"{_format_seconds(sample.get('p95', 0)):>10} "
-            f"{_format_seconds(sample.get('p99', 0)):>10}"
+            f"{_format_seconds(mean):>10}{quantiles}"
         )
     span_info = snapshot.get("spans", {})
     recent = span_info.get("recent", [])[-spans:]

@@ -1206,10 +1206,11 @@ def decode_message(line: bytes) -> Dict[str, Any]:
 class FrameReader:
     """Deadline-aware frame reader over a blocking socket.
 
-    Both sync client halves (:class:`~repro.core.client.RemoteClient`
-    and :class:`~repro.core.client.RemoteChangeFeed`) need the same
-    loop: buffer bytes, split on newlines, honour a per-read deadline
-    without ever tearing a frame mid-read.  The socket itself must stay
+    The sync :class:`~repro.core.client.RemoteClient` reads its replies
+    with it, and a :class:`~repro.core.client.RemoteChangeFeed` its
+    pushed frames, through the client it rides: buffer bytes, split on
+    newlines, honour a per-read deadline without ever tearing a frame
+    mid-read.  The socket itself must stay
     in blocking mode; deadlines are enforced with ``poll`` before each
     ``recv`` (``select`` would cap the process at FD_SETSIZE=1024
     descriptors — far below the fan-in this transport serves), so a

@@ -7,6 +7,7 @@ of them without asking which.
 """
 
 import contextlib
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.core import (
     RemoteClient,
     ShardedClient,
     ShardMap,
+    connect,
 )
 from repro.core.records import Observation
 
@@ -112,3 +114,38 @@ def test_flush_and_snapshot_answer_on_every_client(kind):
         snapshot = client.snapshot()
         assert isinstance(snapshot, Journal)
         assert snapshot.counts()["interfaces"] == 3
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_feed_inherits_the_connect_retry_settings(shards):
+    """A feed reconnects with its opener's settings: one reconnect
+    attempt gives up at once, where the default five would sleep for
+    at least 0.75 s between attempts.  Over a ``shard://`` router each
+    member feed inherits its shard client's settings."""
+    servers = [JournalServer(Journal(), port=0).start() for _ in range(shards)]
+    try:
+        addresses = ",".join(f"{host}:{port}" for host, port in (s.address for s in servers))
+        target = addresses if shards == 1 else f"shard://{addresses}"
+        with connect(target, retry={"reconnect_attempts": 1}) as client:
+            feed = client.subscribe(since=0)
+            try:
+                for server in servers:
+                    server.stop()
+                started = time.monotonic()
+                with pytest.raises(ConnectionError):
+                    feed.poll(2.0)
+                assert time.monotonic() - started < 0.5
+            finally:
+                feed.close()
+    finally:
+        for server in servers:
+            server.stop()
+
+
+def test_a_closed_feed_stays_closed():
+    with _client("remote") as (client, _journals):
+        feed = client.subscribe(since=0)
+        feed.close()
+        with pytest.raises(OSError):
+            feed.poll(0.1)
+        assert feed.resumes == 0

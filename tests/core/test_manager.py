@@ -481,3 +481,25 @@ class TestCorrelationWiring:
         assert manager.last_correlated_revision == journal.revision
         # The watermark advanced with the journal.
         assert manager.last_correlated_revision > 0
+
+
+class TestBatchingSinkJournal:
+    def test_manager_correlates_through_a_batching_sink(self, small_net):
+        """Regression: the manager looked for the in-process Journal on
+        a ``journal`` attribute, which a batching sink does not have, so
+        a campaign over one was never correlated."""
+        from repro.core import connect
+
+        net, left, _right, _gateway, hosts = small_net
+        journal = Journal(clock=lambda: net.sim.now)
+        sink = connect(journal, batching=True)
+        monitor = net.add_host(left, name="monitor", index=200, activity_rate=0.0)
+        manager = DiscoveryManager(net.sim, sink)
+        manager.register(
+            SequentialPing(monitor, sink),
+            directive={"addresses": [hosts["a1"].ip, hosts["a2"].ip]},
+        )
+        manager.run_next()
+        assert journal.counts()["interfaces"] == 2
+        assert manager.last_correlation_report is not None
+        assert manager.last_correlated_revision == journal.revision

@@ -205,7 +205,7 @@ class TestSlowFeedFallback:
                 # would hide the server-side backpressure this test is
                 # about; clamp both ends so the 4-frame outbox is the
                 # bottleneck.
-                feed._socket.setsockopt(
+                feed._client._socket.setsockopt(
                     socket.SOL_SOCKET, socket.SO_RCVBUF, 4096
                 )
                 assert _wait_for(
@@ -336,7 +336,9 @@ class TestFeedLaggedResume:
                 frames = wire.FrameReader(conn)
                 request = frames.read(5.0)
                 observed["subscribe"] = request
-                conn.sendall(wire.encode_message({"ok": True, "revision": 0}))
+                conn.sendall(
+                    wire.encode_message({"ok": True, "revision": 0, "id": request["id"]})
+                )
                 delivered = JournalChanges(since=0, revision=5)
                 delivered.interfaces.add(1)
                 conn.sendall(
@@ -368,7 +370,11 @@ class TestFeedLaggedResume:
                 missing.interfaces.update({2, 3})
                 conn.sendall(
                     wire.encode_message(
-                        {"ok": True, "changes": wire.changes_to_dict(missing)}
+                        {
+                            "ok": True,
+                            "changes": wire.changes_to_dict(missing),
+                            "id": poll["id"],
+                        }
                     )
                 )
             finally:
@@ -395,6 +401,51 @@ class TestFeedLaggedResume:
             assert feed.revision == 9
         finally:
             feed.close()
+            listener.close()
+
+
+    def test_polling_error_raises_and_a_missed_deadline_answers_none(self):
+        """In polling mode a server error raises ConnectionError and a
+        reply that misses the request deadline answers None."""
+        from repro.core.client import RemoteChangeFeed
+
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        host, port = listener.getsockname()
+        finished = threading.Event()
+
+        def fake_server():
+            conn, _addr = listener.accept()
+            try:
+                frames = wire.FrameReader(conn)
+                request = frames.read(5.0)
+                conn.sendall(
+                    wire.encode_message({"ok": True, "revision": 0, "id": request["id"]})
+                    + wire.encode_message({"ok": True, "event": "feed_lagged", "revision": 3})
+                )
+                poll = frames.read(5.0)
+                conn.sendall(
+                    wire.encode_message({"ok": False, "error": "boom", "id": poll["id"]})
+                )
+                frames.read(5.0)  # the next poll goes unanswered
+                finished.wait(5.0)
+            finally:
+                conn.close()
+
+        thread = threading.Thread(target=fake_server, daemon=True)
+        thread.start()
+        feed = RemoteChangeFeed(host, port, since=0, timeout=0.3)
+        try:
+            with pytest.raises(ConnectionError, match="changes_since failed"):
+                feed.poll(5.0)
+            assert feed.mode == "polling"
+            assert feed.poll(5.0) is None
+            assert feed.revision == 0
+        finally:
+            finished.set()
+            feed.close()
+            thread.join(timeout=5.0)
             listener.close()
 
 

@@ -281,7 +281,7 @@ class TestFeedLaggedInvalidation:
                 # Clamp both ends of the cache's feed socket so the
                 # 4-frame outbox is the bottleneck, then flood from a
                 # second client until the server demotes the feed.
-                cache._feed._socket.setsockopt(
+                cache._feed._client._socket.setsockopt(
                     socket_module.SOL_SOCKET, socket_module.SO_RCVBUF, 4096
                 )
                 assert wait_for(
