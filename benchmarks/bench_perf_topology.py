@@ -26,12 +26,16 @@ structure change.  :func:`naive_impact` keeps the search it replaced
 (one BFS per piece over cached adjacency, every query), the way
 ablation B keeps the paper's AVL tree: every sampled ``impact`` answer
 must equal the reference's, and the two are timed on the same targets.
+:func:`naive_path` likewise keeps the single-source Dijkstra that the
+goal-directed ``path`` search replaced; every sampled ``path`` answer,
+tie-breaks included, must equal it, timed on the same pairs.
 
-``--check`` enforces all three equivalences always, and gates the largest
+``--check`` enforces all four equivalences always, and gates the largest
 size's speedups: incremental refresh >= 5x a rebuild, and warm
 ``impact`` >= 5x the naive reference, in full runs (>= 3x each under
 ``--quick``, where the small Journal shrinks the work both are
-beating).
+beating).  ``path`` has no speed gate: on this chain-shaped site both
+searches walk the chain between the endpoints.
 
 Results land in ``BENCH_topology.json``.
 
@@ -46,6 +50,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import random
 import sys
@@ -61,7 +66,11 @@ if SRC not in sys.path:
 
 from repro.core import Journal, Observation  # noqa: E402
 from repro.core.analysis import find_cut_gateways  # noqa: E402
-from repro.core.topology import TopologyImpact, TopologyStore  # noqa: E402
+from repro.core.topology import (  # noqa: E402
+    TopologyImpact,
+    TopologyPath,
+    TopologyStore,
+)
 
 SOURCE = "bench-topo"
 
@@ -204,6 +213,71 @@ def naive_impact(
         )
 
 
+def naive_path(store: TopologyStore, a: str, b: str) -> TopologyPath:
+    """The reference ``path``: the single-source Dijkstra the store ran
+    before its goal-directed search, over the same graph index.  It
+    settles nodes in ``(cost, rank)`` order until it pops the goal."""
+    with store._lock:
+        store.refresh()
+        source = store._resolve(a)
+        if source is None:
+            return TopologyPath(a, b, False, reason=f"unknown node: {a}")
+        destination = store._resolve(b)
+        if destination is None:
+            return TopologyPath(a, b, False, reason=f"unknown node: {b}")
+        if source == destination:
+            return TopologyPath(a, b, True, nodes=[store._label(source)])
+        index = store._graph_index()
+        start = index.rank.get(source)
+        goal = index.rank.get(destination)
+        if (
+            start is None
+            or goal is None
+            or index.component[start] != index.component[goal]
+        ):
+            return TopologyPath(
+                a, b, False,
+                reason=(
+                    f"no discovered route between {store._label(source)} "
+                    f"and {store._label(destination)}"
+                ),
+            )
+        links = index.links
+        distances: Dict[int, float] = {start: 0.0}
+        previous: Dict[int, Tuple[int, Any]] = {}
+        queue: List[Tuple[float, int]] = [(0.0, start)]
+        visited: Set[int] = set()
+        while queue:
+            cost, node = heapq.heappop(queue)
+            if node in visited:
+                continue
+            visited.add(node)
+            if node == goal:
+                break
+            for neighbour, weight, edge in links[node]:
+                candidate = cost + weight
+                known = distances.get(neighbour)
+                if known is None or candidate < known:
+                    distances[neighbour] = candidate
+                    previous[neighbour] = (node, edge)
+                    heapq.heappush(queue, (candidate, neighbour))
+        nodes: List[str] = []
+        hops: List[Dict[str, Any]] = []
+        node = goal
+        while node != start:
+            parent, edge = previous[node]
+            nodes.append(store._label(index.nodes[node]))
+            hops.append(edge.evidence())
+            node = parent
+        nodes.append(store._label(source))
+        return TopologyPath(
+            a, b, True,
+            cost=distances[goal],
+            nodes=nodes[::-1],
+            hops=hops[::-1],
+        )
+
+
 def fresh_cut_gateways(journal: Journal) -> list:
     """The reference ``find_cut_gateways``: the same finder, reading a
     store built from scratch for this one pass."""
@@ -249,13 +323,19 @@ def measure_size(
     # Operator queries against the warm store.
     keys = sorted(store.graph().subnets)
     query_rng = random.Random(seed + 2)
+    pairs = [query_rng.sample(keys, 2) for _ in range(50)]
+    store._graph_index()  # both searches run on the same built index
     path_started = time.perf_counter()
-    path_queries = 50
-    for _ in range(path_queries):
-        a, b = query_rng.sample(keys, 2)
-        result = store.path(a, b)
-        assert result.found
+    routes = [store.path(a, b) for a, b in pairs]
     path_s = time.perf_counter() - path_started
+    assert all(route.found for route in routes)
+    naive_started = time.perf_counter()
+    expected_routes = [naive_path(store, a, b) for a, b in pairs]
+    naive_path_s = time.perf_counter() - naive_started
+    path_mismatches = sum(
+        route.to_dict() != reference.to_dict()
+        for route, reference in zip(routes, expected_routes)
+    )
     # Subnets and gateways alike; the reference answers the same ones.
     targets = [
         query_rng.choice(keys) if index % 2 else f"gw-{query_rng.randrange(subnets - 1)}"
@@ -288,6 +368,7 @@ def measure_size(
     fresh_cut_gateways_s = time.perf_counter() - fresh_started
 
     speedup = rebuild_s / incremental_s if incremental_s else None
+    path_speedup = naive_path_s / path_s if path_s else None
     impact_speedup = naive_impact_s / impact_s if impact_s else None
     return {
         "interfaces": interfaces,
@@ -298,7 +379,10 @@ def measure_size(
         "rebuild_ms_per_batch": round(rebuild_s / rounds * 1000, 3),
         "incremental_speedup": round(speedup, 2) if speedup else None,
         "equivalence_mismatches": mismatches,
-        "path_ms": round(path_s / path_queries * 1000, 3),
+        "path_ms": round(path_s / len(pairs) * 1000, 3),
+        "naive_path_ms": round(naive_path_s / len(pairs) * 1000, 3),
+        "path_speedup": round(path_speedup, 2) if path_speedup else None,
+        "path_mismatches": path_mismatches,
         "impact_ms": round(impact_s / len(targets) * 1000, 3),
         "naive_impact_ms": round(naive_impact_s / len(targets) * 1000, 3),
         "impact_speedup": round(impact_speedup, 2) if impact_speedup else None,
@@ -322,9 +406,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=1993)
     parser.add_argument(
         "--check", action="store_true",
-        help="fail on any incremental/rebuild, impact/reference or "
-        "find_cut_gateways shared/fresh divergence (always) or if the largest size's incremental or "
-        "warm-impact speedup falls below the gate (5x full, 3x --quick)",
+        help="fail on any incremental/rebuild, path/reference, "
+        "impact/reference or find_cut_gateways shared/fresh divergence "
+        "(always) or if the largest size's incremental or warm-impact "
+        "speedup falls below the gate (5x full, 3x --quick)",
     )
     parser.add_argument("--output", default="BENCH_topology.json",
                         help="result file path (default: %(default)s)")
@@ -344,7 +429,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"incremental {level['incremental_ms_per_batch']}ms vs rebuild "
             f"{level['rebuild_ms_per_batch']}ms per batch "
             f"({level['incremental_speedup']}x), path "
-            f"{level['path_ms']}ms, impact {level['impact_ms']}ms vs naive "
+            f"{level['path_ms']}ms vs naive {level['naive_path_ms']}ms "
+            f"({level['path_speedup']}x), impact {level['impact_ms']}ms vs naive "
             f"{level['naive_impact_ms']}ms ({level['impact_speedup']}x), "
             f"find_cut_gateways {level['cut_gateways_ms']}ms vs fresh "
             f"{level['fresh_cut_gateways_ms']}ms"
@@ -375,11 +461,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"FAIL: incremental store diverged from rebuild "
                 f"{diverged} time(s)"
             )
-        wrong = sum(level["impact_mismatches"] for level in levels)
-        if wrong:
-            raise SystemExit(
-                f"FAIL: {wrong} impact answer(s) differ from the naive reference"
-            )
+        for query in ("path", "impact"):
+            wrong = sum(level[f"{query}_mismatches"] for level in levels)
+            if wrong:
+                raise SystemExit(
+                    f"FAIL: {wrong} {query} answer(s) differ from the naive "
+                    f"reference"
+                )
         if any(level["cut_gateway_mismatch"] for level in levels):
             raise SystemExit(
                 "FAIL: find_cut_gateways on the Journal's store differs "

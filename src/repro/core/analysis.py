@@ -366,27 +366,19 @@ def find_partitioned_subnets(journal: Journal) -> List[Finding]:
 def find_cut_gateways(journal: Journal) -> List[Finding]:
     """Gateways whose failure would partition the discovered topology
     (articulation points): single points of failure."""
-    store = journal.topology()
-    findings: List[Finding] = []
-    for gid, (name, subnet_keys) in sorted(store.graph().gateways.items()):
-        if len(subnet_keys) < 2:
-            continue
-        impact = store.impact(f"gateway-{gid}")
-        if not impact.found or not impact.articulation:
-            continue
-        findings.append(
-            Finding(
-                kind=KIND_CUT_GATEWAY,
-                subject=name,
-                details=(
-                    f"failure cuts off {len(impact.cut_subnets)} "
-                    f"subnet(s) ({', '.join(impact.cut_subnets)}) and "
-                    f"{impact.isolated_hosts} host interface(s)"
-                ),
-                record_ids=[gid],
-            )
+    return [
+        Finding(
+            kind=KIND_CUT_GATEWAY,
+            subject=name,
+            details=(
+                f"failure cuts off {len(impact.cut_subnets)} "
+                f"subnet(s) ({', '.join(impact.cut_subnets)}) and "
+                f"{impact.isolated_hosts} host interface(s)"
+            ),
+            record_ids=[gid],
         )
-    return findings
+        for gid, name, impact in journal.topology().cut_gateways()
+    ]
 
 
 # ----------------------------------------------------------------------

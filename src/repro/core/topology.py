@@ -70,8 +70,10 @@ __all__ = [
     "HISTORY_LIMIT",
 ]
 
-#: Dijkstra edge cost by confidence: a questionable link is traversable
-#: but three confident hops are preferred over one shaky one.
+#: Path edge cost by confidence: a questionable link is traversable
+#: but three confident hops are preferred over one shaky one.  Keep the
+#: costs whole numbers: route sums are then exact, and the search
+#: compares them for equality.
 CONFIDENCE_WEIGHTS: Dict[str, float] = {"good": 1.0, "questionable": 3.0}
 
 #: appear/disappear transitions retained per edge (oldest dropped)
@@ -687,8 +689,10 @@ class TopologyStore:
         Endpoints may be subnet keys (``10.0.1.0/24``), gateway names,
         or interface IPs.  Questionable edges cost
         ``CONFIDENCE_WEIGHTS["questionable"]`` per hop, so the route
-        prefers confident evidence where one exists.  Equal-cost routes
-        break ties on :meth:`_order` (by rank in the index).
+        prefers confident evidence where one exists.  Among equal-cost
+        routes, each node on the answer is reached from its optimal
+        neighbour nearest the source, ties to the lowest
+        :meth:`_order` (see :meth:`_GraphIndex.route`).
         """
         with self._lock:
             self.refresh()
@@ -716,41 +720,14 @@ class TopologyStore:
                         f"and {self._label(destination)}"
                     ),
                 )
-            links = index.links
-            distances: Dict[int, float] = {start: 0.0}
-            previous: Dict[int, Tuple[int, TopologyEdge]] = {}
-            queue: List[Tuple[float, int]] = [(0.0, start)]
-            visited: Set[int] = set()
-            while queue:
-                cost, node = heapq.heappop(queue)
-                if node in visited:
-                    continue
-                visited.add(node)
-                if node == goal:
-                    break
-                for neighbour, weight, edge in links[node]:
-                    candidate = cost + weight
-                    known = distances.get(neighbour)
-                    if known is None or candidate < known:
-                        distances[neighbour] = candidate
-                        previous[neighbour] = (node, edge)
-                        heapq.heappush(queue, (candidate, neighbour))
-            nodes: List[str] = []
-            hops: List[Dict[str, Any]] = []
-            node = goal
-            while node != start:
-                parent, edge = previous[node]
-                nodes.append(self._label(index.nodes[node]))
-                hops.append(edge.evidence())
-                node = parent
-            nodes.append(self._label(source))
-            nodes.reverse()
-            hops.reverse()
+            cost, route = index.route(start, goal)
+            nodes = [self._label(source)]
+            nodes.extend(self._label(index.nodes[rank]) for rank, _edge in route)
             return TopologyPath(
                 a, b, True,
-                cost=distances[goal],
+                cost=cost,
                 nodes=nodes,
-                hops=hops,
+                hops=[edge.evidence() for _rank, edge in route],
             )
 
     # ------------------------------------------------------------------
@@ -769,38 +746,63 @@ class TopologyStore:
                 return TopologyImpact(
                     target, False, reason=f"unknown node: {target}"
                 )
-            kind, value = resolved
+            return self._impact(target, resolved)
+
+    def cut_gateways(self) -> List[Tuple[int, str, TopologyImpact]]:
+        """``(id, name, impact)`` of every gateway whose failure splits
+        its component (an articulation point), by id.  The index's DFS
+        picks them out, so only these gateways pay for an ``impact``."""
+        with self._lock:
+            self.refresh()
             index = self._graph_index()
-            rank = index.rank.get(resolved)
-            if rank is None:
-                # No present edge: the node is a component of its own.
-                return TopologyImpact(
-                    target,
-                    True,
-                    kind=kind,
-                    component_subnets=[value] if kind == "subnet" else [],
-                )
-            cut = index.cut(rank)
-            nodes = index.nodes
-            cut_subnets = [nodes[r][1] for r in cut if index.is_subnet[r]]
-            cut_gateways = sorted(
-                self._label(nodes[r]) for r in cut if not index.is_subnet[r]
-            )
-            isolated = sum(
-                len(self._subnet_nodes[key].interfaces) for key in cut_subnets
-            )
+            found: List[Tuple[int, str, TopologyImpact]] = []
+            for rank, node in enumerate(index.nodes):
+                if node[0] != "gateway":
+                    break  # gateways order before subnets
+                if index.separates(rank):
+                    gid = node[1]
+                    found.append((
+                        gid,
+                        self._label(node),
+                        self._impact(f"gateway-{gid}", node),
+                    ))
+            return found
+
+    def _impact(self, target: str, resolved: Tuple[str, Any]) -> TopologyImpact:
+        """:meth:`impact` of *target*, already resolved to the graph
+        node *resolved*."""
+        kind, value = resolved
+        index = self._graph_index()
+        rank = index.rank.get(resolved)
+        if rank is None:
+            # No present edge: the node is a component of its own.
             return TopologyImpact(
                 target,
                 True,
                 kind=kind,
-                articulation=bool(cut),
-                component_subnets=list(
-                    index.component_subnets[index.component[rank]]
-                ),
-                cut_subnets=cut_subnets,
-                cut_gateways=cut_gateways,
-                isolated_hosts=isolated,
+                component_subnets=[value] if kind == "subnet" else [],
             )
+        cut = index.cut(rank)
+        nodes = index.nodes
+        cut_subnets = [nodes[r][1] for r in cut if index.is_subnet[r]]
+        cut_gateways = sorted(
+            self._label(nodes[r]) for r in cut if not index.is_subnet[r]
+        )
+        isolated = sum(
+            len(self._subnet_nodes[key].interfaces) for key in cut_subnets
+        )
+        return TopologyImpact(
+            target,
+            True,
+            kind=kind,
+            articulation=bool(cut),
+            component_subnets=list(
+                index.component_subnets[index.component[rank]]
+            ),
+            cut_subnets=cut_subnets,
+            cut_gateways=cut_gateways,
+            isolated_hosts=isolated,
+        )
 
 
 class _GraphIndex:
@@ -911,6 +913,123 @@ class _GraphIndex:
         self.subnets_below = subnets_below
         self.least_below = least_below
 
+    def _separated(self, target: int, root: int) -> List[int]:
+        """The DFS children of *target* whose subtrees its failure cuts
+        off from its parent's side: every child at the *root*, else
+        each child whose subtree reaches no higher than *target*."""
+        parent = self.parent
+        low = self.low
+        at = self.disc[target]
+        return [
+            other
+            for other, _weight, _edge in self.links[target]
+            if parent[other] == target and (target == root or low[other] >= at)
+        ]
+
+    def separates(self, target: int) -> bool:
+        """Whether *target* is a cut vertex: its failure leaves two or
+        more pieces of its component (exactly when :meth:`cut` is
+        non-empty).  A root needs two separated children; any other
+        rank needs one, the rest of the component being the other."""
+        root = self.roots[self.component[target]]
+        return len(self._separated(target, root)) + (target != root) >= 2
+
+    def route(
+        self, start: int, goal: int
+    ) -> Tuple[float, List[Tuple[int, TopologyEdge]]]:
+        """The least-cost route from *start* to *goal* (same component,
+        distinct ranks): its cost and its ``(rank, edge)`` hops, each
+        hop's rank being the node it enters.
+
+        Ties follow one rule: every node on the route is entered from
+        its *optimal* neighbour (one on a least-cost route to it) with
+        the least ``(distance from start, rank)`` — the neighbour a
+        single Dijkstra keyed ``(cost, rank)`` settles first.  Three
+        phases search only around the two endpoints:
+
+        1. A bidirectional Dijkstra bounds the cost ``D``: it stops
+           once the two queue tops sum to at least the best meeting.
+        2. An A* pass from *start*, resuming phase 1's forward search,
+           settles every node on a least-cost route.  Its heuristic is
+           a node's settled distance to *goal*, else the backward
+           queue's floor; that is consistent, so each popped distance
+           is exact, and nothing on a least-cost route has an estimate
+           above ``D``.
+        3. The route is read back from *goal* by the tie rule.
+
+        Weights are whole numbers (see :data:`CONFIDENCE_WEIGHTS`), so
+        the sums compared below are exact.
+        """
+        links = self.links
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        reach = ({start: 0.0}, {goal: 0.0})
+        done: Tuple[Dict[int, float], Dict[int, float]] = ({}, {})
+        queues = ([(0.0, start)], [(0.0, goal)])
+        ahead, behind = queues
+        bound = float("inf")
+        while ahead and behind and ahead[0][0] + behind[0][0] < bound:
+            side = 0 if ahead[0][0] <= behind[0][0] else 1
+            queue = queues[side]
+            cost, node = heappop(queue)
+            settled = done[side]
+            if node in settled:
+                continue
+            settled[node] = cost
+            mine = reach[side]
+            theirs = reach[1 - side]
+            for other, weight, _edge in links[node]:
+                candidate = cost + weight
+                across = theirs.get(other)
+                if across is not None and candidate + across < bound:
+                    bound = candidate + across
+                known = mine.get(other)
+                if known is None or candidate < known:
+                    mine[other] = candidate
+                    heappush(queue, (candidate, other))
+
+        # The forward search's settled distances are exact already;
+        # its frontier seeds the A* queue.
+        to_goal = done[1]
+        floor = behind[0][0] if behind else float("inf")
+        distance, exact = reach[0], done[0]
+        queue = []
+        for node, cost in distance.items():
+            if node not in exact:
+                estimate = cost + to_goal.get(node, floor)
+                if estimate <= bound:
+                    queue.append((estimate, node))
+        heapq.heapify(queue)
+        while queue and queue[0][0] <= bound:
+            _estimate, node = heappop(queue)
+            if node in exact:
+                continue
+            cost = exact[node] = distance[node]
+            for other, weight, _edge in links[node]:
+                candidate = cost + weight
+                known = distance.get(other)
+                if known is None or candidate < known:
+                    distance[other] = candidate
+                    estimate = candidate + to_goal.get(other, floor)
+                    if estimate <= bound:
+                        heappush(queue, (estimate, other))
+
+        route: List[Tuple[int, TopologyEdge]] = []
+        node = goal
+        while node != start:
+            here = exact[node]
+            best: Optional[Tuple[float, int, TopologyEdge]] = None
+            for other, weight, edge in links[node]:
+                there = exact.get(other)
+                if there is not None and there + weight == here:
+                    if best is None or (there, other) < best[:2]:
+                        best = (there, other, edge)
+            assert best is not None
+            route.append((node, best[2]))
+            node = best[1]
+        route.reverse()
+        return exact[goal], route
+
     def cut(self, target: int) -> List[int]:
         """Ranks cut off from the surviving core if *target* fails,
         ascending.
@@ -922,14 +1041,8 @@ class _GraphIndex:
         piece with the most subnets, ties to the lowest minimum rank;
         every other piece is cut."""
         root = self.roots[self.component[target]]
-        parent = self.parent
         at = self.disc[target]
-        separated = [
-            other
-            for other, _weight, _edge in self.links[target]
-            if parent[other] == target
-            and (target == root or self.low[other] >= at)
-        ]
+        separated = self._separated(target, root)
         pieces = [
             (-self.subnets_below[child], self.least_below[child], child)
             for child in separated

@@ -776,6 +776,128 @@ class TestIndexOracle:
         _assert_matches_reference(journal, (store,))
 
 
+#: a larger graph for the route oracle: a subnet count, whether every
+#: gateway also joins the backbone ``10.0.0.0/24`` (so every pair of
+#: gateways has equal-cost routes through it), and per gateway its
+#: ``(subnet index, questionable)`` links; about 30% are questionable
+_R_GRAPHS = st.integers(1, 20).flatmap(lambda subnets: st.tuples(
+    st.just(subnets),
+    st.booleans(),
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(1, subnets),
+                st.integers(0, 9).map(lambda draw: draw < 3),
+            ),
+            min_size=1, max_size=4, unique_by=lambda link: link[0],
+        ),
+        min_size=1, max_size=12,
+    ),
+))
+
+
+def _route_journal(graph):
+    """The Journal of one ``_R_GRAPHS`` draw, plus a side component of
+    two subnets that no route from the main graph reaches, and its
+    endpoints: every subnet and gateway name, and an unknown name."""
+    subnets, hub, gateways = graph
+    journal = Journal(clock=lambda: 0.0)
+    backbone = "10.0.0.0/24"
+    for number, links in enumerate(gateways, 1):
+        keys = [f"10.0.{index}.0/24" for index, _questionable in links]
+        record = _gateway(journal, f"gw-{number}", keys + [backbone] * hub)
+        for key, (_index, questionable) in zip(keys, links):
+            if questionable:
+                record.connected_subnets[key].quality = Quality.QUESTIONABLE
+        journal._touch("gateway", record)
+    _gateway(journal, "gw-side", ["10.9.1.0/24", "10.9.2.0/24"])
+    ends = [f"10.0.{index}.0/24" for index in range(subnets + 1)]
+    ends += [f"gw-{number}" for number in range(1, len(gateways) + 1)]
+    return journal, ends + ["gw-side", "10.9.2.0/24", "nothing-here"]
+
+
+class _CountingLinks(list):
+    """``_GraphIndex.links`` that records which ranks' adjacency is read."""
+
+    def __init__(self, links):
+        super().__init__(links)
+        self.read = set()
+
+    def __getitem__(self, rank):
+        self.read.add(rank)
+        return super().__getitem__(rank)
+
+
+def _hub_campus(journal, gateways=100):
+    """Every gateway joins the backbone ``10.0.0.0/24`` and three leaf
+    subnets of its own; returns each gateway's leaves."""
+    leaves = []
+    for number in range(gateways):
+        keys = [f"10.{1 + number // 80}.{number % 80 * 3 + leaf}.0/24"
+                for leaf in range(3)]
+        _gateway(journal, f"gw-{number}", ["10.0.0.0/24"] + keys)
+        leaves.append(keys)
+    return leaves
+
+
+class TestRouteOracle:
+    """The goal-directed ``path`` search against the single-source
+    Dijkstra of the brute-force reference, on graphs larger than
+    ``TestIndexOracle`` draws."""
+
+    def test_weights_sum_exactly(self):
+        # The search compares route sums for equality.
+        assert all(
+            weight > 0 and float(weight).is_integer()
+            for weight in CONFIDENCE_WEIGHTS.values()
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(graph=_R_GRAPHS)
+    def test_every_pair_equals_the_reference(self, graph):
+        journal, ends = _route_journal(graph)
+        store = TopologyStore(journal)
+        reference = _Reference(journal)
+        for a in ends:
+            for b in ends:
+                assert store.path(a, b).to_dict() == reference.path(a, b).to_dict()
+
+    @settings(max_examples=50, deadline=None)
+    @given(graph=_R_GRAPHS)
+    def test_cut_gateways_are_the_articulations(self, graph):
+        """``cut_gateways`` lists exactly the gateways whose reference
+        ``impact`` is an articulation, with that impact."""
+        journal, _ends = _route_journal(graph)
+        store = TopologyStore(journal)
+        reference = _Reference(journal)
+        expected = []
+        for gid in sorted(journal.gateways):
+            impact = reference.impact(f"gateway-{gid}")
+            if impact.articulation:
+                expected.append((gid, reference._label(("gateway", gid)), impact))
+        assert store.cut_gateways() == expected
+
+    def test_hub_path_reads_only_the_endpoints_neighbourhoods(self, journal):
+        """Across a 100-gateway hub, a route between two leaves reads the
+        adjacency of a few dozen nodes, not most of the component."""
+        leaves = _hub_campus(journal)
+        store = TopologyStore(journal)
+        store.path(leaves[0][0], leaves[1][0])  # builds the index
+        index = store._index
+        links = index.links = _CountingLinks(index.links)
+        reference = _Reference(journal)
+        for first, second in ((0, 1), (7, 93), (99, 42), (50, 51)):
+            a, b = leaves[first][1], leaves[second][2]
+            links.read.clear()
+            route = store.path(a, b)
+            assert route.nodes == [
+                a, f"gw-{first}", "10.0.0.0/24", f"gw-{second}", b,
+            ]
+            assert route.to_dict() == reference.path(a, b).to_dict()
+            assert len(links.read) <= 36  # of the 401 ranked nodes
+        assert store._index is index
+
+
 def _union_find_components(graph):
     """The reference for ``TopologyStore.components``: a union-find over
     the graph's subnets, two subnets joined by each gateway holding
