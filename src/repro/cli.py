@@ -379,6 +379,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         journal = Journal.load_or_empty(args.journal, clock=time.time)
     else:
         journal = Journal(clock=time.time)
+    if shard_identity is not None and journal.seat(shard_identity) != shard_identity:
+        if store is not None:
+            store.close(checkpoint=False)
+        raise ValueError(
+            f"shard {args.shard} handshake mismatch: the journal holds "
+            + (f"shard identity {journal.shard}" if journal.shard else "ids issued unseated")
+        )
     replica = None
     if args.standby_of:
         from repro.core import StandbyReplica
@@ -397,8 +404,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             journal, host=args.host, port=args.port, max_workers=args.workers
         )
     server.persist_path = args.persist
-    if shard_identity is not None:
-        server.dispatcher.shard_identity = shard_identity
     if replica is not None:
         replica.start()
     else:
@@ -656,9 +661,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shard", default=None, metavar="K/N",
-        help="serve as shard K of an N-shard fleet (0-based): answers the "
-        "shard_info handshake so routers can verify their shard map, and "
-        "scopes --durable to a per-shard directory",
+        help="serve as shard K of an N-shard fleet (0-based): the journal "
+        "issues record ids that name shard K, the shard_info handshake lets "
+        "routers verify their shard map, and --durable is scoped to a "
+        "per-shard directory",
     )
     serve.add_argument(
         "--fsync", default="interval", choices=["always", "interval", "never"],

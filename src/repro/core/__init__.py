@@ -45,7 +45,7 @@ from .shard import (
     VectorCursor,
     global_id,
     parse_shard_spec,
-    split_global_id,
+    shard_of_id,
 )
 from .sink import BatchingSink, FlushStats, ObservationSink
 from .telemetry import (
@@ -115,8 +115,8 @@ __all__ = [
     "parse_targets",
     "render_fleet_stats",
     "render_stats",
+    "shard_of_id",
     "shard_store_path",
     "snapshot_to_prometheus",
-    "split_global_id",
     "telemetry_of",
 ]

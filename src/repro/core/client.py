@@ -242,6 +242,12 @@ class LocalClient(JournalClient):
         """The journal's current change-tracking revision."""
         return self.journal.revision
 
+    def shard_info(self, seat: Optional[Dict[str, int]] = None) -> Optional[Dict[str, int]]:
+        """The journal's shard identity, as the ``shard_info`` op
+        answers it, after taking *seat* if it can
+        (:meth:`~repro.core.journal.Journal.seat`)."""
+        return self.journal.shard if seat is None else self.journal.seat(seat)
+
     # -- bulk -------------------------------------------------------------
 
     def snapshot(self) -> Journal:
@@ -869,12 +875,16 @@ class RemoteClient(JournalClient):
         a replica or dashboard can skip a sync when it hasn't moved)."""
         return self._call({"op": "counts"})["counts"]["revision"]
 
-    def shard_info(self) -> Optional[Dict[str, Any]]:
+    def shard_info(self, seat: Optional[Dict[str, int]] = None) -> Optional[Dict[str, Any]]:
         """Federation handshake (the ``shard_info`` op): the server's
         shard identity, or None when it is not part of a sharded
-        fleet.  :class:`~repro.core.shard.ShardedClient` calls this to
-        refuse a mis-assembled fleet."""
-        return wire.shard_info_from_dict(self._call({"op": "shard_info"}).get("shard"))
+        fleet.  A *seat* identity is taken first if the server's
+        Journal can take it.  :class:`~repro.core.shard.ShardedClient`
+        calls this to seat its shards and refuse a mis-assembled fleet."""
+        request: Dict[str, Any] = {"op": "shard_info"}
+        if seat is not None:
+            request["seat"] = wire.shard_info_to_dict(seat)
+        return wire.shard_info_from_dict(self._call(request).get("shard"))
 
     def replica_info(self) -> Optional[Dict[str, Any]]:
         """The server's failover coordinates from the ``shard_info``

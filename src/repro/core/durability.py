@@ -316,6 +316,7 @@ class JournalStore:
 
     CHECKPOINT_NAME = "checkpoint.json"
     EPOCH_NAME = "epoch.json"
+    SHARD_NAME = "shard.json"
 
     def __init__(
         self,
@@ -396,6 +397,29 @@ class JournalStore:
         an epoch acknowledged to the fleet must never roll back)."""
         atomic_write_json(self.epoch_path, {"epoch": int(epoch)}, fsync=True)
 
+    # -- shard identity --------------------------------------------------
+
+    @property
+    def shard_path(self) -> str:
+        return os.path.join(self.directory, self.SHARD_NAME)
+
+    def read_shard(self) -> Optional[Dict[str, int]]:
+        """The shard identity the store's Journal was seated with
+        (:meth:`~repro.core.journal.Journal.seat`), or None when it never
+        was.  Kept beside the checkpoint, as the epoch is, and read
+        before any WAL record replays: the ids those records name were
+        issued on the identity's stride."""
+        try:
+            with open(self.shard_path, "rb") as handle:
+                return wire.shard_info_from_dict(wire.decode_json(handle.read()))
+        except FileNotFoundError:
+            return None
+
+    def write_shard(self, identity: Dict[str, int]) -> None:
+        """Durably record the shard identity (atomic replace + fsync: a
+        WAL record naming an id issued on its stride may follow at once)."""
+        atomic_write_json(self.shard_path, wire.shard_info_to_dict(identity), fsync=True)
+
     def _segment_path(self, seq: int) -> str:
         return os.path.join(self.directory, f"wal-{seq:08d}.log")
 
@@ -453,6 +477,12 @@ class JournalStore:
                 self._next_seq = int(header.get("next_seq", 0))
         if journal is None:
             journal = Journal(clock=clock)
+        identity = self.read_shard()
+        if identity is not None and journal.seat(identity) != identity:
+            raise ValueError(
+                f"{self.shard_path} names shard {identity['index']}/{identity['shards']}, "
+                f"but the checkpoint's Journal is seated as {journal.shard}"
+            )
         self._replay_segments(journal, wal_start, report)
         # Continue appending on a segment none of the replayed or
         # quarantined ones (``wal-00000007.log.corrupt``) shares a name with.

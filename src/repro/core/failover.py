@@ -268,7 +268,7 @@ class StandbyReplica:
             backoff = 0.1
             feed: Optional[RemoteChangeFeed] = None
             try:
-                self._adopt_primary_epoch(client)
+                self._adopt_primary(client)
                 self._handback(client)
                 replicator = JournalReplicator(
                     client,
@@ -292,6 +292,10 @@ class StandbyReplica:
                         )
                     self.last_heartbeat = time.monotonic()
                     if self.primary_revision > replicator.last_revision:
+                        # A primary seated after we connected (by a
+                        # router's handshake) is seated before the
+                        # first record it sends us.
+                        self._adopt_identity(client)
                         replicator.sync()
                         self.replicated_revision = replicator.last_revision
                         with self.server.dispatcher.rwlock.write_locked():
@@ -315,10 +319,11 @@ class StandbyReplica:
                 except (ConnectionError, OSError):
                     pass
 
-    def _adopt_primary_epoch(self, client: RemoteClient) -> None:
+    def _adopt_primary(self, client: RemoteClient) -> None:
         """Inherit the primary's epoch (never regressing ours): the
         promotion rule "strictly beyond every observed epoch" then
-        holds even when only this standby is reachable at failover."""
+        holds even when only this standby is reachable at failover.
+        And its shard identity (:meth:`_adopt_identity`)."""
         info = client.replica_info() or {}
         epoch = int(info.get("epoch", 0))
         self.primary_revision = max(
@@ -331,6 +336,18 @@ class StandbyReplica:
                 if epoch > dispatcher.epoch:
                     dispatcher.epoch = epoch
                     self._persist_epoch(epoch)
+        self._adopt_identity(client)
+
+    def _adopt_identity(self, client: RemoteClient) -> None:
+        """Seat the local journal as the primary's shard while it can
+        still be seated (it holds no identity and has issued no id), so
+        that once promoted it issues ids that route to this shard."""
+        if not self.journal.seatable:
+            return
+        identity = client.shard_info()
+        if identity is not None:
+            with self.server.dispatcher.rwlock.write_locked():
+                self.journal.seat(identity)
 
     def _handback(self, client: RemoteClient) -> None:
         """Rejoin reconciliation: push a non-empty local journal up to

@@ -98,6 +98,7 @@ __all__ = [
     "JournalChanges",
     "JournalCorruptError",
     "FeedSubscription",
+    "global_id",
 ]
 
 logger = logging.getLogger(__name__)
@@ -107,6 +108,15 @@ V = TypeVar("V")
 
 #: what a query answers: records of one kind
 AnyRecord = Union[InterfaceRecord, GatewayRecord, SubnetRecord]
+
+
+def global_id(local_id: int, shard: int, shards: int) -> int:
+    """The *local_id*-th id shard *shard* of *shards* issues.  Local ids
+    start at 1, so ids never collide across a fleet and ``id % shards``
+    names the issuer.  The provisional ``-1`` passes through."""
+    if local_id < 0:
+        return local_id
+    return local_id * shards + shard
 
 
 class JournalCorruptError(Exception):
@@ -436,8 +446,16 @@ class Journal(ObservationSink):
         self._clock = clock or _StepClock()
         #: the instant the write in progress runs at (None between writes)
         self._at: Optional[float] = None
-        #: the id the next new record gets
+        #: the shard this Journal issues record ids for, as the
+        #: ``shard_info`` handshake names it; None outside a fleet
+        self.shard: Optional[Dict[str, int]] = None
+        #: the id the next new record gets, and the step to the one
+        #: after (the shard count once seated, see :meth:`seat`)
         self._next_id = 1
+        self._id_step = 1
+        #: makes a seat one step: the handshake seats under the server's
+        #: read lock, which concurrent handshakes share
+        self._seat_lock = threading.Lock()
         self.interfaces: Dict[int, InterfaceRecord] = {}
         self.gateways: Dict[int, GatewayRecord] = {}
         self.subnets: Dict[int, SubnetRecord] = {}
@@ -547,8 +565,34 @@ class Journal(ObservationSink):
         """A new record of class *kind* under the next id, in *table*."""
         record = table[self._next_id] = kind()
         record.record_id = self._next_id
-        self._next_id += 1
+        self._next_id += self._id_step
         return record
+
+    @property
+    def seatable(self) -> bool:
+        """Can :meth:`seat` give this Journal any shard identity?  Only
+        while it holds none and has issued no record id."""
+        return self.shard is None and self._next_id == 1
+
+    def seat(self, identity: Dict[str, int]) -> Optional[Dict[str, int]]:
+        """Seat this Journal as shard ``identity["index"]`` of
+        ``identity["shards"]`` (the ``shard_info`` handshake body): from
+        here on it issues ids ``global_id(n, index, shards)``, so a
+        router finds a record's shard from its id alone.  A durable
+        Journal's store keeps the identity beside its WAL.
+
+        Returns the identity the Journal holds after: it keeps one it
+        holds, and ids issued unseated keep it unseated unless
+        *identity* issues them the same way (shard 0 of 1)."""
+        shards, index = int(identity["shards"]), int(identity["index"])
+        with self._seat_lock:
+            if self.seatable or (self.shard is None and (index, shards) == (0, 1)):
+                if self.durability is not None:
+                    self.durability.write_shard(identity)
+                self.shard = dict(identity)
+                self._next_id = max(self._next_id, global_id(1, index, shards))
+                self._id_step = shards
+            return self.shard
 
     # ------------------------------------------------------------------
     # Change tracking

@@ -232,8 +232,8 @@ class FederatedView(NamedReads):
     degradation, matching the router's partial-read contract).
 
     Construct from a :class:`~repro.core.shard.ShardedClient` (its
-    per-shard clients are used directly, bypassing scatter-gather and
-    global-id translation) or from any sequence of shard clients.
+    per-shard clients are used directly, bypassing scatter-gather) or
+    from any sequence of shard clients.
     """
 
     def __init__(

@@ -84,10 +84,6 @@ class JournalDispatcher:
     def __init__(self, journal: Journal) -> None:
         self.journal = journal
         self.rwlock = ReadWriteLock()
-        #: federation handshake body (``{"version", "shards", "prefix",
-        #: "index"}``) when this server runs as one shard of a fleet
-        #: (``serve --shard K/N``); None for single-tenant servers.
-        self.shard_identity: Optional[Dict[str, int]] = None
         #: transport hook: when set, completed write ops call this
         #: (write lock held) instead of journal.publish() — the async
         #: server coalesces a burst of pipelined writes into one feed
@@ -522,11 +518,15 @@ class JournalDispatcher:
         return {"ok": True, "metrics": self.telemetry.snapshot(spans=spans)}
 
     def _op_shard_info(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Federation handshake: which shard of which map this server
-        is, or ``shard: None`` when it is not part of a fleet."""
+        """Federation handshake: which shard of which map this server's
+        Journal is, or ``shard: None`` when it is not part of a fleet.
+        A ``seat`` identity is taken first if the Journal can take it
+        (:meth:`~repro.core.journal.Journal.seat`)."""
+        seat = wire.shard_info_from_dict(request.get("seat"))
+        identity = self.journal.shard if seat is None else self.journal.seat(seat)
         return {
             "ok": True,
-            "shard": wire.shard_info_to_dict(self.shard_identity),
+            "shard": wire.shard_info_to_dict(identity),
             "replica": wire.replica_info_to_dict(
                 self.role, self.epoch, self.journal.revision
             ),

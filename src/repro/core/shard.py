@@ -26,10 +26,13 @@ across *N* shards behind an explicit routing layer:
   and ``router`` (the handshake).
 * :class:`ShardedChangeFeed` — the composed change feed.
 
-Record ids crossing the router are *globalized*: shard-local id ``r``
-on shard ``k`` of ``n`` becomes ``r * n + k``, which is collision-free
-(local ids start at 1) and decodes without a lookup table.  The
-provisional ``-1`` id used for outage writes passes through unchanged.
+Record ids are fleet-wide where they are issued: the handshake seats
+shard ``k`` of ``n``'s Journal, which then issues ids
+``global_id(r, k, n) = r * n + k`` (:meth:`~repro.core.journal.Journal.seat`).
+So ids never collide across shards, the router passes every record,
+delta and predicate through as the shard answers it, and routes an id
+to shard ``id % n``.  The provisional ``-1`` id used for outage writes
+cannot be routed.
 
 Placement contract (DESIGN.md §12): scatter-gather results are
 byte-identical to a single Journal fed the same observation stream
@@ -69,8 +72,8 @@ from .client import (
     install_op_methods,
     scatter,
 )
-from .journal import Journal, JournalChanges
-from .records import GatewayRecord, InterfaceRecord, Observation, SubnetRecord
+from .journal import Journal, JournalChanges, global_id
+from .records import GatewayRecord, InterfaceRecord, Observation
 from .replicate import FederatedView
 from .sink import FlushStats
 from .telemetry import MetricsRegistry
@@ -82,7 +85,7 @@ __all__ = [
     "ShardedChangeFeed",
     "ShardFlushError",
     "global_id",
-    "split_global_id",
+    "shard_of_id",
     "parse_shard_spec",
 ]
 
@@ -133,20 +136,11 @@ def _ip_value(ip: Optional[str]) -> Optional[int]:
     return value
 
 
-def global_id(local_id: int, shard: int, shards: int) -> int:
-    """Globalize a shard-local record id.  Local ids start at 1, so
-    every global id is >= ``shards`` and the provisional ``-1`` (an
-    outage write never assigned a server id) passes through."""
-    if local_id < 0:
-        return local_id
-    return local_id * shards + shard
-
-
-def split_global_id(gid: int, shards: int) -> Tuple[int, int]:
-    """Inverse of :func:`global_id`: ``(shard, local_id)``."""
-    if gid < 0:
-        raise ValueError(f"cannot route provisional record id {gid}")
-    return gid % shards, gid // shards
+def shard_of_id(record_id: int, shards: int) -> int:
+    """The shard that issued *record_id* (see :func:`global_id`)."""
+    if int(record_id) < 0:
+        raise ValueError(f"cannot route provisional record id {record_id}")
+    return int(record_id) % shards
 
 
 def parse_shard_spec(spec: str) -> Tuple[int, int]:
@@ -260,12 +254,7 @@ class ShardMap:
 
     def identity(self, index: int) -> Dict[str, int]:
         """The ``shard_info`` handshake body for shard *index*."""
-        return {
-            "version": self.version,
-            "shards": self.shards,
-            "prefix": self.prefix,
-            "index": index,
-        }
+        return {**self.to_dict(), "index": index}
 
     def to_dict(self) -> Dict[str, int]:
         return {
@@ -365,10 +354,26 @@ def _normalize_cursor(since: Any, shards: int) -> List[int]:
     return components
 
 
+def _refuse_since_revision(predicate) -> None:
+    """A predicate tree holding a non-zero ``SinceRevision`` cannot fan
+    out: each shard counts its own revisions."""
+    if isinstance(predicate, (query_module.And, query_module.Or)):
+        for child in predicate.children:
+            _refuse_since_revision(child)
+    elif isinstance(predicate, query_module.Not):
+        _refuse_since_revision(predicate.child)
+    elif isinstance(predicate, query_module.SinceRevision) and predicate.rev:
+        raise ValueError(
+            "SinceRevision cannot be fanned out: per-shard revision "
+            "counters are independent — query each shard directly or "
+            "use changes_since with a VectorCursor"
+        )
+
+
 def _compose(
     deltas: Iterable[Optional[JournalChanges]], before: Sequence[int], after: Sequence[int]
 ) -> JournalChanges:
-    """Globalized per-shard deltas folded into one fleet delta, moving
+    """Per-shard deltas folded into one fleet delta, moving
     the vector cursor from *before* to *after*: its ``since``/``revision``
     are the scalar views of the two and :attr:`JournalChanges.vector`
     carries *after* for resumption.  A None delta — a shard that could
@@ -386,14 +391,11 @@ def _compose(
 
 
 class ShardedChangeFeed(ChangeFeed):
-    """Per-shard change feeds composed behind one poll surface.
+    """Per-shard change feeds composed behind one poll surface: the
+    deltas one poll collects are folded with :func:`_compose`."""
 
-    Each delivered delta is globalized (record ids rewritten through
-    the global-id codec) and folded with :func:`_compose`."""
-
-    def __init__(self, feeds: Sequence[Any], client: "ShardedClient") -> None:
+    def __init__(self, feeds: Sequence[Any]) -> None:
         self._feeds = list(feeds)
-        self._client = client
         self._closed = False
 
     @property
@@ -416,12 +418,12 @@ class ShardedChangeFeed(ChangeFeed):
         while True:
             deltas: List[JournalChanges] = []
             before = self.vector
-            for index, feed in enumerate(self._feeds):
+            for feed in self._feeds:
                 while True:
                     delta = feed.poll(slice_timeout if not deltas else 0.0)
                     if delta is None:
                         break
-                    deltas.append(self._client._globalize_changes(delta, index))
+                    deltas.append(delta)
             if deltas:
                 return _compose(deltas, before.revisions, self.vector.revisions)
             if deadline is not None:
@@ -457,10 +459,12 @@ class ShardedClient(JournalClient):
     gateway writes, batched ingest, snapshot and handshake — is
     written out here.
 
-    Record ids on this surface are *global* ids; id-taking operations
-    decode them back to the owning shard.  Gateways whose members span
-    shards are kept as per-shard fragments (same name) and re-merged by
-    the aggregate view — the router never moves records across shards.
+    Record ids on this surface are the ids the shards issued: the
+    handshake seats each shard so its ids are fleet-wide, and an
+    id-taking operation goes to shard ``id % shards``.  Gateways whose
+    members span shards are kept as per-shard fragments (same name) and
+    re-merged by the aggregate view — the router never moves records
+    across shards.
 
     A fan-out that cannot reach a shard sets :attr:`partial` (listing
     the shard in :attr:`missing_shards`) until the next complete one;
@@ -523,136 +527,31 @@ class ShardedClient(JournalClient):
         return len(self.clients)
 
     def _verify_shards(self) -> None:
-        """Handshake: every shard that advertises a shard identity must
-        agree with this router's map and sit at its expected index.
-        Servers not started with ``--shard`` advertise nothing and are
-        accepted (single-tenant and test deployments)."""
+        """Handshake, one ``shard_info`` call per shard: a shard that
+        holds no identity and has issued no id is seated at its index of
+        this router's map (:meth:`~repro.core.journal.Journal.seat`), and
+        every shard must then answer exactly that identity."""
         for index, client in enumerate(self.clients):
-            probe = getattr(client, "shard_info", None)
-            if probe is None:
-                continue
-            info = probe()
-            if info is None:
-                continue
             expected = self.shard_map.identity(index)
+            info = client.shard_info(seat=expected) or {}
             mismatched = {
-                key: (info.get(key), expected[key])
-                for key in expected
-                if int(info.get(key, -1)) != expected[key]
+                key: (info.get(key), value)
+                for key, value in expected.items()
+                if info.get(key) != value
             }
             if mismatched:
                 raise ValueError(
                     f"shard {index} handshake mismatch: {mismatched} "
-                    "(server-side --shard K/N disagrees with this router)"
+                    "(server-side --shard K/N disagrees with this router, "
+                    "or the shard issued ids before it was seated)"
                 )
 
-    # -- id plumbing ------------------------------------------------------
-
-    def _gid(self, local_id: int, shard: int) -> int:
-        return global_id(local_id, shard, self.shards)
-
-    def _route_id(self, gid: int) -> Tuple[int, int]:
-        return split_global_id(int(gid), self.shards)
-
-    def _private(self, record, shard: int):
-        """*record*, safe to rewrite: records decoded off a connection
-        are already private to the call, but a :class:`LocalClient`
-        shard hands back its live journal records, which are copied."""
-        if isinstance(self.clients[shard], LocalClient):
-            return copy.deepcopy(record)
-        return record
-
-    def _globalize_interface(self, record: InterfaceRecord, shard: int) -> InterfaceRecord:
-        record = self._private(record, shard)
-        record.record_id = self._gid(record.record_id, shard)
-        gateway_attr = record.attributes.get("gateway_id")
-        if gateway_attr is not None:
-            if gateway_attr.value is not None:
-                gateway_attr.value = self._gid(int(gateway_attr.value), shard)
-            # A gateway merge leaves the old shard-local ids here.
-            gateway_attr.history = [
-                (None if old is None else self._gid(int(old), shard), when)
-                for old, when in gateway_attr.history
-            ]
-        return record
-
-    def _globalize_gateway(self, record: GatewayRecord, shard: int) -> GatewayRecord:
-        record = self._private(record, shard)
-        record.record_id = self._gid(record.record_id, shard)
-        record.interface_ids = [self._gid(i, shard) for i in record.interface_ids]
-        return record
-
-    def _globalize_subnet(self, record: SubnetRecord, shard: int) -> SubnetRecord:
-        record = self._private(record, shard)
-        record.record_id = self._gid(record.record_id, shard)
-        record.gateway_ids = [self._gid(i, shard) for i in record.gateway_ids]
-        return record
-
-    def _globalize_changes(self, changes: JournalChanges, shard: int) -> JournalChanges:
-        g = lambda ids: {self._gid(i, shard) for i in ids}  # noqa: E731
-        return JournalChanges(
-            since=changes.since,
-            revision=changes.revision,
-            complete=changes.complete,
-            interfaces=g(changes.interfaces),
-            gateways=g(changes.gateways),
-            subnets=g(changes.subnets),
-            deleted_interfaces=g(changes.deleted_interfaces),
-            deleted_gateways=g(changes.deleted_gateways),
-            deleted_subnets=g(changes.deleted_subnets),
-            keys=set(changes.keys),
-        )
-
-    _GLOBALIZERS = {
-        InterfaceRecord: _globalize_interface,
-        GatewayRecord: _globalize_gateway,
-        SubnetRecord: _globalize_subnet,
-        JournalChanges: _globalize_changes,
-    }
-
-    def _globalize(self, value: Any, shard: int) -> Any:
-        """Shard *shard*'s answer as the fleet sees it: the record ids of
-        records and change deltas, and of any tuple or list of them, made
-        global; anything else passes."""
-        globalize = self._GLOBALIZERS.get(type(value))
-        if globalize is not None:
-            return globalize(self, value, shard)
-        if isinstance(value, (tuple, list)):
-            return type(value)(self._globalize(item, shard) for item in value)
-        return value
-
-    def _localize_predicate(self, predicate, shard: int):
-        """Rewrite global record ids inside a predicate tree to shard
-        *shard*'s local id space (ids owned by other shards drop out)."""
-        if predicate is None:
-            return None
-        if isinstance(predicate, (query_module.RecordIds, query_module.Members)):
-            local = [
-                rid
-                for gid in predicate.ids
-                for owner, rid in (self._route_id(gid),)
-                if owner == shard
-            ]
-            return type(predicate)(local)
-        if isinstance(predicate, query_module.And):
-            return query_module.And(
-                *(self._localize_predicate(c, shard) for c in predicate.children)
-            )
-        if isinstance(predicate, query_module.Or):
-            return query_module.Or(
-                *(self._localize_predicate(c, shard) for c in predicate.children)
-            )
-        if isinstance(predicate, query_module.Not):
-            return query_module.Not(
-                self._localize_predicate(predicate.child, shard)
-            )
-        if isinstance(predicate, query_module.SinceRevision) and predicate.rev:
-            raise ValueError(
-                "SinceRevision cannot be fanned out: per-shard revision "
-                "counters are independent — query each shard directly or "
-                "use changes_since with a VectorCursor"
-            )
-        return predicate
+    def _mark(self, shard: int, down: bool) -> None:
+        """Set *shard*'s ``fremont_shard_down`` gauge, writing it only
+        when its value flips."""
+        gauge = self._down[shard]
+        if gauge.value != down:
+            gauge.set(int(down))
 
     # -- routing and fan-out ------------------------------------------------
 
@@ -661,25 +560,19 @@ class ShardedClient(JournalClient):
         cannot reach is marked down and the call raises, as on a plain
         client."""
         self._c_routed.inc()
-        # The down gauge is written only when the shard's state flips,
-        # not on every call.
-        down = self._down[shard]
         try:
             answer = getattr(self.clients[shard], name)(**arguments)
         except ConnectionError:
-            if not down.value:
-                down.set(1)
+            self._mark(shard, True)
             raise
-        if down.value:
-            down.set(0)
-        return self._globalize(answer, shard)
+        self._mark(shard, False)
+        return answer
 
     def _scatter(self, name: str, arguments: Dict[str, Any], *, partial: bool) -> List[Any]:
         """The one fan-out: ``name`` on every shard, every call started
         before any is waited on (:func:`~repro.core.client.scatter`),
-        with ``where`` localized to each shard's record ids and ``since``
-        split into each shard's component of a vector cursor.  Returns
-        the globalized answers in shard order.
+        with ``since`` split into each shard's component of a vector
+        cursor.  Returns the answers in shard order.
 
         The down-shard rule: an unreachable shard is noted
         (:meth:`_note_down`).  When the answer can say it is *partial* —
@@ -687,12 +580,10 @@ class ShardedClient(JournalClient):
         shard's answer is None; otherwise (a full pull, totals, metrics)
         the fan-out raises :class:`ConnectionError`.  Any other error is
         raised once every started call has been waited on."""
-        where = arguments.get("where")
+        _refuse_since_revision(arguments.get("where"))
         cursor = "since" in arguments and _normalize_cursor(arguments["since"], self.shards)
         starters = []
         for index, client in enumerate(self.clients):
-            if where is not None:
-                arguments["where"] = self._localize_predicate(where, index)
             if cursor:
                 arguments["since"] = cursor[index]
             starters.append(
@@ -703,10 +594,7 @@ class ShardedClient(JournalClient):
         self._note_down(missing)
         if failure is not None or missing and not partial:
             raise failure or ConnectionError(f"shards {missing} unreachable: {name} needs all")
-        return [
-            None if answer is None else self._globalize(answer, index)
-            for index, answer in enumerate(answers)
-        ]
+        return answers
 
     def _note_down(self, missing: List[int]) -> None:
         """Record the fleet's down/up view after a fan-out: each shard's
@@ -714,8 +602,8 @@ class ShardedClient(JournalClient):
         :attr:`missing_shards` and the partial-read counter."""
         self.partial = bool(missing)
         self.missing_shards = missing
-        for index, gauge in enumerate(self._down):
-            gauge.set(1 if index in missing else 0)
+        for index in range(self.shards):
+            self._mark(index, index in missing)
         if missing:
             self._c_partial.inc()
 
@@ -794,9 +682,7 @@ class ShardedClient(JournalClient):
                 client.flush()
             except ConnectionError as exc:
                 failures[index] = exc
-                self._down[index].set(1)
-            else:
-                self._down[index].set(0)
+            self._mark(index, index in failures)
         if failures:
             raise ShardFlushError(failures)
         return FlushStats()
@@ -835,7 +721,7 @@ class ShardedClient(JournalClient):
     def _gateways(
         self, wheres: Dict[int, Any], *, tolerant: bool = False
     ) -> Dict[int, List[GatewayRecord]]:
-        """Each shard's gateway fragments (shard-local ids) matching its
+        """Each shard's gateway fragments matching its
         predicate in *wheres*, every query started before any answer is
         awaited.  An unreachable shard is left out when *tolerant*, and
         otherwise raises, as the write these lookups serve would."""
@@ -889,13 +775,13 @@ class ShardedClient(JournalClient):
         record, changed = None, False
         for shard in [primary] + [shard for shard in sorted(groups) if shard != primary]:
             self._c_routed.inc()
-            local, shard_changed = write(shard)
+            fragment, shard_changed = write(shard)
             changed = changed or shard_changed
             if shard == primary:
-                record = self._globalize_gateway(local, shard)
-        for shard, local_id in stale:
+                record = fragment
+        for shard, record_id in stale:
             self._c_routed.inc()
-            changed = self.clients[shard].rename_gateway(local_id, name, source=source) or changed
+            changed = self.clients[shard].rename_gateway(record_id, name, source=source) or changed
         return record, changed
 
     def _stale_fragments(
@@ -910,7 +796,7 @@ class ShardedClient(JournalClient):
         every other same-named fragment (a name-anchored or
         subnet-linked one included) must be renamed explicitly or the
         aggregate re-merge — which matches by name — splits the device.
-        Returns ``(shard, local_id)`` pairs to rename after the write."""
+        Returns ``(shard, record_id)`` pairs to rename after the write."""
         if name is None:
             return []
         members = self._gateways({
@@ -944,9 +830,8 @@ class ShardedClient(JournalClient):
         interface_ids: Iterable[int] = (),
     ) -> Tuple[GatewayRecord, bool]:
         groups: Dict[int, List[int]] = {}
-        for gid in interface_ids:
-            shard, rid = self._route_id(gid)
-            groups.setdefault(shard, []).append(rid)
+        for record_id in interface_ids:
+            groups.setdefault(shard_of_id(record_id, self.shards), []).append(record_id)
         return self._anchored(groups, name, source, lambda shard: self.clients[
             shard].ensure_gateway(source=source, name=name, interface_ids=groups.get(shard, [])))
 
@@ -954,13 +839,13 @@ class ShardedClient(JournalClient):
         """Rename a gateway fleet-wide: the addressed fragment by id,
         then — fragments of one device share a name — every same-named
         fragment on the other shards."""
-        shard, rid = self._route_id(record_id)
+        shard = shard_of_id(record_id, self.shards)
         addressed = self.clients[shard].query(
-            "gateways", query_module.RecordIds([rid])
+            "gateways", query_module.RecordIds([record_id])
         )
         old = addressed[0].name if addressed else None
         self._c_routed.inc()
-        changed = self.clients[shard].rename_gateway(rid, name, source=source)
+        changed = self.clients[shard].rename_gateway(record_id, name, source=source)
         if old is not None and old != name:
             named = query_module.FieldEquals("name", old)
             others = dict.fromkeys((i for i in range(self.shards) if i != shard), named)
@@ -988,22 +873,22 @@ class ShardedClient(JournalClient):
         so its link stays on the gateway's shard and the duplicate
         subnet record re-merges by key in the aggregate view only.
         """
-        gateway_shard, rid = self._route_id(gateway_id)
+        gateway_shard = shard_of_id(gateway_id, self.shards)
         subnet_shard = self.shard_map.shard_for_subnet(subnet_key)
         self._c_routed.inc()
         if gateway_shard == subnet_shard:
             return self.clients[gateway_shard].link_gateway_subnet(
-                rid, subnet_key, source=source
+                gateway_id, subnet_key, source=source
             )
         matches = self.clients[gateway_shard].query(
-            "gateways", query_module.RecordIds([rid])
+            "gateways", query_module.RecordIds([gateway_id])
         )
         if not matches:
             raise KeyError(f"no gateway {gateway_id} (shard {gateway_shard})")
         name = matches[0].name
         if name is None:
             return self.clients[gateway_shard].link_gateway_subnet(
-                rid, subnet_key, source=source
+                gateway_id, subnet_key, source=source
             )
         fragment, _changed = self.clients[subnet_shard].ensure_gateway(
             source=source, name=name
@@ -1016,20 +901,20 @@ class ShardedClient(JournalClient):
     def absorb_gateway(
         self, foreign: GatewayRecord, interface_id_map: Dict[int, int]
     ) -> Tuple[GatewayRecord, bool]:
-        """Route a foreign gateway: its members (translated to global
-        ids by *interface_id_map*) are grouped by owning shard and each
+        """Route a foreign gateway: its members (translated to fleet ids
+        by *interface_id_map*) are grouped by owning shard and each
         shard absorbs its fragment.  A named gateway's subnet links land
         on each subnet's owning shard, as :meth:`link_gateway_subnet`
         places them."""
         groups: Dict[int, List[int]] = {}
         id_maps: Dict[int, Dict[int, int]] = {}
         for member in foreign.interface_ids:
-            gid = interface_id_map.get(member)
-            if gid is None or gid < 0:
+            record_id = interface_id_map.get(member)
+            if record_id is None or record_id < 0:
                 continue
-            shard, rid = self._route_id(gid)
-            groups.setdefault(shard, []).append(rid)
-            id_maps.setdefault(shard, {})[member] = rid
+            shard = shard_of_id(record_id, self.shards)
+            groups.setdefault(shard, []).append(record_id)
+            id_maps.setdefault(shard, {})[member] = record_id
         links: Dict[int, Dict[str, Any]] = {}
         if foreign.name is not None:
             for key, attribute in foreign.connected_subnets.items():
@@ -1060,13 +945,13 @@ class ShardedClient(JournalClient):
             for feed in feeds:
                 feed.close()
             raise
-        return ShardedChangeFeed(feeds, self)
+        return ShardedChangeFeed(feeds)
 
     # -- aggregate and handshake ------------------------------------------
 
     def snapshot(self) -> Journal:
         """A detached aggregate Journal: every shard's records merged by
-        identity (global ids do not survive — the aggregate allocates
+        identity (fleet ids do not survive — the aggregate allocates
         its own, like any replica), gateway fragments re-joined.  One
         full refresh of a new :class:`~repro.core.replicate.FederatedView`;
         a shard it cannot reach raises, as a partial aggregate would look
@@ -1079,8 +964,8 @@ class ShardedClient(JournalClient):
             )
         return view.journal
 
-    def shard_info(self) -> Optional[Dict[str, Any]]:
-        """Routers do not nest."""
+    def shard_info(self, seat: Optional[Dict[str, int]] = None) -> Optional[Dict[str, Any]]:
+        """Routers do not nest: a router is no shard and takes no seat."""
         return None
 
 
@@ -1096,18 +981,12 @@ def _subnet_shard(router: ShardedClient, arguments: Dict[str, Any]) -> int:
     return router.shard_map.shard_for_subnet(key)
 
 
-def _id_shard(router: ShardedClient, arguments: Dict[str, Any]) -> int:
-    shard, arguments["record_id"] = router._route_id(arguments["record_id"])
-    return shard
-
-
-#: ``place`` key -> the owning shard of a call's arguments (a
-#: global id argument is rewritten to the owner's local id)
+#: ``place`` key -> the owning shard of a call's arguments
 _PLACES: Dict[str, Callable[[ShardedClient, Dict[str, Any]], int]] = {
     "observation": lambda router, a: router.shard_map.shard_for_observation(a["observation"]),
     "interface": lambda router, a: router.shard_map.shard_for_record(a["foreign"]),
     "subnet": _subnet_shard,
-    "record_id": _id_shard,
+    "record_id": lambda router, a: shard_of_id(a["record_id"], router.shards),
     "negative": lambda router, a: router.shard_map.shard_for_token(f"neg:{a['kind']}:{a['key']}"),
 }
 

@@ -631,19 +631,18 @@ class TopologyStore:
 
     def _resolve(self, target: str) -> Optional[Tuple[str, Any]]:
         """Resolve an operator-supplied endpoint to a graph node:
-        a subnet key, a gateway name / ``gateway-<id>`` / bare id, or
-        an interface IP (which lands on its subnet)."""
+        a subnet key, a ``gateway-<id>`` / bare id naming an existing
+        gateway id, a gateway name, or an interface IP (which lands on
+        its subnet).  An id form comes before the names, so a gateway
+        named ``gateway-1`` cannot shadow gateway 1."""
         if target in self._subnet_nodes:
             return ("subnet", target)
+        digits = target[len("gateway-"):] if target.startswith("gateway-") else target
+        if digits.isdigit() and int(digits) in self._gateway_names:
+            return ("gateway", int(digits))
         named = self._gateway_ids.get(target)
         if named:
             return ("gateway", min(named))
-        if target.startswith("gateway-"):
-            suffix = target[len("gateway-"):]
-            if suffix.isdigit() and int(suffix) in self._gateway_names:
-                return ("gateway", int(suffix))
-        if target.isdigit() and int(target) in self._gateway_names:
-            return ("gateway", int(target))
         subnet = subnet_containing(target)
         if subnet is None:
             return None

@@ -937,17 +937,16 @@ def vector_cursor_from_dict(data: Any) -> List[int]:
     return components
 
 
+#: the fields of a shard's handshake identity
+_SHARD_INFO_KEYS = ("version", "shards", "prefix", "index")
+
+
 def shard_info_to_dict(identity: Optional[Dict[str, int]]) -> Optional[Dict[str, int]]:
     """Wire form of a shard's handshake identity (None when the server
     is not running as part of a sharded fleet)."""
     if identity is None:
         return None
-    return {
-        "version": int(identity["version"]),
-        "shards": int(identity["shards"]),
-        "prefix": int(identity["prefix"]),
-        "index": int(identity["index"]),
-    }
+    return {key: int(identity[key]) for key in _SHARD_INFO_KEYS}
 
 
 def shard_info_from_dict(data: Any) -> Optional[Dict[str, int]]:
@@ -956,12 +955,7 @@ def shard_info_from_dict(data: Any) -> Optional[Dict[str, int]]:
     if not isinstance(data, dict):
         raise WireError(f"malformed shard info: {data!r}")
     try:
-        identity = {
-            "version": int(data["version"]),
-            "shards": int(data["shards"]),
-            "prefix": int(data["prefix"]),
-            "index": int(data["index"]),
-        }
+        identity = {key: int(data[key]) for key in _SHARD_INFO_KEYS}
     except (KeyError, TypeError, ValueError):
         raise WireError(f"malformed shard info: {data!r}") from None
     if identity["shards"] < 1 or not 0 <= identity["index"] < identity["shards"]:
@@ -1023,12 +1017,16 @@ def journal_to_dict(journal) -> Dict[str, Any]:
     for key, spec in JOURNAL_COUNTERS.items():
         if spec.section is not None:
             saved[spec.section][spec.saved] = counts[key]
+    # A seated Journal's ids name its shard, so the identity travels
+    # with them; an unseated one's document keeps its old form.
+    seat = {} if journal.shard is None else {"shard": shard_info_to_dict(journal.shard)}
     return {
         "format": JOURNAL_FORMAT,
         "revision": journal.revision,
         # Record ids are the Journal's own; a replayed WAL names records
         # by them, so the allocator must resume where it stopped.
         "next_id": journal._next_id,
+        **seat,
         **saved,
         "interfaces": [interface_to_dict(r) for r in journal.all_interfaces()],
         "gateways": [gateway_to_dict(r) for r in journal.all_gateways()],
@@ -1048,6 +1046,9 @@ def journal_from_dict(data: Dict[str, Any], clock: Optional[Callable[[], float]]
     if data.get("format") not in JOURNAL_FORMATS:
         raise WireError(f"unknown journal format: {data.get('format')!r}")
     journal = Journal(clock=clock)
+    identity = shard_info_from_dict(data.get("shard"))
+    if identity is not None:
+        journal.seat(identity)
     for interface_data in data.get("interfaces", []):
         record = interface_from_dict(interface_data)
         journal.interfaces[record.record_id] = record
@@ -1081,9 +1082,14 @@ def journal_from_dict(data: Dict[str, Any], clock: Optional[Callable[[], float]]
     journal._rebuild_gateway_index()
     journal._rebuild_modified_index()
     # The id allocator resumes where the saved one stopped, and never
-    # below a loaded id (a document saved without it resumes past them).
+    # at or below a loaded id (a document saved without it resumes one
+    # step past them, on the seated shard's stride).
     loaded = [*journal.interfaces, *journal.gateways, *journal.subnets]
-    journal._next_id = max(int(data.get("next_id", 0)), 1 + max(loaded, default=0))
+    journal._next_id = max(
+        int(data.get("next_id", 0)),
+        journal._next_id,
+        max(loaded, default=0) + journal._id_step,
+    )
     # With the default step clock the recovered journal would restart
     # time at zero and stamp new sightings *before* everything it just
     # loaded; resume from the newest loaded timestamp instead.

@@ -234,12 +234,24 @@ class TestFleetStats:
                 server.stop()
 
 
+def _shard_journals(count):
+    """Journals seated as the shards of a *count*-shard fleet, as
+    ``serve --shard K/N`` seats them: a router's handshake refuses a
+    shard that issued ids unseated."""
+    from repro.core import ShardMap
+
+    journals = [Journal() for _ in range(count)]
+    for index, journal in enumerate(journals):
+        assert journal.seat(ShardMap(count).identity(index))
+    return journals
+
+
 class TestShardedServeAndQuery:
     def test_query_scatter_gathers_across_shards(self, capsys):
         from repro.core import JournalServer
         from repro.core.records import Observation as Obs
 
-        journals = [Journal(), Journal()]
+        journals = _shard_journals(2)
         journals[0].observe_interface(Obs(source="x", ip="10.1.1.1"))
         journals[1].observe_interface(Obs(source="x", ip="10.2.2.2"))
         servers = [JournalServer(j).start() for j in journals]
@@ -258,7 +270,7 @@ class TestShardedServeAndQuery:
         from repro.core import JournalServer
         from repro.core.records import Observation as Obs
 
-        journals = [Journal(), Journal()]
+        journals = _shard_journals(2)
         journals[0].observe_interface(Obs(source="x", ip="10.1.1.1"))
         journals[1].observe_interface(Obs(source="x", ip="10.2.2.2"))
         servers = [JournalServer(j).start() for j in journals]
@@ -364,7 +376,7 @@ class TestPathAndImpact:
         router merges per-shard subgraphs and answers from the whole."""
         from repro.core import JournalServer
 
-        journals = [Journal(), Journal()]
+        journals = _shard_journals(2)
         a, _ = journals[0].ensure_gateway(source="RIPwatch", name="gw-a")
         for key in ("10.0.1.0/24", "10.0.2.0/24"):
             journals[0].link_gateway_subnet(a.record_id, key, source="RIPwatch")

@@ -39,11 +39,14 @@ def _clock() -> float:
     return NOW
 
 
-def _seed():
+def _seed(identity=None):
     """A journal with two gateway members, a loose interface, two
     subnets the gateway joins and a live negative entry, plus records
-    from another journal to absorb.  Returns ``(journal, ids, foreign)``."""
+    from another journal to absorb.  Returns ``(journal, ids, foreign)``;
+    the journal is seated as shard *identity* first when one is given."""
     journal = Journal(clock=_clock)
+    if identity is not None:
+        assert journal.seat(identity)
     a, _ = journal.observe_interface(Observation(source="t", ip="10.0.1.1", mac="08:00:20:00:00:01"))
     b, _ = journal.observe_interface(Observation(source="t", ip="10.0.1.2", mac="08:00:20:00:00:02"))
     loose, _ = journal.observe_interface(Observation(source="t", ip="10.0.2.9"))
@@ -358,8 +361,11 @@ def test_router_returns_the_journal_result(op, shards):
     shard_map = ShardMap(shards, prefix=12)
     home = shard_map.shard_for_ip("10.0.0.1")
     assert shard_map.shard_for_token("neg:dns:cached.test") == home
+    # A fleet shard issues its ids seated, so the home shard replays
+    # the seed from its seat.
+    home_seed, _ids, _foreign = _seed(shard_map.identity(home))
     router = ShardedClient(
-        [LocalClient(_copy(seed) if index == home else Journal(clock=_clock))
+        [LocalClient(_copy(home_seed) if index == home else Journal(clock=_clock))
          for index in range(shards)],
         shard_map=shard_map,
     )

@@ -27,7 +27,6 @@ from repro.core import (
 )
 from repro.core.query import FieldEquals, InSubnet, IpRange, MacPrefix, Members, ip_key
 from repro.core.records import Observation
-from repro.core.shard import global_id
 
 SHARD_MAP = ShardMap(2)
 
@@ -327,18 +326,18 @@ class TestRouting:
         return owner, first, second, first_member
 
     def test_gateway_id_history_comes_back_global(self):
+        """The owner issued fleet ids, and the router hands them back as
+        the owner holds them."""
         owner, first, second, member = self._merged_gateway()
         (merged,) = self.router.interfaces_by_ip(member.ip)
         gateway_attr = merged.attribute("gateway_id")
-        assert gateway_attr.value == global_id(second.record_id, owner, 2)
-        assert [old for old, _when in gateway_attr.history] == [
-            global_id(first.record_id, owner, 2)
-        ]
+        assert gateway_attr.value == second.record_id
+        assert [old for old, _when in gateway_attr.history] == [first.record_id]
+        assert {first.record_id % 2, second.record_id % 2} == {owner}
 
     def test_fleet_reads_leave_the_shard_journals_untouched(self):
-        """The router rewrites ids in the records it returns; over
-        ``LocalClient`` shards those are copies, never the journals'
-        own records."""
+        """Fleet reads leave every record of the shards' journals as it
+        was: the router rewrites nothing it hands back."""
         _owner, _first, _second, member = self._merged_gateway()
 
         def ids(journal):

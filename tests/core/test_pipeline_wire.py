@@ -798,8 +798,9 @@ class TestBatchAckClients:
         servers = []
         try:
             for index in range(2):
-                server = JournalServer(Journal())
-                server.dispatcher.shard_identity = ShardMap(2).identity(index)
+                journal = Journal()
+                assert journal.seat(ShardMap(2).identity(index))
+                server = JournalServer(journal)
                 server.start()
                 servers.append(server)
             router = connect([f"{h}:{p}" for h, p in (s.address for s in servers)])

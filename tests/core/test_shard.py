@@ -11,6 +11,7 @@ from repro.core import (
     Journal,
     LocalClient,
     QueryCache,
+    ShardFlushError,
     ShardMap,
     ShardedClient,
     VectorCursor,
@@ -19,7 +20,7 @@ from repro.core import (
     global_id,
     parse_shard_spec,
     parse_targets,
-    split_global_id,
+    shard_of_id,
 )
 from repro.core import query as q
 from repro.core import wire
@@ -39,7 +40,7 @@ class TestGlobalIdCodec:
             for shard in range(shards):
                 for local in (1, 2, 17, 10_000):
                     gid = global_id(local, shard, shards)
-                    assert split_global_id(gid, shards) == (shard, local)
+                    assert shard_of_id(gid, shards) == shard
 
     def test_global_ids_never_collide_across_shards(self):
         shards = 4
@@ -53,9 +54,9 @@ class TestGlobalIdCodec:
     def test_provisional_id_passes_through(self):
         assert global_id(-1, 2, 4) == -1
 
-    def test_split_rejects_provisional(self):
+    def test_routing_rejects_provisional(self):
         with pytest.raises(ValueError):
-            split_global_id(-1, 4)
+            shard_of_id(-1, 4)
 
 
 class TestParseShardSpec:
@@ -176,8 +177,9 @@ class TestShardedClientRouting:
             Observation("t", ip="10.9.9.9")
         )
         assert changed
-        shard, local = split_global_id(record.record_id, 3)
-        assert journals[shard].interfaces[local].ip == "10.9.9.9"
+        # The shard's Journal issued the fleet id itself.
+        shard = shard_of_id(record.record_id, 3)
+        assert journals[shard].interfaces[record.record_id].ip == "10.9.9.9"
         # The same global id comes back from every read path.
         assert [r.record_id for r in router.interfaces_by_ip("10.9.9.9")] == [
             record.record_id
@@ -434,6 +436,55 @@ class TestDegradation:
             router.negative_check("arp", "k")
         assert gauge.labels(shard="0").value == 0 and writes == [1, 0]
 
+    def test_healthy_fan_outs_leave_the_down_gauges_unwritten(self, monkeypatch):
+        """Scatter reads, topology reads and flushes over live shards
+        write no ``fremont_shard_down`` gauge; a fan-out missing a shard
+        writes its gauge once, and the next complete one once more."""
+        from repro.core import telemetry
+
+        class _Flaky(LocalClient):
+            down = False
+
+            def query(self, kind, where=None):
+                if self.down:
+                    raise ConnectionError("shard down")
+                return super().query(kind, where)
+
+            def flush(self):
+                if self.down:
+                    raise ConnectionError("shard down")
+                return super().flush()
+
+        flaky = _Flaky(Journal())
+        router = ShardedClient([LocalClient(Journal()), flaky])
+        router.observe_interface(Observation("t", ip="10.0.0.1"))
+        writes = []
+        set_value = telemetry.Gauge.set
+
+        def counted(gauge, value):
+            if gauge in router._down:
+                writes.append((router._down.index(gauge), value))
+            set_value(gauge, value)
+
+        monkeypatch.setattr(telemetry.Gauge, "set", counted)
+        for _ in range(3):
+            router.all_interfaces()
+            router.counts()
+            router.changes_since(0)
+            router.path("10.0.0.0/24", "10.0.0.0/24")
+            router.flush()
+        assert writes == []
+        flaky.down = True
+        for _ in range(2):
+            router.all_interfaces()
+            with pytest.raises(ShardFlushError):
+                router.flush()
+        assert writes == [(1, 1)]
+        flaky.down = False
+        router.all_interfaces()
+        router.flush()
+        assert writes == [(1, 1), (1, 0)]
+
     def test_counts_raise_on_unreachable_shard(self):
         router = ShardedClient(
             [LocalClient(Journal()), _DeadClient()], check=False
@@ -545,7 +596,7 @@ class TestHandshakeVerification:
             def __init__(self, identity):
                 self._identity = identity
 
-            def shard_info(self):
+            def shard_info(self, seat=None):
                 return self._identity
 
         fleet = [
@@ -560,7 +611,7 @@ class TestHandshakeVerification:
             def __init__(self, identity):
                 self._identity = identity
 
-            def shard_info(self):
+            def shard_info(self, seat=None):
                 return self._identity
 
         fleet = [

@@ -189,6 +189,26 @@ class TestPath:
         to_gateway = store.path("10.0.1.0/24", "gw-b")
         assert to_gateway.found and to_gateway.cost == 3.0
 
+    def test_an_id_form_names_its_gateway_before_a_same_named_one(self, journal):
+        """A gateway *named* ``gateway-1`` does not shadow gateway id 1:
+        the ``gateway-N`` and bare-id forms resolve to an existing
+        gateway id first, and names are tried otherwise."""
+        gw_a = _gateway(journal, "gw-a", ["10.0.1.0/24", "10.0.2.0/24"])
+        assert gw_a.record_id == 1
+        named = _gateway(journal, "gateway-1", ["10.0.3.0/24"])
+        stray = _gateway(journal, "gateway-999", ["10.0.4.0/24"])
+        store = TopologyStore(journal)
+        for target in ("gateway-1", "1"):
+            path = store.path(target, "10.0.2.0/24")
+            assert path.found and path.nodes == ["gw-a", "10.0.2.0/24"]
+            impact = store.impact(target)
+            assert impact.articulation
+            assert impact.component_subnets == ["10.0.1.0/24", "10.0.2.0/24"]
+        # an id form naming no gateway id falls back to the names
+        assert store.impact("gateway-999").component_subnets == ["10.0.4.0/24"]
+        assert store.path(f"gateway-{named.record_id}", "10.0.3.0/24").found
+        assert not store.path(f"gateway-{stray.record_id}", "10.0.3.0/24").found
+
     def test_questionable_edges_cost_more(self, journal):
         # Two routes .1 -> .3: direct via gw-direct (1 questionable
         # link) or around via gw-a/gw-b (4 good links).
