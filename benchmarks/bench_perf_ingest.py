@@ -1,8 +1,8 @@
 """Perf benchmark: the observation ingest pipeline.
 
 Explorer Modules used to push one observation per Journal Server round
-trip.  This harness measures the batched pipeline and the server's
-read/write lock:
+trip.  This harness measures the batched pipeline and how cheap reads
+fare beside whole-journal reads:
 
 * **Ingest throughput** — an identical observation stream (with the
   adjacent duplicate sightings a real watcher produces) is ingested
@@ -13,9 +13,10 @@ read/write lock:
   Journal state; observations/sec is reported for each.
 
 * **Read latency under load** — a fast reader samples ``counts`` while
-  heavy readers (``save`` ops serialising the whole journal) and
-  writers hammer the same server.  Reads share the RW lock, so a cheap
-  read does not queue behind every in-flight heavy read.
+  heavy readers (``dump`` ops serialising the whole journal) and
+  writers hammer the same server.  The server's loop answers a cheap
+  read as soon as it reads it and runs a ``dump`` on a later loop turn,
+  so a ``counts`` waits only for a dump already running.
 
 Results land in ``BENCH_ingest.json``.
 
@@ -170,7 +171,7 @@ def bench_read_latency(
 ) -> Dict[str, object]:
     """Fast-read (counts) latency while heavy reads and writes are in
     flight.  The heavy read is the ``dump`` op: it serialises the whole
-    journal while holding the read lock."""
+    journal on the server's loop."""
     print(f"read latency under load ({records} records, {samples} samples):")
     journal = Journal()
     for observation in build_stream(records, 1):
@@ -196,11 +197,9 @@ def bench_read_latency(
                 client.submit(
                     Observation(source=SOURCE, ip=f"10.200.0.{serial % 250 + 1}")
                 )
-                # The RW lock is write-preferring: a writer arriving
-                # every millisecond would keep parking new readers
-                # behind it, measuring writer pressure rather than
-                # reader concurrency.  Real explorers flush batches
-                # at a far gentler cadence.
+                # Real explorers flush batches at a gentle cadence;
+                # this measures reads beside writes, not writer
+                # pressure.
                 time.sleep(0.01)
 
     try:

@@ -676,9 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=4, metavar="N",
-        help="worker threads for Journal ops that may block the event "
-        "loop: lock waits, fsyncs, checkpoints, bulk reads "
-        "(default: %(default)s)",
+        help="worker threads for the server's blocking file work: WAL "
+        "fsyncs and checkpoint files (default: %(default)s)",
     )
     serve.add_argument(
         "--standby-of", default=None, metavar="HOST:PORT",

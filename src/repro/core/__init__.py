@@ -25,7 +25,6 @@ from .journal import (
     JournalChanges,
     JournalCorruptError,
 )
-from .locks import ReadWriteLock
 from .manager import DiscoveryManager
 from .records import (
     Attribute,
@@ -89,7 +88,6 @@ __all__ = [
     "PendingReply",
     "Quality",
     "QueryCache",
-    "ReadWriteLock",
     "RecoveryReport",
     "RemoteChangeFeed",
     "RemoteClient",

@@ -1231,7 +1231,7 @@ class QueryCache:
         #: (kind, canonical predicate key) -> _CacheEntry, LRU-ordered
         self._entries: "OrderedDict[Tuple[str, str], _CacheEntry]" = OrderedDict()
         # Subscribing *from the current revision* means the backlog
-        # delta (pushed under the same write lock as registration) covers
+        # delta (pushed in the same loop turn as registration) covers
         # any write racing the handshake.  An in-process feed is a pull
         # subscription, coherent without any publish step.
         self._feed: Optional[ChangeFeed] = client.subscribe(since=client.revision())

@@ -14,12 +14,14 @@ module closes both holes with the classic WAL-plus-snapshot recipe:
   acknowledged is ever lost), ``interval`` (fsync once ``fsync_interval``
   has passed since the last sync and something is unsynced — bounded
   loss window), or ``never`` (leave it to the OS — fastest, loses
-  whatever the kernel had not written back).  Under ``interval`` an
-  unserved store syncs inside the append that finds the interval
-  elapsed; a served store hands that duty to the Journal Server's
-  watchdog thread (:attr:`JournalStore.background_sync`), which syncs
-  a dirty WAL even when no further write arrives — so the append path
-  never fsyncs and an idle server still honours the window.
+  whatever the kernel had not written back).  An unserved store
+  fsyncs inside the append (``always``, or ``interval`` once the
+  interval has elapsed).  A served store's appends never fsync
+  (:attr:`JournalStore.background_sync`): the Journal Server runs
+  :meth:`JournalStore.sync_job` on its worker pool — under ``always``
+  whenever an append is unsynced (the appends made while one fsync
+  runs share the next), under ``interval`` once the interval is due,
+  even when no further write arrives.
 
 * **Atomic checkpoints** — a full journal snapshot is written to a
   temp file in the same directory, fsynced, and moved into place with
@@ -28,7 +30,10 @@ module closes both holes with the classic WAL-plus-snapshot recipe:
   file carries a one-line header (format version, CRC32 of the body,
   journal revision, first WAL segment not covered) ahead of the body.
   After a checkpoint the WAL rotates to a fresh segment and the
-  segments the snapshot superseded are deleted.
+  segments the snapshot superseded are deleted.  A checkpoint is a
+  file job (:meth:`JournalStore.checkpoint_job`): the snapshot, its
+  header and the rotation are taken by the Journal's owner thread,
+  and the file writes are one blocking step a worker can run.
 
 * **Recovery** — :meth:`JournalStore.recover` loads the newest valid
   checkpoint (a corrupt one is quarantined to ``*.corrupt`` and
@@ -52,13 +57,14 @@ Checkpoint policy: :meth:`JournalStore.due` trips on any of three
 thresholds — WAL appends since the last checkpoint
 (``checkpoint_ops``), WAL bytes since (``checkpoint_bytes``), or
 wall-clock age of a dirty store (``checkpoint_age``).  The Journal
-Server checks it after every write op that runs on its worker pool and
-from its watchdog thread, so checkpoints are no longer stop-only and
-never run on its event loop.
+Server checks it after every write op and on its watchdog's ticks, so
+checkpoints are no longer stop-only, and its event loop never writes
+the checkpoint file.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -66,7 +72,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import wire
 from .journal import Journal
@@ -100,6 +106,10 @@ MAX_RECORD_BYTES = 16 * 2**20
 _CHECKPOINT_FORMAT = "fremont-checkpoint-2"
 _CHECKPOINT_FORMATS = frozenset({"fremont-checkpoint-1", _CHECKPOINT_FORMAT})
 _SEGMENT_RE = re.compile(r"^wal-(\d{8})\.log$")
+
+#: a file job: ``(work, finish)`` — the blocking file part, which may run
+#: on any thread, and ``finish(error)``, run on the owner thread after it
+FileJob = Tuple[Callable[[], None], Callable[[Optional[BaseException]], None]]
 
 
 def shard_store_path(base_dir: str, index: int) -> str:
@@ -307,11 +317,11 @@ class JournalStore:
         store.close()                       # final checkpoint
 
     Thread discipline matches the Journal's: ``recover``, the logging
-    hooks (called from inside Journal mutations), ``checkpoint`` and
-    ``close`` assume the caller holds the journal's exclusive lock when
-    shared between threads — the Journal Server's write lock provides
-    it.  ``due()``, ``sync_wait()`` and ``fsyncs_on_append`` only read
-    counters and may be called from anywhere.
+    hooks (called from inside Journal mutations), the jobs,
+    ``checkpoint`` and ``close`` run on the thread that owns the
+    Journal.  A job's blocking ``work`` (an fsync, the checkpoint file)
+    may run on another thread; the owner starts one job at a time and
+    runs its ``finish`` once the work returns.
     """
 
     CHECKPOINT_NAME = "checkpoint.json"
@@ -349,17 +359,17 @@ class JournalStore:
         self._segment_seq = 0
         self._handle = None
         self._last_sync = time.monotonic()
-        #: interval policy: records were appended since the last sync
-        self._unsynced = False
-        #: set by the Journal Server while its watchdog thread runs
-        #: :meth:`sync_if_due`; the interval fsync then leaves the
-        #: append path entirely
+        #: every record before this sequence number is synced
+        self._synced_seq = 0
+        #: set by the Journal Server while it serves the store: appends
+        #: never fsync, and the server runs :meth:`sync_job` off its loop
         self.background_sync = False
         self._ops_since_checkpoint = 0
         self._bytes_since_checkpoint = 0
         self._last_checkpoint_at = time.monotonic()
-        #: why an append failed, until a checkpoint covers its write
-        self._fault: Optional[str] = None
+        #: why an append or an fsync failed, until a checkpoint covers
+        #: the Journal's state
+        self.fault: Optional[str] = None
         #: telemetry bound at recover() time (the registry belongs to
         #: the recovered Journal); None until then
         self._h_fsync = None
@@ -505,6 +515,7 @@ class JournalStore:
         self._ops_since_checkpoint = report.recovered_records
         self._bytes_since_checkpoint = 0
         self._last_checkpoint_at = time.monotonic()
+        self._synced_seq = self._next_seq
         self.last_recovery = report
         if report.quarantined:
             # What replayed from a quarantined file is in no file now; a
@@ -618,36 +629,39 @@ class JournalStore:
         if handle.tell() == 0:
             handle.write(SEGMENT_MAGIC)
             handle.flush()
-            if self.fsync == "always":
+            if self.fsync == "always" and not self.background_sync:
                 os.fsync(handle.fileno())
         self._handle = handle
 
-    def _fsync_wal(self) -> None:
-        """fsync the open segment, timing it into the telemetry
-        histogram (fsync is the durability layer's dominant cost; its
-        latency distribution is the first thing to look at when ingest
-        throughput drops)."""
-        started = time.perf_counter()
-        os.fsync(self._handle.fileno())
-        if self._h_fsync is not None:
-            self._h_fsync.observe(time.perf_counter() - started)
-        self._last_sync = time.monotonic()
-        self._unsynced = False
+    def _fsync(self, handle, close: bool = False) -> None:
+        """fsync *handle* (unless the policy is ``never``), timing it
+        into the telemetry histogram (fsync is the durability layer's
+        dominant cost; its latency distribution is the first thing to
+        look at when ingest throughput drops); then close it if asked.
+        Part of a job's blocking work: touches the file only."""
+        if self.fsync != "never":
+            started = time.perf_counter()
+            os.fsync(handle.fileno())
+            if self._h_fsync is not None:
+                self._h_fsync.observe(time.perf_counter() - started)
+        if close:
+            handle.close()
 
-    @property
-    def fsyncs_on_append(self) -> bool:
-        """Can the next append fsync?  The Journal Server keeps writes
-        off its event loop while this holds."""
-        return self.fsync == "always" or (
-            self.fsync == "interval" and not self.background_sync
-        )
+    def _synced(self, seq: int) -> None:
+        self._synced_seq = max(self._synced_seq, seq)
+        self._last_sync = time.monotonic()
+
+    def _fsync_wal(self) -> None:
+        self._fsync(self._handle)
+        self._synced(self._next_seq)
 
     def writable(self) -> None:
-        """Refuse a write while a failed append leaves the Journal ahead
-        of the WAL (later records would replay against ids the unlogged
-        write took); :meth:`due` holds until a checkpoint covers it."""
-        if self._fault is not None:
-            raise RuntimeError(f"WAL append failed ({self._fault}); writes wait for a checkpoint")
+        """Refuse a write while a failed append or fsync leaves the
+        Journal ahead of the WAL (later records would replay against ids
+        an unlogged write took); :meth:`due` holds until a checkpoint
+        covers it."""
+        if self.fault is not None:
+            raise RuntimeError(f"WAL append failed ({self.fault}); writes wait for a checkpoint")
 
     def _append(self, entry: Dict[str, Any]) -> None:
         if self._handle is None:
@@ -661,15 +675,13 @@ class JournalStore:
             # under every policy; fsync (surviving an OS/power crash) is
             # the policy-controlled part.
             self._handle.flush()
-            if self.fsync == "always":
+            if self.fsync == "always" and not self.background_sync:
                 self._fsync_wal()
         except (OSError, ValueError) as error:  # ValueError: a closed handle
-            self._fault = repr(error)
+            self.fault = repr(error)
             raise
-        if self.fsync == "interval":
-            self._unsynced = True
-            if not self.background_sync:
-                self.sync_if_due()
+        if self.fsync == "interval" and not self.background_sync:
+            self.sync_if_due()
         self._ops_since_checkpoint += 1
         self._bytes_since_checkpoint += len(frame)
         if self.journal is not None:
@@ -689,12 +701,38 @@ class JournalStore:
             self._handle.flush()
             self._fsync_wal()
 
+    def sync_job(self) -> FileJob:
+        """A served fsync, split for a worker: ``work`` (the blocking
+        fsync, touching the file only) syncs every record appended
+        before the job was taken; ``finish(error)``, back on the owner
+        thread, records the sync, or the fault if *error* is set."""
+        target = self._next_seq
+
+        def finish(error: Optional[BaseException]) -> None:
+            if error is None:
+                self._synced(target)
+            else:
+                self.fault = f"fsync failed: {error!r}"
+
+        return functools.partial(self._fsync, self._handle), finish
+
+    def sync_target(self) -> Optional[int]:
+        """Under ``always``: how far an fsync must reach to cover every
+        append so far, or None when every append is synced.  A served
+        write's reply waits until :meth:`synced_through` that point."""
+        if self.fsync != "always" or self._next_seq <= self._synced_seq:
+            return None
+        return self._next_seq
+
+    def synced_through(self, target: int) -> bool:
+        return self._synced_seq >= target
+
     def sync_if_due(self) -> None:
         """Interval policy: fsync if records are unsynced and
-        ``fsync_interval`` has passed since the last sync.  Same locking
+        ``fsync_interval`` has passed since the last sync.  Same thread
         rule as the logging hooks."""
         if (
-            self._unsynced
+            self._next_seq > self._synced_seq
             and self._handle is not None
             and time.monotonic() - self._last_sync >= self.fsync_interval
         ):
@@ -708,7 +746,7 @@ class JournalStore:
         Lock-free counter reads, like :meth:`due`."""
         if self.fsync != "interval":
             return None
-        if not self._unsynced:
+        if self._next_seq <= self._synced_seq:
             return self.fsync_interval
         return max(0.0, self._last_sync + self.fsync_interval - time.monotonic())
 
@@ -717,7 +755,7 @@ class JournalStore:
     def due(self) -> bool:
         """Has any checkpoint threshold tripped?  Cheap counter reads —
         safe to call without the journal lock."""
-        if self._fault is not None:
+        if self.fault is not None:
             return True
         if self._ops_since_checkpoint <= 0:
             return False
@@ -741,6 +779,22 @@ class JournalStore:
     def checkpoint(self) -> str:
         """Write an atomic snapshot, rotate the WAL, and prune the
         segments the snapshot supersedes.  Returns the checkpoint path."""
+        work, finish = self.checkpoint_job()
+        try:
+            work()
+        except Exception as error:
+            finish(error)
+            raise
+        finish(None)
+        return self.checkpoint_path
+
+    def checkpoint_job(self) -> FileJob:
+        """:meth:`checkpoint`, split like :meth:`sync_job`.  The snapshot,
+        its header and the WAL rotation are taken now, on the owner
+        thread.  ``work`` closes the retired segment (after an fsync, if
+        it holds unsynced records), writes the checkpoint file and then
+        prunes the superseded segments; ``finish(error)`` does the
+        owner's bookkeeping."""
         if self.journal is None:
             raise RuntimeError("no journal attached; call recover() first")
         journal = self.journal
@@ -750,41 +804,59 @@ class JournalStore:
             # own counters include it.
             journal.count(wal_checkpoints=1)
             body = wire.encode_json(journal.to_dict(), sort_keys=True)
-            next_segment = self._segment_seq + 1
-            header = {
-                "format": _CHECKPOINT_FORMAT,
-                "crc32": zlib.crc32(body),
-                "revision": journal.revision,
-                "wal_seg": next_segment,
-                "next_seq": self._next_seq,
-            }
-            atomic_write_bytes(
-                self.checkpoint_path,
-                wire.encode_json(header, sort_keys=True, newline=True),
-                body,
-                fsync=True,
-            )
-            # The snapshot is durable; rotate, then prune superseded
-            # segments.
-            retired = self._segment_seq
-            self._handle.close()
-            self._segment_seq = next_segment
-            self._open_segment(next_segment)
-            for seq, path in self._list_segments():
-                if seq <= retired:
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-        self._ops_since_checkpoint = 0
-        self._bytes_since_checkpoint = 0
-        self._last_checkpoint_at = time.monotonic()
-        self._fault = None
-        # The fsynced snapshot covers every record the old segment held.
-        self._unsynced = False
-        if self._h_checkpoint is not None:
-            self._h_checkpoint.observe(time.perf_counter() - started)
-        return self.checkpoint_path
+        retired, retired_seq, covered = self._handle, self._segment_seq, self._next_seq
+        header = {
+            "format": _CHECKPOINT_FORMAT,
+            "crc32": zlib.crc32(body),
+            "revision": journal.revision,
+            "wal_seg": retired_seq + 1,
+            "next_seq": covered,
+        }
+        ops, size, fault = self._ops_since_checkpoint, self._bytes_since_checkpoint, self.fault
+        unsynced = covered > self._synced_seq
+        self._segment_seq = retired_seq + 1
+        self._open_segment(self._segment_seq)
+        fsynced = False  # set once ``work`` has fsynced the retired segment
+
+        def work() -> None:
+            nonlocal fsynced
+            if unsynced:
+                self._fsync(retired)
+                fsynced = True
+            retired.close()
+            self._write_checkpoint(header, body, retired_seq)
+
+        def finish(error: Optional[BaseException]) -> None:
+            if fsynced:
+                self._synced(covered)
+            elif unsynced and error is not None:
+                self.fault = f"fsync failed: {error!r}"
+            if error is not None:
+                return
+            self._ops_since_checkpoint -= ops
+            self._bytes_since_checkpoint -= size
+            self._last_checkpoint_at = time.monotonic()
+            if fault is not None:
+                # Writes were refused since the snapshot: it covers them all.
+                self.fault = None
+            if self._h_checkpoint is not None:
+                self._h_checkpoint.observe(time.perf_counter() - started)
+
+        return work, finish
+
+    def _write_checkpoint(self, header: Dict[str, Any], body: bytes, retired_seq: int) -> None:
+        atomic_write_bytes(
+            self.checkpoint_path,
+            wire.encode_json(header, sort_keys=True, newline=True),
+            body,
+            fsync=True,
+        )
+        for seq, path in self._list_segments():
+            if seq <= retired_seq:
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
 
     # -- lifecycle -------------------------------------------------------
 

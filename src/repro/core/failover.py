@@ -12,8 +12,11 @@ shard survive them:
   revision-cursor replication (:class:`~repro.core.replicate.
   JournalReplicator`, one ``pull`` per pass) moves the deltas into
   the standby's own journal — and, with ``--durable``, its own
-  WAL/checkpoint directory.  The standby serves reads as a follower;
-  its dispatcher rejects client writes (role ``"standby"``).
+  WAL/checkpoint directory.  The tail thread only talks to the
+  primary: everything it does to the standby's journal runs on that
+  server's event loop (:meth:`~repro.core.server.JournalServer.call`).
+  The standby serves reads as a follower; its dispatcher rejects
+  client writes (role ``"standby"``).
 
 * :class:`FailoverClient` — the client side: holds a shard's replica
   address list, health-checks the primary (missed heartbeats and
@@ -98,8 +101,9 @@ class StandbyReplica:
     ``"standby"`` role: reads are served as a follower, client writes
     are fenced.  A daemon thread tails the primary — change-feed frames
     (or a periodic revision poll) wake it, one ``pull`` per pass
-    moves the delta — and doubles as the heartbeat: :attr:`lag` and
-    :attr:`last_heartbeat` are its health view.
+    moves the delta, which the server's loop absorbs — and doubles as
+    the heartbeat: :attr:`lag` and :attr:`last_heartbeat` are its
+    health view.
 
     Promotion arrives over the wire (the ``promote`` op, sent by a
     :class:`FailoverClient` or ``fremont promote``): the dispatcher
@@ -223,8 +227,8 @@ class StandbyReplica:
 
     def promote(self, epoch: Optional[int] = None) -> int:
         """Promote locally (tooling/tests): same state transition the
-        wire op performs, through the same dispatcher so the fencing
-        rules hold."""
+        wire op performs, through the same dispatcher (on the server's
+        loop) so the fencing rules hold."""
         response = self.server.dispatcher.dispatch(
             {"op": "promote", **({} if epoch is None else {"epoch": epoch})}
         )
@@ -237,7 +241,7 @@ class StandbyReplica:
         return int(response["epoch"])
 
     def _promoted(self, epoch: int, previous_role: str) -> None:
-        """Dispatcher hook (write lock held): persist the epoch before
+        """Dispatcher hook (on the loop): persist the epoch before
         any write is acknowledged under it, and stop tailing — the
         journal is now the shard's line of record, not a copy."""
         self._persist_epoch(epoch)
@@ -270,11 +274,7 @@ class StandbyReplica:
             try:
                 self._adopt_primary(client)
                 self._handback(client)
-                replicator = JournalReplicator(
-                    client,
-                    LocalClient(self.journal),
-                    target_lock=self.server.dispatcher.rwlock.write_locked,
-                )
+                replicator = JournalReplicator(client, LocalClient(self.journal))
                 replicator.last_revision = self.replicated_revision
                 feed = client.subscribe(since=self.replicated_revision)
                 while not self._tail_stop.is_set() and self.role == "standby":
@@ -296,13 +296,9 @@ class StandbyReplica:
                         # router's handshake) is seated before the
                         # first record it sends us.
                         self._adopt_identity(client)
-                        replicator.sync()
+                        pulled = replicator.begin_sync().wait()
+                        self.server.call(self._absorb, replicator, pulled)
                         self.replicated_revision = replicator.last_revision
-                        with self.server.dispatcher.rwlock.write_locked():
-                            # Followers may have feed subscribers of
-                            # their own; publish under the same lock a
-                            # dispatched write would hold.
-                            self.journal.publish()
                         self._c_syncs.inc()
                     self._g_lag.set(self.lag)
             except (ConnectionError, TimeoutError, OSError, RuntimeError,
@@ -319,6 +315,13 @@ class StandbyReplica:
                 except (ConnectionError, OSError):
                     pass
 
+    def _absorb(self, replicator: JournalReplicator, pulled) -> None:
+        """On the loop: apply one pull, then publish and log it as a
+        dispatched write would be (followers may have feed subscribers
+        of their own)."""
+        replicator.absorb(pulled)
+        self.server.dispatcher.after_write()
+
     def _adopt_primary(self, client: RemoteClient) -> None:
         """Inherit the primary's epoch (never regressing ours): the
         promotion rule "strictly beyond every observed epoch" then
@@ -330,13 +333,15 @@ class StandbyReplica:
             self.primary_revision, int(info.get("revision", 0))
         )
         self.last_heartbeat = time.monotonic()
+        if epoch > self.epoch:
+            self.server.call(self._adopt_epoch, epoch)
+        self._adopt_identity(client)
+
+    def _adopt_epoch(self, epoch: int) -> None:
         dispatcher = self.server.dispatcher
         if epoch > dispatcher.epoch:
-            with dispatcher.rwlock.write_locked():
-                if epoch > dispatcher.epoch:
-                    dispatcher.epoch = epoch
-                    self._persist_epoch(epoch)
-        self._adopt_identity(client)
+            dispatcher.epoch = epoch
+            self._persist_epoch(epoch)
 
     def _adopt_identity(self, client: RemoteClient) -> None:
         """Seat the local journal as the primary's shard while it can
@@ -346,8 +351,7 @@ class StandbyReplica:
             return
         identity = client.shard_info()
         if identity is not None:
-            with self.server.dispatcher.rwlock.write_locked():
-                self.journal.seat(identity)
+            self.server.call(self.journal.seat, identity)
 
     def _handback(self, client: RemoteClient) -> None:
         """Rejoin reconciliation: push a non-empty local journal up to
@@ -369,7 +373,8 @@ class StandbyReplica:
         client.fence_epoch = int(info.get("epoch", 0)) or None
         try:
             reverse = JournalReplicator(LocalClient(self.journal), client)
-            stats = reverse.sync(full=True)
+            pulled = self.server.call(lambda: reverse.begin_sync(full=True).wait())
+            stats = reverse.absorb(pulled)
             self.handbacks += 1
             self._c_handback.inc(stats.records_sent)
         finally:

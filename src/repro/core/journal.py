@@ -58,7 +58,6 @@ import functools
 import json
 import logging
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
@@ -228,21 +227,25 @@ class FeedSubscription:
         """Has the Journal moved past this subscription's cursor?"""
         return self.journal.revision > self.last_revision
 
-    def poll(self) -> JournalChanges:
-        """The delta since the cursor; advances the cursor."""
-        changes = self.journal.changes_since(self.last_revision)
+    def poll(self, through: Optional[int] = None) -> JournalChanges:
+        """The delta since the cursor (up to revision *through*, when
+        given); advances the cursor."""
+        changes = self.journal._changes(self.last_revision, through)
         self.last_revision = changes.revision
         if not changes.empty():
             self.deliveries += 1
             self.journal.count(feed_deliveries=1)
         return changes
 
-    def deliver(self) -> bool:
-        """Push the pending delta through the callback, if there is any
-        of either.  Returns True when the callback was invoked."""
+    def deliver(self, through: Optional[int] = None) -> bool:
+        """Push the pending delta (up to revision *through*, when given)
+        through the callback, if there is any of either.  Returns True
+        when the callback was invoked."""
         if self.callback is None or not self.pending:
             return False
-        changes = self.poll()
+        if through is not None and through <= self.last_revision:
+            return False
+        changes = self.poll(through)
         if changes.empty() and changes.complete:
             return False
         self.callback(changes)
@@ -428,12 +431,9 @@ def _logged(method):
 class Journal(ObservationSink):
     """In-memory journal with sorted indexes and timestamped records.
 
-    Thread discipline: mutation entry points (``observe_interface``,
-    ``ensure_*``, ``absorb_*``, ``delete_*``, ``publish``) assume the
-    caller holds an exclusive lock when the Journal is shared between
-    threads — the Journal Server's write lock provides it.  Query
-    methods never mutate Journal state, so any number may run
-    concurrently under that server's read lock.
+    Thread discipline: one thread at a time uses a Journal.  A served
+    Journal's is the Journal Server's event loop, which applies every
+    op; other threads hand it their work (``JournalServer.call``).
     """
 
     def __init__(
@@ -453,9 +453,6 @@ class Journal(ObservationSink):
         #: after (the shard count once seated, see :meth:`seat`)
         self._next_id = 1
         self._id_step = 1
-        #: makes a seat one step: the handshake seats under the server's
-        #: read lock, which concurrent handshakes share
-        self._seat_lock = threading.Lock()
         self.interfaces: Dict[int, InterfaceRecord] = {}
         self.gateways: Dict[int, GatewayRecord] = {}
         self.subnets: Dict[int, SubnetRecord] = {}
@@ -507,7 +504,6 @@ class Journal(ObservationSink):
         self._register_metrics(self.telemetry)
         #: the topology store, built by the first topology() call
         self._topology: Optional[TopologyStore] = None
-        self._topology_init_lock = threading.Lock()
 
     def _register_metrics(self, registry: MetricsRegistry) -> None:
         """Register (or adopt) this Journal's metric families.  Counters
@@ -585,14 +581,13 @@ class Journal(ObservationSink):
         holds, and ids issued unseated keep it unseated unless
         *identity* issues them the same way (shard 0 of 1)."""
         shards, index = int(identity["shards"]), int(identity["index"])
-        with self._seat_lock:
-            if self.seatable or (self.shard is None and (index, shards) == (0, 1)):
-                if self.durability is not None:
-                    self.durability.write_shard(identity)
-                self.shard = dict(identity)
-                self._next_id = max(self._next_id, global_id(1, index, shards))
-                self._id_step = shards
-            return self.shard
+        if self.seatable or (self.shard is None and (index, shards) == (0, 1)):
+            if self.durability is not None:
+                self.durability.write_shard(identity)
+            self.shard = dict(identity)
+            self._next_id = max(self._next_id, global_id(1, index, shards))
+            self._id_step = shards
+        return self.shard
 
     # ------------------------------------------------------------------
     # Change tracking
@@ -695,12 +690,17 @@ class Journal(ObservationSink):
         retained log proportional to the churn since the last
         consumption.
         """
+        return self._changes(since)
+
+    def _changes(self, since: int, through: Optional[int] = None) -> JournalChanges:
+        """:meth:`changes_since`, up to revision *through* when given."""
+        revision = self.revision if through is None else min(through, self.revision)
         changes = JournalChanges(
             since=since,
-            revision=self.revision,
+            revision=revision,
             complete=since >= self._pruned_through,
         )
-        if since == self.revision:
+        if since >= revision:
             return changes  # nothing moved: skip the log searches
         touched = {
             "interface": changes.interfaces,
@@ -714,7 +714,8 @@ class Journal(ObservationSink):
         }
         log = self._change_log
         start = bisect.bisect_right(log, since, key=lambda entry: entry[0])
-        for _revision, kind, record_id, is_delete in log[start:]:
+        end = bisect.bisect_right(log, revision, key=lambda entry: entry[0])
+        for _revision, kind, record_id, is_delete in log[start:end]:
             if is_delete:
                 # A record deleted after its touch reports as deleted
                 # only.
@@ -724,7 +725,8 @@ class Journal(ObservationSink):
                 touched[kind].add(record_id)
         klog = self._key_log
         kstart = bisect.bisect_right(klog, since, key=lambda entry: entry[0])
-        changes.keys.update(key for _revision, key in klog[kstart:])
+        kend = bisect.bisect_right(klog, revision, key=lambda entry: entry[0])
+        changes.keys.update(key for _revision, key in klog[kstart:kend])
         return changes
 
     def prune_changes(self, rev: int) -> None:
@@ -778,14 +780,15 @@ class Journal(ObservationSink):
         self._subscriptions.add(subscription)
         return subscription
 
-    def publish(self) -> int:
-        """Push pending deltas to every callback subscription.  Returns
-        the number of subscribers that received one.  Called at pipeline
-        delivery points — a sink flush, a server write op, a Discovery
-        Manager correlation — never mid-mutation."""
+    def publish(self, through: Optional[int] = None) -> int:
+        """Push pending deltas, up to revision *through* when given, to
+        every callback subscription.  Returns the number of subscribers
+        that received one.  Called at pipeline delivery points — a sink
+        flush, a server write op, a Discovery Manager correlation —
+        never mid-mutation."""
         delivered = 0
         for subscription in list(self._subscriptions):
-            if subscription.deliver():
+            if subscription.deliver(through):
                 delivered += 1
         return delivered
 
@@ -797,18 +800,12 @@ class Journal(ObservationSink):
         """This Journal's topology store, built on first use.
 
         Every reader of the discovered map shares it, so there is one
-        graph and one edge history per Journal.  The store refreshes
-        by pure reads, so the Journal Server's worker threads may call
-        this under the shared read lock; the init lock makes
-        concurrent first calls build one store."""
+        graph and one edge history per Journal."""
         store = self._topology
         if store is None:
-            with self._topology_init_lock:
-                store = self._topology
-                if store is None:
-                    from .topology import TopologyStore
+            from .topology import TopologyStore
 
-                    store = self._topology = TopologyStore(self)
+            store = self._topology = TopologyStore(self)
         return store
 
     def path(self, a: str, b: str) -> TopologyPath:
@@ -1292,10 +1289,9 @@ class Journal(ObservationSink):
         records changed after *since* (interfaces also filtered by the
         scope predicate *where*); and ``members``, the in-scope member
         interfaces of those gateways that the interface list does not
-        already carry.  Callers hold whatever lock makes the reads one
-        snapshot (the Journal Server's read lock), so the revision is
-        exact: a replica that pulls again from it misses nothing and
-        re-reads nothing."""
+        already carry.  The reads are one call, so the revision is exact:
+        a replica that pulls again from it misses nothing and re-reads
+        nothing."""
         cursor = query_module.SinceRevision(since) if since > 0 else None
 
         def scoped(predicate):

@@ -22,17 +22,17 @@ The sync cursor is the source Journal's **revision counter**, not a
 (:meth:`~repro.core.journal.Journal.pull`; one round trip to a Journal
 Server) followed by the target-side absorbs:
 
-1. the source reads, under one read lock, every interface, gateway and
-   subnet record whose revision is after ``last_revision`` (everything
-   on the first pass or with ``full=True``), evaluated against the
+1. the source reads, in one op, every interface, gateway and subnet
+   record whose revision is after ``last_revision`` (everything on the
+   first pass or with ``full=True``), evaluated against the
    revision-ordered change log — O(delta), not O(journal) — plus the
    revision those reads saw;
 2. the target absorbs them (idempotent, timestamp-preserving merges);
 3. ``last_revision`` advances to the revision the pull was read at.
 
-Because the reads share one lock, that revision is exact: the next
-pass neither misses a write that landed during this one nor re-sends
-one it already carried.
+Because the reads are one op, that revision is exact: the next pass
+neither misses a write that landed during this one nor re-sends one it
+already carried.
 
 Timestamps cannot carry this cursor: with strict-``>`` filtering, a
 record modified at *exactly* the high-water timestamp after the pass
@@ -109,18 +109,9 @@ class JournalReplicator:
         target,
         *,
         where: Optional[Predicate] = None,
-        target_lock: Optional[Callable[[], Any]] = None,
     ) -> None:
         self.source = source
         self.target = target
-        #: optional context-manager factory (e.g. a Journal Server RW
-        #: lock's ``write_locked``) entered around every target absorb.
-        #: A standby replica tails its primary into the very journal its
-        #: own server is serving reads from; without the lock a follower
-        #: read could observe a half-applied sync pass.  The source-side
-        #: pull runs outside the lock — network reads must not stall
-        #: the target's readers.
-        self.target_lock = target_lock
         #: optional interface-scoping predicate (e.g. ``InSubnet``):
         #: ANDed with the revision cursor on the interfaces table and on
         #: gateway member resolution, so a shard-to-shard sync only
@@ -144,13 +135,6 @@ class JournalReplicator:
             "Gateways not replicated for lack of a target-side anchor",
         )
 
-    def _absorb(self, method, *args):
-        """One target absorb, under :attr:`target_lock` when set."""
-        if self.target_lock is None:
-            return method(*args)
-        with self.target_lock():
-            return method(*args)
-
     def begin_sync(self, *, full: bool = False):
         """Start this pass's ``pull`` (see
         :func:`~repro.core.client.begin_call`); its handle's ``wait()``
@@ -168,7 +152,7 @@ class JournalReplicator:
         # Interfaces first: gateway membership translates through them.
         interface_map: Dict[int, int] = {}
         for foreign in interfaces:
-            local, changed = self._absorb(self.target.absorb_interface, foreign)
+            local, changed = self.target.absorb_interface(foreign)
             interface_map[foreign.record_id] = local.record_id
             stats.interfaces_sent += 1
             stats.interfaces_changed += changed
@@ -176,7 +160,7 @@ class JournalReplicator:
         # member stays unresolved and drops from the absorbed gateway's
         # membership on this side).
         for member in members:
-            local, _changed = self._absorb(self.target.absorb_interface, member)
+            local, _changed = self.target.absorb_interface(member)
             interface_map[member.record_id] = local.record_id
         for foreign in gateways:
             if foreign.name is None and not any(
@@ -188,16 +172,14 @@ class JournalReplicator:
                 stats.gateways_skipped += 1
                 self._c_skipped.inc()
                 continue
-            local, changed = self._absorb(
-                self.target.absorb_gateway, foreign, interface_map
-            )
+            local, changed = self.target.absorb_gateway(foreign, interface_map)
             stats.gateways_sent += 1
             stats.gateways_changed += changed
 
         for foreign in subnets:
             if foreign.subnet is None:
                 continue
-            local, changed = self._absorb(self.target.absorb_subnet, foreign)
+            local, changed = self.target.absorb_subnet(foreign)
             stats.subnets_sent += 1
             stats.subnets_changed += changed
 

@@ -5,31 +5,34 @@ updates, time-stamps and records the data, and answers queries from
 programs that wish to interrogate the Journal."
 
 :class:`JournalServer` runs a single ``asyncio`` event loop
-multiplexing thousands of sockets.  Requests carrying an ``"id"`` are
-*pipelined*: several may be in flight per connection, handlers run
-concurrently (reads share the RW lock), and responses return as they
-complete — out of order, but never torn, because one sender task per
-connection owns the socket.  Write ops still execute in per-connection
-submission order, so a pipelined BatchingSink cannot reorder the
-observation stream.  Ops are routed by what they cost: cheap reads,
-point lookups and cheap writes (whose WAL append is a buffered write
-plus a flush to the OS) take a non-blocking inline fast path on the
-loop thread when the lock is free; work that can block — lock waits,
-fsync, checkpoints, big dumps — runs on a small bounded worker pool.
-The streaming ``subscribe`` feed is a native async push — no thread per
+multiplexing thousands of sockets, and the loop's thread is the one
+thread that touches the Journal while the server runs: it applies
+every op, in the order requests are read, so updates serialize with
+no lock.  Requests carrying an ``"id"`` are *pipelined*: several may
+be in flight per connection, and responses return as they complete —
+out of order, but never torn, because one sender task per connection
+owns the socket.  A request is answered as it is read, except a
+whole-table read (a ``query`` without ``where``, a full ``pull``, a
+``dump``), which runs on a later loop turn so that cheap requests
+already read answer first.  A small worker pool does only blocking
+file work — WAL fsyncs and checkpoint files, one job at a time — and
+under ``fsync="always"`` a write's reply and its feed delta wait for
+an fsync that began after its append.  Other threads (a standby's
+tail, the durability watchdog, in-process callers) hand their work to
+the loop through :meth:`JournalServer.call` and wait for it.  The
+streaming ``subscribe`` feed is a native async push — no thread per
 feed — and a subscriber that cannot keep up is cut over to the
-``changes_since`` polling fallback (a ``feed_lagged`` frame) instead of
-stalling the loop.
+``changes_since`` polling fallback (a ``feed_lagged`` frame) instead
+of stalling the loop.
 
-:class:`JournalDispatcher` is the op layer under the transport: the
-write-preferring RW lock, one handler per op declared in
-:data:`wire.OPS` (a hand-written ``_op_*`` method, or the handler every
-plain Journal call shares), per-op telemetry, epoch fencing, and the
-checkpoint policy hooks: every write op on the worker pool checks the
-ops/bytes thresholds while still holding the write lock; a background
-watchdog thread covers the age threshold and the ``interval`` fsync;
-``stop()`` takes a final checkpoint ("periodically and at
-termination").
+:class:`JournalDispatcher` is the op layer under the transport: one
+handler per op declared in :data:`wire.OPS` (a hand-written ``_op_*``
+method, or the handler every plain Journal call shares), per-op
+telemetry, epoch fencing, and the after-write hook through which the
+server flushes the feed and hands a checkpoint the store's ops/bytes
+thresholds made due to its pool; a watchdog thread covers the age
+threshold and the ``interval`` fsync; ``stop()`` takes a final
+checkpoint ("periodically and at termination").
 """
 
 from __future__ import annotations
@@ -40,15 +43,13 @@ import logging
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import wire
 from .journal import Journal
-from .locks import ReadWriteLock
-from .sink import DEFAULT_MAX_BATCH
 from .telemetry import DEPTH_BUCKETS, SIZE_BUCKETS
-from .wire import CONTROL_OPS, INLINE_OPS, INLINE_WRITES, READ_OPS
+from .wire import CONTROL_OPS, READ_OPS
 
 __all__ = ["JournalDispatcher", "JournalServer"]
 
@@ -66,46 +67,59 @@ _DIRECT_WRITE_LIMIT = 64 * 1024
 _JOURNAL_CALLS = wire.journal_calls()
 
 
-def _log_detached_failure(future) -> None:
-    if not future.cancelled() and future.exception() is not None:
-        logger.error("detached server task failed", exc_info=future.exception())
+def _whole_table(request: Dict[str, Any]) -> bool:
+    """Does *request* read a whole table: a ``query`` without a
+    ``where``, a full ``pull`` or a ``dump``?"""
+    op = request.get("op")
+    if op == "query":
+        return request.get("where") is None
+    if op == "pull":
+        since = request.get("since")
+        return not (isinstance(since, int) and since > 0)
+    return op == "dump"
+
+
+def _run_into(done: Future, func: Callable, args) -> None:
+    """Run ``func(*args)`` and settle *done* with its outcome."""
+    try:
+        done.set_result(func(*args))
+    except BaseException as error:  # the caller re-raises it
+        done.set_exception(error)
 
 
 class JournalDispatcher:
     """The op layer of the Journal Server.
 
-    Owns the RW lock discipline, the op handler table
-    (:meth:`handler_for`), per-op telemetry, and the write-path
-    checkpoint check.  The server tries :meth:`dispatch_inline` on the
-    event loop first and hands what it declines to :meth:`dispatch` on
-    a worker thread.
+    Owns the op handler table (:meth:`handler_for`), per-op telemetry,
+    epoch fencing and the after-write hook.  :meth:`dispatch_inline`
+    runs an op on the thread that owns the Journal (the server's event
+    loop); :meth:`dispatch` is how any other thread asks that thread
+    to run one.
     """
 
     def __init__(self, journal: Journal) -> None:
         self.journal = journal
-        self.rwlock = ReadWriteLock()
-        #: transport hook: when set, completed write ops call this
-        #: (write lock held) instead of journal.publish() — the async
-        #: server coalesces a burst of pipelined writes into one feed
-        #: flush per loop tick instead of one delivery per write.
-        self.publish_soon: Optional[Callable[[], None]] = None
-        #: transport hook: runs :meth:`durability_tick` off the event
-        #: loop — how a checkpoint an inline write made due leaves it.
-        #: Unset, the watchdog takes it on its next tick.
-        self.checkpoint_soon: Optional[Callable[[], None]] = None
+        #: transport hook: ``call_owner(func, *args)`` runs *func* on the
+        #: thread that owns the Journal and returns its result (the
+        #: server's :meth:`JournalServer.call`).  Unset, the caller owns it.
+        self.call_owner: Optional[Callable[..., Any]] = None
+        #: transport hook: runs after every completed write op in place
+        #: of :meth:`after_write`'s own publish and checkpoint — the
+        #: server flushes the feed once per loop turn and hands file work
+        #: to its pool.
+        self.on_write: Optional[Callable[[], None]] = None
         #: failover coordinates.  Every server is a primary at epoch 0
         #: until a standby tails it (role stays "primary") or it is
-        #: promoted/fenced.  Both fields are read and written only with
-        #: the write lock held (promote/fence are write ops).
+        #: promoted/fenced.  Both change only on the owner thread.
         self.role: str = "primary"
         self.epoch: int = 0
-        #: hook called (write lock held) after a successful promote op:
+        #: hook called (owner thread) after a successful promote op:
         #: ``on_promote(epoch, previous_role)`` — a StandbyReplica stops
         #: its tail loop and persists the epoch here.
         self.on_promote: Optional[Callable[[int, str], None]] = None
-        #: hook called (write lock held) after this server is fenced —
-        #: by an explicit ``fence`` op or by a write stamped with a
-        #: newer epoch: ``on_fence(epoch, previous_role)``.
+        #: hook called (owner thread) after this server is fenced — by
+        #: an explicit ``fence`` op or by a write stamped with a newer
+        #: epoch: ``on_fence(epoch, previous_role)``.
         self.on_fence: Optional[Callable[[int, str], None]] = None
         self.telemetry = journal.telemetry
         self._g_epoch = self.telemetry.gauge(
@@ -121,13 +135,8 @@ class JournalDispatcher:
         )
         self._h_op = self.telemetry.histogram(
             "fremont_server_op_seconds",
-            "Journal Server op latency (lock wait + handler)",
+            "Journal Server op latency (fencing + handler)",
             labels=("op",),
-        )
-        self._h_lock_wait = self.telemetry.histogram(
-            "fremont_server_lock_wait_seconds",
-            "Time spent waiting for the Journal RW lock",
-            labels=("mode",),
         )
         self._h_batch_size = self.telemetry.histogram(
             "fremont_server_batch_requests",
@@ -137,7 +146,7 @@ class JournalDispatcher:
         #: single-slot memo for feed push frames: (since, revision, frame)
         self._changes_frame_cache: Tuple[int, int, bytes] = (-1, -1, b"")
         #: per-op latency samples resolved once (label lookup is ~10%
-        #: of a cheap op's cost on the inline path)
+        #: of a cheap op's cost)
         self._op_samples: Dict[str, Any] = {}
         #: resolved op -> bound handler, filled on first use
         self._handlers: Dict[str, Callable] = {}
@@ -160,69 +169,59 @@ class JournalDispatcher:
             return handler
         return None
 
-    def is_write(self, op: Any) -> bool:
-        return op not in READ_OPS
-
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
 
     def dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Resolve, lock, and run one request.  Blocks on the RW lock;
-        call from a worker thread, never the event loop."""
+        """Run one request from any thread: on the thread that owns the
+        Journal (:attr:`call_owner`), waiting for its reply."""
+        if self.call_owner is None:
+            return self.dispatch_inline(request)
+        return self.call_owner(self.dispatch_inline, request)
+
+    def dispatch_inline(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Run one request on the thread that owns the Journal.  Raises
+        :class:`~repro.core.wire.WireError` for an unknown op.
+
+        Telemetry is deliberately lean: the op-latency histogram and the
+        request counter are recorded, but no trace span is opened — a
+        span per sub-100µs op would cost more than the op."""
         op = request.get("op")
         handler = self.handler_for(op)
         if handler is None:
             raise wire.WireError(f"unknown op: {op!r}")
-        with self.telemetry.trace("server_op", op=op):
-            with self._h_op.labels(op=op).time():
-                return self._dispatch_locked(op, handler, request)
-
-    def _dispatch_locked(self, op, handler, request: Dict[str, Any]) -> Dict[str, Any]:
-        if op in READ_OPS:
-            waited_from = time.perf_counter()
-            with self.rwlock.read_locked():
-                self._h_lock_wait.labels(mode="read").observe(
-                    time.perf_counter() - waited_from
-                )
-                self._c_requests.inc()
-                return handler(request)
-        waited_from = time.perf_counter()
-        with self.rwlock.write_locked():
-            self._h_lock_wait.labels(mode="write").observe(
-                time.perf_counter() - waited_from
-            )
-            self._c_requests.inc()
+        sample = self._op_samples.get(op)
+        if sample is None:
+            sample = self._op_samples[op] = self._h_op.labels(op=op)
+        started = time.perf_counter()
+        self._c_requests.inc()
+        read = op in READ_OPS
+        if not read:
             rejection = self._fence_reject(op, request)
             if rejection is not None:
                 return rejection
-            response = handler(request)
-            self._after_write(op)
-            return response
+        response = handler(request)
+        if not read:
+            self.after_write()
+        sample.observe(time.perf_counter() - started)
+        return response
 
-    def _after_write(self, op, *, inline: bool = False) -> None:
-        """Runs with the write lock held, after a completed write op:
-        the change feed publishes while state is consistent, and the
-        ops/bytes checkpoint thresholds are checked.  The event loop
-        never checkpoints: after an *inline* write a due checkpoint is
-        handed to :attr:`checkpoint_soon` (and until it runs,
-        :meth:`dispatch_inline` sends writes to the pool)."""
-        if op not in READ_OPS:
-            if self.publish_soon is not None:
-                self.publish_soon()
-            else:
-                self.journal.publish()
-            store = self.journal.durability
-            if store is not None and store.due():
-                if not inline:
-                    store.checkpoint()
-                elif self.checkpoint_soon is not None:
-                    self.checkpoint_soon()
+    def after_write(self) -> None:
+        """Run on the owner thread after a completed write: hand the
+        change to the transport (:attr:`on_write`), or, with none,
+        publish the feed and take a checkpoint the store made due."""
+        if self.on_write is not None:
+            self.on_write()
+            return
+        self.journal.publish()
+        store = self.journal.durability
+        if store is not None and store.due():
+            store.checkpoint()
 
     def _fence_reject(self, op, request) -> Optional[Dict[str, Any]]:
-        """Epoch-fencing gate, run with the write lock held before any
-        write handler.  Returns the rejection response, or None to let
-        the write proceed.
+        """Epoch-fencing gate, run before any write handler.  Returns
+        the rejection response, or None to let the write proceed.
 
         Three ways a write dies here: the server is a standby (read-only
         follower), the server has been fenced (demoted ex-primary — even
@@ -273,7 +272,7 @@ class JournalDispatcher:
         }
 
     def _step_down(self, epoch: int) -> None:
-        """Demote to the fenced role (write lock held).  *epoch* is the
+        """Demote to the fenced role (owner thread).  *epoch* is the
         fleet epoch that superseded us; recording it lets operators see
         `DOWN (epoch N)` with the epoch that did the fencing."""
         previous = self.role
@@ -283,130 +282,22 @@ class JournalDispatcher:
         if self.on_fence is not None:
             self.on_fence(self.epoch, previous)
 
-    def runs_inline(self, op: Any, request: Dict[str, Any]) -> bool:
-        """Is *request* cheap enough for the event loop thread?  Decided
-        by the op's cost alone; :meth:`dispatch_inline` adds the lock and
-        durability conditions."""
-        if op in INLINE_OPS:
-            return True
-        if op == "query":
-            # A predicate is mostly an index probe (an unindexable one
-            # still only reads, on a free lock); a bare query encodes a
-            # whole table.
-            return request.get("where") is not None
-        if op == "pull":
-            # A delta reads the change log, O(changes); a full pull
-            # reads every table.
-            since = request.get("since")
-            return isinstance(since, int) and since > 0
-        if op == "observe_batch":
-            requests = request.get("requests")
-            return (
-                isinstance(requests, list)
-                and len(requests) <= DEFAULT_MAX_BATCH
-                and all(
-                    isinstance(sub, dict) and sub.get("op") in INLINE_WRITES
-                    for sub in requests
-                )
-            )
-        return False
-
-    def _write_inline_safe(self, request: Dict[str, Any]) -> bool:
-        """May a cheap write run on the loop thread right now?  Not
-        while its WAL append could fsync (``fsync="always"``, or an
-        ``interval`` store whose sync no watchdog owns), not while a
-        checkpoint is due (the pool runs it), and not when its epoch
-        stamp differs from ours (stepping down persists the new epoch
-        with an fsync)."""
-        store = self.journal.durability
-        if store is not None and (store.fsyncs_on_append or store.due()):
-            return False
-        stamp = request.get("epoch")
-        return stamp is None or stamp == self.epoch
-
-    def dispatch_inline(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """Non-blocking fast path for the event loop thread: run the
-        request only if it is cheap (:meth:`runs_inline`), cannot fsync
-        or checkpoint, and the lock is free *right now*.  Returns None
-        when the request must go to the worker pool instead.
-
-        Telemetry is deliberately lean here: the op-latency histogram
-        and request counters are recorded, but no trace span is opened
-        and no lock-wait sample is taken — the lock was acquired
-        without waiting (that is the fast path's precondition), and a
-        span per sub-100µs op would cost more than the op.  Worker-pool
-        dispatch keeps full tracing."""
-        op = request.get("op")
-        if not self.runs_inline(op, request):
-            return None
-        read = op in READ_OPS
-        if not read and not self._write_inline_safe(request):
-            return None
-        handler = self.handler_for(op)
-        if handler is None:
-            return None
-        if read:
-            if not self.rwlock.try_acquire_read():
-                return None
-        elif not self.rwlock.try_acquire_write():
-            return None
-        try:
-            sample = self._op_samples.get(op)
-            if sample is None:
-                sample = self._op_samples[op] = self._h_op.labels(op=op)
-            started = time.perf_counter()
-            self._c_requests.inc()
-            if not read:
-                rejection = self._fence_reject(op, request)
-                if rejection is not None:
-                    return rejection
-            response = handler(request)
-            if not read:
-                self._after_write(op, inline=True)
-            sample.observe(time.perf_counter() - started)
-            return response
-        finally:
-            if read:
-                self.rwlock.release_read()
-            else:
-                self.rwlock.release_write()
-
     # ------------------------------------------------------------------
-    # Feed subscriptions (lock-holding helpers for the server)
+    # Feed subscriptions
     # ------------------------------------------------------------------
 
-    def subscribe(
-        self,
-        push: Callable,
-        *,
-        since: int,
-        on_registered: Optional[Callable[[int], None]] = None,
-    ):
-        """Register a streaming feed subscriber under the write lock.
-        *on_registered* (if given) runs with the lock still held, after
-        registration but before the backlog delivers — the server
-        enqueues the acknowledgement frame there so no concurrent write
-        can push a delta ahead of it."""
-        with self.rwlock.write_locked():
-            self._c_requests.inc()
-            subscription = self.journal.subscribe(push, since=since)
-            if on_registered is not None:
-                on_registered(self.journal.revision)
-            # Deliver the backlog before any new write publishes, so
-            # the subscriber starts from a delta it can actually apply.
-            subscription.deliver()
-        return subscription
-
-    def unsubscribe(self, subscription) -> None:
-        with self.rwlock.write_locked():
-            subscription.close()
+    def subscribe(self, push: Callable, *, since: int):
+        """Register a streaming feed subscriber (owner thread)."""
+        self._c_requests.inc()
+        return self.journal.subscribe(push, since=since)
 
     def encoded_changes_frame(self, changes) -> bytes:
         """Wire frame for a change-feed push, memoized per delta.
 
-        Feed pushes run under the write lock, so when every caught-up
-        subscriber shares the same ``(since, revision)`` cursor the
-        delta is serialized and encoded once, not once per subscriber.
+        Feed pushes run on the owner thread at one publish point, so when
+        every caught-up subscriber shares the same ``(since, revision)``
+        cursor the delta is serialized and encoded once, not once per
+        subscriber.
         """
         since, revision, frame = self._changes_frame_cache
         if since == changes.since and revision == changes.revision:
@@ -420,22 +311,6 @@ class JournalDispatcher:
         )
         self._changes_frame_cache = (changes.since, changes.revision, frame)
         return frame
-
-    def durability_tick(self) -> None:
-        """Off the event loop (the watchdog, or a worker handed a due
-        checkpoint by an inline write): take the write lock to
-        checkpoint once a threshold has tripped, or to run the
-        ``interval`` fsync once it is due."""
-        store = self.journal.durability
-        if store is None or not (store.due() or store.sync_wait() == 0.0):
-            return
-        with self.rwlock.write_locked():
-            if self.journal.durability is not store:
-                return
-            if store.due():
-                store.checkpoint()  # fsyncs everything it covers
-            else:
-                store.sync_if_due()
 
     # ------------------------------------------------------------------
     # Op handlers
@@ -511,9 +386,8 @@ class JournalDispatcher:
 
     def _op_metrics(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Structured registry snapshot: every metric family plus the
-        tail of the span ring.  Runs under the read lock; the registry's
-        atomic counters make that safe against the checkpoint poll
-        thread (and any write op) bumping them concurrently."""
+        tail of the span ring.  The registry's atomic counters make that
+        safe against a worker timing an fsync into them concurrently."""
         spans = int(request.get("spans", 50))
         return {"ok": True, "metrics": self.telemetry.snapshot(spans=spans)}
 
@@ -589,11 +463,11 @@ class JournalDispatcher:
 class _AsyncConnection:
     """One multiplexed client connection on the async server.
 
-    The reader coroutine parses frames and spawns request tasks;
-    responses funnel through a bounded outbound queue drained by a
+    The reader coroutine parses frames and answers each as it is read
+    (:meth:`JournalServer._answer`), so ops apply in arrival order; a
+    whole-table read, or a reply waiting on an fsync, becomes a task.
+    Responses funnel through a bounded outbound queue drained by a
     single sender task (per-connection write ordering, backpressure).
-    Write ops chain on ``_write_tail`` so they execute in submission
-    order even when pipelined; reads may overtake.
     """
 
     def __init__(self, server: "JournalServer", writer: asyncio.StreamWriter) -> None:
@@ -602,9 +476,7 @@ class _AsyncConnection:
         self._outbox: asyncio.Queue = asyncio.Queue(maxsize=server.queue_limit)
         self._sender_task: Optional[asyncio.Task] = None
         self._inflight: set = set()
-        self._write_tail: Optional[asyncio.Task] = None
         self._subscription = None
-        self._detach_pending = False
         self._lagged_revision: Optional[int] = None
         self._draining = False
         self._closing = False
@@ -650,15 +522,9 @@ class _AsyncConnection:
             self._detach_subscription()
 
     def _detach_subscription(self) -> None:
-        subscription = self._subscription
-        self._subscription = None
-        if subscription is None:
-            # subscribe handshake still in flight; detach once it lands
-            self._detach_pending = True
-            return
-        self._server._run_blocking_detached(
-            self._server.dispatcher.unsubscribe, subscription
-        )
+        subscription, self._subscription = self._subscription, None
+        if subscription is not None:
+            subscription.close()
 
     async def _sender(self) -> None:
         writer = self._writer
@@ -715,6 +581,7 @@ class _AsyncConnection:
 
     async def _read_loop(self, reader: asyncio.StreamReader) -> None:
         loop = asyncio.get_event_loop()
+        server = self._server
         while True:
             try:
                 line = await reader.readline()
@@ -730,45 +597,20 @@ class _AsyncConnection:
                 await self.send({"ok": False, "error": str(error)})
                 continue
             rid = request.get("id")
-            op = request.get("op")
-            dispatcher = self._server.dispatcher
-            is_write = op != "subscribe" and dispatcher.is_write(op)
-            if op != "subscribe" and (
-                not is_write
-                or self._write_tail is None
-                or self._write_tail.done()
-            ):
-                # Fast path: cheap ops answered right here on the loop
-                # thread — no task, no executor hop.  Writes only take it
-                # when no earlier write is still in flight (per-connection
-                # write ordering); reads may overtake regardless.
-                try:
-                    response = dispatcher.dispatch_inline(request)
-                except Exception as error:
-                    response = {
-                        "ok": False,
-                        "error": f"{type(error).__name__}: {error}",
-                    }
-                if response is not None:
-                    if rid is not None:
-                        response = dict(response)
-                        response["id"] = rid
-                    if not self._closing:
-                        frame = wire.encode_message(response)
-                        if not self._send_direct(frame):
-                            await self._outbox.put(frame)
+            if request.get("op") == "subscribe":
+                await self._subscribe(rid, request)
+                continue
+            if _whole_table(request):
+                work = self._answer_later(rid, request)
+            else:
+                response, synced = server._answer(request)
+                if synced is None:
+                    await self._reply(rid, response)
                     continue
-            after = None
-            if op == "subscribe" or is_write:
-                after = self._write_tail
-            task = loop.create_task(self._run_request(rid, request, after))
+                work = self._reply_when_synced(rid, response, synced)
+            task = loop.create_task(work)
             self._inflight.add(task)
             task.add_done_callback(self._inflight.discard)
-            if is_write or op == "subscribe":
-                # Writes chain in submission order; a subscribe also joins
-                # the chain so later writes cannot publish before the
-                # subscription is registered.
-                self._write_tail = task
             if rid is None:
                 # Legacy strict request/response lane: answer before
                 # reading the next frame.  Shielded so a graceful drain
@@ -783,69 +625,48 @@ class _AsyncConnection:
                 except Exception:
                     break
             else:
-                self._server._h_pipeline_depth.observe(len(self._inflight))
+                server._h_pipeline_depth.observe(len(self._inflight))
 
-    async def _run_request(
-        self, rid, request: Dict[str, Any], after: Optional[asyncio.Task]
-    ) -> None:
-        if after is not None:
-            # Per-connection write ordering: wait out the previous
-            # write op (ignoring its outcome) before dispatching.
-            await asyncio.wait({after})
-        if request.get("op") == "subscribe":
-            await self._handle_subscribe(rid, request)
-            return
-        response = await self._server._dispatch_async(request)
+    async def _reply(self, rid, response: Dict[str, Any]) -> None:
         if rid is not None:
             response = dict(response)
             response["id"] = rid
         await self.send(response)
 
-    async def _handle_subscribe(self, rid, request: Dict[str, Any]) -> None:
+    async def _answer_later(self, rid, request: Dict[str, Any]) -> None:
+        # A read: its reply never waits on an fsync.
+        await self._reply(rid, self._server._answer(request)[0])
+
+    async def _reply_when_synced(self, rid, response, synced: asyncio.Future) -> None:
+        error = await synced
+        if error is not None:
+            response = {"ok": False, "error": error}
+        await self._reply(rid, response)
+
+    async def _subscribe(self, rid, request: Dict[str, Any]) -> None:
+        """Register this connection's feed.  All on the loop, in one
+        turn: the ack is queued before the backlog, and the backlog
+        before any later write can publish."""
         if self._subscription is not None:
-            response: Dict[str, Any] = {"ok": False, "error": "already subscribed"}
-            if rid is not None:
-                response["id"] = rid
-            await self.send(response)
+            await self._reply(rid, {"ok": False, "error": "already subscribed"})
             return
-        loop = asyncio.get_event_loop()
-        since = int(request.get("since", 0))
+        server = self._server
 
         def push(changes) -> None:
-            frame = self._server.dispatcher.encoded_changes_frame(changes)
-            try:
-                asyncio.get_running_loop()
-            except RuntimeError:
-                pass  # publishing from a worker thread: hop to the loop
-            else:
-                # Already on the loop thread (the coalesced publish
-                # flush) — deliver directly, no self-pipe wakeup.
-                self._feed_frame(frame, changes.revision)
-                return
-            try:
-                loop.call_soon_threadsafe(self._feed_frame, frame, changes.revision)
-            except RuntimeError:
-                pass  # loop shutting down; connection is going away too
+            frame = server.dispatcher.encoded_changes_frame(changes)
+            self._feed_frame(frame, changes.revision)
 
-        def acknowledge(revision: int) -> None:
-            # Runs with the write lock held: the ack frame is queued
-            # before the backlog (and before any concurrent write can
-            # publish), so the client always sees ack first.
-            ack: Dict[str, Any] = {"ok": True, "revision": revision}
-            if rid is not None:
-                ack["id"] = rid
-            frame = wire.encode_message(ack)
-            loop.call_soon_threadsafe(self._feed_frame, frame, revision)
-
-        subscription = await self._server._run_blocking(
-            lambda: self._server.dispatcher.subscribe(
-                push, since=since, on_registered=acknowledge
-            )
+        self._subscription = subscription = server.dispatcher.subscribe(
+            push, since=int(request.get("since", 0))
         )
-        self._subscription = subscription
-        if self._detach_pending:
-            self._detach_pending = False
-            self._detach_subscription()
+        revision = server.journal.revision
+        ack: Dict[str, Any] = {"ok": True, "revision": revision}
+        if rid is not None:
+            ack["id"] = rid
+        self._feed_frame(wire.encode_message(ack), revision)
+        # Deliver the backlog before any new write publishes, so the
+        # subscriber starts from a delta it can actually apply.
+        subscription.deliver(server._reportable_revision())
 
     # -- teardown --------------------------------------------------------
 
@@ -860,15 +681,7 @@ class _AsyncConnection:
         try:
             if self._inflight:
                 await asyncio.wait(set(self._inflight), timeout=drain)
-            if self._subscription is not None:
-                subscription = self._subscription
-                self._subscription = None
-                try:
-                    await self._server._run_blocking(
-                        lambda: self._server.dispatcher.unsubscribe(subscription)
-                    )
-                except RuntimeError:
-                    pass  # executor already shut down
+            self._detach_subscription()
             self._closing = True
             if self._sender_task is not None:
                 try:
@@ -897,10 +710,11 @@ class _AsyncConnection:
 
 
 class JournalServer:
-    """Asyncio front-end guarding concurrent access to a
-    :class:`Journal` — one event loop, thousands of sockets, pipelined
-    requests.  The loop runs on a dedicated thread so the public
-    ``start()``/``stop()`` surface stays synchronous."""
+    """Asyncio front-end serving one :class:`Journal` — one event loop,
+    thousands of sockets, pipelined requests.  The loop runs on a
+    dedicated thread, the only one that touches the Journal while the
+    server runs, so the public ``start()``/``stop()`` surface stays
+    synchronous."""
 
     def __init__(
         self,
@@ -931,7 +745,8 @@ class JournalServer:
         self._checkpoint_stop = threading.Event()
         #: persist here on stop() when set
         self.persist_path: Optional[str] = None
-        #: bounded pool for lock-waiting/fsyncing/serialising work
+        #: worker threads for blocking file work (WAL fsyncs and
+        #: checkpoint files); the server starts one such job at a time
         self.max_workers = max_workers
         #: per-connection outbound queue bound (frames)
         self.queue_limit = queue_limit
@@ -955,15 +770,24 @@ class JournalServer:
             "fremont_server_feed_fallbacks_total",
             "Slow feed subscribers demoted to changes_since polling",
         )
-        #: a feed flush is already queued on the loop (guarded by the
-        #: write lock, which every mutator of this flag holds)
+        #: a feed flush is already queued on the loop
         self._publish_pending = False
         #: thread ident of the event loop thread while it runs
         self._loop_thread_id: Optional[int] = None
-        self.dispatcher.publish_soon = self._schedule_publish
-        self.dispatcher.checkpoint_soon = lambda: self._run_blocking_detached(
-            self.dispatcher.durability_tick
-        )
+        #: the file job running on the pool, if any
+        self._file_job: Optional[asyncio.Task] = None
+        #: set once the loop has finished serving: :meth:`call` refuses
+        #: and no file job starts.  Set and tested under ``_call_lock``,
+        #: so every call the loop accepted runs before it closes.
+        self._closed = False
+        self._call_lock = threading.Lock()
+        #: replies waiting on an ``fsync="always"`` sync: (target, future)
+        self._sync_waiters: List[Tuple[int, asyncio.Future]] = []
+        #: revision through which every write is synced (see
+        #: :meth:`_reportable_revision`)
+        self._synced_revision = 0
+        self.dispatcher.call_owner = self.call
+        self.dispatcher.on_write = self._wrote
 
     @property
     def requests_served(self) -> int:
@@ -988,6 +812,13 @@ class JournalServer:
     # ------------------------------------------------------------------
 
     def start(self) -> "JournalServer":
+        store = self.journal.durability
+        if store is not None:
+            # From here on no append fsyncs: the loop hands that to the
+            # pool (_kick).
+            store.background_sync = True
+        self._synced_revision = self.journal.revision
+        self._closed = False
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="journal-worker"
         )
@@ -1002,6 +833,8 @@ class JournalServer:
         return self
 
     def stop(self) -> None:
+        # The watchdog hands its ticks to the loop, so it stops first.
+        self._stop_checkpoint_thread()
         loop, thread = self._loop, self._thread
         if loop is not None and thread is not None and thread.is_alive():
             try:
@@ -1017,10 +850,9 @@ class JournalServer:
             self._listener.close()
         except OSError:
             pass
-        # The watchdog keeps syncing while in-flight requests drain; it
-        # stops only once nothing can run inline any more.
-        self._stop_checkpoint_thread()
         self._finalize_stop()
+        # Stopped, the server's Journal belongs to its caller again.
+        self._closed = False
 
     def _request_stop(self) -> None:
         if self._stop_requested is not None:
@@ -1035,12 +867,8 @@ class JournalServer:
     # -- checkpoint watchdog ---------------------------------------------
 
     def _start_checkpoint_thread(self) -> None:
-        store = self.journal.durability
-        if store is None:
+        if self.journal.durability is None:
             return
-        # The watchdog owns the interval fsync from here on, so no
-        # write's WAL append syncs (and cheap writes may run inline).
-        store.background_sync = True
         self._checkpoint_stop.clear()
         self._checkpoint_thread = threading.Thread(
             target=self._checkpoint_loop,
@@ -1054,9 +882,6 @@ class JournalServer:
         if self._checkpoint_thread is not None:
             self._checkpoint_thread.join(timeout=5.0)
             self._checkpoint_thread = None
-        store = self.journal.durability
-        if store is not None:
-            store.background_sync = False
 
     def _checkpoint_loop(self) -> None:
         """Durability watchdog.  A server receiving no writes would
@@ -1064,7 +889,8 @@ class JournalServer:
         WAL replay window) nor sync the tail of its WAL (an unbounded
         power-loss window under ``interval``).  Sleeps at most until the
         interval fsync could come due, so no acknowledged record stays
-        unsynced much past ``fsync_interval``."""
+        unsynced much past ``fsync_interval``, then hands a tick
+        (:meth:`_kick`) to the loop."""
         while True:
             store = self.journal.durability
             if store is None:
@@ -1074,59 +900,155 @@ class JournalServer:
                 wait = self.checkpoint_poll
             if self._checkpoint_stop.wait(wait):
                 break
-            self.dispatcher.durability_tick()
+            try:
+                self.call(self._kick)
+            except RuntimeError:
+                break  # the loop has stopped serving
 
     def _finalize_stop(self) -> None:
-        with self.dispatcher.rwlock.write_locked():
-            if self.journal.durability is not None:
-                # Termination checkpoint: everything the WAL holds is
-                # folded into a snapshot before the process exits.
-                self.journal.durability.checkpoint()
-            if self.persist_path is not None:
-                self.journal.save(self.persist_path)
+        """Once the loop has stopped the stopping thread owns the
+        Journal: the termination checkpoint folds everything the WAL
+        holds into a snapshot before the process exits."""
+        store = self.journal.durability
+        if store is not None:
+            store.background_sync = False
+            store.checkpoint()
+        if self.persist_path is not None:
+            self.journal.save(self.persist_path)
+
+    # -- the owner thread's helper ---------------------------------------
+
+    def call(self, func: Callable, *args):
+        """Run ``func(*args)`` on the thread that owns the Journal and
+        return its result (or raise its error): the one way another
+        thread (a standby's tail, the watchdog, an in-process caller)
+        touches the Journal of a running server.  On the loop thread, or
+        with no loop running, it runs *func* at once; once the loop has
+        finished serving it raises :class:`RuntimeError`."""
+        if threading.get_ident() == self._loop_thread_id:
+            return func(*args)
+        done: Future = Future()
+        with self._call_lock:
+            if self._closed:
+                raise RuntimeError("the Journal Server has stopped serving")
+            loop = self._loop
+            if loop is not None:
+                loop.call_soon_threadsafe(_run_into, done, func, args)
+        if loop is None:
+            return func(*args)
+        return done.result()
+
+    # -- answering, and what a write owes --------------------------------
+
+    def _answer(self, request: Dict[str, Any]) -> Tuple[Dict[str, Any], Optional[asyncio.Future]]:
+        """Run *request* on the loop.  Returns its reply and, for a
+        write while an ``fsync="always"`` store holds unsynced records,
+        the future an fsync begun after them resolves — to None, or to
+        the error the reply must carry instead."""
+        try:
+            response = self.dispatcher.dispatch_inline(request)
+        except wire.WireError as error:
+            return {"ok": False, "error": str(error)}, None
+        except Exception as error:  # defensive: report, keep serving
+            return {"ok": False, "error": f"{type(error).__name__}: {error}"}, None
+        store = self.journal.durability
+        if store is None or request.get("op") in READ_OPS:
+            return response, None
+        target = store.sync_target()
+        if target is None:
+            return response, None
+        synced = self._loop.create_future()
+        self._sync_waiters.append((target, synced))
+        return response, synced
+
+    def _wrote(self) -> None:
+        """Dispatcher hook, after each completed write on the loop:
+        queue one feed flush for this loop turn, and start any file work
+        the write made due."""
+        self._schedule_publish()
+        self._kick()
+
+    def _kick(self, *, checkpoint: bool = True) -> None:
+        """Start the store's next owed file job on the pool: a due
+        checkpoint first, else an fsync — under ``always`` whenever an
+        append is unsynced, under ``interval`` once it is due.  One job
+        runs at a time."""
+        store = self.journal.durability
+        if store is None or self._file_job is not None or self._closed or self._loop is None:
+            return
+        if checkpoint and store.due():
+            work, finish = store.checkpoint_job()
+        elif store.sync_target() is not None or store.sync_wait() == 0.0:
+            work, finish = store.sync_job()
+        else:
+            return
+        self._file_job = self._loop.create_task(
+            self._run_job(store, work, finish, self.journal.revision)
+        )
+
+    async def _run_job(self, store, work: Callable, finish: Callable, revision: int) -> None:
+        """Run one file job's *work* on the pool, then its *finish* here
+        on the loop; a job that succeeds has synced every write through
+        *revision*."""
+        error = None
+        try:
+            await asyncio.get_running_loop().run_in_executor(self._executor, work)
+        except Exception as failure:
+            error = failure
+            logger.exception("Journal file work failed")
+        finally:
+            self._file_job = None
+        finish(error)
+        if error is None:
+            self._synced_revision = revision
+        self._settle(store)
+        # A failed checkpoint is retried by the next write or watchdog
+        # tick, not at once.
+        self._kick(checkpoint=error is None)
+
+    def _settle(self, store) -> None:
+        """Answer the replies whose fsync has returned; if one failed,
+        every waiting reply carries the store's fault instead.  Then let
+        the feed report what is now synced."""
+        waiting = []
+        for target, synced in self._sync_waiters:
+            if synced.done():
+                continue
+            if store.synced_through(target):
+                synced.set_result(None)
+            elif store.fault is not None:
+                synced.set_result(f"WAL record not synced: {store.fault}")
+            else:
+                waiting.append((target, synced))
+        self._sync_waiters = waiting
+        self._schedule_publish()
 
     # -- coalesced feed publish ----------------------------------------
 
+    def _reportable_revision(self) -> Optional[int]:
+        """How far the feed may report: every applied write (None),
+        unless an ``fsync="always"`` store holds unsynced records — then
+        only what the last fsync covered."""
+        store = self.journal.durability
+        if store is None or store.sync_target() is None:
+            return None
+        return self._synced_revision
+
     def _schedule_publish(self) -> None:
-        """Dispatcher hook, called with the write lock held after each
-        completed write op.  Queues one feed flush on the event loop —
-        a pipelined burst of writes lands as a single combined delta
-        per subscriber instead of one delivery per write."""
-        if self._publish_pending:
+        """Queue one feed flush on the loop, so a pipelined burst of
+        writes lands as a single combined delta per subscriber instead
+        of one delivery per write."""
+        if self._publish_pending or not self.journal.feed_subscribers:
             return
-        if not self.journal.feed_subscribers:
-            return  # nobody listening: skip the loop wakeup entirely
-        loop = self._loop
-        if loop is None:
+        if self._loop is None:
             self.journal.publish()
             return
         self._publish_pending = True
-        try:
-            if threading.get_ident() == self._loop_thread_id:
-                # An inline write: already on the loop, so skip the
-                # self-pipe write and wakeup call_soon_threadsafe costs.
-                loop.call_soon(self._publish_flush)
-            else:
-                loop.call_soon_threadsafe(self._publish_flush)
-        except RuntimeError:
-            # Loop shutting down: deliver synchronously rather than
-            # dropping the delta on the floor.
-            self._publish_pending = False
-            self.journal.publish()
+        self._loop.call_soon(self._publish_flush)
 
     def _publish_flush(self) -> None:
-        # Loop thread.  Publishing needs the write lock; never block
-        # the loop waiting for a worker-thread writer — retry next tick.
-        if not self.dispatcher.rwlock.try_acquire_write():
-            loop = self._loop
-            if loop is not None:
-                loop.call_later(0.0005, self._publish_flush)
-            return
-        try:
-            self._publish_pending = False
-            self.journal.publish()
-        finally:
-            self.dispatcher.rwlock.release_write()
+        self._publish_pending = False
+        self.journal.publish(self._reportable_revision())
 
     def _loop_main(self, started: threading.Event) -> None:
         loop = asyncio.new_event_loop()
@@ -1137,16 +1059,20 @@ class JournalServer:
             loop.run_until_complete(self._serve_forever(started))
         finally:
             started.set()  # never leave start() hanging on a crash
+            self._close_calls()
             pending = asyncio.all_tasks(loop)
             for task in pending:
                 task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
+            # Also runs the calls accepted before the close.
+            loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
             asyncio.set_event_loop(None)
             loop.close()
             self._loop = None
+            self._loop_thread_id = None
+
+    def _close_calls(self) -> None:
+        with self._call_lock:
+            self._closed = True
 
     async def _serve_forever(self, started: threading.Event) -> None:
         loop = asyncio.get_event_loop()
@@ -1178,6 +1104,11 @@ class JournalServer:
             for _ in range(2):
                 await asyncio.sleep(0)
             await self._drain_connections()
+            # Refuse further calls, let the file job in flight finish,
+            # and start no other.
+            self._close_calls()
+            while self._file_job is not None:
+                await asyncio.wait({self._file_job})
 
     async def _accept_loop(self, loop: asyncio.AbstractEventLoop) -> None:
         """Accept sockets and wrap each in a stream pair feeding
@@ -1226,44 +1157,3 @@ class JournalServer:
             handlers.append(handler)
         if handlers:
             await asyncio.wait(handlers, timeout=self.drain_timeout + 1.0)
-
-    # ------------------------------------------------------------------
-    # Dispatch plumbing
-    # ------------------------------------------------------------------
-
-    async def _dispatch_async(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        try:
-            response = self.dispatcher.dispatch_inline(request)
-            if response is not None:
-                return response
-            executor = self._executor
-            if executor is None:
-                return {"ok": False, "error": "server is stopping"}
-            return await asyncio.get_event_loop().run_in_executor(
-                executor, self.dispatcher.dispatch, request
-            )
-        except wire.WireError as error:
-            return {"ok": False, "error": str(error)}
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # defensive: report, keep serving
-            return {"ok": False, "error": f"{type(error).__name__}: {error}"}
-
-    async def _run_blocking(self, func: Callable):
-        executor = self._executor
-        if executor is None:
-            raise RuntimeError("server is stopping")
-        return await asyncio.get_event_loop().run_in_executor(executor, func)
-
-    def _run_blocking_detached(self, func: Callable, *args) -> None:
-        """Fire-and-forget lock-holding work from the loop thread (e.g.
-        detaching a lagging subscriber, a checkpoint an inline write
-        made due).  Nobody awaits the result, so a failure is logged."""
-        executor = self._executor
-        if executor is None:
-            return
-        try:
-            future = executor.submit(func, *args)
-        except RuntimeError:  # pragma: no cover - shutdown race
-            return
-        future.add_done_callback(_log_detached_failure)

@@ -519,6 +519,8 @@ class ShardedClient(JournalClient):
         self._down = [down.labels(shard=str(index)) for index in range(self.shards)]
         #: the aggregate ``view`` ops answer from, built on first use
         self._view: Optional[FederatedView] = None
+        #: the handshake ran, so every shard issues ids on its stride
+        self._seated = check
         if check:
             self._verify_shards()
 
@@ -545,6 +547,18 @@ class ShardedClient(JournalClient):
                     "(server-side --shard K/N disagrees with this router, "
                     "or the shard issued ids before it was seated)"
                 )
+
+    def _shard_of_id(self, record_id: int) -> int:
+        """The shard that issued *record_id* — known only to a router
+        whose handshake seated its shards: unseated shards all issue
+        1, 2, 3…, so ``id % n`` would name another shard's record."""
+        if not self._seated:
+            raise ValueError(
+                f"cannot route record id {record_id}: this router skipped the "
+                "shard_info handshake (check=False), so its shards' ids need "
+                "not name their shard"
+            )
+        return shard_of_id(record_id, self.shards)
 
     def _mark(self, shard: int, down: bool) -> None:
         """Set *shard*'s ``fremont_shard_down`` gauge, writing it only
@@ -831,7 +845,7 @@ class ShardedClient(JournalClient):
     ) -> Tuple[GatewayRecord, bool]:
         groups: Dict[int, List[int]] = {}
         for record_id in interface_ids:
-            groups.setdefault(shard_of_id(record_id, self.shards), []).append(record_id)
+            groups.setdefault(self._shard_of_id(record_id), []).append(record_id)
         return self._anchored(groups, name, source, lambda shard: self.clients[
             shard].ensure_gateway(source=source, name=name, interface_ids=groups.get(shard, [])))
 
@@ -839,7 +853,7 @@ class ShardedClient(JournalClient):
         """Rename a gateway fleet-wide: the addressed fragment by id,
         then — fragments of one device share a name — every same-named
         fragment on the other shards."""
-        shard = shard_of_id(record_id, self.shards)
+        shard = self._shard_of_id(record_id)
         addressed = self.clients[shard].query(
             "gateways", query_module.RecordIds([record_id])
         )
@@ -873,7 +887,7 @@ class ShardedClient(JournalClient):
         so its link stays on the gateway's shard and the duplicate
         subnet record re-merges by key in the aggregate view only.
         """
-        gateway_shard = shard_of_id(gateway_id, self.shards)
+        gateway_shard = self._shard_of_id(gateway_id)
         subnet_shard = self.shard_map.shard_for_subnet(subnet_key)
         self._c_routed.inc()
         if gateway_shard == subnet_shard:
@@ -912,7 +926,7 @@ class ShardedClient(JournalClient):
             record_id = interface_id_map.get(member)
             if record_id is None or record_id < 0:
                 continue
-            shard = shard_of_id(record_id, self.shards)
+            shard = self._shard_of_id(record_id)
             groups.setdefault(shard, []).append(record_id)
             id_maps.setdefault(shard, {})[member] = record_id
         links: Dict[int, Dict[str, Any]] = {}
@@ -986,7 +1000,7 @@ _PLACES: Dict[str, Callable[[ShardedClient, Dict[str, Any]], int]] = {
     "observation": lambda router, a: router.shard_map.shard_for_observation(a["observation"]),
     "interface": lambda router, a: router.shard_map.shard_for_record(a["foreign"]),
     "subnet": _subnet_shard,
-    "record_id": lambda router, a: shard_of_id(a["record_id"], router.shards),
+    "record_id": lambda router, a: router._shard_of_id(a["record_id"]),
     "negative": lambda router, a: router.shard_map.shard_for_token(f"neg:{a['kind']}:{a['key']}"),
 }
 

@@ -21,9 +21,9 @@ deployment.  The registry is exposed three ways:
 * the ``fremont stats [--watch]`` CLI view (:func:`render_stats`).
 
 Counter updates take a per-metric lock, so increments from the Journal
-Server's write path, its checkpoint poll thread, and readers under the
-read lock can never tear or lose an update — the registry is the fix
-for the status-op/poll-thread counter race.
+Server's loop, its worker pool and any other thread can never tear or
+lose an update — the registry is the fix for the status-op/poll-thread
+counter race.
 
 Overhead budget: a counter increment is one uncontended lock acquire
 (~100ns); a histogram observation adds a bisect.  The ingest hot path

@@ -44,10 +44,9 @@ and every reader — the Journal Server's ``path``/``impact`` ops, the
 clients, the presentation reports, the analysis finders and the
 inquiry agent — shares it, so edge history accumulates in one place.
 The store pulls: deltas come from :meth:`Journal.changes_since` (a pure
-read, safe under the server's shared read lock), and it never prunes
-the change log.  :meth:`Journal.prune_changes` clamps to the Journal
-store's last refresh, so other consumers' prune calls keep its next
-delta complete.
+read), and it never prunes the change log.  :meth:`Journal.prune_changes`
+clamps to the Journal store's last refresh, so other consumers' prune
+calls keep its next delta complete.
 """
 
 from __future__ import annotations
@@ -287,8 +286,7 @@ class TopologyStore:
     :meth:`Journal.topology` rather than constructing another.  Every
     public query refreshes first, so answers always reflect the Journal
     as of the call.  Thread-safe: one internal lock serialises
-    refreshes and queries (the Journal Server answers ``path``/
-    ``impact`` from worker threads under the read lock).
+    refreshes and queries.
     """
 
     def __init__(

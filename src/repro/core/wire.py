@@ -52,8 +52,6 @@ __all__ = [
     "CONTROL_OPS",
     "COUNTER_SCHEMA",
     "CounterSpec",
-    "INLINE_OPS",
-    "INLINE_WRITES",
     "JOURNAL_COUNTERS",
     "JournalCall",
     "OPS",
@@ -141,16 +139,12 @@ class OpSpec(NamedTuple):
     :class:`JournalCall`).  Every other op keeps a hand-written ``_op_``
     handler."""
 
-    #: ``read`` (shared lock; never fenced, so a standby or a fenced
-    #: ex-primary keeps serving it), ``write`` (write lock; fenced and
-    #: epoch-stamped), ``control`` (write lock; moves the fencing epoch
-    #: itself, so it is neither fenced nor stamped) or ``stream`` (the
-    #: ``subscribe`` feed, which the transport serves itself)
+    #: ``read`` (never fenced, so a standby or a fenced ex-primary keeps
+    #: serving it), ``write`` (fenced and epoch-stamped), ``control``
+    #: (moves the fencing epoch itself, so it is neither fenced nor
+    #: stamped) or ``stream`` (the ``subscribe`` feed, which the
+    #: transport serves itself)
     kind: str
-    #: cheap enough for the event loop thread whatever its arguments.
-    #: ``query`` (with a ``where``), ``observe_batch`` and ``pull`` also
-    #: run there for some arguments (see ``JournalDispatcher.runs_inline``).
-    inline: bool = False
     #: the ``RemoteClient`` methods that send it
     methods: Tuple[str, ...] = ()
     #: a plain call's reply keys, one per returned value (a tuple result
@@ -168,61 +162,61 @@ class OpSpec(NamedTuple):
 
 
 #: The Journal Server op vocabulary, each op declared once.  The
-#: dispatcher's lock, fencing and inline rules, the client's epoch stamp
-#: and write handoff, ``FailoverClient``'s proxies, the sharded router's
-#: methods and the whole of every plain Journal call are all derived
-#: from this table.
+#: dispatcher's fencing rules, the client's epoch stamp and write
+#: handoff, ``FailoverClient``'s proxies, the sharded router's methods
+#: and the whole of every plain Journal call are all derived from this
+#: table.
 #: (negative_check may lazily evict an expired entry, but that eviction
 #: is idempotent and race-free, so it stays a read — see
 #: Journal.negative_check.)
 OPS: Dict[str, OpSpec] = {
     # ingest & maintenance
-    "observe": OpSpec("write", True, ("observe_interface", "submit", "resolve"),
+    "observe": OpSpec("write", ("observe_interface", "submit", "resolve"),
                       route="place:observation"),
-    "observe_batch": OpSpec("write", False, ("observe_batch", "observe_batch_nowait", "flush"),
+    "observe_batch": OpSpec("write", ("observe_batch", "observe_batch_nowait", "flush"),
                             route="partition"),
-    # plain Journal calls: OpSpec(kind, inline, methods, reply)
-    "absorb_interface": OpSpec("write", True, ("absorb_interface",), ("record", "changed"),
+    # plain Journal calls: OpSpec(kind, methods, reply)
+    "absorb_interface": OpSpec("write", ("absorb_interface",), ("record", "changed"),
                                route="place:interface"),
-    "absorb_gateway": OpSpec("write", True, ("absorb_gateway",), ("record", "changed"),
+    "absorb_gateway": OpSpec("write", ("absorb_gateway",), ("record", "changed"),
                              route="anchored"),
-    "absorb_subnet": OpSpec("write", True, ("absorb_subnet",), ("record", "changed"),
+    "absorb_subnet": OpSpec("write", ("absorb_subnet",), ("record", "changed"),
                             route="place:subnet"),
-    "ensure_gateway": OpSpec("write", True, ("ensure_gateway",), ("record", "changed"),
+    "ensure_gateway": OpSpec("write", ("ensure_gateway",), ("record", "changed"),
                              route="anchored"),
-    "ensure_subnet": OpSpec("write", True, ("ensure_subnet",), ("record", "changed"),
+    "ensure_subnet": OpSpec("write", ("ensure_subnet",), ("record", "changed"),
                             route="place:subnet"),
-    "link_gateway_subnet": OpSpec("write", True, ("link_gateway_subnet",), ("changed",),
+    "link_gateway_subnet": OpSpec("write", ("link_gateway_subnet",), ("changed",),
                                   route="anchored"),
-    "rename_gateway": OpSpec("write", False, ("rename_gateway",), ("changed",), route="anchored"),
-    "delete_interface": OpSpec("write", True, ("delete_interface",), ("deleted",),
+    "rename_gateway": OpSpec("write", ("rename_gateway",), ("changed",), route="anchored"),
+    "delete_interface": OpSpec("write", ("delete_interface",), ("deleted",),
                                route="place:record_id"),
-    "negative_put": OpSpec("write", True, ("negative_put",), (), parks=True,
+    "negative_put": OpSpec("write", ("negative_put",), (), parks=True,
                            route="place:negative"),
-    "counts": OpSpec("read", True, ("counts", "revision"), ("counts",), route="scatter"),
-    "negative_check": OpSpec("read", True, ("negative_check",), ("cached",),
+    "counts": OpSpec("read", ("counts", "revision"), ("counts",), route="scatter"),
+    "negative_check": OpSpec("read", ("negative_check",), ("cached",),
                              route="place:negative"),
     # The one record read: the clients' named reads (query.NamedReads)
     # are predicates over it.
-    "query": OpSpec("read", False, ("query",), ("records",), route="owner"),
+    "query": OpSpec("read", ("query",), ("records",), route="owner"),
     "pull": OpSpec(
-        "read", False, ("pull",), ("revision", "interfaces", "gateways", "members", "subnets"),
+        "read", ("pull",), ("revision", "interfaces", "gateways", "members", "subnets"),
         route="scatter",
     ),
-    "changes_since": OpSpec("read", True, ("changes_since",), ("changes",), route="vector"),
-    "path": OpSpec("read", False, ("path",), ("path",), route="view"),
-    "impact": OpSpec("read", False, ("impact",), ("impact",), route="view"),
+    "changes_since": OpSpec("read", ("changes_since",), ("changes",), route="vector"),
+    "path": OpSpec("read", ("path",), ("path",), route="view"),
+    "impact": OpSpec("read", ("impact",), ("impact",), route="view"),
     # hand-written reads
-    "ping": OpSpec("read", True),
-    "metrics": OpSpec("read", True, ("metrics",), route="gather"),
-    "dump": OpSpec("read", False, ("snapshot",), route="aggregate"),
+    "ping": OpSpec("read"),
+    "metrics": OpSpec("read", ("metrics",), route="gather"),
+    "dump": OpSpec("read", ("snapshot",), route="aggregate"),
     # federation and failover handshake
-    "shard_info": OpSpec("read", True, ("shard_info", "replica_info"), route="router"),
+    "shard_info": OpSpec("read", ("shard_info", "replica_info"), route="router"),
     # failover control plane
-    "promote": OpSpec("control", False, ("promote",)),
-    "fence": OpSpec("control", False, ("fence",)),
+    "promote": OpSpec("control", ("promote",)),
+    "fence": OpSpec("control", ("fence",)),
     # streaming
-    "subscribe": OpSpec("stream", False, ("subscribe",)),
+    "subscribe": OpSpec("stream", ("subscribe",)),
 }
 
 
@@ -239,10 +233,6 @@ READ_OPS = _ops_where(lambda spec: spec.kind == "read")
 WRITE_OPS = _ops_where(lambda spec: spec.kind == "write")
 #: ops that move the fencing epoch (promote/fence)
 CONTROL_OPS = _ops_where(lambda spec: spec.kind == "control")
-#: ops that run on the event loop thread whatever their arguments
-INLINE_OPS = _ops_where(lambda spec: spec.inline)
-#: the write ops among them (and the only ones an inline batch may carry)
-INLINE_WRITES = INLINE_OPS & WRITE_OPS
 
 class CounterSpec(NamedTuple):
     """One Journal counter, named by its row's key; its registry metric

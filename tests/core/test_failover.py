@@ -365,8 +365,17 @@ class TestStandbyReplica:
             sh, sp = standby.address
             with RemoteClient(sh, sp) as client:
                 client.resolve(obs(99))  # acknowledged by the new primary
-            with standby.server.dispatcher.rwlock.write_locked():
+
+            def crash_copy():
+                # On the loop with no file job in flight, nothing
+                # writes the standby's directory.
+                if standby.server._file_job is not None:
+                    return False
                 shutil.copytree(tmp_path / "standby", tmp_path / "crashed")
+                return True
+
+            while not standby.server.call(crash_copy):
+                time.sleep(0.01)
             promoted = standby.journal.identity_state()
         recovered_store = JournalStore(str(tmp_path / "crashed"))
         recovered = recovered_store.recover()

@@ -195,6 +195,49 @@ def test_one_shard_takes_a_journal_with_ids_as_it_is():
     assert router.observe_interface(Observation("t", ip="10.0.1.2"))[0].record_id == 2
 
 
+def _unverified_router():
+    """Two unseated shards behind a router that skipped the handshake,
+    each holding four sightings: both issued ids 1-4."""
+    journals = [Journal(), Journal()]
+    router = ShardedClient([LocalClient(journal) for journal in journals], check=False)
+    for net in (1, 2):
+        for host in range(1, 5):
+            router.observe_interface(Observation("t", ip=f"10.{net}.{host}.1"))
+    assert sorted(journals[0].interfaces) == sorted(journals[1].interfaces) == [1, 2, 3, 4]
+    return journals, router
+
+
+def test_an_unverified_router_refuses_to_delete_by_id():
+    """Unseated shards' ids do not name their shard: ``id % n`` would
+    delete another shard's record that happens to hold the same id."""
+    journals, router = _unverified_router()
+    before = [sorted(r.ip for r in journal.interfaces.values()) for journal in journals]
+    with pytest.raises(ValueError, match="handshake"):
+        router.delete_interface(1)
+    assert [sorted(r.ip for r in journal.interfaces.values()) for journal in journals] == before
+
+
+def _foreign_gateway():
+    """A gateway from another Journal, and its member's id mapped to 1."""
+    donor = Journal()
+    member, _ = donor.observe_interface(Observation("t", ip="10.9.9.9"))
+    gateway, _ = donor.ensure_gateway(source="t", name="gw", interface_ids=[member.record_id])
+    return gateway, {member.record_id: 1}
+
+
+@pytest.mark.parametrize("call", [
+    lambda router: router.rename_gateway(1, "gw", source="t"),
+    lambda router: router.link_gateway_subnet(1, "10.1.1.0/24", source="t"),
+    lambda router: router.ensure_gateway(source="t", name="gw", interface_ids=[1, 2]),
+    lambda router: router.absorb_gateway(*_foreign_gateway()),
+])
+def test_an_unverified_router_refuses_every_call_it_routes_by_id(call):
+    journals, router = _unverified_router()
+    with pytest.raises(ValueError, match="handshake"):
+        call(router)
+    assert not any(journal.gateways for journal in journals)
+
+
 def test_served_shards_are_seated_by_the_handshake():
     servers = [JournalServer(Journal()).start() for _ in range(2)]
     try:

@@ -1,4 +1,4 @@
-"""Server-side ingest pipeline: the read/write lock, the batch op,
+"""Server-side ingest pipeline: concurrent readers, the batch op,
 the changes_since/subscribe wire ops, and connection reaping."""
 
 import threading
@@ -10,7 +10,6 @@ from repro.core import (
     BatchingSink,
     Journal,
     JournalServer,
-    ReadWriteLock,
     RemoteClient,
 )
 from repro.core.records import Observation
@@ -40,59 +39,6 @@ def served():
     yield journal, server, client
     client.close()
     server.stop()
-
-
-class TestReadWriteLock:
-    def test_readers_share(self):
-        lock = ReadWriteLock()
-        lock.acquire_read()
-        entered = threading.Event()
-
-        def second_reader():
-            with lock.read_locked():
-                entered.set()
-
-        threading.Thread(target=second_reader, daemon=True).start()
-        assert entered.wait(2.0), "second reader blocked behind the first"
-        lock.release_read()
-
-    def test_writer_excludes_readers(self):
-        lock = ReadWriteLock()
-        lock.acquire_write()
-        progressed = threading.Event()
-
-        def reader():
-            with lock.read_locked():
-                progressed.set()
-
-        threading.Thread(target=reader, daemon=True).start()
-        assert not progressed.wait(0.2)
-        lock.release_write()
-        assert progressed.wait(2.0)
-
-    def test_waiting_writer_blocks_new_readers(self):
-        lock = ReadWriteLock()
-        lock.acquire_read()
-        order = []
-
-        def writer():
-            with lock.write_locked():
-                order.append("writer")
-
-        def late_reader():
-            with lock.read_locked():
-                order.append("reader")
-
-        writer_thread = threading.Thread(target=writer, daemon=True)
-        writer_thread.start()
-        _wait_for(lambda: lock._writers_waiting == 1)
-        reader_thread = threading.Thread(target=late_reader, daemon=True)
-        reader_thread.start()
-        time.sleep(0.1)
-        lock.release_read()
-        writer_thread.join(2.0)
-        reader_thread.join(2.0)
-        assert order == ["writer", "reader"]
 
 
 class TestServerLockModes:

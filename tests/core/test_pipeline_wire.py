@@ -1,6 +1,6 @@
 """The pipelined async transport: out-of-order completion, per-request
 deadlines, the slow-feed polling fallback, graceful stop() drain, and
-the cost-routed inline path on a durable server."""
+where a durable server applies ops and writes its files."""
 
 import os
 import socket
@@ -19,10 +19,9 @@ from repro.core import (
     ShardMap,
     connect,
 )
-from repro.core import wire
+from repro.core import durability, wire
 from repro.core.query import FieldEquals
 from repro.core.records import Observation
-from repro.core.server import JournalDispatcher
 
 
 def _wait_for(predicate, timeout=5.0):
@@ -449,37 +448,32 @@ class TestFeedLaggedResume:
             listener.close()
 
 
-class TestDurableInlinePath:
-    """A durable server routes ops by cost: cheap writes and point
-    lookups run on the loop thread, while fsyncs, checkpoints, bulk
-    reads and everything under ``fsync="always"`` stay off it."""
+class TestDurableServerFileWork:
+    """A durable server applies every op on its loop thread, while WAL
+    fsyncs and checkpoint files are written on its worker pool; bulk
+    reads answer after the cheap requests read with them."""
 
     LOOP = "journal-server-loop"
 
     @pytest.fixture
-    def handler_threads(self, monkeypatch):
-        """Record which thread ran each write handler (op -> names), at
-        the handler the dispatcher resolves for the op."""
-        seen = {}
-        ops = (
-            "observe", "observe_batch", "negative_put", "ensure_gateway",
-            "ensure_subnet", "link_gateway_subnet", "delete_interface",
-            "absorb_interface", "absorb_gateway", "absorb_subnet",
-        )
-        original = JournalDispatcher.handler_for
+    def file_threads(self, monkeypatch):
+        """Record which thread ran each ``os.fsync`` and each checkpoint
+        file write."""
+        seen = {"fsync": [], "checkpoint": []}
+        real_fsync = os.fsync
+        real_write = durability.atomic_write_bytes
 
-        def handler_for(self, op):
-            handler = original(self, op)
-            if op not in ops or handler is None:
-                return handler
+        def recording_fsync(fd):
+            seen["fsync"].append(threading.current_thread().name)
+            real_fsync(fd)
 
-            def recording(request):
-                seen.setdefault(op, []).append(threading.current_thread().name)
-                return handler(request)
+        def recording_write(path, *parts, **options):
+            if path.endswith(JournalStore.CHECKPOINT_NAME):
+                seen["checkpoint"].append(threading.current_thread().name)
+            real_write(path, *parts, **options)
 
-            return recording
-
-        monkeypatch.setattr(JournalDispatcher, "handler_for", handler_for)
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(durability, "atomic_write_bytes", recording_write)
         return seen
 
     @staticmethod
@@ -489,23 +483,7 @@ class TestDurableInlinePath:
         server.start()
         return store, server
 
-    def test_no_fsync_or_checkpoint_on_the_loop_thread(
-        self, tmp_path, monkeypatch, handler_threads
-    ):
-        fsync_threads, checkpoint_threads = [], []
-        real_fsync = os.fsync
-        real_checkpoint = JournalStore.checkpoint
-
-        def recording_fsync(fd):
-            fsync_threads.append(threading.current_thread().name)
-            real_fsync(fd)
-
-        def recording_checkpoint(self):
-            checkpoint_threads.append(threading.current_thread().name)
-            return real_checkpoint(self)
-
-        monkeypatch.setattr(os, "fsync", recording_fsync)
-        monkeypatch.setattr(JournalStore, "checkpoint", recording_checkpoint)
+    def test_no_fsync_or_checkpoint_on_the_loop_thread(self, tmp_path, file_threads):
         # Donor records for the absorb_* (replication) ops.
         donor = Journal()
         donor_interface, _ = donor.observe_interface(
@@ -526,8 +504,7 @@ class TestDurableInlinePath:
                         Observation(source="t", ip=f"10.0.{round_}.1")
                     )
                     # Varying batch sizes move the point where a
-                    # checkpoint comes due (and the next write goes to
-                    # the pool) around the op sequence.
+                    # checkpoint comes due around the op sequence.
                     client.observe_batch(
                         [Observation(source="t", ip=f"10.1.{round_}.{i + 1}")
                          for i in range(round_ % 4 + 1)]
@@ -552,17 +529,13 @@ class TestDurableInlinePath:
         finally:
             server.stop()
             store.close(checkpoint=False)
-        assert self.LOOP not in fsync_threads
-        assert self.LOOP not in checkpoint_threads
-        # ...and yet the writes were inline, and syncs and checkpoints ran.
-        for op, threads in handler_threads.items():
-            assert self.LOOP in threads, f"{op} never ran inline"
-        assert "journal-server-checkpoint" in fsync_threads
-        assert checkpoint_threads
+        assert self.LOOP not in file_threads["fsync"]
+        assert self.LOOP not in file_threads["checkpoint"]
+        # ...and yet syncs and checkpoints ran, on the worker pool.
+        assert any(name.startswith("journal-worker") for name in file_threads["fsync"])
+        assert any(name.startswith("journal-worker") for name in file_threads["checkpoint"])
 
-    def test_pool_batch_then_inline_write_apply_in_order(
-        self, tmp_path, handler_threads
-    ):
+    def test_oversized_batch_then_write_apply_in_order(self, tmp_path):
         store, server = self._durable_server(tmp_path, fsync="interval")
         try:
             sock, frames = _raw_connection(server)
@@ -573,8 +546,8 @@ class TestDurableInlinePath:
             ] + [{"op": "observe",
                   "observation": {"source": "t", "ip": "10.0.0.1", "vendor": "batch"}}]
             try:
-                # One segment: the oversized batch goes to the pool, the
-                # observe behind it is inline-eligible but must wait.
+                # One segment: the oversized batch and the observe behind
+                # it apply in the order they were read.
                 sock.sendall(
                     wire.encode_message({**wire.batch_request(batch), "id": 1})
                     + wire.encode_message(
@@ -590,7 +563,6 @@ class TestDurableInlinePath:
             assert replies[1]["ok"] and replies[2]["ok"]
             (record,) = server.journal.interfaces_by_ip("10.0.0.1")
             assert record.get("vendor") == "inline"
-            assert handler_threads["observe_batch"][0].startswith("journal-worker")
         finally:
             server.stop()
             store.close(checkpoint=False)
@@ -661,8 +633,9 @@ class TestDurableInlinePath:
             server.stop()
             store.close(checkpoint=False)
 
-    def test_fsync_always_writes_stay_on_the_pool(self, tmp_path, handler_threads):
+    def test_fsync_always_fsyncs_run_on_the_pool(self, tmp_path, file_threads):
         store, server = self._durable_server(tmp_path, fsync="always")
+        recovered = len(file_threads["fsync"])
         try:
             with RemoteClient(*server.address) as client:
                 for index in range(5):
@@ -670,13 +643,12 @@ class TestDurableInlinePath:
                         Observation(source="t", ip=f"10.0.0.{index + 1}")
                     )
                 client.negative_put("ip", "10.0.9.9", ttl=60.0)
+            served = file_threads["fsync"][recovered:]
         finally:
             server.stop()
             store.close(checkpoint=False)
-        for op in ("observe", "negative_put"):
-            assert handler_threads[op]
-            assert all(name.startswith("journal-worker")
-                       for name in handler_threads[op])
+        assert len(served) >= 6
+        assert all(name.startswith("journal-worker") for name in served)
 
 
 class TestBatchAckContract:

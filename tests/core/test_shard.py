@@ -376,7 +376,7 @@ class TestDegradation:
 
         journals = [Journal(), Journal()]
         flaky = _Flaky(journals[1])
-        router = ShardedClient([LocalClient(journals[0]), flaky], check=False)
+        router = ShardedClient([LocalClient(journals[0]), flaky])
         gateway, _ = router.ensure_gateway(source="t", name="gw")
         router.link_gateway_subnet(gateway.record_id, "10.0.1.0/24", source="t")
         router.link_gateway_subnet(gateway.record_id, "10.0.2.0/24", source="t")

@@ -59,11 +59,9 @@ class TestOpTable:
         names = [name for spec in wire.OPS.values() for name in spec.methods]
         assert len(names) == len(set(names))
 
-    def test_kinds_are_known_and_only_reads_and_writes_run_inline(self):
+    def test_kinds_are_known(self):
         for op, spec in wire.OPS.items():
             assert spec.kind in ("read", "write", "control", "stream"), op
-            if spec.inline:
-                assert spec.kind in ("read", "write"), op
 
     def test_failover_proxies_follow_the_kind(self):
         for spec in wire.OPS.values():
@@ -78,16 +76,6 @@ class TestOpTable:
         assert wire.READ_OPS == frozenset({
             "ping", "counts", "metrics", "shard_info", "query", "path",
             "impact", "negative_check", "changes_since", "pull", "dump",
-        })
-        inline_writes = frozenset({
-            "observe", "negative_put", "ensure_gateway", "ensure_subnet",
-            "link_gateway_subnet", "delete_interface", "absorb_interface",
-            "absorb_gateway", "absorb_subnet",
-        })
-        assert wire.INLINE_WRITES == inline_writes
-        assert wire.INLINE_OPS == inline_writes | frozenset({
-            "ping", "counts", "metrics", "shard_info", "negative_check",
-            "changes_since",
         })
         assert wire.CONTROL_OPS == frozenset({"promote", "fence"})
         assert wire.WIRE_OPS == (
