@@ -21,6 +21,14 @@ shard.  It reports sustained acknowledged writes/sec per fleet size
 and the speedup of the largest fleet over the single-journal
 baseline.
 
+It also times a composed change feed: a consumer loops on ``poll()``
+over a ``shard://`` router's feed while writes land on the last shard
+of the largest fleet, and the time from each write to its delta's
+delivery is reported.  ``--check`` fails when its p50 exceeds
+``FEED_DELIVERY_GATE_MS``: a composed feed waits on every member's
+stream at once, so a delta is handed over when it lands, whichever
+shard it lands on.
+
 It also embeds the federation correctness check: the same operation
 campaign applied through a ``ShardedClient`` and through a single
 ``Journal`` must produce identical ``identity_state()`` snapshots and
@@ -53,9 +61,11 @@ import json
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -73,6 +83,9 @@ from repro.core import (  # noqa: E402
 
 SOURCE = "bench-shard"
 LISTEN_RE = re.compile(r"listening on ([\d.]+):(\d+)")
+#: ``--check`` bound on the p50 delivery time of last-shard deltas
+#: through a composed feed (loopback, idle fleet)
+FEED_DELIVERY_GATE_MS = 10.0
 
 
 def _batch_schedule() -> None:
@@ -340,6 +353,74 @@ def measure_fleet(
         shutil.rmtree(base, ignore_errors=True)
 
 
+def measure_feed_delivery(shards: int, *, writes: int, fsync: str) -> Dict[str, object]:
+    """Per write on the fleet's last shard, the time from sending it to
+    a composed feed handing over its delta.  The consumer loops on
+    ``poll()`` with the default timeout, as a monitor does; a feed that
+    waited on the other shards' streams first would hold the delta
+    back for as long as it waited there."""
+    base = tempfile.mkdtemp(prefix=f"bench-shard-feed-{shards}-")
+    servers: List[subprocess.Popen] = []
+    try:
+        endpoints: List[str] = []
+        for index in range(shards):
+            proc, endpoint = _spawn_shard(index, shards, base, fsync=fsync)
+            servers.append(proc)
+            endpoints.append(endpoint)
+        router = connect("shard://" + ",".join(endpoints))
+        feed = router.subscribe(since=0)
+        arrived: Dict[int, float] = {}
+
+        def consume() -> None:
+            while True:
+                try:
+                    delta = feed.poll()
+                except ConnectionError:
+                    return  # closed below
+                now = time.perf_counter()
+                for record_id in delta.interfaces if delta else ():
+                    arrived.setdefault(record_id, now)
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        (b, c), = _subnets_for_shard(shards - 1, shards, 1)
+        sent: Dict[int, float] = {}
+        for host in range(1, writes + 1):
+            time.sleep(0.03)
+            started = time.perf_counter()
+            record, _ = router.observe_interface(
+                Observation(source=SOURCE, ip=f"10.{b}.{c}.{host}")
+            )
+            sent[record.record_id] = started
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not sent.keys() <= arrived.keys():
+            time.sleep(0.01)
+        feed.close()
+        consumer.join(timeout=5.0)
+        router.close()
+        delays = sorted(
+            (arrived[record_id] - at) * 1000.0
+            for record_id, at in sent.items() if record_id in arrived
+        )
+        return {
+            "shards": shards,
+            "writes": writes,
+            "delivered": len(delays),
+            "p50_ms": round(statistics.median(delays), 3) if delays else None,
+            "p90_ms": round(delays[int(0.9 * (len(delays) - 1))], 3) if delays else None,
+            "max_ms": round(delays[-1], 3) if delays else None,
+        }
+    finally:
+        for server in servers:
+            server.terminate()
+        for server in servers:
+            try:
+                server.wait(timeout=10.0)
+            except subprocess.TimeoutExpired:
+                server.kill()
+        shutil.rmtree(base, ignore_errors=True)
+
+
 def check_equivalence(shards: int) -> Dict[str, object]:
     """Apply one campaign through a ShardedClient and through a single
     Journal; the merged fleet view must be indistinguishable."""
@@ -431,9 +512,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--check", action="store_true",
         help="fail unless scatter-gather matches the single-journal run "
-        "(always) and the largest fleet beats one shard by >= 2.5x "
-        "ingest (full runs on hosts with enough CPUs to run the fleet "
-        "in parallel)",
+        "and a composed feed hands over last-shard deltas within "
+        f"{FEED_DELIVERY_GATE_MS:g} ms p50 (always), and the largest "
+        "fleet beats one shard by >= 2.5x ingest (full runs on hosts "
+        "with enough CPUs to run the fleet in parallel)",
     )
     parser.add_argument("--output", default="BENCH_sharding.json",
                         help="result file path (default: %(default)s)")
@@ -454,6 +536,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"equivalence at {equivalence['shards']} shards: "
         f"order={equivalence['scatter_order_matches']} "
         f"identity={equivalence['identity_state_matches']}"
+    )
+
+    delivery = measure_feed_delivery(
+        max(args.fleets), writes=20 if args.quick else 60, fsync=args.fsync
+    )
+    print(
+        f"composed feed over {delivery['shards']} shards: last-shard "
+        f"deltas {delivery['delivered']}/{delivery['writes']}, p50 "
+        f"{delivery['p50_ms']} ms, p90 {delivery['p90_ms']} ms, max "
+        f"{delivery['max_ms']} ms"
     )
 
     fleets: List[Dict[str, object]] = []
@@ -500,6 +592,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "cpu_limited": cpu_limited,
         },
         "equivalence": equivalence,
+        "feed_delivery": delivery,
     }
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=1, sort_keys=True)
@@ -513,6 +606,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         ):
             raise SystemExit(
                 "FAIL: sharded fleet diverged from the single-journal run"
+            )
+        if delivery["delivered"] < delivery["writes"] or not (
+            delivery["p50_ms"] <= FEED_DELIVERY_GATE_MS
+        ):
+            raise SystemExit(
+                f"FAIL: composed feed delivered {delivery['delivered']}/"
+                f"{delivery['writes']} last-shard deltas, p50 "
+                f"{delivery['p50_ms']} ms (gate {FEED_DELIVERY_GATE_MS:g} ms)"
             )
         if args.quick or cpu_limited:
             if cpu_limited:

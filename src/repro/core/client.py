@@ -148,6 +148,12 @@ class ChangeFeed:
                 return merged
             merged.merge(extra)
 
+    def reader(self) -> Optional[wire.FrameReader]:
+        """The frame reader this feed's next delta arrives on, so that
+        a caller can wait on several feeds at once; None for a feed
+        whose :meth:`poll` answers at once, whatever its timeout."""
+        return None
+
     def close(self) -> None:
         raise NotImplementedError
 
@@ -1108,16 +1114,24 @@ class RemoteChangeFeed(ChangeFeed):
 
     def _resume(self) -> None:
         """The stream died mid-subscription: reconnect on the client's
-        schedule and re-subscribe from the delivery cursor."""
+        schedule and re-subscribe from the delivery cursor.  A feed
+        closed meanwhile drops the new connection instead."""
         if not self._client._reconnect():
             raise self._client._unreachable()
         self._subscribe()
+        if self._closed:
+            self._client._disconnect()
+            raise ConnectionError("change feed closed")
         self.resumes += 1
 
     def _read_frame(self, timeout: Optional[float]) -> Optional[Dict[str, Any]]:
         try:
             return self._client._frames.read(timeout)
         except OSError:
+            # A close() from another thread while this read waited
+            # surfaces as a bad descriptor, not a dropped stream.
+            if self._closed:
+                raise ConnectionError("change feed closed") from None
             self._resume()
             return self._client._frames.read(timeout)
 
@@ -1159,6 +1173,13 @@ class RemoteChangeFeed(ChangeFeed):
             raise ConnectionError(f"changes_since failed: {error}") from error
         self.revision = max(self.revision, changes.revision)
         return None if changes.empty() else changes
+
+    def reader(self) -> Optional[wire.FrameReader]:
+        """The push stream's reader; None in polling mode, where each
+        :meth:`poll` is a round trip, and once closed."""
+        if self._closed or self.mode != "push":
+            return None
+        return self._client._frames
 
     def close(self) -> None:
         if self._closed:

@@ -59,6 +59,7 @@ from __future__ import annotations
 import copy
 import functools
 import inspect
+import time
 import zlib
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -409,30 +410,30 @@ class ShardedChangeFeed(ChangeFeed):
 
     def poll(self, timeout: Optional[float] = 0.5) -> Optional[JournalChanges]:
         """The next merged delta across all shards, or None if nothing
-        arrives within *timeout* seconds.  One call may fold deltas
-        from several shards into a single frame."""
-        import time as _time
-
-        deadline = None if timeout is None else _time.monotonic() + timeout
-        slice_timeout = 0.0
+        arrives within *timeout* seconds.  A pass asks every member
+        with ``poll(0.0)`` and folds all it got into one delta.  When a
+        pass finds nothing, one wait covers every member's push stream
+        at once (:func:`~repro.core.wire.wait_for_frames`), so a delta
+        on any shard is handed over when it arrives; a member whose
+        poll answers at once is asked once per pass.  With no stream
+        to wait on, one pass is the whole poll (DESIGN.md §11)."""
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             deltas: List[JournalChanges] = []
             before = self.vector
             for feed in self._feeds:
-                while True:
-                    delta = feed.poll(slice_timeout if not deltas else 0.0)
-                    if delta is None:
-                        break
+                delta = feed.poll(0.0)
+                while delta is not None:
                     deltas.append(delta)
+                    delta = feed.poll(0.0)
             if deltas:
                 return _compose(deltas, before.revisions, self.vector.revisions)
-            if deadline is not None:
-                remaining = deadline - _time.monotonic()
-                if remaining <= 0:
-                    return None
-                slice_timeout = min(0.05, remaining / max(1, len(self._feeds)))
-            else:
-                slice_timeout = 0.05
+            readers = [feed.reader() for feed in self._feeds]
+            readers = [reader for reader in readers if reader is not None]
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if not readers or (remaining is not None and remaining <= 0):
+                return None
+            wire.wait_for_frames(readers, remaining)
 
     def close(self) -> None:
         if self._closed:

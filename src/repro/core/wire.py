@@ -1254,3 +1254,19 @@ class FrameReader:
             if not chunk:
                 raise ConnectionError("connection closed by peer")
             self._buffer.extend(chunk)
+
+
+def wait_for_frames(readers: Sequence[FrameReader], timeout: Optional[float]) -> None:
+    """Block until one of *readers* has bytes to read, or *timeout*
+    seconds pass (None waits indefinitely).  A reader that already
+    buffers a complete frame is ready and is never waited on; the rest
+    are waited on together, in one ``poll`` over their sockets.  A
+    reader whose socket was closed under the caller counts as ready
+    too: its next read reports the close."""
+    poller = select.poll()
+    for reader in readers:
+        descriptor = reader._socket.fileno()  # -1 once closed
+        if reader.pending() or descriptor < 0:
+            return
+        poller.register(descriptor, select.POLLIN)
+    poller.poll(None if timeout is None else max(timeout, 0.0) * 1000.0)

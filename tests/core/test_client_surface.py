@@ -7,6 +7,7 @@ of them without asking which.
 """
 
 import contextlib
+import threading
 import time
 
 import pytest
@@ -149,3 +150,41 @@ def test_a_closed_feed_stays_closed():
         with pytest.raises(OSError):
             feed.poll(0.1)
         assert feed.resumes == 0
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return predicate()
+
+
+@pytest.mark.parametrize("kind", ["remote", "sharded-remote"])
+def test_a_feed_closed_during_a_poll_raises_and_never_resumes(kind):
+    """A close() from another thread while a poll is blocked ends that
+    poll with ConnectionError: the blocked read's bad descriptor is not
+    a dropped stream, so no member reconnects and subscribes again."""
+    with _client(kind) as (client, journals):
+        feed = client.subscribe(since=0)
+        members = getattr(feed, "_feeds", [feed])
+        outcome = {}
+
+        def consume():
+            try:
+                outcome["delta"] = feed.poll(5.0)
+            except ConnectionError as error:
+                outcome["error"] = error
+
+        consumer = threading.Thread(target=consume)
+        consumer.start()
+        time.sleep(0.2)  # the consumer is blocked in its wait
+        feed.close()
+        # A push on every shard wakes a wait still holding the socket.
+        client.observe_batch([_sighting(_A, 1), _sighting(_B, 2)])
+        consumer.join(10.0)
+        assert not consumer.is_alive()
+        assert "change feed closed" in str(outcome.get("error"))
+        assert [member.resumes for member in members] == [0] * len(members)
+        assert _wait_for(lambda: all(j.feed_subscribers == 0 for j in journals))

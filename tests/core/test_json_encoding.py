@@ -17,6 +17,8 @@ import json
 import math
 import os
 import socket
+import subprocess
+import sys
 import tracemalloc
 import zlib
 
@@ -233,10 +235,10 @@ class TestStdlibFilesStillRecover:
             server.stop()
 
 
-def test_a_checkpoint_holds_one_copy_of_its_body(tmp_path):
-    """Above what ``to_dict()`` itself needs, a checkpoint's peak is its
-    encoded body and little more: no text copy, no joined header+body."""
-    store = _store(tmp_path)
+def _checkpoint_peaks(directory):
+    """The ``tracemalloc`` peaks of ``to_dict()`` and of a checkpoint of
+    a 2000-interface Journal, and the checkpoint's size."""
+    store = _store(directory)
     journal = store.recover()
     for index in range(2000):
         journal.submit(Observation(
@@ -258,9 +260,35 @@ def test_a_checkpoint_holds_one_copy_of_its_body(tmp_path):
     finally:
         tracemalloc.stop()
     size = os.path.getsize(store.checkpoint_path)
+    store.close(checkpoint=False)
+    return document_peak, checkpoint_peak, size
+
+
+#: runs :func:`_checkpoint_peaks` from this file in a fresh interpreter
+_MEASURE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("measured", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+print(json.dumps(module._checkpoint_peaks(sys.argv[2])))
+"""
+
+
+def test_a_checkpoint_holds_one_copy_of_its_body(tmp_path):
+    """Above what ``to_dict()`` itself needs, a checkpoint's peak is its
+    encoded body and little more: no text copy, no joined header+body.
+    The peaks are taken in a fresh interpreter, where no other thread
+    allocates: ``tracemalloc`` counts every thread's allocations, and
+    threads that other tests leave running would count too."""
+    result = subprocess.run(
+        [sys.executable, "-c", _MEASURE, __file__, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert result.returncode == 0, result.stderr
+    document_peak, checkpoint_peak, size = json.loads(result.stdout)
     assert size > 500_000
     assert checkpoint_peak - document_peak < 1.5 * size
-    store.close(checkpoint=False)
 
 
 def test_a_step_clock_resumes_past_replayed_writes(tmp_path):

@@ -3,16 +3,26 @@ vector cursors, and the ShardedClient scatter-gather router."""
 
 from __future__ import annotations
 
+import contextlib
+import socket
+import statistics
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
     Journal,
+    JournalServer,
     LocalClient,
     QueryCache,
+    RemoteChangeFeed,
+    RemoteClient,
     ShardFlushError,
     ShardMap,
+    ShardedChangeFeed,
     ShardedClient,
     VectorCursor,
     connect,
@@ -620,3 +630,190 @@ class TestHandshakeVerification:
         ]
         with pytest.raises(ValueError, match="shard"):
             ShardedClient(fleet)
+
+
+@contextlib.contextmanager
+def _served_fleet(shards):
+    """A router over *shards* in-process served Journals."""
+    servers = [JournalServer(Journal(), port=0).start() for _ in range(shards)]
+    try:
+        with ShardedClient([RemoteClient(*server.address) for server in servers]) as router:
+            yield router
+    finally:
+        for server in servers:
+            server.stop()
+
+
+def _prefix_on(shard, shards):
+    """A /24 prefix the *shards*-wide map places on *shard*."""
+    shard_map = ShardMap(shards)
+    return next(
+        f"10.9.{third}" for third in range(1, 250)
+        if shard_map.shard_for_ip(f"10.9.{third}.1") == shard
+    )
+
+
+class _DemotedShard:
+    """A stand-in shard server over an in-process Journal that demotes
+    its one subscriber at once: it acknowledges ``subscribe``, sends
+    ``feed_lagged``, then answers each ``changes_since`` from the
+    Journal."""
+
+    def __init__(self, journal):
+        self.journal = journal
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        conn, _addr = self._listener.accept()
+        with conn:
+            frames = wire.FrameReader(conn)
+            try:
+                while True:
+                    request = frames.read(None)
+                    if request["op"] == "subscribe":
+                        reply = {"ok": True, "revision": self.journal.revision}
+                        lagged = {"ok": True, "event": "feed_lagged", "revision": 0}
+                        conn.sendall(
+                            wire.encode_message({**reply, "id": request["id"]})
+                            + wire.encode_message(lagged)
+                        )
+                    else:
+                        changes = self.journal.changes_since(int(request["since"]))
+                        conn.sendall(wire.encode_message({
+                            "ok": True, "id": request["id"],
+                            "changes": wire.changes_to_dict(changes),
+                        }))
+            except OSError:
+                pass  # the feed closed its connection
+
+    def close(self):
+        self._listener.close()
+        self._thread.join(timeout=5.0)
+
+
+class TestComposedFeedWait:
+    """A composed feed drains every member, then waits on every push
+    stream at once: news on any shard is handed over when it lands."""
+
+    def test_deltas_on_the_last_shard_are_handed_over_when_they_land(self):
+        with _served_fleet(3) as router:
+            prefix = _prefix_on(2, 3)
+            feed = router.subscribe(since=0)
+            sent, arrived = {}, {}
+
+            def consume():
+                deadline = time.monotonic() + 10.0
+                while len(arrived) < 20 and time.monotonic() < deadline:
+                    try:
+                        delta = feed.poll()
+                    except ConnectionError:
+                        return
+                    now = time.monotonic()
+                    for record_id in delta.interfaces if delta else ():
+                        arrived.setdefault(record_id, now)
+
+            consumer = threading.Thread(target=consume)
+            consumer.start()
+            try:
+                for host in range(1, 21):
+                    time.sleep(0.03)
+                    started = time.monotonic()
+                    record, _ = router.observe_interface(
+                        Observation("t", ip=f"{prefix}.{host}")
+                    )
+                    sent[record.record_id] = started
+                consumer.join(timeout=10.0)
+            finally:
+                feed.close()
+                consumer.join(timeout=5.0)
+            assert set(arrived) == set(sent)
+            delays = [arrived[record_id] - sent[record_id] for record_id in sent]
+            assert statistics.median(delays) < 0.010
+
+    def test_a_poll_over_local_shards_returns_after_one_pass(self):
+        _journals, router = make_router(2)
+        with router.subscribe(since=0) as feed:
+            started = time.thread_time()
+            assert feed.poll(0.3) is None
+            assert time.thread_time() - started < 0.05
+
+    def test_a_demoted_member_and_a_push_member_compose_one_chain(self):
+        demoted = _DemotedShard(Journal())
+        server = JournalServer(Journal(), port=0).start()
+        writer = RemoteClient(*server.address)
+        feed = ShardedChangeFeed([
+            RemoteChangeFeed(*demoted.address, since=0),
+            RemoteChangeFeed(*server.address, since=0),
+        ])
+        try:
+            chain = []
+            for round_ in range(2):
+                for host in (1, 2):
+                    demoted.journal.submit(Observation("t", ip=f"10.1.{round_}.{host}"))
+                writer.observe_interface(Observation("t", ip=f"10.2.{round_}.1"))
+                target = [demoted.journal.revision, writer.revision()]
+                while feed.vector.revisions != target:
+                    delta = feed.poll(5.0)
+                    assert delta is not None
+                    chain.append(delta)
+            polling, push = feed._feeds
+            assert (polling.mode, push.mode) == ("polling", "push")
+            assert polling.reader() is None and push.reader() is not None
+            since, vector = 0, [0, 0]
+            for delta in chain:
+                assert delta.since == since == sum(vector)
+                assert all(a <= b for a, b in zip(vector, delta.vector))
+                assert delta.revision == sum(delta.vector)
+                since, vector = delta.revision, delta.vector
+            assert vector == target
+            ips = {key for delta in chain for key in delta.keys if key.startswith("ip:")}
+            assert len(ips) == 6
+        finally:
+            feed.close()
+            writer.close()
+            server.stop()
+            demoted.close()
+
+    def test_a_member_with_a_buffered_frame_is_handed_over_without_waiting(self):
+        with _served_fleet(2) as router:
+            prefix = _prefix_on(1, 2)
+            feed = router.subscribe(since=0)
+            try:
+                member = feed._feeds[1]
+                for host in (1, 2):
+                    router.observe_interface(Observation("t", ip=f"{prefix}.{host}"))
+                    time.sleep(0.1)  # each write is pushed as its own frame
+                first = member.poll(0.0)  # one recv takes both frames
+                assert first is not None and member._client._frames.pending()
+                started = time.monotonic()
+                delta = feed.poll(1.0)
+                elapsed = time.monotonic() - started
+                assert delta is not None and not delta.keys & first.keys
+                assert delta.vector == [0, 2]
+                assert elapsed < 0.02
+            finally:
+                feed.close()
+
+    def test_the_wait_never_blocks_on_a_buffered_or_closed_reader(self):
+        idle, idle_peer = socket.socketpair()
+        busy, busy_peer = socket.socketpair()
+        try:
+            idle_reader, busy_reader = wire.FrameReader(idle), wire.FrameReader(busy)
+            busy_peer.sendall(wire.encode_message({"a": 1}) + wire.encode_message({"b": 2}))
+            assert busy_reader.read(1.0) == {"a": 1} and busy_reader.pending()
+            started = time.monotonic()
+            wire.wait_for_frames([idle_reader, busy_reader], 1.0)
+            assert time.monotonic() - started < 0.1
+            started = time.monotonic()
+            wire.wait_for_frames([idle_reader], 0.05)
+            assert time.monotonic() - started >= 0.04
+            idle.close()
+            started = time.monotonic()
+            wire.wait_for_frames([idle_reader], 1.0)
+            assert time.monotonic() - started < 0.1
+        finally:
+            for sock in (idle, idle_peer, busy, busy_peer):
+                sock.close()
